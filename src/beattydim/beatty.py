@@ -140,15 +140,15 @@ def constraint_edges(p: ParamTuple, n: int) -> list[tuple[int, int]]:
     fu = floor_fn(p.alpha, p.beta)
     fv = floor_fn(p.gamma, p.delta)
     edges = []
-    k = 1
+    k = max(first_positive_k(p.alpha, p.beta),
+            first_positive_k(p.gamma, p.delta))
     while True:
         v = fv(k)
         if v > n:
             break
-        if v >= 1:
-            u = fu(k)
-            if 1 <= u <= n:
-                edges.append((u, v))
+        u = fu(k)
+        if u <= n:
+            edges.append((u, v))
         k += 1
     return edges
 
@@ -157,15 +157,30 @@ def beatty_values(tau: RealLike, eta: RealLike, limit: int) -> list[int]:
     """All values floor(tau*k + eta) for k >= 1 that land in [1, limit]."""
     fv = floor_fn(as_real(tau), as_real(eta))
     out = []
-    k = 1
+    k = first_positive_k(tau, eta)
     while True:
         v = fv(k)
         if v > limit:
             break
-        if v >= 1:
-            out.append(v)
+        out.append(v)
         k += 1
     return out
+
+
+def first_positive_k(tau: RealLike, eta: RealLike) -> int:
+    """The first k >= 1 with floor(tau*k + eta) >= 1.
+
+    Loops over k start here, so a large negative shift costs nothing:
+    k >= (1 - eta)/tau is the condition, its lower enclosure gives a
+    start at or below the answer, and monotonicity of k -> floor(tau*k
+    + eta) lets the final steps settle it exactly."""
+    tau, eta = as_real(tau), as_real(eta)
+    lo, _ = _div(_add(Rational(Fraction(1)), _neg(eta)), tau).enclosure(64)
+    k = max(1, -((-lo.numerator) // lo.denominator))
+    fv = floor_fn(tau, eta)
+    while fv(k) < 1:
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

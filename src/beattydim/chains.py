@@ -13,11 +13,15 @@ elements).  Head classes:
 * A_infinity -- iterates stay in the intersection forever (detected up
                 to a finite horizon and reported as candidates).
 
-Densities d_i are estimated by classifying every head in a window; the
-refined counts d_{i,j} (exactly j of the i chain elements inside [1,n])
-come out of the same walk.  The scan works on byte-array membership
-tables inside the window and integer-only closures beyond it, so
-windows of 10^6 are routine.
+One loop steps along chains: ``_ScanContext.walk``, which starts at a
+head or resumes a surviving walk at its last iterate.  Two loops visit
+heads.  ``decompose`` records every chain, the refined counts d_{i,j}
+(exactly j of the i chain elements inside [1,n]) and the residual set;
+``measured_dij`` and ``residual_count`` read them off it.
+``_window_counts`` keeps only class tallies, from which
+``empirical_densities`` estimates d_i.  The scan works on byte-array
+membership tables inside the window and integer-only closures beyond
+it, so windows of 10^6 are routine.
 """
 
 from __future__ import annotations
@@ -25,14 +29,16 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, log
-from typing import IO, Optional, Sequence, Union
+from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .beatty import (
     ParamTuple,
     f_step_fn,
+    first_positive_k,
     floor_fn,
     member,
     membership_fn,
@@ -69,16 +75,19 @@ A1 = ChainClass("A1")
 NOT_HEAD = ChainClass("not_head")
 
 
+# decompose tags every chain it records: the class objects are immutable,
+# so one per value is shared, and Chain is a light named tuple.
+@cache
 def finite_class(i: int) -> ChainClass:
     return ChainClass("finite", i=i)
 
 
+@cache
 def infinity_candidate(survived: int) -> ChainClass:
     return ChainClass("infinity", survived=survived)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     head: int
     cls: ChainClass
     elements: tuple[int, ...]  # elements inside [1, n], trajectory order
@@ -276,23 +285,23 @@ def _mark_bitset(tau, eta, bound: int) -> bytearray:
     from .beatty import _linear_form  # integer linear form, if any
 
     form = _linear_form(tau, eta)
+    k0 = first_positive_k(tau, eta)
     if form is not None and form[1] == 0 and form[3] == 0:
         A, _, E, _, Z, _ = form
         kmax = ((bound + 1) * Z - E) // A + 2
         if kmax >= 1 and A * kmax < 2**62:
-            k = np.arange(1, kmax + 1, dtype=np.int64)
+            k = np.arange(k0, kmax + 1, dtype=np.int64)
             v = (A * k + E) // Z
-            v = v[(v >= 1) & (v <= bound)]
+            v = v[v <= bound]
             marks = np.zeros(bound + 1, dtype=np.uint8)
             marks[v] = 1
             return bytearray(marks.tobytes())
-    k = 1
+    k = k0
     while True:
         v = fv(k)
         if v > bound:
             break
-        if v >= 1:
-            bits[v] = 1
+        bits[v] = 1
         k += 1
     return bits
 
@@ -331,28 +340,33 @@ class _ScanContext:
             return bool(self.sa[y])
         return self.far_sa(y)
 
-    def walk(self, x: int, horizon: int, cutoff: int, rec=None):
-        """Follow the chain from head x (x in SA\\SG assumed).
+    def walk(self, x: int, horizon: int, cutoff: int = 0, rec=None,
+             j: int = 0):
+        """Follow a chain from x, its trajectory point at step j: a head
+        in SA\\SG for j = 0, or the last iterate of a walk that survived
+        to step j, which this call resumes.
 
         Returns (kind, value, y_last, vis, contiguous) with kind one of
         'finite' (value = class index i), 'cand' (value = horizon
         survived), 'proved' (infinite, alpha = 1 shortcut), or
         'residual' (trajectory left N).  vis counts trajectory elements
-        <= cutoff; rec, if given, collects them; contiguous reports
-        whether the visible elements sit at consecutive trajectory
-        positions (the condition for the pattern-count product form).
+        from step j on that are <= cutoff; rec, if given, collects them;
+        contiguous reports whether the visible elements sit at
+        consecutive trajectory positions (the condition for the
+        pattern-count product form).
         """
-        first = last = 0 if x <= cutoff else -1
+        first = last = j if x <= cutoff else -1
         vis = 1 if x <= cutoff else 0
         if rec is not None and x <= cutoff:
             rec.append(x)
         sa, B, far, f = self.sa, self.B, self.far_sa, self.f
         one = self.alpha_one
         tail, gf = self.sa_tail, self.growth_floor
-        y = f(x)
-        j = 1
+        y = x
         kind = val = None
         while True:
+            y = f(y)
+            j += 1
             if y < 1:
                 kind, val = "residual", j
                 break
@@ -381,36 +395,8 @@ class _ScanContext:
             if j >= horizon:
                 kind, val = "cand", horizon
                 break
-            y = f(y)
-            j += 1
         contiguous = vis == 0 or last - first + 1 == vis
         return (kind, val, y, vis, contiguous)
-
-    def extend(self, y: int, j_done: int, horizon_to: int):
-        """Continue a surviving trajectory from its last iterate."""
-        f, B, sa, far = self.f, self.B, self.sa, self.far_sa
-        one, tail, gf = self.alpha_one, self.sa_tail, self.growth_floor
-        j = j_done
-        while True:
-            if j >= horizon_to:
-                return ("cand", j, y)
-            y = f(y)
-            j += 1
-            if y < 1:
-                return ("residual", j, y)
-            if one:
-                if y >= tail:
-                    if y > gf:
-                        return ("proved", j, y)
-                    ok = True
-                else:
-                    ok = False
-            elif y <= B:
-                ok = bool(sa[y])
-            else:
-                ok = far(y)
-            if not ok:
-                return ("finite", j + 1, y)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +436,7 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
                 cls = finite_class(val)
                 counts[(val, vis)] = counts.get((val, vis), 0) + 1
             else:
-                cls = infinity_candidate(val if kind == "cand" else horizon)
+                cls = infinity_candidate(horizon)
             chains.append(Chain(x, cls, tuple(rec)))
             for e in rec:
                 covered[e] = 1
@@ -470,48 +456,14 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
 
 
 def measured_dij(p: ParamTuple, n: int, horizon: Optional[int] = None) -> dict:
-    """Anchored A_(i,j) head counts on [1, n] without materializing the
-    chains: (i, j) -> number of class-i heads with exactly j trajectory
-    elements inside [1, n]."""
-    if horizon is None:
-        horizon = default_horizon(p, n)
-    ctx = _ScanContext(p, n + p.chain_bound_int())
-    sg = ctx.sg
-    counts: dict = {}
-    for x in range(1, len(sg)):
-        if sg[x]:
-            continue
-        if ctx.in_sa(x):
-            kind, val, _, vis, _ = ctx.walk(x, horizon, n)
-            if kind == "finite" and vis >= 1:
-                counts[(val, vis)] = counts.get((val, vis), 0) + 1
-        elif x <= n:
-            counts[(1, 1)] = counts.get((1, 1), 0) + 1
-    return counts
+    """Anchored A_(i,j) head counts on [1, n]: (i, j) -> number of
+    class-i heads with exactly j trajectory elements inside [1, n]."""
+    return decompose(p, n, horizon).counts
 
 
 def residual_count(p: ParamTuple, n: int, horizon: Optional[int] = None) -> int:
-    """|R ∩ [1, n]| without materializing chain records."""
-    if horizon is None:
-        horizon = default_horizon(p, n)
-    cext = p.chain_bound_int()
-    bound = n + cext
-    ctx = _ScanContext(p, bound)
-    sg = ctx.sg
-    covered = bytearray(n + 1)
-    for x in range(1, bound + 1):
-        if sg[x]:
-            continue
-        if ctx.in_sa(x):
-            rec: list[int] = []
-            kind = ctx.walk(x, horizon, n, rec=rec)[0]
-            if kind == "residual":
-                continue
-            for e in rec:
-                covered[e] = 1
-        elif x <= n:
-            covered[x] = 1
-    return n - sum(covered[1:])
+    """|R ∩ [1, n]|, the size of the decomposition's residual set."""
+    return len(decompose(p, n, horizon).residual)
 
 
 # ---------------------------------------------------------------------------
@@ -520,25 +472,25 @@ def residual_count(p: ParamTuple, n: int, horizon: Optional[int] = None) -> int:
 
 def _window_counts(ctx: _ScanContext, lo: int, hi: int, horizon: int):
     """Classify all heads x in [lo, hi]; returns (a1, {i: count},
-    candidate count, survivors) where survivors hold (last iterate,
-    steps done) for horizon-extension probes."""
+    candidate count, survivors) where survivors hold the last iterate
+    (step horizon) of every candidate walk, for horizon-doubling probes."""
     sg = ctx.sg
     in_sa = ctx.in_sa
     walk = ctx.walk
     a1 = 0
     finite: dict[int, int] = {}
     cand = 0
-    survivors: list[tuple[int, int]] = []
+    survivors: list[int] = []
     for x in range(lo, hi + 1):
         if sg[x]:
             continue
         if in_sa(x):
-            kind, val, y, _, _ = walk(x, horizon, 0)
+            kind, val, y, _, _ = walk(x, horizon)
             if kind == "finite":
                 finite[val] = finite.get(val, 0) + 1
             elif kind == "cand":
                 cand += 1
-                survivors.append((y, val))
+                survivors.append(y)
             elif kind == "proved":
                 cand += 1
             # 'residual': belongs to no class
@@ -587,8 +539,8 @@ def empirical_densities(
 
     if check_horizon and main_survivors:
         moved = 0
-        for y, jdone in main_survivors:
-            kind, val, _ = main_ctx.extend(y, jdone, 2 * horizon)
+        for y in main_survivors:
+            kind, val = main_ctx.walk(y, 2 * horizon, j=horizon)[:2]
             if kind == "finite":
                 moved += 1
                 fin[val] = fin.get(val, 0) + 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from typing import Optional
 
 from .beatty import ParamTuple
@@ -183,6 +184,12 @@ def _run_dim(args) -> int:
     return 0
 
 
+def _digits(count: int) -> str:
+    """Decimal digits of a pattern count; unlike str(int), not capped at
+    Python's int-to-str digit limit."""
+    return str(Decimal(count))
+
+
 def _run_verify(args) -> int:
     p = _params(args)
     A = BinaryMatrix.from_string(args.matrix)
@@ -196,7 +203,8 @@ def _run_verify(args) -> int:
         checks.append({
             "name": "oracle-equality",
             "status": "PASS" if ok else "FAIL",
-            "detail": f"component-dp={graph.count} exhaustive={brute}",
+            "detail": f"component-dp={_digits(graph.count)} "
+                      f"exhaustive={_digits(brute)}",
         })
     except CapExceeded as exc:
         checks.append({
@@ -209,7 +217,8 @@ def _run_verify(args) -> int:
     checks.append({
         "name": "chain-product-consistency",
         "status": "PASS" if ok else "FAIL",
-        "detail": f"chain-product={prod} component-dp={graph.count}",
+        "detail": f"chain-product={_digits(prod)} "
+                  f"component-dp={_digits(graph.count)}",
     })
 
     covered = sorted(

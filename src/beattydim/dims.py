@@ -76,29 +76,6 @@ class DimValue:
 
 
 @dataclass(frozen=True)
-class TPhiTable:
-    """Chain transfer sums t_{empty;i} for i >= 2 (i = 1 contributes the
-    constant d_1 term instead), together with the d_{i,j} rows used."""
-
-    values: dict  # i -> positive float
-    inputs: dict  # i -> tuple of the d_{i,j} weights
-
-
-def t_phi_table(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
-                up_to: int) -> TPhiTable:
-    """Transfer sums for every class 2 <= i <= up_to with d_i > 0."""
-    values, inputs = {}, {}
-    for i in range(2, up_to + 1):
-        di = d.entry_float(i)
-        if di <= 0.0:
-            continue
-        row = dij_row(p, i, di)
-        values[i] = t_phi(A, i, row)
-        inputs[i] = tuple(float(v) for v in row)
-    return TPhiTable(values=values, inputs=inputs)
-
-
-@dataclass(frozen=True)
 class DimensionReport:
     region: RegionId
     d: DensityVector

@@ -109,7 +109,6 @@ class BinaryMatrix:
                 return self._mats[l]
         # beyond the cache: compute without storing
         top = self.rows
-        out = None
         for _ in range(l - 1):
             top = _mat_mul(top, self.rows)
         return top

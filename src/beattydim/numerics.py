@@ -380,16 +380,6 @@ def as_fraction(x: Real) -> Fraction:
 # arithmetic dispatch
 # ---------------------------------------------------------------------------
 
-def _interval_of(x: Real, extra_known: bool = True) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval(x.enclosure)
-
-
-def _compose(fn: _EncFn) -> Interval:
-    return Interval(fn)
-
-
 def _add(x: Real, y: Real) -> Real:
     if isinstance(x, Rational) and isinstance(y, Rational):
         return Rational(x.value + y.value)
@@ -405,7 +395,7 @@ def _add(x: Real, y: Real) -> Real:
         ly, hy = y.enclosure(bits + 2)
         return (lx + ly, hx + hy)
 
-    return _compose(fn)
+    return Interval(fn)
 
 
 def _neg(x: Real) -> Real:
@@ -418,7 +408,7 @@ def _neg(x: Real) -> Real:
         lo, hi = x.enclosure(bits)
         return (-hi, -lo)
 
-    return _compose(fn)
+    return Interval(fn)
 
 
 def _abs(x: Real) -> Real:
@@ -453,7 +443,7 @@ def _mul(x: Real, y: Real) -> Real:
         prods = (lx * ly, lx * hy, hx * ly, hx * hy)
         return (min(prods), max(prods))
 
-    return _compose(fn)
+    return Interval(fn)
 
 
 def _reciprocal(x: Real) -> Real:
@@ -477,7 +467,7 @@ def _reciprocal(x: Real) -> Real:
                 )
             bb = min(2 * bb, INTERVAL_MAX_BITS)
 
-    return _compose(fn)
+    return Interval(fn)
 
 
 def _div(x: Real, y: Real) -> Real:
@@ -552,7 +542,7 @@ def is_integer(x: Real) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# floors, fractional parts, gcd
+# floors and fractional parts
 # ---------------------------------------------------------------------------
 
 def floor_value(x: RealLike, max_bits: int = INTERVAL_MAX_BITS) -> int:
@@ -575,12 +565,6 @@ def frac(x: RealLike, max_bits: int = INTERVAL_MAX_BITS) -> Real:
     x = as_real(x)
     n = x.floor(max_bits=max_bits)
     return _add(x, Rational(Fraction(-n)))
-
-
-def gcd_pair(p: int, q: int) -> int:
-    if p < 1 or q < 1:
-        raise ValueError("gcd_pair expects positive integers")
-    return gcd(p, q)
 
 
 # ---------------------------------------------------------------------------

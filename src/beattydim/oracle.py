@@ -150,13 +150,17 @@ def chain_product_count(dec: ChainDecomposition, A: BinaryMatrix,
     validates the decomposition against the independently built graph.
 
     The product form requires every chain's visible part to be a
-    contiguous trajectory segment and the residual to be unconstrained;
-    pass p to verify the latter when the residual is non-empty."""
+    contiguous trajectory segment and the residual to be unconstrained,
+    except for fixed points x = f(x): the self-edge (x, x) alone makes x
+    a one-vertex cycle, which counts trace(A) instead of m.  Pass p to
+    check the residual against the constraint edges when it is
+    non-empty."""
     if not dec.all_contiguous:
         raise ValueError(
             "a chain's visible part is not a contiguous trajectory segment; "
             "the product form does not apply"
         )
+    fixed = 0
     if dec.residual:
         if p is None:
             raise ValueError(
@@ -165,11 +169,14 @@ def chain_product_count(dec: ChainDecomposition, A: BinaryMatrix,
             )
         rset = set(dec.residual)
         for u, v in constraint_edges(p, dec.n):
-            if u in rset or v in rset:
+            if u not in rset and v not in rset:
+                continue
+            if u != v:
                 raise ValueError(
                     f"residual element participates in constraint ({u}, {v}); "
                     "the product form does not apply"
                 )
+            fixed += 1
     by_len: dict[int, int] = {}
     for ch in dec.chains:
         v = len(ch.elements)
@@ -177,5 +184,5 @@ def chain_product_count(dec: ChainDecomposition, A: BinaryMatrix,
     count = 1
     for v, cnt in sorted(by_len.items()):
         count *= A.power_sum(v - 1) ** cnt
-    count *= A.m ** len(dec.residual)
+    count *= A.m ** (len(dec.residual) - fixed) * A.trace_power(1) ** fixed
     return count

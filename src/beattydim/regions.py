@@ -360,10 +360,6 @@ def classify_region(p: ParamTuple, search_bound: int = 10_000) -> RegionId:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _approx(x: Real) -> float:
-    return x.approx()
-
-
 def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVector:
     """Exact density vector for a region with a known formula.  Rational
     parameter regions yield exact Fractions; surd regions yield floats
@@ -383,7 +379,7 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
             dinf: object = 1 - Fraction(1) / p.gamma.value
             zero: object = Fraction(0)
         else:
-            dinf = 1.0 - 1.0 / _approx(p.gamma)
+            dinf = 1.0 - 1.0 / p.gamma.approx()
             zero = 0.0
         return DensityVector(
             finite=tuple([zero] * K), d_inf=dinf, K=K, provenance=prov,
@@ -428,7 +424,7 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
         )
 
     # R3 / R4: d_i = (alpha-1)(gamma-1) / (alpha^i * gamma)
-    af, gf = _approx(p.alpha), _approx(p.gamma)
+    af, gf = p.alpha.approx(), p.gamma.approx()
     top = (af - 1.0) * (gf - 1.0) / gf
     finite = [top / af ** i for i in range(1, K + 1)]
     return DensityVector(

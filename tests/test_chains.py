@@ -94,6 +94,28 @@ def test_scan_matches_reference_classifier(tup):
             assert by_head[x] == ref, x
 
 
+@pytest.mark.parametrize("key,H", [("R2", 6), ("R9", 6), ("R1", 1), ("R10", 6)])
+def test_resumed_walk_matches_fresh_walk(key, H):
+    # the horizon-doubling probe resumes each horizon-H survivor at step
+    # H; it must end exactly where a fresh walk to 2H ends.  Survivors
+    # stay candidates in R2/R9, get proved infinite in R1 (alpha = 1,
+    # hence H = 1) and mostly turn finite in R10.
+    from beattydim.chains import _ScanContext
+
+    p = REGION_TUPLES[key]
+    n = 2000
+    ctx = _ScanContext(p, n)
+    resumed = 0
+    for x in range(1, n + 1):
+        if ctx.sg[x] or not ctx.in_sa(x):
+            continue
+        kind, _, y, _, _ = ctx.walk(x, H)
+        if kind == "cand":
+            assert ctx.walk(y, 2 * H, j=H)[:3] == ctx.walk(x, 2 * H)[:3], x
+            resumed += 1
+    assert resumed > 0
+
+
 def test_interval_parameters_scan_like_their_exact_values():
     # an interval secretly holding sqrt(2) must decompose exactly like the
     # surd: every floor resolves by refinement along the way
@@ -129,6 +151,8 @@ def test_bitset_matches_beatty_values():
         (rational(2), rational(0)),
         (rational(3, 2), rational(1, 3)),
         (rational(1), rational(-2)),
+        (rational(2), rational(-500)),
+        (surd(0, 1, 2), rational(-300)),
         (surd(0, 1, 2), rational(0)),
         (surd(1, 1, 5), surd(0, 1, 5)),
     ]

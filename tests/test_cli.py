@@ -48,6 +48,44 @@ def test_verify_pass(capsys):
     assert all(c["status"] == "PASS" for c in rep["checks"])
 
 
+def test_verify_fixed_point(capsys):
+    # 1 = f(1) for (sqrt(2), 0, sqrt(3), 0): the residual element 1 is a
+    # one-vertex cycle, which the chain product counts as trace(A)
+    code, out = run_cli(
+        capsys, "verify", "--alpha", "sqrt(2)", "--gamma", "sqrt(3)",
+        "--matrix", "11;10", "--n", "20",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pass"] is True
+    assert all(c["status"] == "PASS" for c in rep["checks"])
+
+
+def test_verify_counts_past_int_str_digit_limit(capsys):
+    # the golden-mean count on [1, 24000] has more than 4300 digits
+    code, out = run_cli(
+        capsys, "verify", "--alpha", "2", "--gamma", "3",
+        "--matrix", "11;10", "--n", "24000",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pass"] is True
+    detail = {c["name"]: c["detail"] for c in rep["checks"]}
+    prod, dp = detail["chain-product-consistency"].split()
+    assert len(prod) > 4300 and prod.split("=")[1] == dp.split("=")[1]
+
+
+def test_densities_large_negative_shift(capsys):
+    # the sequence S(2, -10^11) starts at k = 5*10^10: the scan must not
+    # step (or allocate) through the k with non-positive values
+    code, out = run_cli(
+        capsys, "densities", "--alpha", "2", "--beta=-100000000000",
+        "--gamma", "3", "--mode", "empirical", "--n", "1000",
+    )
+    assert code == 0
+    assert json.loads(out)["region"]
+
+
 def test_densities_modes(capsys):
     code, out = run_cli(
         capsys, "densities", "--alpha", "2", "--beta", "0", "--gamma", "3",

@@ -72,20 +72,11 @@ def test_t_phi_row_sum_power():
     for m in (2, 3, 5):
         got = t_phi(BinaryMatrix.all_ones(m), 2, row)
         assert abs(got - m * m**0.5) < 1e-12
-
-
-def test_t_phi_table():
-    from beattydim.dims import t_phi_table
-
+    # R10 with its closed-form d_2: T(2) = sum of a_j^(alpha/gamma)
     p = REGION_TUPLES["R10"]
     d = closed_form_d(p, classify_region(p))
-    table = t_phi_table(GOLDEN_MEAN, d, p, 8)
-    assert min(table.values) == 2  # the table starts at i = 2
-    rho = 2.0 / 3.0
-    want_t2 = sum(a**rho for a in GOLDEN_MEAN.row_sums)
-    assert abs(table.values[2] - want_t2) < 1e-12
-    assert all(v > 0 for v in table.values.values())
-    assert abs(sum(table.inputs[3]) - float(d.entry(3))) < 1e-15
+    got = t_phi(GOLDEN_MEAN, 2, dij_row(p, 2, d.entry_float(2)))
+    assert abs(got - sum(a ** (2 / 3) for a in GOLDEN_MEAN.row_sums)) < 1e-12
 
 
 def test_t_phi_matches_power_sum_random(rng):

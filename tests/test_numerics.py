@@ -13,7 +13,6 @@ from beattydim.numerics import (
     compare,
     floor_linear,
     frac,
-    gcd_pair,
     normalize,
     parse_real,
     rational,
@@ -34,14 +33,6 @@ def test_frac_examples():
     assert isinstance(f, QuadraticSurd)
     assert f.a == -1 and f.b == 1 and f.d == 2  # sqrt(2) - 1
     assert as_fraction(frac(rational(5))) == 0
-
-
-def test_gcd_pair():
-    assert gcd_pair(4, 6) == 2
-    assert gcd_pair(1, 997) == 1
-    assert gcd_pair(12, 18) == 6
-    with pytest.raises(ValueError):
-        gcd_pair(0, 3)
 
 
 def test_parse_real():
