@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional
 
+import numpy as np
+
 from .numerics import (
     QuadraticSurd,
     Rational,
@@ -311,3 +313,149 @@ def f_step_fn(p: ParamTuple) -> Callable[[int], int]:
         return X2 // Z2 if Y2 == 0 else sf(X2, Y2, D2, Z2)
 
     return fast
+
+
+# ---------------------------------------------------------------------------
+# vectorized exact kernel
+#
+# The same floors over a numpy array of int64 lanes k.  Rational pairs
+# use int64 arithmetic where A*k + E cannot overflow.  Every other pair
+# (surds, cross-field pairs, intervals) evaluates tau*k + eta in float64
+# next to an explicit per-lane bound on its error and keeps a lane only
+# when the bound excludes every integer (the filter-then-exact pattern
+# of Shewchuk's robust predicates).  Lanes that fail either guard take
+# the scalar closures above, so no result depends on a float rounding
+# decision.  Callers keep the results inside int64.
+# ---------------------------------------------------------------------------
+
+LANE_BOUND = 1 << 62  # |A*k + E| stays below this on the int64 path
+_U = 2.0 ** -53  # unit roundoff of float64
+_SLACK = 2.0 ** -40  # absolute floor of every float error bound
+
+
+def _float_pair(x: Real) -> Optional[tuple[float, float]]:
+    """(v, e) with |x - v| <= e, from the value's 96-bit enclosure; None
+    if the value does not fit a float."""
+    lo, hi = x.enclosure(96)
+    try:
+        v = float((lo + hi) / 2)
+        fv = Fraction(v)
+        # float() rounds to nearest; the factor rounds the bound up
+        e = float(max(hi - fv, fv - lo)) * (1 + 2.0 ** -50) + 2.0 ** -1074
+    except OverflowError:
+        return None
+    return v, e
+
+
+def _scalar_lanes(out: np.ndarray, bad: np.ndarray, lanes: np.ndarray,
+                  fn: Callable[[int], int]) -> np.ndarray:
+    for i in np.flatnonzero(bad):
+        out[i] = fn(int(lanes[i]))
+    return out
+
+
+def floor_lanes_fn(tau: RealLike, eta: RealLike
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized exact k -> floor(tau*k + eta) over int64 lanes, for
+    tau > 0."""
+    tau, eta = as_real(tau), as_real(eta)
+    scalar = floor_fn(tau, eta)
+    form = _linear_form(tau, eta)
+    if form is not None and form[1] == form[3] == 0:
+        A, _, E, _, Z, _ = form
+        if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
+            kmax = (LANE_BOUND - abs(E)) // A
+
+            def rational(k: np.ndarray) -> np.ndarray:
+                ok = np.abs(k) <= kmax
+                if ok.all():
+                    return (A * k + E) // Z
+                out = np.where(ok, k, 0)
+                out = (A * out + E) // Z
+                return _scalar_lanes(out, ~ok, k, scalar)
+
+            return rational
+    ft, fe = _float_pair(tau), _float_pair(eta)
+    if ft is None or fe is None:
+        return lambda k: _scalar_lanes(np.empty_like(k), np.ones(k.shape, bool),
+                                       k, scalar)
+    (t, et), (e, ee) = ft, fe
+    # |tau*k + eta - fl(fl(t*k) + e)| <= |k|(et + 4u|t|) + ee + 2u|e|,
+    # counting the int64 -> float64 rounding of k; doubling covers the
+    # rounding of the bound itself.
+    c1 = 2.0 * (et + 4.0 * _U * abs(t))
+    c0 = 2.0 * (ee + 2.0 * _U * abs(e)) + _SLACK
+
+    def filtered(k: np.ndarray) -> np.ndarray:
+        kf = k.astype(np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            v = kf * t + e
+            fl = np.floor(v)
+            frac = v - fl
+            err = np.abs(kf) * c1 + c0
+            ok = (frac > err) & (frac < 1.0 - err)
+        if ok.all():
+            return fl.astype(np.int64)
+        out = np.where(ok, fl, 0.0).astype(np.int64)
+        return _scalar_lanes(out, ~ok, k, scalar)
+
+    return filtered
+
+
+def member_lanes_fn(tau: RealLike, eta: RealLike
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized exact x -> the k >= 1 with floor(tau*k + eta) = x, or 0
+    for non-members, over int64 lanes x >= 1, for tau >= 1.
+
+    The only candidate is k = ceil((x - eta)/tau) (see ``member``).
+    Rational pairs compute it with the int64 inverse form; otherwise
+    the float quotient and its error bound must put both ends of the
+    error interval under one ceiling.  One kernel floor then decides
+    membership; lanes that fail a guard take the scalar ``member``."""
+    tau, eta = as_real(tau), as_real(eta)
+    floors = floor_lanes_fn(tau, eta)
+
+    def scalar(x: int) -> int:
+        return member(x, tau, eta) or 0
+
+    def decide(x: np.ndarray, k: np.ndarray, ok: np.ndarray) -> np.ndarray:
+        if ok.all():
+            return np.where((k >= 1) & (floors(k) == x), k, 0)
+        out = np.zeros_like(x)
+        xs, ks = x[ok], k[ok]
+        out[ok] = np.where((ks >= 1) & (floors(ks) == xs), ks, 0)
+        return _scalar_lanes(out, ~ok, x, scalar)
+
+    wform = _inverse_forms(tau, eta)
+    if wform is not None and wform[1] == wform[3] == 0:
+        A1, _, E1, _, Z1, _ = wform
+        if A1 < LANE_BOUND and abs(E1) < LANE_BOUND and Z1 < LANE_BOUND:
+            xmax = (LANE_BOUND - abs(E1)) // A1
+
+            def rational(x: np.ndarray) -> np.ndarray:
+                ok = x <= xmax
+                xs = np.where(ok, x, 0)
+                return decide(x, -((-(A1 * xs + E1)) // Z1), ok)
+
+            return rational
+    ft, fe = _float_pair(tau), _float_pair(eta)
+    if ft is None or fe is None or ft[1] > 0.5:
+        return lambda x: _scalar_lanes(np.empty_like(x), np.ones(x.shape, bool),
+                                       x, scalar)
+    (t, et), (e, ee) = ft, fe
+    # With N' = fl(x - e) and q' = fl(N'/t), tau >= 1 and et <= 1/2:
+    # |(x - eta)/tau - q'| <= ee + 2u(|x| + |e|) + 2|N'|et + 2u|q'|, which
+    # |N'|*c1 + c0 bounds with a factor 2 to spare.
+    c1 = 4.0 * et + 16.0 * _U
+    c0 = 2.0 * ee + 16.0 * _U * abs(e) + _SLACK
+
+    def filtered(x: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore", over="ignore"):
+            num = x.astype(np.float64) - e
+            q = num / t
+            err = np.abs(num) * c1 + c0
+            lo, hi = np.ceil(q - err), np.ceil(q + err)
+            ok = (lo == hi) & (np.abs(lo) < LANE_BOUND)
+        return decide(x, np.where(ok, lo, 0.0).astype(np.int64), ok)
+
+    return filtered

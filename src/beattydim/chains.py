@@ -13,15 +13,24 @@ elements).  Head classes:
 * A_infinity -- iterates stay in the intersection forever (detected up
                 to a finite horizon and reported as candidates).
 
-One loop steps along chains: ``_ScanContext.walk``, which starts at a
-head or resumes a surviving walk at its last iterate.  Two loops visit
-heads.  ``decompose`` records every chain, the refined counts d_{i,j}
+Two walks step along chains.  ``_ScanContext.walk`` is the scalar
+reference: one head at a time on the integer closures of ``beatty``,
+starting at a head or resuming a surviving walk at its step j.
+``_ScanContext.walk_heads`` is level-synchronous: each round applies f
+once to every live head through the vectorized exact kernel
+(``beatty.floor_lanes_fn``/``member_lanes_fn``) and returns per-head
+arrays (class, contiguity, and the visible elements in CSR form); an
+iterate past the kernel's int64 guard resumes in ``walk`` at its step.
+
+Two loops visit heads.  ``decompose`` runs ``walk_heads`` over every
+head and stores the chains in columns, with the refined counts d_{i,j}
 (exactly j of the i chain elements inside [1,n]) and the residual set;
 ``measured_dij`` and ``residual_count`` read them off it.
-``_window_counts`` keeps only class tallies, from which
-``empirical_densities`` estimates d_i.  The scan works on byte-array
-membership tables inside the window and integer-only closures beyond
-it, so windows of 10^6 are routine.
+``_window_counts`` keeps only class tallies on the scalar ``walk``, from
+which ``empirical_densities`` estimates d_i, and its horizon-doubling
+probe resumes survivors in ``walk``.  Membership tables inside a
+window are marked from chunked kernel floors, so windows of 10^6 are
+routine.
 """
 
 from __future__ import annotations
@@ -29,26 +38,35 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import ceil, log
+from functools import cache, cached_property
+from math import ceil, floor, log
 from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .beatty import (
+    LANE_BOUND,
     ParamTuple,
     f_step_fn,
     first_positive_k,
     floor_fn,
+    floor_lanes_fn,
     member,
+    member_lanes_fn,
     membership_fn,
     f_map,
 )
-from .numerics import Rational, as_real
+from .numerics import Rational, _add, _mul, as_real
 
 DEFAULT_K = 40
+CHUNK = 1 << 16  # lanes per kernel call when marking membership tables
 
 Num = Union[Fraction, float]
+
+
+# class codes of the per-head arrays; finite classes use their index i
+_INFINITE = 0
+_RESIDUAL = -1  # the trajectory left the positive integers
 
 
 class HorizonTooSmall(RuntimeError):
@@ -93,14 +111,40 @@ class Chain(NamedTuple):
     elements: tuple[int, ...]  # elements inside [1, n], trajectory order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainDecomposition:
+    """The chains of [1, n] in columns, in head order: chain c is headed
+    at heads[c], has class code classes[c] (1 for A_1, i >= 2 for the
+    finite class i, 0 for an infinity candidate) and its elements inside
+    [1, n] are elements[offsets[c]:offsets[c + 1]], in trajectory order."""
+
     n: int
-    chains: tuple[Chain, ...]
     residual: tuple[int, ...]
     counts: dict  # (i, j) -> number of finite-class-i heads with j visible
     horizon: int
     all_contiguous: bool  # every chain's visible part is a contiguous segment
+    heads: np.ndarray
+    classes: np.ndarray
+    offsets: np.ndarray
+    elements: np.ndarray
+
+    @cached_property
+    def chains(self) -> tuple[Chain, ...]:
+        """The chains as records, built on first use."""
+        named = {1: A1, _INFINITE: infinity_candidate(self.horizon)}
+        ends = self.offsets.tolist()
+        elements = self.elements.tolist()
+        return tuple(
+            Chain(h, named[c] if c in named else finite_class(c),
+                  tuple(elements[a:b]))
+            for h, c, a, b in zip(self.heads.tolist(), self.classes.tolist(),
+                                  ends, ends[1:])
+        )
+
+    def length_counts(self) -> dict[int, int]:
+        """Visible chain length -> number of chains."""
+        lengths, counts = np.unique(np.diff(self.offsets), return_counts=True)
+        return dict(zip(lengths.tolist(), counts.tolist()))
 
     def to_csv(self, stream: IO[str]) -> None:
         rows = []
@@ -115,7 +159,7 @@ class ChainDecomposition:
         w.writerows(rows)
 
     def covered(self) -> int:
-        return sum(len(c.elements) for c in self.chains)
+        return self.elements.size
 
 
 # ---------------------------------------------------------------------------
@@ -276,34 +320,24 @@ def classify_head(x: int, p: ParamTuple, horizon: int) -> ChainClass:
 # ---------------------------------------------------------------------------
 
 def _mark_bitset(tau, eta, bound: int) -> bytearray:
-    """Byte membership table of S(tau, eta) on [1, bound]."""
-    bits = bytearray(bound + 1)
-    tau = as_real(tau)
-    eta = as_real(eta)
-    fv = floor_fn(tau, eta)
-    # numpy fast path for rational parameters
-    from .beatty import _linear_form  # integer linear form, if any
-
-    form = _linear_form(tau, eta)
+    """Byte membership table of S(tau, eta) on [1, bound], from chunked
+    kernel floors.  Lane i holds k = k0 + i, with k0 the first k of a
+    positive floor folded into the shift, so lanes stay small whatever
+    the shift."""
+    tau, eta = as_real(tau), as_real(eta)
     k0 = first_positive_k(tau, eta)
-    if form is not None and form[1] == 0 and form[3] == 0:
-        A, _, E, _, Z, _ = form
-        kmax = ((bound + 1) * Z - E) // A + 2
-        if kmax >= 1 and A * kmax < 2**62:
-            k = np.arange(k0, kmax + 1, dtype=np.int64)
-            v = (A * k + E) // Z
-            v = v[v <= bound]
-            marks = np.zeros(bound + 1, dtype=np.uint8)
-            marks[v] = 1
-            return bytearray(marks.tobytes())
-    k = k0
+    floors = floor_lanes_fn(tau, _add(eta, _mul(tau, Rational(k0))))
+    # k -> floor(tau*k + eta) steps by at least 1, so about bound/tau
+    # lanes land in [1, bound]
+    step = min(CHUNK, int(bound / tau.approx()) + 2)
+    marks = np.zeros(bound + 1, dtype=np.uint8)
+    start = 0
     while True:
-        v = fv(k)
-        if v > bound:
-            break
-        bits[v] = 1
-        k += 1
-    return bits
+        v = floors(np.arange(start, start + step, dtype=np.int64))
+        marks[v[v <= bound]] = 1
+        if v[-1] > bound:
+            return bytearray(marks.tobytes())
+        start += step
 
 
 class _ScanContext:
@@ -398,6 +432,110 @@ class _ScanContext:
         contiguous = vis == 0 or last - first + 1 == vis
         return (kind, val, y, vis, contiguous)
 
+    def walk_heads(self, heads: np.ndarray, horizon: int,
+                   cutoff: int) -> "_HeadWalks":
+        """Follow the chains of all heads (int64, each in SA\\SG) at
+        once, one step of f per round for every live head, through the
+        vectorized kernel.  The steps, exits and visibility rules are
+        those of ``walk``; a head whose iterate passes ``_lane_guard``
+        resumes there at its step j."""
+        p = self.p
+        member_a = member_lanes_fn(p.alpha, p.beta)
+        floor_g = floor_lanes_fn(p.gamma, p.delta)
+        guard = _lane_guard(p)
+        m = heads.size
+        cls = np.full(m, _INFINITE, dtype=np.int64)
+        vis = np.zeros(m, dtype=np.int64)
+        first = np.full(m, -1, dtype=np.int64)
+        last = np.full(m, -1, dtype=np.int64)
+        seen_lanes: list[np.ndarray] = []
+        seen_values: list[np.ndarray] = []
+        resumed: dict[int, bool] = {}  # lane -> contiguity
+
+        def see(lanes, y, j):
+            s = y <= cutoff
+            lanes = lanes[s]
+            vis[lanes] += 1
+            first[lanes] = np.where(first[lanes] < 0, j, first[lanes])
+            last[lanes] = j
+            seen_lanes.append(lanes)
+            seen_values.append(y[s])
+
+        def resume(lane, y, j):
+            # y is the step-j iterate, already seen; its membership is
+            # decided here, then walk() takes over and sees y again
+            if j and not self.in_sa(y):
+                cls[lane] = j + 1
+                return
+            if j >= horizon:
+                return
+            rec: list[int] = []
+            kind, val, _, _, tail_ok = self.walk(y, horizon, cutoff, rec, j)
+            if y <= cutoff:
+                del rec[0]
+            # an unseen step j splits two non-empty visible parts
+            split = y > cutoff and rec and vis[lane]
+            resumed[lane] = bool(tail_ok and not split and (
+                vis[lane] == 0 or last[lane] - first[lane] + 1 == vis[lane]))
+            cls[lane] = (val if kind == "finite" else
+                         _RESIDUAL if kind == "residual" else _INFINITE)
+            seen_lanes.append(np.full(len(rec), lane, dtype=np.int64))
+            seen_values.append(np.array(rec, dtype=np.int64))
+
+        live = np.arange(m)
+        y = heads.astype(np.int64)
+        see(live, y, 0)
+        j = 0
+        while live.size:
+            far = y > guard
+            if far.any():
+                for lane, yv in zip(live[far].tolist(), y[far].tolist()):
+                    resume(lane, yv, j)
+                live, y = live[~far], y[~far]
+            k = member_a(y)
+            out = k == 0
+            cls[live[out]] = j + 1
+            live, k = live[~out], k[~out]
+            if j >= horizon:
+                break  # survivors stay infinity candidates
+            y = floor_g(k)
+            j += 1
+            out = y < 1
+            cls[live[out]] = _RESIDUAL
+            live, y = live[~out], y[~out]
+            see(live, y, j)
+            if self.alpha_one:
+                out = (y >= self.sa_tail) & (y > self.growth_floor) & (y > cutoff)
+                live, y = live[~out], y[~out]
+
+        contiguous = (vis == 0) | (last - first + 1 == vis)
+        for lane, ok in resumed.items():
+            contiguous[lane] = ok
+        lanes = np.concatenate(seen_lanes)
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(lanes, minlength=m), out=offsets[1:])
+        elements = np.concatenate(seen_values)[np.argsort(lanes, kind="stable")]
+        return _HeadWalks(cls, contiguous, offsets, elements)
+
+
+class _HeadWalks(NamedTuple):
+    """Per-head results of ``_ScanContext.walk_heads``."""
+
+    cls: np.ndarray  # finite class i, _INFINITE or _RESIDUAL
+    contiguous: np.ndarray  # visible elements sit at consecutive steps
+    offsets: np.ndarray  # head h saw elements[offsets[h]:offsets[h + 1]],
+    elements: np.ndarray  # in trajectory order
+
+
+def _lane_guard(p: ParamTuple) -> int:
+    """The largest iterate y that ``walk_heads`` keeps in the kernel: a
+    member y <= it has k <= y + |beta| + 1 (alpha >= 1), so every floor
+    of a step stays below LANE_BOUND."""
+    g = p.gamma.enclosure(64)[1]
+    b = max(map(abs, p.beta.enclosure(64)))
+    d = max(map(abs, p.delta.enclosure(64)))
+    return floor((LANE_BOUND - d) / g - b) - 3
+
 
 # ---------------------------------------------------------------------------
 # decomposition
@@ -412,46 +550,55 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
         raise ValueError("window size must be >= 1")
     if horizon is None:
         horizon = default_horizon(p, n)
-    cext = p.chain_bound_int()
-    bound = n + cext
+    elif horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    bound = n + p.chain_bound_int()
     ctx = _ScanContext(p, bound)
-    sg = ctx.sg
-    covered = bytearray(n + 1)
-    chains: list[Chain] = []
-    counts: dict = {}
-    all_contiguous = True
-    for x in range(1, bound + 1):
-        if sg[x]:
-            continue
-        if ctx.in_sa(x):
-            rec: list[int] = []
-            kind, val, _, vis, contiguous = ctx.walk(x, horizon, n, rec=rec)
-            if kind == "residual":
-                continue  # visible elements stay uncovered -> residual
-            if not rec:
-                continue  # head above n, nothing visible
-            if not contiguous:
-                all_contiguous = False
-            if kind == "finite":
-                cls = finite_class(val)
-                counts[(val, vis)] = counts.get((val, vis), 0) + 1
-            else:
-                cls = infinity_candidate(horizon)
-            chains.append(Chain(x, cls, tuple(rec)))
-            for e in rec:
-                covered[e] = 1
-        elif x <= n:
-            chains.append(Chain(x, A1, (x,)))
-            counts[(1, 1)] = counts.get((1, 1), 0) + 1
-            covered[x] = 1
-    residual = tuple(x for x in range(1, n + 1) if not covered[x])
+    free = np.frombuffer(ctx.sg, dtype=np.uint8)[1:] == 0  # x = index + 1
+    if ctx.alpha_one:
+        in_sa = np.arange(1, bound + 1) >= ctx.sa_tail
+    else:
+        in_sa = np.frombuffer(ctx.sa, dtype=np.uint8)[1:] == 1
+    heads = np.flatnonzero(in_sa & free) + 1
+    w = ctx.walk_heads(heads, horizon, n)
+    vis = np.diff(w.offsets)
+    # a chain that left N leaves its visible elements to the residual
+    keep = (w.cls != _RESIDUAL) & (vis > 0)
+    a1 = np.flatnonzero(free[:n] & ~in_sa[:n]) + 1
+    ones = np.ones(a1.size, dtype=np.int64)
+
+    chain_heads = np.concatenate([heads[keep], a1])
+    order = np.argsort(chain_heads, kind="stable")
+    chain_heads = chain_heads[order]
+    classes = np.concatenate([w.cls[keep], ones])[order]
+    lengths = np.concatenate([vis[keep], ones])[order]
+    starts = np.concatenate(
+        [w.offsets[:-1][keep], w.elements.size + np.arange(a1.size)])[order]
+    offsets = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+    elements = np.concatenate([w.elements, a1])[gather]
+
+    covered = np.zeros(n + 1, dtype=bool)
+    covered[elements] = True
+    residual = tuple((np.flatnonzero(~covered[1:]) + 1).tolist())
+
+    # (i, j) tallies of the A_1 and finite chains, keyed in head order
+    fin = classes >= 1
+    keys = classes[fin] * (n + 1) + lengths[fin]
+    uniq, at, tally = np.unique(keys, return_index=True, return_counts=True)
+    counts = {divmod(int(uniq[u]), n + 1): int(tally[u]) for u in np.argsort(at)}
+
     return ChainDecomposition(
         n=n,
-        chains=tuple(chains),
         residual=residual,
         counts=counts,
         horizon=horizon,
-        all_contiguous=all_contiguous,
+        all_contiguous=bool(w.contiguous[keep].all()),
+        heads=chain_heads,
+        classes=classes,
+        offsets=offsets,
+        elements=elements,
     )
 
 
@@ -523,6 +670,8 @@ def empirical_densities(
         raise ValueError("windows must be non-degenerate (n1 >= 1, n2 > n1)")
     if horizon is None:
         horizon = default_horizon(p, max(w[1] for w in wins))
+    elif horizon < 1:
+        raise ValueError("horizon must be >= 1")
 
     per_window = []
     main_ctx = None

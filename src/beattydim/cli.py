@@ -22,6 +22,8 @@ import sys
 from decimal import Decimal
 from typing import Optional
 
+import numpy as np
+
 from .beatty import ParamTuple
 from .chains import DEFAULT_K, HorizonTooSmall, decompose, empirical_densities
 from .dims import NonConvergence, dimension_report
@@ -221,10 +223,9 @@ def _run_verify(args) -> int:
                   f"component-dp={_digits(graph.count)}",
     })
 
-    covered = sorted(
-        x for ch in dec.chains for x in ch.elements
-    ) + list(dec.residual)
-    ok = sorted(covered) == list(range(1, n + 1))
+    covered = np.sort(np.concatenate(
+        [dec.elements, np.array(dec.residual, dtype=np.int64)]))
+    ok = np.array_equal(covered, np.arange(1, n + 1))
     checks.append({
         "name": "partition",
         "status": "PASS" if ok else "FAIL",

@@ -111,6 +111,13 @@ def _validate_density(d: DensityVector) -> None:
         raise InvalidDensity("total density mass exceeds 1")
 
 
+def _validate_eps(eps: float) -> None:
+    # a tolerance <= 0 or nan is never met, so the series would grow to
+    # its term cap
+    if not (0.0 < eps < math.inf):
+        raise ValueError("eps must be a positive finite number")
+
+
 def _rho(p: ParamTuple) -> float:
     return 1.0 / float(p.ratio.approx())
 
@@ -129,6 +136,7 @@ def _mink_tail(N: int, rho: float) -> float:
 def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
                   eps: float = 1e-10) -> DimValue:
     """Truncated series with reported bound = geometric tail + float slack."""
+    _validate_eps(eps)
     _validate_density(d)
     rho = _rho(p)
     if not (0.0 < rho < 1.0):
@@ -275,6 +283,7 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     exponents would be degenerate); the t-solver runs only when
     d_inf > 0.  Requires primitive A when d_inf > 0, irreducible
     otherwise (the caller surfaces warnings)."""
+    _validate_eps(eps)
     _validate_density(d)
     logm = math.log(A.m)
     N = d.K

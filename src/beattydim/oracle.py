@@ -177,12 +177,8 @@ def chain_product_count(dec: ChainDecomposition, A: BinaryMatrix,
                     "the product form does not apply"
                 )
             fixed += 1
-    by_len: dict[int, int] = {}
-    for ch in dec.chains:
-        v = len(ch.elements)
-        by_len[v] = by_len.get(v, 0) + 1
     count = 1
-    for v, cnt in sorted(by_len.items()):
+    for v, cnt in sorted(dec.length_counts().items()):
         count *= A.power_sum(v - 1) ** cnt
     count *= A.m ** (len(dec.residual) - fixed) * A.trace_power(1) ** fixed
     return count

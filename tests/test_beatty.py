@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,22 @@ from beattydim import (
     floor_linear,
     member,
 )
-from beattydim.beatty import f_step_fn, membership_fn
-from beattydim.numerics import as_fraction, as_real, compare, rational, surd
+from beattydim.beatty import (
+    LANE_BOUND,
+    _linear_form,
+    f_step_fn,
+    floor_lanes_fn,
+    member_lanes_fn,
+    membership_fn,
+)
+from beattydim.numerics import (
+    Interval,
+    as_fraction,
+    as_real,
+    compare,
+    rational,
+    surd,
+)
 
 
 def test_member_examples():
@@ -155,3 +170,73 @@ def test_beatty_values():
     assert beatty_values(surd(0, 1, 2), 0, 8) == [1, 2, 4, 5, 7, 8]
     # negative eta: non-positive values are dropped per the N-intersection
     assert beatty_values(rational(1), rational(-2), 4) == [1, 2, 3, 4]
+
+
+@st.composite
+def _kernel_case(draw):
+    """(tau, eta, ks): a parameter pair of every kind the kernel takes,
+    with lanes that include exact-integer values of tau*k + eta and k on
+    both sides of the int64 guard of the rational path."""
+    kind = draw(st.sampled_from(["rational", "surd", "cross", "interval"]))
+    shift = draw(st.sampled_from([0, -300, -10**11]))  # large negative shifts
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    b = draw(st.fractions(min_value=Fraction(1, 8), max_value=3,
+                          max_denominator=12))
+    m = draw(st.integers(min_value=-40, max_value=40))
+    ea = draw(st.integers(min_value=-20, max_value=20)) + shift
+    ks = [m, 0, 1, 2, 3]
+    if kind == "rational":
+        num = draw(st.integers(min_value=1, max_value=10**6))
+        den = draw(st.integers(min_value=1, max_value=num))
+        tau = rational(num, den)
+        eta = rational(Fraction(ea) + draw(st.fractions(
+            min_value=-1, max_value=1, max_denominator=50)))
+        A, _, E, _, Z, _ = _linear_form(tau, eta)
+        kmax = (LANE_BOUND - abs(E)) // A
+        ks += [kmax - 1, kmax, kmax + 1, -kmax, -kmax - 1]
+        ks += [m * Z, m * Z + 1]  # tau*k + eta is an integer at one of these
+    elif kind == "surd":
+        # tau*m + eta = m + ea exactly
+        tau, eta = surd(1, b, d), surd(ea, -b * m, d)
+    elif kind == "cross":
+        d2 = draw(st.sampled_from([x for x in (2, 3, 5, 7, 11) if x != d]))
+        tau, eta = surd(1, b, d), surd(ea, b / 3, d2)
+    else:
+        # a non-integer rational shift keeps every value away from the
+        # integers, where interval floors are undecidable
+        tau = Interval(surd(1, b, d).enclosure)
+        eta = rational(Fraction(2 * ea + 1, 2))
+    ks += draw(st.lists(st.integers(min_value=-2**40, max_value=2**40),
+                        max_size=20))
+    ks += [2**52, 2**53 + 1, -(2**55)]  # past the float filter
+    return tau, eta, ks
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("b", [Fraction(1), Fraction(1, 3), Fraction(5, 7)])
+def test_kernel_floors_exact_integer_values(b, d):
+    # tau*m + eta = m + ea exactly; the float sum lands on either side of
+    # the integer, so only the error bound keeps these lanes exact
+    tau = surd(1, b, d)
+    for ea in (0, -300):
+        for m in range(-30, 31):
+            eta = surd(ea, -b * m, d)
+            got = floor_lanes_fn(tau, eta)(np.array([m - 1, m, m + 1]))
+            assert got.tolist() == [floor_linear(tau, k, eta)
+                                    for k in (m - 1, m, m + 1)], (ea, m)
+
+
+@given(case=_kernel_case())
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_scalar_floors_and_membership(case):
+    tau, eta, ks = case
+    # the kernel's contract: every floor fits in int64
+    want = {v: floor_linear(tau, v, eta) for v in ks}
+    ks = [v for v in ks if -2**63 <= want[v] < 2**63]
+    floors = floor_lanes_fn(tau, eta)(np.array(ks, dtype=np.int64))
+    assert floors.tolist() == [want[v] for v in ks]
+    xs = sorted({int(v) + dv for v in floors for dv in (-1, 0, 1)
+                 if 1 <= int(v) + dv < LANE_BOUND} | set(range(1, 40)))
+    x = np.array(xs, dtype=np.int64)
+    got = member_lanes_fn(tau, eta)(x)
+    assert got.tolist() == [member(v, tau, eta) or 0 for v in xs]

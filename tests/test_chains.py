@@ -13,8 +13,59 @@ from beattydim import (
     empirical_densities,
     residual_count,
 )
-from beattydim.chains import A1, NOT_HEAD, finite_class
+from beattydim.chains import (
+    A1,
+    NOT_HEAD,
+    Chain,
+    _ScanContext,
+    default_horizon,
+    finite_class,
+    infinity_candidate,
+)
 from conftest import REGION_TUPLES
+
+
+def scalar_decompose(p, n):
+    """Reference for decompose: one scalar walk per head, as
+    (chains, residual, counts, all_contiguous)."""
+    horizon = default_horizon(p, n)
+    bound = n + p.chain_bound_int()
+    ctx = _ScanContext(p, bound)
+    covered = bytearray(n + 1)
+    chains, counts, all_contiguous = [], {}, True
+    for x in range(1, bound + 1):
+        if ctx.sg[x]:
+            continue
+        if ctx.in_sa(x):
+            rec = []
+            kind, val, _, vis, contiguous = ctx.walk(x, horizon, n, rec=rec)
+            if kind == "residual" or not rec:
+                continue
+            all_contiguous = all_contiguous and contiguous
+            if kind == "finite":
+                cls = finite_class(val)
+                counts[(val, vis)] = counts.get((val, vis), 0) + 1
+            else:
+                cls = infinity_candidate(horizon)
+        elif x <= n:
+            cls, rec = A1, [x]
+            counts[(1, 1)] = counts.get((1, 1), 0) + 1
+        else:
+            continue
+        chains.append(Chain(x, cls, tuple(rec)))
+        for e in rec:
+            covered[e] = 1
+    residual = tuple(x for x in range(1, n + 1) if not covered[x])
+    return tuple(chains), residual, counts, all_contiguous
+
+
+def assert_matches_scalar(p, n):
+    chains, residual, counts, all_contiguous = scalar_decompose(p, n)
+    dec = decompose(p, n)
+    assert dec.chains == chains
+    assert dec.residual == residual
+    assert list(dec.counts.items()) == list(counts.items())
+    assert dec.all_contiguous == all_contiguous
 
 
 def test_classify_head_examples():
@@ -266,3 +317,29 @@ def test_csv_dump():
     assert ("6", "finite(3)") in rows
     assert ("1", "A1") in rows
     assert len(lines) == 7  # header + one row per element of [1, 6]
+
+
+@pytest.mark.parametrize("key", sorted(REGION_TUPLES))
+def test_decompose_matches_scalar_reference(key):
+    assert_matches_scalar(REGION_TUPLES[key], 10**5)
+
+
+@pytest.mark.parametrize("tup,n", [
+    (("sqrt(2)", 0, "sqrt(3)", 0), 2000),  # fixed point 1 = f(1)
+    (("sqrt(2)", "1/4", "sqrt(3)", "1/4"), 2000),
+    (("3/2", 0, 3, -500), 5000),  # aborted chains in the residual
+])
+def test_decompose_matches_scalar_reference_on_anomalies(tup, n):
+    assert_matches_scalar(ParamTuple(*tup), n)
+
+
+@pytest.mark.parametrize("guard", [-1, 0, 5, 299, 300, 2000])
+def test_walk_resumes_past_the_lane_guard(guard, monkeypatch):
+    # heads and iterates above the guard finish in the scalar walk at
+    # their step; the merged chains must not change
+    import beattydim.chains as chains_mod
+
+    monkeypatch.setattr(chains_mod, "_lane_guard", lambda p: guard)
+    for tup in [("3/2", 0, 3, 0), ("3/2", 0, 3, -50), (2, 0, 3, 0),
+                (1, 0, "sqrt(5)", 0), ("sqrt(2)", "1/4", "sqrt(3)", "1/4")]:
+        assert_matches_scalar(ParamTuple(*tup), 300)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from beattydim.cli import main
 
 
@@ -173,3 +175,27 @@ def test_empirical_mode_open_region(capsys):
     assert rep["exact"] is False
     # alpha = sqrt(2), gamma/alpha = 3: heads are ~ the left sequence mass
     assert abs(rep["d"]["finite"][0]) < 0.35
+
+
+def test_densities_rejects_non_positive_horizon(capsys):
+    code = main(["densities", "--alpha", "2", "--gamma", "3", "--mode",
+                 "empirical", "--n", "100", "--horizon=-3"])
+    assert code == 2
+    assert "horizon must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_positive_horizon(capsys):
+    code, _ = run_cli(
+        capsys, "verify", "--alpha", "2", "--gamma", "3", "--matrix", "11;10",
+        "--n", "10", "--horizon=-1",
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+def test_dim_rejects_bad_eps(capsys, eps):
+    code, _ = run_cli(
+        capsys, "dim", "--alpha", "2", "--gamma", "3", "--matrix", "11;10",
+        f"--eps={eps}",
+    )
+    assert code == 2
