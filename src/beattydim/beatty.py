@@ -254,8 +254,8 @@ def _inverse_forms(tau: Real, eta: Real):
     return _linear_form(inv, shift)
 
 
-def membership_fn(tau: RealLike, eta: RealLike) -> Callable[[int], bool]:
-    """Fast predicate x -> (x in S(tau, eta)) for x >= 1.
+def member_fn(tau: RealLike, eta: RealLike) -> Callable[[int], int]:
+    """Fast x -> the k >= 1 with floor(tau*k + eta) = x, or 0, for x >= 1.
 
     x is a member iff k = ceil((x - eta)/tau) satisfies k >= 1 and
     floor(tau*k + eta) = x; both reduce to flat integer expressions in
@@ -264,27 +264,35 @@ def membership_fn(tau: RealLike, eta: RealLike) -> Callable[[int], bool]:
     wform = _inverse_forms(tau, eta)
     vform = _linear_form(tau, eta)
     if wform is None or vform is None:
-        return lambda x: member(x, tau, eta) is not None
+        return lambda x: member(x, tau, eta) or 0
     A1, B1, E1, F1, Z1, D1 = wform
     A2, B2, E2, F2, Z2, D2 = vform
     sf = _surd_floor_ints
     if B1 == 0 and F1 == 0 and B2 == 0 and F2 == 0:
-        return lambda x: (
-            (k := -((-(A1 * x + E1)) // Z1)) >= 1
-            and (A2 * k + E2) // Z2 == x
-        )
+        def rational(x: int) -> int:
+            k = -((-(A1 * x + E1)) // Z1)
+            return k if k >= 1 and (A2 * k + E2) // Z2 == x else 0
 
-    def fast(x: int) -> bool:
+        return rational
+
+    def fast(x: int) -> int:
         X, Y = A1 * x + E1, B1 * x + F1
         k = -((-X) // Z1) if Y == 0 else -sf(-X, -Y, D1, Z1)
         if k < 1:
-            return False
+            return 0
         Y2 = B2 * k + F2
         X2 = A2 * k + E2
         v = X2 // Z2 if Y2 == 0 else sf(X2, Y2, D2, Z2)
-        return v == x
+        return k if v == x else 0
 
     return fast
+
+
+def membership_fn(tau: RealLike, eta: RealLike) -> Callable[[int], bool]:
+    """Fast predicate x -> (x in S(tau, eta)) for x >= 1 (see
+    ``member_fn``)."""
+    member_k = member_fn(tau, eta)
+    return lambda x: member_k(x) > 0
 
 
 def f_step_fn(p: ParamTuple) -> Callable[[int], int]:
@@ -411,12 +419,10 @@ def member_lanes_fn(tau: RealLike, eta: RealLike
     Rational pairs compute it with the int64 inverse form; otherwise
     the float quotient and its error bound must put both ends of the
     error interval under one ceiling.  One kernel floor then decides
-    membership; lanes that fail a guard take the scalar ``member``."""
+    membership; lanes that fail a guard take the scalar ``member_fn``."""
     tau, eta = as_real(tau), as_real(eta)
     floors = floor_lanes_fn(tau, eta)
-
-    def scalar(x: int) -> int:
-        return member(x, tau, eta) or 0
+    scalar = member_fn(tau, eta)
 
     def decide(x: np.ndarray, k: np.ndarray, ok: np.ndarray) -> np.ndarray:
         if ok.all():

@@ -19,18 +19,20 @@ starting at a head or resuming a surviving walk at its step j.
 ``_ScanContext.walk_heads`` is level-synchronous: each round applies f
 once to every live head through the vectorized exact kernel
 (``beatty.floor_lanes_fn``/``member_lanes_fn``) and returns per-head
-arrays (class, contiguity, and the visible elements in CSR form); an
-iterate past the kernel's int64 guard resumes in ``walk`` at its step.
+arrays (class, the step a residual chain left N, and, when elements are
+visible, contiguity and the visible elements in CSR form); an iterate
+past the kernel's int64 guard resumes in ``walk`` at its step.
 
-Two loops visit heads.  ``decompose`` runs ``walk_heads`` over every
-head and stores the chains in columns, with the refined counts d_{i,j}
-(exactly j of the i chain elements inside [1,n]) and the residual set;
-``measured_dij`` and ``residual_count`` read them off it.
-``_window_counts`` keeps only class tallies on the scalar ``walk``, from
-which ``empirical_densities`` estimates d_i, and its horizon-doubling
-probe resumes survivors in ``walk``.  Membership tables inside a
-window are marked from chunked kernel floors, so windows of 10^6 are
-routine.
+``walk_heads`` is the one head-scan engine.  ``decompose`` runs it over
+every head and stores the chains in columns, with the refined counts
+d_{i,j} (exactly j of the i chain elements inside [1,n]) and the
+residual set; ``measured_dij`` and ``residual_count`` read them off it.
+``_window_counts`` runs it over a window in blocks of CHUNK positions
+and keeps only class tallies, from which ``empirical_densities``
+estimates d_i; its horizon-doubling probe walks each head once to twice
+the horizon and reads the class at the horizon off that walk.
+Membership tables are marked in place from chunked kernel floors, so
+windows of 10^6 are routine.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ from .beatty import (
     floor_fn,
     floor_lanes_fn,
     member,
+    member_fn,
     member_lanes_fn,
-    membership_fn,
     f_map,
 )
 from .numerics import Rational, _add, _mul, as_real
 
 DEFAULT_K = 40
-CHUNK = 1 << 16  # lanes per kernel call when marking membership tables
+CHUNK = 1 << 12  # lanes per table-marking call, positions per head walk
 
 Num = Union[Fraction, float]
 
@@ -166,18 +168,18 @@ class ChainDecomposition:
 # density vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosedForm:
     region: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empirical:
     windows: tuple[tuple[int, int], ...]
     horizon: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityVector:
     """(d_1 .. d_K, d_inf) with provenance.
 
@@ -330,13 +332,14 @@ def _mark_bitset(tau, eta, bound: int) -> bytearray:
     # k -> floor(tau*k + eta) steps by at least 1, so about bound/tau
     # lanes land in [1, bound]
     step = min(CHUNK, int(bound / tau.approx()) + 2)
-    marks = np.zeros(bound + 1, dtype=np.uint8)
+    table = bytearray(bound + 1)
+    marks = np.frombuffer(table, dtype=np.uint8)  # marks in place
     start = 0
     while True:
         v = floors(np.arange(start, start + step, dtype=np.int64))
         marks[v[v <= bound]] = 1
         if v[-1] > bound:
-            return bytearray(marks.tobytes())
+            return table
         start += step
 
 
@@ -351,7 +354,7 @@ class _ScanContext:
         self.B = bound
         self.sg = _mark_bitset(p.gamma, p.delta, bound)
         self.f = f_step_fn(p)
-        self.far_sa = membership_fn(p.alpha, p.beta)
+        self.far_sa = member_fn(p.alpha, p.beta)  # k, or 0
         self.alpha_one = (
             isinstance(p.alpha, Rational) and p.alpha.value == 1
         )
@@ -372,7 +375,7 @@ class _ScanContext:
             return y >= self.sa_tail
         if y <= self.B:
             return bool(self.sa[y])
-        return self.far_sa(y)
+        return self.far_sa(y) > 0
 
     def walk(self, x: int, horizon: int, cutoff: int = 0, rec=None,
              j: int = 0):
@@ -438,21 +441,27 @@ class _ScanContext:
         once, one step of f per round for every live head, through the
         vectorized kernel.  The steps, exits and visibility rules are
         those of ``walk``; a head whose iterate passes ``_lane_guard``
-        resumes there at its step j."""
+        resumes there at its step j.  With cutoff < 1 nothing is
+        visible, and only the classes and exit steps are returned."""
         p = self.p
         member_a = member_lanes_fn(p.alpha, p.beta)
         floor_g = floor_lanes_fn(p.gamma, p.delta)
         guard = _lane_guard(p)
+        track = cutoff >= 1
         m = heads.size
         cls = np.full(m, _INFINITE, dtype=np.int64)
-        vis = np.zeros(m, dtype=np.int64)
-        first = np.full(m, -1, dtype=np.int64)
-        last = np.full(m, -1, dtype=np.int64)
+        left = np.zeros(m, dtype=np.int64)
+        if track:
+            vis = np.zeros(m, dtype=np.int64)
+            first = np.full(m, -1, dtype=np.int64)
+            last = np.full(m, -1, dtype=np.int64)
         seen_lanes: list[np.ndarray] = []
         seen_values: list[np.ndarray] = []
         resumed: dict[int, bool] = {}  # lane -> contiguity
 
         def see(lanes, y, j):
+            if not track:
+                return
             s = y <= cutoff
             lanes = lanes[s]
             vis[lanes] += 1
@@ -469,16 +478,20 @@ class _ScanContext:
                 return
             if j >= horizon:
                 return
-            rec: list[int] = []
+            rec: Optional[list[int]] = [] if track else None
             kind, val, _, _, tail_ok = self.walk(y, horizon, cutoff, rec, j)
+            cls[lane] = (val if kind == "finite" else
+                         _RESIDUAL if kind == "residual" else _INFINITE)
+            if kind == "residual":
+                left[lane] = val
+            if not track:
+                return
             if y <= cutoff:
                 del rec[0]
             # an unseen step j splits two non-empty visible parts
             split = y > cutoff and rec and vis[lane]
             resumed[lane] = bool(tail_ok and not split and (
                 vis[lane] == 0 or last[lane] - first[lane] + 1 == vis[lane]))
-            cls[lane] = (val if kind == "finite" else
-                         _RESIDUAL if kind == "residual" else _INFINITE)
             seen_lanes.append(np.full(len(rec), lane, dtype=np.int64))
             seen_values.append(np.array(rec, dtype=np.int64))
 
@@ -502,12 +515,15 @@ class _ScanContext:
             j += 1
             out = y < 1
             cls[live[out]] = _RESIDUAL
+            left[live[out]] = j
             live, y = live[~out], y[~out]
             see(live, y, j)
             if self.alpha_one:
                 out = (y >= self.sa_tail) & (y > self.growth_floor) & (y > cutoff)
                 live, y = live[~out], y[~out]
 
+        if not track:
+            return _HeadWalks(cls, left, None, None, None)
         contiguous = (vis == 0) | (last - first + 1 == vis)
         for lane, ok in resumed.items():
             contiguous[lane] = ok
@@ -515,16 +531,20 @@ class _ScanContext:
         offsets = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(lanes, minlength=m), out=offsets[1:])
         elements = np.concatenate(seen_values)[np.argsort(lanes, kind="stable")]
-        return _HeadWalks(cls, contiguous, offsets, elements)
+        return _HeadWalks(cls, left, contiguous, offsets, elements)
 
 
 class _HeadWalks(NamedTuple):
-    """Per-head results of ``_ScanContext.walk_heads``."""
+    """Per-head results of ``_ScanContext.walk_heads``; the last three
+    are None when nothing was visible (cutoff < 1)."""
 
     cls: np.ndarray  # finite class i, _INFINITE or _RESIDUAL
-    contiguous: np.ndarray  # visible elements sit at consecutive steps
-    offsets: np.ndarray  # head h saw elements[offsets[h]:offsets[h + 1]],
-    elements: np.ndarray  # in trajectory order
+    left: np.ndarray  # step at which a _RESIDUAL chain left N, else 0
+    # visible elements sit at consecutive steps
+    contiguous: Optional[np.ndarray]
+    # head h saw elements[offsets[h]:offsets[h + 1]], in trajectory order
+    offsets: Optional[np.ndarray]
+    elements: Optional[np.ndarray]
 
 
 def _lane_guard(p: ParamTuple) -> int:
@@ -617,33 +637,43 @@ def residual_count(p: ParamTuple, n: int, horizon: Optional[int] = None) -> int:
 # empirical densities
 # ---------------------------------------------------------------------------
 
-def _window_counts(ctx: _ScanContext, lo: int, hi: int, horizon: int):
-    """Classify all heads x in [lo, hi]; returns (a1, {i: count},
-    candidate count, survivors) where survivors hold the last iterate
-    (step horizon) of every candidate walk, for horizon-doubling probes."""
-    sg = ctx.sg
-    in_sa = ctx.in_sa
-    walk = ctx.walk
-    a1 = 0
+def _window_counts(ctx: _ScanContext, lo: int, hi: int, horizon: int,
+                   probe: bool):
+    """Classify all heads x in [lo, hi] at the horizon, one
+    ``walk_heads`` call per block of CHUNK positions; returns (a1,
+    {i: count}, candidates, moved).  With probe every head walks to
+    twice the horizon, and the counts are read there: moved is the
+    number of horizon candidates whose chains ended past the horizon (a
+    finite class i > horizon + 1, or an exit from N).  Class keys are
+    in order of first appearance, with those past horizon + 1 last: the
+    order of a horizon scan followed by a probe, which the float sums
+    over ``DensityVector.beyond`` follow."""
+    reach = 2 * horizon if probe else horizon
+    sg = np.frombuffer(ctx.sg, dtype=np.uint8)
+    sa = None if ctx.alpha_one else np.frombuffer(ctx.sa, dtype=np.uint8)
+    a1 = cand = moved = 0
     finite: dict[int, int] = {}
-    cand = 0
-    survivors: list[int] = []
-    for x in range(lo, hi + 1):
-        if sg[x]:
-            continue
-        if in_sa(x):
-            kind, val, y, _, _ = walk(x, horizon)
-            if kind == "finite":
-                finite[val] = finite.get(val, 0) + 1
-            elif kind == "cand":
-                cand += 1
-                survivors.append(y)
-            elif kind == "proved":
-                cand += 1
-            # 'residual': belongs to no class
+    for start in range(lo, hi + 1, CHUNK):
+        stop = min(start + CHUNK, hi + 1)
+        free = sg[start:stop] == 0
+        if sa is None:
+            in_sa = np.arange(start, stop) >= ctx.sa_tail
         else:
-            a1 += 1
-    return a1, finite, cand, survivors
+            in_sa = sa[start:stop] == 1
+        a1 += int(np.count_nonzero(free & ~in_sa))
+        heads = np.flatnonzero(free & in_sa) + start
+        w = ctx.walk_heads(heads, reach, 0)
+        cand += int(np.count_nonzero(w.cls == _INFINITE))
+        moved += int(np.count_nonzero(
+            (w.cls > horizon + 1) | (w.left > horizon)))
+        keys, at, tally = np.unique(
+            w.cls[w.cls >= 2], return_index=True, return_counts=True)
+        for u in np.argsort(at).tolist():
+            i = int(keys[u])
+            finite[i] = finite.get(i, 0) + int(tally[u])
+    if probe:
+        finite = dict(sorted(finite.items(), key=lambda it: it[0] > horizon + 1))
+    return a1, finite, cand, moved
 
 
 def empirical_densities(
@@ -660,7 +690,8 @@ def empirical_densities(
     Raises HorizonTooSmall when doubling the horizon moves the
     infinity-candidate mass of the largest window by more than
     ``stability_tol`` (long finite chains being mistaken for infinite
-    ones)."""
+    ones).  With the check, the largest window is counted at the doubled
+    horizon."""
     if K < 2:
         raise ValueError("K must be >= 2")
     wins = sorted(
@@ -674,34 +705,20 @@ def empirical_densities(
         raise ValueError("horizon must be >= 1")
 
     per_window = []
-    main_ctx = None
-    main_survivors = None
     for idx, (lo, hi) in enumerate(wins):
-        ctx = _ScanContext(p, hi)
-        a1, fin, cand, surv = _window_counts(ctx, lo, hi, horizon)
+        probe = check_horizon and idx == 0
+        a1, fin, cand, moved = _window_counts(
+            _ScanContext(p, hi), lo, hi, horizon, probe)
+        share = moved / (hi - lo + 1)
+        if probe and share > stability_tol:
+            raise HorizonTooSmall(
+                f"infinity-candidate mass moved by {share:.2e} when "
+                f"doubling the horizon from {horizon}; increase the horizon"
+            )
         per_window.append((lo, hi, a1, fin, cand))
-        if idx == 0:
-            main_ctx, main_survivors = ctx, surv
 
     lo, hi, a1, fin, cand = per_window[0]
     width = hi - lo + 1
-
-    if check_horizon and main_survivors:
-        moved = 0
-        for y in main_survivors:
-            kind, val = main_ctx.walk(y, 2 * horizon, j=horizon)[:2]
-            if kind == "finite":
-                moved += 1
-                fin[val] = fin.get(val, 0) + 1
-                cand -= 1
-            elif kind == "residual":
-                moved += 1
-                cand -= 1
-        if moved / width > stability_tol:
-            raise HorizonTooSmall(
-                f"infinity-candidate mass moved by {moved / width:.2e} when "
-                f"doubling the horizon from {horizon}; increase the horizon"
-            )
 
     def vec(a1c, finc, candc, w):
         ent = [0.0] * K

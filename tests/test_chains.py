@@ -18,6 +18,7 @@ from beattydim.chains import (
     NOT_HEAD,
     Chain,
     _ScanContext,
+    _window_counts,
     default_horizon,
     finite_class,
     infinity_candidate,
@@ -57,6 +58,48 @@ def scalar_decompose(p, n):
             covered[e] = 1
     residual = tuple(x for x in range(1, n + 1) if not covered[x])
     return tuple(chains), residual, counts, all_contiguous
+
+
+def scalar_window_counts(ctx, lo, hi, horizon, probe):
+    """Reference for _window_counts: one scalar walk per head to the
+    horizon, then, with probe, every candidate resumed in walk to twice
+    the horizon, as (a1, finite, cand, moved)."""
+    a1 = cand = moved = 0
+    finite, survivors = {}, []
+    for x in range(lo, hi + 1):
+        if ctx.sg[x]:
+            continue
+        if not ctx.in_sa(x):
+            a1 += 1
+            continue
+        kind, val, y, _, _ = ctx.walk(x, horizon)
+        if kind == "finite":
+            finite[val] = finite.get(val, 0) + 1
+        elif kind != "residual":
+            cand += 1
+            if kind == "cand":
+                survivors.append(y)
+    for y in survivors if probe else ():
+        kind, val = ctx.walk(y, 2 * horizon, j=horizon)[:2]
+        if kind in ("finite", "residual"):
+            moved += 1
+            cand -= 1
+        if kind == "finite":
+            finite[val] = finite.get(val, 0) + 1
+    return a1, finite, cand, moved
+
+
+def assert_counts_match(p, lo, hi, horizon=None, probe=True):
+    """_window_counts equals the scalar reference, class keys in order;
+    returns the number of moved candidates."""
+    if horizon is None:
+        horizon = default_horizon(p, hi)
+    ctx = _ScanContext(p, hi)
+    got = _window_counts(ctx, lo, hi, horizon, probe)
+    ref = scalar_window_counts(ctx, lo, hi, horizon, probe)
+    assert got == ref
+    assert list(got[1].items()) == list(ref[1].items())
+    return got[3]
 
 
 def assert_matches_scalar(p, n):
@@ -336,10 +379,65 @@ def test_decompose_matches_scalar_reference_on_anomalies(tup, n):
 @pytest.mark.parametrize("guard", [-1, 0, 5, 299, 300, 2000])
 def test_walk_resumes_past_the_lane_guard(guard, monkeypatch):
     # heads and iterates above the guard finish in the scalar walk at
-    # their step; the merged chains must not change
+    # their step; the merged chains must not change, and the window
+    # counts must split resumed lanes into the horizon and doubled-horizon
+    # classes (finite i, exit step from N) as the scalar reference does
     import beattydim.chains as chains_mod
 
     monkeypatch.setattr(chains_mod, "_lane_guard", lambda p: guard)
+    moved = 0
     for tup in [("3/2", 0, 3, 0), ("3/2", 0, 3, -50), (2, 0, 3, 0),
                 (1, 0, "sqrt(5)", 0), ("sqrt(2)", "1/4", "sqrt(3)", "1/4")]:
-        assert_matches_scalar(ParamTuple(*tup), 300)
+        p = ParamTuple(*tup)
+        assert_matches_scalar(p, 300)
+        for horizon in (2, 3, None):
+            moved += assert_counts_match(p, 1, 300, horizon)
+    assert moved > 0
+    with pytest.raises(HorizonTooSmall):
+        empirical_densities(ParamTuple(2, 0, 3, 0), [(1, 2000)], horizon=2)
+
+
+@pytest.mark.parametrize("key", sorted(REGION_TUPLES))
+def test_window_counts_match_scalar_reference(key):
+    assert_counts_match(REGION_TUPLES[key], 1, 10**5)
+
+
+@pytest.mark.parametrize("key", ["R1", "R2", "R10"])
+def test_window_counts_match_scalar_reference_without_probe(key):
+    assert_counts_match(REGION_TUPLES[key], 1, 20_000, probe=False)
+
+
+@pytest.mark.parametrize("tup", [("3/2", 0, 3, 0), (2, 0, 3, 0),
+                                 (1, 0, "sqrt(5)", 0), ("3/2", 0, 3, -50)])
+def test_window_counts_match_scalar_reference_off_origin(tup):
+    # lo > 1, window edges inside blocks, several blocks
+    from beattydim.chains import CHUNK
+
+    assert_counts_match(ParamTuple(*tup), CHUNK - 5, 3 * CHUNK + 17)
+
+
+@pytest.mark.parametrize("key", ["R2", "R9", "R10"])
+def test_two_windows_match_scalar_reference(key, monkeypatch):
+    import beattydim.chains as chains_mod
+
+    p = REGION_TUPLES[key]
+    windows = [(1, 20_000), (20_000, 30_000)]
+    got = empirical_densities(p, windows)
+    monkeypatch.setattr(chains_mod, "_window_counts", scalar_window_counts)
+    ref = empirical_densities(p, windows)
+    assert got == ref
+    assert got.diagnostic is not None
+    assert list((got.beyond or {}).items()) == list((ref.beyond or {}).items())
+
+
+@pytest.mark.parametrize("chunk,n", [(1, 400), (7, 3000)])
+@pytest.mark.parametrize("key", ["R1", "R2", "R4", "R10"])
+def test_empirical_densities_independent_of_chunk(key, chunk, n, monkeypatch):
+    import beattydim.chains as chains_mod
+
+    p = REGION_TUPLES[key]
+    ref = empirical_densities(p, [(1, n)], K=5)
+    monkeypatch.setattr(chains_mod, "CHUNK", chunk)
+    got = empirical_densities(p, [(1, n)], K=5)
+    assert got == ref
+    assert list((got.beyond or {}).items()) == list((ref.beyond or {}).items())
