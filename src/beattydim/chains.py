@@ -230,6 +230,27 @@ class DensityVector:
                 total += dk * rho ** (start - self.K + 1) / (1.0 - rho)
         return total
 
+    def floats(self, N: int) -> tuple[list[float], list[float]]:
+        """d_1 .. d_N and the suffix sums s_i = sum_{j>i} d_j for
+        i = 1 .. N, as floats (list index i - 1): one read of the vector
+        for a series truncated at N."""
+        K = self.K
+        d = [float(v) for v in self.finite[:N]]
+        if N > K:
+            if self.beyond:
+                d += [float(self.beyond.get(i, 0.0)) for i in range(K + 1, N + 1)]
+            elif self.tail_ratio is not None and K >= 2:
+                r = float(self.tail_ratio)
+                d += [d[K - 1] * r ** (i - K) for i in range(K + 1, N + 1)]
+            else:
+                d += [0.0] * (N - K)
+        suffix = [0.0] * N
+        s = self.suffix_float(N)
+        for i in range(N - 1, -1, -1):
+            suffix[i] = s
+            s += d[i]
+        return d, suffix
+
     def finite_floats(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.finite)
 

@@ -21,9 +21,11 @@ transition matrix A:
                  weighted by the already-computed f_1..f_{k-1} and the
                  terminal row sum ]^(-d_{i,i-k} / sum_{l<=k} d_{i,i-l}).
 
-  The tuple sum collapses to a transfer recursion in O(i * m^2): with
-  g_1 = a^(1+e_1) (a the row-sum vector) and B_k = A @ g_{k-1},
-  g_k = B_k^(1+e_k), one has T(i) = sum(g_{i-1}).
+  The tuple sum collapses to a transfer recursion (``t_phi``): with
+  g_1 = a^(1+e_1) (a the row-sum vector) and g_k = (A @ g_{k-1})^(1+e_k),
+  one has T(i) = sum(g_{i-1}).  Every ``dij_row`` makes the exponent
+  1 + e_k = rho for all i and k, so a single recursion g_k = (A g_{k-1})^rho
+  gives every T(i) at once: O(N m^2) for the whole series.
 
 The two dimensions coincide exactly when the row sums of A are equal.
 """
@@ -37,12 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .beatty import ParamTuple
-from .chains import (
-    DEFAULT_K,
-    DensityVector,
-    dij_row,
-    empirical_densities,
-)
+from .chains import DEFAULT_K, DensityVector, empirical_densities
 from .matrix import BinaryMatrix
 from .regions import RegionId, classify_region, closed_form_d, density_payload
 
@@ -59,7 +56,7 @@ class DegenerateWeights(ValueError):
     """A partial sum of d_{i,j} weights vanished (undefined exponent)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TSolverResult:
     t: tuple[float, ...]
     residual: float
@@ -69,13 +66,13 @@ class TSolverResult:
         return float(sum(self.t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimValue:
     value: float
     err: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimensionReport:
     region: RegionId
     d: DensityVector
@@ -147,10 +144,11 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     tail = _mink_tail(N, rho)
     logm = math.log(A.m)
     dinf = d.d_inf_float()
+    dv, suffix = d.floats(N)
     total = 0.0
     rp = 1.0  # rho^{i-1}
     for i in range(1, N + 1):
-        w = rp * d.entry_float(i) + (rp - rp * rho) * (d.suffix_float(i) + dinf)
+        w = rp * dv[i - 1] + (rp - rp * rho) * (suffix[i - 1] + dinf)
         if w:
             total += w * (math.log(A.power_sum(i - 1)) / logm)
         rp *= rho
@@ -229,7 +227,8 @@ def t_phi(A: BinaryMatrix, i: int, dij_weights) -> float:
     """T(i) = t_{empty; i}: transfer accumulation in O(i * m^2).
 
     dij_weights is the row (d_{i,1}, ..., d_{i,i}); exponents use the
-    suffix sums S_k = sum_{l=0}^{k} d_{i,i-l}."""
+    suffix sums S_k = sum_{l=0}^{k} d_{i,i-l}.  This is the general
+    reference; ``hausdorff_dim`` reads every T(i) off ``transfer_sums``."""
     if i < 2:
         raise ValueError("chain transfer sums start at i = 2")
     row = [float(v) for v in dij_weights]
@@ -254,6 +253,21 @@ def t_phi(A: BinaryMatrix, i: int, dij_weights) -> float:
             B = A_np @ g
             g = B ** (1.0 + e)
     return float(np.sum(g))
+
+
+def transfer_sums(A: BinaryMatrix, rho: float, N: int) -> list[float]:
+    """[T(2), ..., T(N)] from one recursion g_1 = a^rho,
+    g_k = (A g_{k-1})^rho, T(i) = sum(g_{i-1}): ``t_phi`` with every
+    exponent equal to rho = alpha/gamma, as every ``dij_row`` makes it."""
+    if min(A.row_sums) == 0:
+        raise ValueError("matrix has an empty row")
+    A_np = np.array(A.rows, dtype=float)
+    g = np.array(A.row_sums, dtype=float) ** rho
+    out = []
+    for _ in range(2, N + 1):
+        out.append(float(np.sum(g)))
+        g = (A_np @ g) ** rho
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +307,13 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
         while _hausdorff_tail(d, N) > eps / 2 and N < 100_000:
             N += max(8, N // 8)
     tail = _hausdorff_tail(d, N)
-    total = d.entry_float(1)
-    for i in range(2, N + 1):
-        di = d.entry_float(i)
-        if di <= 0.0:
-            continue
-        row = dij_row(p, i, di)
-        total += di * math.log(t_phi(A, i, row)) / logm
+    dv, _ = d.floats(N)
+    total = dv[0]
+    terms = [(i, di) for i, di in enumerate(dv[1:], start=2) if di > 0.0]
+    if terms:
+        T = transfer_sums(A, _rho(p), terms[-1][0])
+        for i, di in terms:
+            total += di * math.log(T[i - 2]) / logm
     dinf = d.d_inf_float()
     if dinf > 0.0:
         sol = solve_t(A, p.ratio, tol=solver_tol, seed=solver_seed)

@@ -1,22 +1,20 @@
 """Binary transition matrices with exact big-integer power sums.
 
 The dimension series consume |A^l| (sum of all entries of the l-th
-power) for consecutive l, so powers are grown by successive exact
-multiplication and memoized.  Structural predicates (irreducible,
+power) for consecutive l.  They come from the vector recursion
+u_0 = 1, u_l = A u_{l-1}, so |A^l| = sum(u_l): each step is big-integer
+additions along the ones of A, and only the sums are memoized, with no
+lock (see ``power_sum``).  Structural predicates (irreducible,
 primitive, equal row sums) run on boolean matrices; no floating-point
 spectral machinery is involved anywhere.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
-
-_MAT_CACHE_MAX = 128  # full power matrices kept only up to this exponent
 
 
 def _mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple:
-    m = len(x)
     yc = list(zip(*y))
     return tuple(
         tuple(sum(a * b for a, b in zip(row, col)) for col in yc) for row in x
@@ -24,9 +22,9 @@ def _mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple:
 
 
 class BinaryMatrix:
-    """Immutable m x m 0/1 matrix; power sums are cached thread-safely."""
+    """Immutable m x m 0/1 matrix with memoized power sums."""
 
-    __slots__ = ("m", "rows", "row_sums", "_lock", "_sums", "_top", "_mats")
+    __slots__ = ("m", "rows", "row_sums", "_ones", "_sums", "_top")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(int(v) for v in r) for r in rows)
@@ -42,13 +40,11 @@ class BinaryMatrix:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "row_sums", tuple(sum(r) for r in rows))
-        ident = tuple(
-            tuple(1 if i == j else 0 for j in range(m)) for i in range(m)
-        )
-        object.__setattr__(self, "_lock", threading.Lock())
+        # column indices of the ones of each row
+        object.__setattr__(self, "_ones", tuple(
+            tuple(j for j, v in enumerate(r) if v) for r in rows))
         object.__setattr__(self, "_sums", {0: m})
-        object.__setattr__(self, "_top", (0, ident))
-        object.__setattr__(self, "_mats", {0: ident})
+        object.__setattr__(self, "_top", (0, (1,) * m))
 
     def __setattr__(self, *a):
         raise AttributeError("BinaryMatrix is immutable")
@@ -72,46 +68,40 @@ class BinaryMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def _extend_to(self, l: int) -> None:
-        top_l, top = self._top
-        while top_l < l:
-            top = _mat_mul(top, self.rows)
-            top_l += 1
-            self._sums[top_l] = sum(map(sum, top))
-            if top_l <= _MAT_CACHE_MAX:
-                self._mats[top_l] = top
-        object.__setattr__(self, "_top", (top_l, top))
-
     def power_sum(self, l: int) -> int:
-        """|A^l| as an exact big integer, l >= 0."""
+        """|A^l| as an exact big integer, l >= 0.
+
+        Thread-safe without a lock: a caller extends a snapshot of
+        (l, u_l) and publishes it in one assignment, and every thread
+        stores the same value for each l.  A slower thread may publish a
+        lower snapshot after a higher one; that costs recomputation only."""
         if l < 0:
             raise ValueError("exponent must be non-negative")
         s = self._sums.get(l)
         if s is not None:
             return s
-        with self._lock:
-            self._extend_to(l)
-            return self._sums[l]
+        top, u = self._top
+        ones = self._ones
+        while top < l:
+            u = tuple(sum([u[j] for j in js]) for js in ones)
+            top += 1
+            self._sums[top] = sum(u)
+        if top > self._top[0]:
+            object.__setattr__(self, "_top", (top, u))
+        return self._sums[l]
 
     def power(self, l: int) -> tuple:
-        """A^l as a tuple-of-tuples (cached for l <= 128)."""
+        """A^l as a tuple-of-tuples, by l plain products."""
         if l < 0:
             raise ValueError("exponent must be non-negative")
-        mat = self._mats.get(l)
-        if mat is not None:
-            return mat
-        with self._lock:
-            mat = self._mats.get(l)
-            if mat is not None:
-                return mat
-            if l <= _MAT_CACHE_MAX:
-                self._extend_to(l)
-                return self._mats[l]
-        # beyond the cache: compute without storing
-        top = self.rows
+        if l == 0:
+            return tuple(
+                tuple(int(i == j) for j in range(self.m)) for i in range(self.m)
+            )
+        mat = self.rows
         for _ in range(l - 1):
-            top = _mat_mul(top, self.rows)
-        return top
+            mat = _mat_mul(mat, self.rows)
+        return mat
 
     def trace_power(self, l: int) -> int:
         """trace(A^l); l >= 1 (cycle-coloring counts)."""

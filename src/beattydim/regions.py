@@ -66,7 +66,7 @@ class UndecidableIndependence(ValueError):
     """Q-independence cannot be decided from interval enclosures."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionId:
     id: str  # "R1".."R5", "R6Open", "R7".."R10", "Unknown"
     certificate: str

@@ -199,3 +199,12 @@ def test_dim_rejects_bad_eps(capsys, eps):
         f"--eps={eps}",
     )
     assert code == 2
+
+
+def test_dim_empty_row(capsys):
+    # d_2 > 0 for (2, 0, 3, 0): T(2) needs every row of A nonempty
+    code = main(["dim", "--alpha", "2", "--gamma", "3", "--matrix", "11;00"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "invalid input: matrix has an empty row" in captured.err

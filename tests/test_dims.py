@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,8 +19,11 @@ from beattydim import (
     solve_t,
     t_phi,
 )
+from beattydim import empirical_densities
 from beattydim.chains import ClosedForm
-from conftest import REGION_TUPLES, random_irreducible
+from beattydim.dims import _hausdorff_tail, _mink_tail, transfer_sums
+from conftest import REGION_TUPLES, random_irreducible, random_primitive
+from test_matrix import naive_power_sums
 
 
 def plastic_root(tol=1e-13):
@@ -240,3 +244,128 @@ def test_dimension_report_warns_not_primitive():
     # d_inf > 0 with an irreducible but imprimitive matrix
     rep = dimension_report(REGION_TUPLES["R7"], BinaryMatrix([[0, 1], [1, 0]]))
     assert any("primitive" in w for w in rep.warnings)
+
+
+# ---------------------------------------------------------------------------
+# the two forward recursions against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def reference_hausdorff(A, d, p, eps=1e-10):
+    """The former hausdorff_dim loop: one t_phi call per class i with
+    d_i > 0, on the exact d_{i,j} row, with entry reads per term."""
+    N = d.K
+    if d.beyond:
+        N = max(N, max(d.beyond))
+    elif d.tail_ratio is not None and float(d.tail_ratio) > 0.0:
+        while _hausdorff_tail(d, N) > eps / 2 and N < 100_000:
+            N += max(8, N // 8)
+    logm = math.log(A.m)
+    total = d.entry_float(1)
+    for i in range(2, N + 1):
+        di = d.entry_float(i)
+        if di > 0.0:
+            total += di * math.log(t_phi(A, i, dij_row(p, i, di))) / logm
+    if d.d_inf_float() > 0.0:
+        total += d.d_inf_float() * math.log(solve_t(A, p.ratio).total()) / logm
+    return total
+
+
+_NAIVE_SUMS = {}
+
+
+def reference_minkowski(A, d, p, eps=1e-10):
+    """The former minkowski_dim loop: |A^{i-1}| from full matrix powers,
+    entry and suffix reads per term."""
+    rho = 1.0 / float(p.ratio.approx())
+    N = max(d.K, 8)
+    while _mink_tail(N, rho) > eps / 2 and N < 200_000:
+        N += max(8, N // 8)
+    sums = _NAIVE_SUMS.get(A)
+    if sums is None or len(sums) < N:
+        sums = _NAIVE_SUMS[A] = naive_power_sums([list(r) for r in A.rows], N)
+    logm = math.log(A.m)
+    dinf = d.d_inf_float()
+    total, rp = 0.0, 1.0
+    for i in range(1, N + 1):
+        w = rp * d.entry_float(i) + (rp - rp * rho) * (d.suffix_float(i) + dinf)
+        if w:
+            total += w * math.log(sums[i - 1]) / logm
+        rp *= rho
+    return total
+
+
+def _assert_series_match(A, d, p, label):
+    h = hausdorff_dim(A, d, p).value
+    m = minkowski_dim(A, d, p).value
+    assert abs(h - reference_hausdorff(A, d, p)) <= 1e-12, (label, "H")
+    assert abs(m - reference_minkowski(A, d, p)) <= 1e-12, (label, "M")
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 16])
+def test_series_match_reference_loops(rng, m):
+    A = random_primitive(rng, m)
+    for key, p in REGION_TUPLES.items():
+        d = closed_form_d(p, classify_region(p))
+        _assert_series_match(A, d, p, (key, m))
+
+
+@pytest.mark.parametrize("args", [("21/20", 0, "11/10", 0),
+                                  ("11/10", "1/3", "6/5", 0)])
+def test_series_match_reference_loops_slow_tail(rng, args):
+    p = ParamTuple(*args)
+    d = closed_form_d(p, classify_region(p))
+    assert d.tail_ratio is not None and d.entry_float(d.K) > 0.0
+    for m in (2, 3):
+        _assert_series_match(random_primitive(rng, m), d, p, (args, m))
+
+
+def test_series_match_reference_loops_empirical_tail(rng):
+    # R6Open: empirical only, classes past K measured in `beyond`, and
+    # some classes below the largest one never seen (d_i = 0)
+    p = ParamTuple("sqrt(2)", 0, "3/2*sqrt(2)", 0)
+    d = empirical_densities(p, [(1, 20_000)], K=3)
+    assert d.beyond and max(d.beyond) > 20
+    assert any(i not in d.beyond for i in range(4, max(d.beyond)))
+    for m in (2, 3, 8):
+        _assert_series_match(random_primitive(rng, m), d, p, m)
+
+
+def test_transfer_sums_match_t_phi(rng):
+    # every d_{i,j} row makes each t_phi exponent alpha/gamma, so one
+    # recursion gives T(i) for all i; checked on float and exact rows
+    cases = [(ParamTuple(1, 0, 2, 0), Fraction(1, 3)),
+             (ParamTuple("sqrt(2)", 0, "sqrt(3)", 0), 0.3),
+             (ParamTuple("21/20", 0, "11/10", 0), Fraction(1, 7)),
+             (ParamTuple(2, 0, 5, 1), 0.05)]
+    for p, di in cases:
+        rho = 1.0 / float(p.ratio.approx())
+        for m in (2, 3, 8):
+            A = random_irreducible(rng, m)
+            T = transfer_sums(A, rho, 60)
+            assert len(T) == 59
+            for i in range(2, 61):
+                ref = t_phi(A, i, dij_row(p, i, di))
+                assert abs(math.log(ref) - math.log(T[i - 2])) <= 1e-12, (p, m, i)
+
+
+def test_hausdorff_empty_row():
+    # a class i >= 2 with mass needs T(i), which needs every row nonempty
+    A = BinaryMatrix([[1, 1], [0, 0]])
+    p = REGION_TUPLES["R10"]
+    d = closed_form_d(p, classify_region(p))
+    with pytest.raises(ValueError, match="matrix has an empty row"):
+        hausdorff_dim(A, d, p)
+    late = DensityVector(finite=(0.5, 0.0, 0.0, 0.25), d_inf=0, K=4,
+                         provenance=ClosedForm("R7"))
+    with pytest.raises(ValueError, match="matrix has an empty row"):
+        hausdorff_dim(A, late, p)
+    with pytest.raises(ValueError, match="matrix has an empty row"):
+        transfer_sums(A, 0.5, 3)
+    # d_1 alone needs no transfer sum; d_inf alone needs the fixed point
+    first = DensityVector(finite=(1, 0), d_inf=0, K=2,
+                          provenance=ClosedForm("R7"))
+    assert hausdorff_dim(A, first, p).value == 1.0
+    only_inf = DensityVector(finite=(0.5, 0), d_inf=0.5, K=2,
+                             provenance=ClosedForm("R7"))
+    with pytest.raises(ValueError, match="no positive fixed point"):
+        hausdorff_dim(A, only_inf, p)

@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -30,6 +31,20 @@ def test_power_sum_examples():
         assert GOLDEN_MEAN.power_sum(l) == want
 
 
+def naive_powers(rows, max_l):
+    """A^0 .. A^max_l by literal repeated multiplication."""
+    m = len(rows)
+    cur = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    out = [cur]
+    for _ in range(max_l):
+        cur = [
+            [sum(cur[i][k] * rows[k][j] for k in range(m)) for j in range(m)]
+            for i in range(m)
+        ]
+        out.append(cur)
+    return out
+
+
 def test_power_sum_random(rng):
     for _ in range(10):
         m = int(rng.integers(2, 5))
@@ -37,6 +52,12 @@ def test_power_sum_random(rng):
         want = naive_power_sums([list(r) for r in A.rows], 12)
         got = [A.power_sum(l) for l in range(13)]
         assert got == want
+    # long exponents on a large matrix, asked out of order
+    for _ in range(2):
+        A = random_binary(rng, 16)
+        want = naive_power_sums([list(r) for r in A.rows], 150)
+        assert A.power_sum(150) == want[150]
+        assert [A.power_sum(l) for l in range(151)] == want
 
 
 def test_all_ones_growth():
@@ -112,9 +133,38 @@ def test_trace_power():
     assert GOLDEN_MEAN.trace_power(3) == 4
 
 
+def test_trace_power_random(rng):
+    for _ in range(10):
+        A = random_binary(rng, int(rng.integers(2, 7)))
+        powers = naive_powers([list(r) for r in A.rows], 12)
+        assert A.power(0) == tuple(tuple(r) for r in powers[0])
+        for l in range(1, 13):
+            assert A.trace_power(l) == sum(powers[l][i][i] for i in range(A.m))
+            assert A.power(l) == tuple(tuple(r) for r in powers[l])
+
+
 def test_concurrent_power_sum():
     A = BinaryMatrix.from_string("110;011;101")
     with ThreadPoolExecutor(max_workers=8) as ex:
         results = list(ex.map(A.power_sum, [50] * 16))
     assert len(set(results)) == 1
     assert results[0] == naive_power_sums([list(r) for r in A.rows], 50)[50]
+
+
+def test_power_sum_thread_stress(rng):
+    # no lock: threads extend snapshots of (l, u_l) and may publish them
+    # out of order; every memoized sum must still be exact
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            A = random_binary(rng, 6)
+            want = naive_power_sums([list(r) for r in A.rows], 120)
+            ls = [int(l) for l in rng.integers(0, 121, size=64)]
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [ex.submit(A.power_sum, l) for l in ls]
+                got = [f.result(timeout=60) for f in futures]
+            assert got == [want[l] for l in ls]
+            assert [A.power_sum(l) for l in range(121)] == want
+    finally:
+        sys.setswitchinterval(old)
