@@ -10,8 +10,16 @@ elements).  Head classes:
 * A_i, i>=2  -- survives exactly i-1 iterations: the first i-2 iterates
                 stay in the intersection, the last lands in
                 S(gamma,delta)\\S(alpha,beta),
-* A_infinity -- iterates stay in the intersection forever (detected up
-                to a finite horizon and reported as candidates).
+* A_infinity -- iterates stay in the intersection forever (proved by
+                the certificate below, or detected up to a finite
+                horizon and reported as candidates).
+
+``_ScanContext`` holds the per-tuple scan state, built once: tables,
+closures, lane kernels, and a certificate threshold Y from one period
+of kernel floors (``_certificate``; never from ``regions``, whose closed
+forms stay an independent check).  A walk whose iterate reaches Y above
+the visible window is proved infinite and stops; without a certificate
+it runs to the horizon.
 
 Two walks step along chains.  ``_ScanContext.walk`` is the scalar
 reference: one head at a time on the integer closures of ``beatty``,
@@ -21,7 +29,8 @@ once to every live head through the vectorized exact kernel
 (``beatty.floor_lanes_fn``/``member_lanes_fn``) and returns per-head
 arrays (class, the step a residual chain left N, and, when elements are
 visible, contiguity and the visible elements in CSR form); an iterate
-past the kernel's int64 guard resumes in ``walk`` at its step.
+past the kernel's int64 guard, and the last few live heads, resume in
+``walk`` at their step.
 
 ``walk_heads`` is the one head-scan engine.  ``decompose`` runs it over
 every head and stores the chains in columns, with the refined counts
@@ -41,7 +50,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, floor, log
+from math import ceil, floor, inf, lcm, log
 from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -49,19 +58,21 @@ import numpy as np
 from .beatty import (
     LANE_BOUND,
     ParamTuple,
+    _inverse_forms,
+    _linear_form,
     f_step_fn,
     first_positive_k,
     floor_fn,
     floor_lanes_fn,
-    member,
     member_fn,
     member_lanes_fn,
-    f_map,
 )
-from .numerics import Rational, _add, _mul, as_real
+from .numerics import Rational, _add, _div, _mul, _neg, as_real
 
 DEFAULT_K = 40
 CHUNK = 1 << 12  # lanes per table-marking call, positions per head walk
+_FEW_LANES = 8  # walk_heads finishes this many live heads in the scalar walk
+_PERIOD_CAP = 1 << 16  # longest membership period a certificate checks
 
 Num = Union[Fraction, float]
 
@@ -81,7 +92,7 @@ class HorizonTooSmall(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainClass:
-    tag: str  # "A1" | "finite" | "infinity" | "not_head"
+    tag: str  # "A1" | "finite" | "infinity"
     i: int = 0
     survived: int = 0
 
@@ -92,7 +103,6 @@ class ChainClass:
 
 
 A1 = ChainClass("A1")
-NOT_HEAD = ChainClass("not_head")
 
 
 # decompose tags every chain it records: the class objects are immutable,
@@ -251,9 +261,6 @@ class DensityVector:
             s += d[i]
         return d, suffix
 
-    def finite_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.finite)
-
     def d_inf_float(self) -> float:
         return float(self.d_inf)
 
@@ -302,7 +309,7 @@ def derived_dij(d: DensityVector, p: ParamTuple) -> DensityVector:
 
 
 # ---------------------------------------------------------------------------
-# horizons and single-head classification
+# horizons
 # ---------------------------------------------------------------------------
 
 def default_horizon(p: ParamTuple, n: int) -> int:
@@ -313,29 +320,6 @@ def default_horizon(p: ParamTuple, n: int) -> int:
     if ratio <= 1.0:
         raise ValueError("gamma/alpha must exceed 1")
     return int(ceil(log(max(10 * n, 10)) / log(ratio))) + 8
-
-
-def classify_head(x: int, p: ParamTuple, horizon: int) -> ChainClass:
-    """Reference classifier via the generic exact operations.
-
-    NonPositiveImage propagates if the trajectory leaves the positive
-    integers (the caller records such heads as residual)."""
-    if x < 1:
-        raise ValueError("heads are positive integers")
-    in_sg = member(x, p.gamma, p.delta) is not None
-    if in_sg:
-        return NOT_HEAD
-    if member(x, p.alpha, p.beta) is None:
-        return A1
-    y = f_map(x, p)
-    j = 1
-    while True:
-        if member(y, p.alpha, p.beta) is None:
-            return finite_class(j + 1)
-        if j >= horizon:
-            return infinity_candidate(horizon)
-        y = f_map(y, p)
-        j += 1
 
 
 # ---------------------------------------------------------------------------
@@ -365,38 +349,39 @@ def _mark_bitset(tau, eta, bound: int) -> bytearray:
 
 
 class _ScanContext:
-    """Per-tuple scan state: membership tables inside [1, B], integer
-    closures beyond, and the alpha = 1 shortcut (S(1, beta) covers a full
-    integer tail, so survival above the growth floor is decidable without
-    iterating to the horizon)."""
+    """Per-tuple scan state, built once per tuple: membership tables
+    inside [1, B], integer closures beyond, the lane kernels and guard
+    of ``walk_heads``, and the certificate threshold Y (None without
+    one, or with ``certify=False`` for references independent of it).
+    A walk stops as proved infinite at an iterate y >= Y above the
+    cutoff: every later iterate is larger and in S(alpha, beta)."""
 
-    def __init__(self, p: ParamTuple, bound: int):
+    def __init__(self, p: ParamTuple, bound: int, certify: bool = True):
         self.p = p
         self.B = bound
         self.sg = _mark_bitset(p.gamma, p.delta, bound)
+        self.sa = _mark_bitset(p.alpha, p.beta, bound)
         self.f = f_step_fn(p)
         self.far_sa = member_fn(p.alpha, p.beta)  # k, or 0
-        self.alpha_one = (
-            isinstance(p.alpha, Rational) and p.alpha.value == 1
-        )
-        if self.alpha_one:
-            self.sa = None
-            self.sa_tail = max(1, floor_fn(p.alpha, p.beta)(1))
-            ratio_hi = p.ratio.enclosure(64)[1]
-            c_hi = p.chain_bound.enclosure(64)[1]
-            gf = ratio_hi * c_hi / (ratio_hi - 1)
-            self.growth_floor = gf.numerator // gf.denominator + 2
-        else:
-            self.sa = _mark_bitset(p.alpha, p.beta, bound)
-            self.sa_tail = None
-            self.growth_floor = None
+        self.member_a = member_lanes_fn(p.alpha, p.beta)
+        self.floor_g = floor_lanes_fn(p.gamma, p.delta)
+        self.guard = _lane_guard(p)
+        self.Y = _certificate(p) if certify else None
+        # the last few live heads finish faster in walk, unless its
+        # closures fall back to generic exact arithmetic
+        fast = None not in (_inverse_forms(p.alpha, p.beta),
+                            _linear_form(p.alpha, p.beta),
+                            _linear_form(p.gamma, p.delta))
+        self.few = _FEW_LANES if fast else 0
 
     def in_sa(self, y: int) -> bool:
-        if self.alpha_one:
-            return y >= self.sa_tail
         if y <= self.B:
             return bool(self.sa[y])
         return self.far_sa(y) > 0
+
+    def _stop(self, cutoff: int):
+        """The least iterate that ends a walk as proved infinite."""
+        return inf if self.Y is None else max(self.Y, cutoff + 1)
 
     def walk(self, x: int, horizon: int, cutoff: int = 0, rec=None,
              j: int = 0):
@@ -406,7 +391,7 @@ class _ScanContext:
 
         Returns (kind, value, y_last, vis, contiguous) with kind one of
         'finite' (value = class index i), 'cand' (value = horizon
-        survived), 'proved' (infinite, alpha = 1 shortcut), or
+        survived), 'proved' (infinite by the certificate), or
         'residual' (trajectory left N).  vis counts trajectory elements
         from step j on that are <= cutoff; rec, if given, collects them;
         contiguous reports whether the visible elements sit at
@@ -418,8 +403,7 @@ class _ScanContext:
         if rec is not None and x <= cutoff:
             rec.append(x)
         sa, B, far, f = self.sa, self.B, self.far_sa, self.f
-        one = self.alpha_one
-        tail, gf = self.sa_tail, self.growth_floor
+        stop = self._stop(cutoff)
         y = x
         kind = val = None
         while True:
@@ -435,19 +419,10 @@ class _ScanContext:
                 last = j
                 if rec is not None:
                     rec.append(y)
-            if one:
-                if y >= tail:
-                    if y > gf and y > cutoff:
-                        kind, val = "proved", j
-                        break
-                    ok = True
-                else:
-                    ok = False
-            elif y <= B:
-                ok = bool(sa[y])
-            else:
-                ok = far(y)
-            if not ok:
+            if y >= stop:
+                kind, val = "proved", j
+                break
+            if not (sa[y] if y <= B else far(y)):
                 kind, val = "finite", j + 1
                 break
             if j >= horizon:
@@ -461,14 +436,12 @@ class _ScanContext:
         """Follow the chains of all heads (int64, each in SA\\SG) at
         once, one step of f per round for every live head, through the
         vectorized kernel.  The steps, exits and visibility rules are
-        those of ``walk``; a head whose iterate passes ``_lane_guard``
-        resumes there at its step j.  With cutoff < 1 nothing is
-        visible, and only the classes and exit steps are returned."""
-        p = self.p
-        member_a = member_lanes_fn(p.alpha, p.beta)
-        floor_g = floor_lanes_fn(p.gamma, p.delta)
-        guard = _lane_guard(p)
+        those of ``walk``; a head whose iterate passes the lane guard,
+        and the last few live heads, resume there at their step j.  With
+        cutoff < 1 nothing is visible, and only the classes and exit
+        steps are returned."""
         track = cutoff >= 1
+        stop = self._stop(cutoff)
         m = heads.size
         cls = np.full(m, _INFINITE, dtype=np.int64)
         left = np.zeros(m, dtype=np.int64)
@@ -521,26 +494,26 @@ class _ScanContext:
         see(live, y, 0)
         j = 0
         while live.size:
-            far = y > guard
-            if far.any():
-                for lane, yv in zip(live[far].tolist(), y[far].tolist()):
+            scalar = (y > self.guard) | (live.size <= self.few)
+            if scalar.any():
+                for lane, yv in zip(live[scalar].tolist(), y[scalar].tolist()):
                     resume(lane, yv, j)
-                live, y = live[~far], y[~far]
-            k = member_a(y)
+                live, y = live[~scalar], y[~scalar]
+            k = self.member_a(y)
             out = k == 0
             cls[live[out]] = j + 1
             live, k = live[~out], k[~out]
             if j >= horizon:
                 break  # survivors stay infinity candidates
-            y = floor_g(k)
+            y = self.floor_g(k)
             j += 1
             out = y < 1
             cls[live[out]] = _RESIDUAL
             left[live[out]] = j
             live, y = live[~out], y[~out]
             see(live, y, j)
-            if self.alpha_one:
-                out = (y >= self.sa_tail) & (y > self.growth_floor) & (y > cutoff)
+            if self.Y is not None:
+                out = y >= stop  # proved infinite
                 live, y = live[~out], y[~out]
 
         if not track:
@@ -578,6 +551,42 @@ def _lane_guard(p: ParamTuple) -> int:
     return floor((LANE_BOUND - d) / g - b) - 3
 
 
+def _certificate(p: ParamTuple) -> Optional[int]:
+    """A threshold Y such that every y >= Y in S(gamma, delta) lies in
+    S(alpha, beta) and has f(y) > y, so a chain reaching Y is infinite;
+    or None.
+
+    Above y0 = max(1, floor(alpha + beta), floor(gamma + delta)) the limit
+    k >= 1 no longer binds, and k -> k + a adds b to floor(b/a*k + beta):
+    membership has period b in S(b/a, beta) and d in S(d/c, delta),
+    whatever the shifts.  So the inclusion holds above y0 iff it holds
+    on [y0, y0 + lcm(b, d)), which the kernel checks; alpha = 1 needs no
+    check, for any gamma.  f(y) > y once (gamma - alpha)*k >=
+    1 + beta - delta, i.e. for y >= floor(alpha*k_f + beta).  None for
+    irrational alpha, a failed inclusion, a period above _PERIOD_CAP,
+    or a threshold past the int64 lanes."""
+    if not isinstance(p.alpha, Rational):
+        return None
+    fa = floor_fn(p.alpha, p.beta)
+    y0 = max(1, fa(1), floor_fn(p.gamma, p.delta)(1))
+    gap = _div(_add(_add(Rational(Fraction(1)), p.beta), _neg(p.delta)),
+               _add(p.gamma, _neg(p.alpha)))
+    hi = gap.enclosure(64)[1]
+    Y = max(y0, fa(max(1, -(-hi.numerator // hi.denominator))))
+    b = p.alpha.value.numerator
+    if b > 1:
+        if not isinstance(p.gamma, Rational):
+            return None
+        period = lcm(b, p.gamma.value.numerator)
+        if period > _PERIOD_CAP or y0 + period > LANE_BOUND:
+            return None
+        y = np.arange(y0, y0 + period, dtype=np.int64)
+        y = y[member_lanes_fn(p.gamma, p.delta)(y) > 0]
+        if not member_lanes_fn(p.alpha, p.beta)(y).all():
+            return None
+    return Y if Y <= LANE_BOUND else None
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -596,10 +605,7 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
     bound = n + p.chain_bound_int()
     ctx = _ScanContext(p, bound)
     free = np.frombuffer(ctx.sg, dtype=np.uint8)[1:] == 0  # x = index + 1
-    if ctx.alpha_one:
-        in_sa = np.arange(1, bound + 1) >= ctx.sa_tail
-    else:
-        in_sa = np.frombuffer(ctx.sa, dtype=np.uint8)[1:] == 1
+    in_sa = np.frombuffer(ctx.sa, dtype=np.uint8)[1:] == 1
     heads = np.flatnonzero(in_sa & free) + 1
     w = ctx.walk_heads(heads, horizon, n)
     vis = np.diff(w.offsets)
@@ -671,16 +677,13 @@ def _window_counts(ctx: _ScanContext, lo: int, hi: int, horizon: int,
     over ``DensityVector.beyond`` follow."""
     reach = 2 * horizon if probe else horizon
     sg = np.frombuffer(ctx.sg, dtype=np.uint8)
-    sa = None if ctx.alpha_one else np.frombuffer(ctx.sa, dtype=np.uint8)
+    sa = np.frombuffer(ctx.sa, dtype=np.uint8)
     a1 = cand = moved = 0
     finite: dict[int, int] = {}
     for start in range(lo, hi + 1, CHUNK):
         stop = min(start + CHUNK, hi + 1)
         free = sg[start:stop] == 0
-        if sa is None:
-            in_sa = np.arange(start, stop) >= ctx.sa_tail
-        else:
-            in_sa = sa[start:stop] == 1
+        in_sa = sa[start:stop] == 1
         a1 += int(np.count_nonzero(free & ~in_sa))
         heads = np.flatnonzero(free & in_sa) + start
         w = ctx.walk_heads(heads, reach, 0)

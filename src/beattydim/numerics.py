@@ -204,9 +204,6 @@ class QuadraticSurd(Real):
         y = self.b.numerator * (z // self.b.denominator)
         return _surd_floor_ints(x, y, self.d, z)
 
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.a, -self.b, self.d)
-
     def __eq__(self, other):
         if isinstance(other, QuadraticSurd):
             return (self.a, self.b, self.d) == (other.a, other.b, other.d)

@@ -1,37 +1,65 @@
 import io
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beattydim import (
+    NonPositiveImage,
     ParamTuple,
     HorizonTooSmall,
-    classify_head,
     decompose,
     derived_dij,
     dij_row,
     empirical_densities,
     residual_count,
 )
+from beattydim.beatty import f_map, member
 from beattydim.chains import (
     A1,
-    NOT_HEAD,
     Chain,
+    ChainClass,
     _ScanContext,
+    _certificate,
     _window_counts,
     default_horizon,
     finite_class,
     infinity_candidate,
 )
+from beattydim.numerics import Rational, rational, surd
 from conftest import REGION_TUPLES
+
+NOT_HEAD = ChainClass("not_head")
+
+
+def classify_head(x, p, horizon):
+    """Reference classifier via the generic exact operations.
+
+    NonPositiveImage propagates if the trajectory leaves the positive
+    integers (the scan records such heads as residual)."""
+    if member(x, p.gamma, p.delta) is not None:
+        return NOT_HEAD
+    if member(x, p.alpha, p.beta) is None:
+        return A1
+    y = f_map(x, p)
+    j = 1
+    while True:
+        if member(y, p.alpha, p.beta) is None:
+            return finite_class(j + 1)
+        if j >= horizon:
+            return infinity_candidate(horizon)
+        y = f_map(y, p)
+        j += 1
 
 
 def scalar_decompose(p, n):
     """Reference for decompose: one scalar walk per head, as
-    (chains, residual, counts, all_contiguous)."""
+    (chains, residual, counts, all_contiguous), with no certificate."""
     horizon = default_horizon(p, n)
     bound = n + p.chain_bound_int()
-    ctx = _ScanContext(p, bound)
+    ctx = _ScanContext(p, bound, certify=False)
     covered = bytearray(n + 1)
     chains, counts, all_contiguous = [], {}, True
     for x in range(1, bound + 1):
@@ -63,7 +91,9 @@ def scalar_decompose(p, n):
 def scalar_window_counts(ctx, lo, hi, horizon, probe):
     """Reference for _window_counts: one scalar walk per head to the
     horizon, then, with probe, every candidate resumed in walk to twice
-    the horizon, as (a1, finite, cand, moved)."""
+    the horizon, as (a1, finite, cand, moved); ctx is rebuilt without
+    the certificate."""
+    ctx = _ScanContext(ctx.p, ctx.B, certify=False)
     a1 = cand = moved = 0
     finite, survivors = {}, []
     for x in range(lo, hi + 1):
@@ -75,10 +105,9 @@ def scalar_window_counts(ctx, lo, hi, horizon, probe):
         kind, val, y, _, _ = ctx.walk(x, horizon)
         if kind == "finite":
             finite[val] = finite.get(val, 0) + 1
-        elif kind != "residual":
+        elif kind == "cand":
             cand += 1
-            if kind == "cand":
-                survivors.append(y)
+            survivors.append(y)
     for y in survivors if probe else ():
         kind, val = ctx.walk(y, 2 * horizon, j=horizon)[:2]
         if kind in ("finite", "residual"):
@@ -120,13 +149,9 @@ def test_classify_head_examples():
 
 
 def test_classify_head_residual_abort():
-    import pytest as _pytest
-
-    from beattydim import NonPositiveImage
-
     # trajectory 4 -> 2 -> floor(3*1 - 4) = -1 leaves N; the reference
     # classifier propagates, decompose records the elements as residual
-    with _pytest.raises(NonPositiveImage):
+    with pytest.raises(NonPositiveImage):
         classify_head(4, ParamTuple(2, 0, 3, -4), 40)
 
 
@@ -190,15 +215,13 @@ def test_scan_matches_reference_classifier(tup):
 
 @pytest.mark.parametrize("key,H", [("R2", 6), ("R9", 6), ("R1", 1), ("R10", 6)])
 def test_resumed_walk_matches_fresh_walk(key, H):
-    # the horizon-doubling probe resumes each horizon-H survivor at step
-    # H; it must end exactly where a fresh walk to 2H ends.  Survivors
-    # stay candidates in R2/R9, get proved infinite in R1 (alpha = 1,
-    # hence H = 1) and mostly turn finite in R10.
-    from beattydim.chains import _ScanContext
-
+    # a walk resumed at step H from a horizon-H survivor must end
+    # exactly where a fresh walk to 2H ends.  Without the certificate,
+    # survivors stay candidates in R2/R9 and R1 and mostly turn finite
+    # in R10.
     p = REGION_TUPLES[key]
     n = 2000
-    ctx = _ScanContext(p, n)
+    ctx = _ScanContext(p, n, certify=False)
     resumed = 0
     for x in range(1, n + 1):
         if ctx.sg[x] or not ctx.in_sa(x):
@@ -441,3 +464,149 @@ def test_empirical_densities_independent_of_chunk(key, chunk, n, monkeypatch):
     got = empirical_densities(p, [(1, n)], K=5)
     assert got == ref
     assert list((got.beyond or {}).items()) == list((ref.beyond or {}).items())
+
+
+# ---------------------------------------------------------------------------
+# the certificate: chains proved infinite over one period
+# ---------------------------------------------------------------------------
+
+def assert_certificate_sound(p, span=None):
+    """With a certificate Y, every y in [Y, Y + span] (three periods of
+    the two memberships by default) that lies in S(gamma, delta) lies in
+    S(alpha, beta) and has f(y) > y, by the generic exact operations.
+    Returns whether there is a certificate."""
+    Y = _certificate(p)
+    if Y is None:
+        return False
+    if span is None:
+        span = 3 * lcm(p.alpha.value.numerator, p.gamma.value.numerator)
+    for y in range(Y, Y + span + 1):
+        if member(y, p.gamma, p.delta) is not None:
+            assert member(y, p.alpha, p.beta) is not None, (p, Y, y)
+            assert f_map(y, p) > y, (p, Y, y)
+    return True
+
+
+@st.composite
+def _certificate_case(draw):
+    b = draw(st.integers(1, 12))
+    alpha = Fraction(b, draw(st.integers(1, b)))
+    c = draw(st.integers(1, 8))
+    gamma = Fraction(int(alpha * c) + draw(st.integers(1, 16)), c)
+    shift = st.one_of(
+        st.builds(rational, st.integers(-60, 60), st.integers(1, 6)),
+        st.builds(surd, st.integers(-60, 60), st.sampled_from([-2, -1, 1, 3]),
+                  st.sampled_from([2, 3, 5])),
+    )
+    return ParamTuple(Rational(alpha), draw(shift), Rational(gamma), draw(shift))
+
+
+@given(p=_certificate_case())
+@settings(max_examples=150, deadline=None)
+def test_certificate_is_sound(p):
+    assert_certificate_sound(p)
+
+
+@pytest.mark.parametrize("tup,certified", [
+    (("3/2", 0, 3, 0), True),  # R2: f(floor(3k/2)) = 3k = floor(3*2k/2)
+    ((2, 0, 4, 2), True),  # R9: S(4, 2) is even, f(y) = 2y + 2
+    ((1, 0, 2, 0), True),
+    ((1, "1/3", "7/3", -5), True),
+    (("3/2", 0, 3, -500), True),  # f(y) > y only from y = 1000 on
+    ((2, 0, 4, "2+sqrt(2)/4"), True),  # a surd shift
+    (("4/3", 0, "8/3", "1+sqrt(2)"), False),  # 7 in S(8/3, .), not S(4/3, 0)
+    ((2, 0, 3, 0), False),  # R10: S(3, 0) holds odd numbers
+    (("21/20", 0, "11/10", 0), False),
+    ((2, 1, 4, 0), False),  # R8: S(4, 0) is even, S(2, 1) odd
+    ((3, 0, 6, 1), False),
+    (("65537/65536", 0, 2, 0), False),  # period past the cap
+    ((2, 0, "sqrt(17)", 0), False),  # irrational gamma, alpha != 1
+    (("sqrt(2)", 0, 3, 0), False),  # irrational alpha
+])
+def test_certificate_sweep(tup, certified):
+    p = ParamTuple(*tup)
+    if isinstance(p.gamma, Rational) and isinstance(p.alpha, Rational):
+        assert assert_certificate_sound(p) == certified
+    else:
+        assert (_certificate(p) is not None) == certified
+
+
+@pytest.mark.parametrize("tup", [
+    (1, 0, "sqrt(5)", 0), (1, 0, "sqrt(5)", -7), (1, -3, "1+sqrt(2)", "1/2"),
+    (1, "sqrt(2)", "sqrt(3)", "-sqrt(5)"),
+])
+def test_certificate_alpha_one_any_gamma(tup):
+    # S(1, beta) holds a whole integer tail, so gamma may be irrational
+    assert assert_certificate_sound(ParamTuple(*tup), span=300)
+
+
+def assert_matches_references(p, n):
+    """decompose and the window counts (probe on, lo = 1 and lo > 1)
+    equal the references, which run without the certificate; no
+    candidate moves on a certified tuple."""
+    assert_matches_scalar(p, n)
+    moved = assert_counts_match(p, 1, n) + assert_counts_match(p, n // 3, n)
+    if _certificate(p) is not None:
+        assert moved == 0
+
+
+# the d_inf > 0 tuples of the scan benchmark catalog
+DINF_TUPLES = [
+    ("3/2", 0, 3, 0), (2, 0, 4, 2), (2, 1, 4, 1), (3, 0, 6, 3),
+    ("5/2", 0, 5, 0), ("4/3", 0, "8/3", 0), ("3/2", "1/2", 3, 0),
+    (3, 1, 6, 1),
+]
+
+
+@pytest.mark.parametrize("tup", DINF_TUPLES)
+def test_dinf_tuples_match_references(tup):
+    p = ParamTuple(*tup)
+    assert _certificate(p) is not None
+    assert_matches_references(p, 6000)
+
+
+@pytest.mark.parametrize("tup", [
+    (1, 0, "5/2", 0), (1, "1/3", "7/3", -5), (1, 0, "21/20", 0),
+    (1, 0, "sqrt(5)", -7), (1, -3, "1+sqrt(2)", "1/2"),
+])
+def test_alpha_one_tuples_match_references(tup):
+    assert_matches_references(ParamTuple(*tup), 4000)
+
+
+def _rational_sweep():
+    import random
+
+    rng = random.Random(20261018)
+    tuples = []
+    while len(tuples) < 16:
+        b = rng.randint(1, 6)
+        alpha = Fraction(b, rng.randint(1, b))
+        c = rng.randint(1, 3)
+        gamma = Fraction(int(alpha * c) + rng.randint(1, 6), c)
+        beta, delta = (Fraction(rng.randint(-30, 30), rng.randint(1, 3))
+                       for _ in range(2))
+        tuples.append(tuple(map(str, (alpha, beta, gamma, delta))))
+    return tuples
+
+
+@pytest.mark.parametrize("tup", _rational_sweep(), ids=",".join)
+def test_rational_sweep_matches_references(tup):
+    assert_matches_references(ParamTuple(*tup), 3000)
+
+
+def test_rational_sweep_has_both_outcomes():
+    outcomes = {_certificate(ParamTuple(*t)) is not None
+                for t in _rational_sweep()}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("few", [0, 8, 10**6])
+def test_slow_ratio_tail_matches_references(few, monkeypatch):
+    # gamma/alpha near 1: long horizons, blocks end with few live heads,
+    # which finish in the scalar walk (all of them with few = 10**6)
+    import beattydim.chains as chains_mod
+
+    monkeypatch.setattr(chains_mod, "_FEW_LANES", few)
+    p = ParamTuple("21/20", 0, "11/10", 0)
+    assert_counts_match(p, 1, 20_000)
+    assert_matches_scalar(p, 3000)
