@@ -29,8 +29,7 @@ once to every live head through the vectorized exact kernel
 (``beatty.floor_lanes_fn``/``member_lanes_fn``) and returns per-head
 arrays (class, the step a residual chain left N, and, when elements are
 visible, contiguity and the visible elements in CSR form); an iterate
-past the kernel's int64 guard, and the last few live heads, resume in
-``walk`` at their step.
+past the kernel's int64 guard resumes in ``walk`` at its step.
 
 ``walk_heads`` is the one head-scan engine.  ``decompose`` runs it over
 every head and stores the chains in columns, with the refined counts
@@ -58,8 +57,6 @@ import numpy as np
 from .beatty import (
     LANE_BOUND,
     ParamTuple,
-    _inverse_forms,
-    _linear_form,
     f_step_fn,
     first_positive_k,
     floor_fn,
@@ -71,7 +68,6 @@ from .numerics import Rational, _add, _div, _mul, _neg, as_real
 
 DEFAULT_K = 40
 CHUNK = 1 << 12  # lanes per table-marking call, positions per head walk
-_FEW_LANES = 8  # walk_heads finishes this many live heads in the scalar walk
 _PERIOD_CAP = 1 << 16  # longest membership period a certificate checks
 
 Num = Union[Fraction, float]
@@ -352,11 +348,10 @@ class _ScanContext:
     """Per-tuple scan state, built once per tuple: membership tables
     inside [1, B], integer closures beyond, the lane kernels and guard
     of ``walk_heads``, and the certificate threshold Y (None without
-    one, or with ``certify=False`` for references independent of it).
-    A walk stops as proved infinite at an iterate y >= Y above the
-    cutoff: every later iterate is larger and in S(alpha, beta)."""
+    one).  A walk stops as proved infinite at an iterate y >= Y above
+    the cutoff: every later iterate is larger and in S(alpha, beta)."""
 
-    def __init__(self, p: ParamTuple, bound: int, certify: bool = True):
+    def __init__(self, p: ParamTuple, bound: int):
         self.p = p
         self.B = bound
         self.sg = _mark_bitset(p.gamma, p.delta, bound)
@@ -366,13 +361,7 @@ class _ScanContext:
         self.member_a = member_lanes_fn(p.alpha, p.beta)
         self.floor_g = floor_lanes_fn(p.gamma, p.delta)
         self.guard = _lane_guard(p)
-        self.Y = _certificate(p) if certify else None
-        # the last few live heads finish faster in walk, unless its
-        # closures fall back to generic exact arithmetic
-        fast = None not in (_inverse_forms(p.alpha, p.beta),
-                            _linear_form(p.alpha, p.beta),
-                            _linear_form(p.gamma, p.delta))
-        self.few = _FEW_LANES if fast else 0
+        self.Y = _certificate(p)
 
     def in_sa(self, y: int) -> bool:
         if y <= self.B:
@@ -436,10 +425,9 @@ class _ScanContext:
         """Follow the chains of all heads (int64, each in SA\\SG) at
         once, one step of f per round for every live head, through the
         vectorized kernel.  The steps, exits and visibility rules are
-        those of ``walk``; a head whose iterate passes the lane guard,
-        and the last few live heads, resume there at their step j.  With
-        cutoff < 1 nothing is visible, and only the classes and exit
-        steps are returned."""
+        those of ``walk``; a head whose iterate passes the lane guard
+        resumes there at its step j.  With cutoff < 1 nothing is
+        visible, and only the classes and exit steps are returned."""
         track = cutoff >= 1
         stop = self._stop(cutoff)
         m = heads.size
@@ -494,11 +482,11 @@ class _ScanContext:
         see(live, y, 0)
         j = 0
         while live.size:
-            scalar = (y > self.guard) | (live.size <= self.few)
-            if scalar.any():
-                for lane, yv in zip(live[scalar].tolist(), y[scalar].tolist()):
+            far = y > self.guard
+            if far.any():
+                for lane, yv in zip(live[far].tolist(), y[far].tolist()):
                     resume(lane, yv, j)
-                live, y = live[~scalar], y[~scalar]
+                live, y = live[~far], y[~far]
             k = self.member_a(y)
             out = k == 0
             cls[live[out]] = j + 1
@@ -723,16 +711,18 @@ def empirical_densities(
     )
     if not wins or any(w[0] < 1 or w[1] <= w[0] for w in wins):
         raise ValueError("windows must be non-degenerate (n1 >= 1, n2 > n1)")
+    top = max(w[1] for w in wins)
     if horizon is None:
-        horizon = default_horizon(p, max(w[1] for w in wins))
+        horizon = default_horizon(p, top)
     elif horizon < 1:
         raise ValueError("horizon must be >= 1")
 
+    # every window reads only its own slice of the tables
+    ctx = _ScanContext(p, top)
     per_window = []
     for idx, (lo, hi) in enumerate(wins):
         probe = check_horizon and idx == 0
-        a1, fin, cand, moved = _window_counts(
-            _ScanContext(p, hi), lo, hi, horizon, probe)
+        a1, fin, cand, moved = _window_counts(ctx, lo, hi, horizon, probe)
         share = moved / (hi - lo + 1)
         if probe and share > stability_tol:
             raise HorizonTooSmall(
