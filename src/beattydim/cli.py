@@ -17,6 +17,7 @@ sorted and floats rounded to 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal
@@ -88,7 +89,10 @@ def _add_param_flags(sp, need_matrix: bool) -> None:
     sp.add_argument("--search-bound", type=int, default=10_000)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call in the process.  Callers must not mutate it."""
     ap = argparse.ArgumentParser(
         prog="beattydim",
         description="Dimensions and densities of Beatty multiple shifts",

@@ -4,16 +4,20 @@
 pairs -- no use of the chain classification -- and multiplies exact
 per-component coloring counts.  Injectivity of k -> floor(tau*k + eta)
 caps every in- and out-degree at 1, so components are simple paths or
-(rarely, among elements below the growth bound) short cycles; paths are
-counted by dynamic programming, cycles by the trace of the matching
-matrix power.  ``exhaustive_count`` enumerates every word of length n
-outright and checks each visible constraint, giving a ground-truth
-oracle for small n.
+(rarely, among elements below the growth bound) short cycles.  The
+components are tallied by length; one dynamic program along A gives the
+path count for every length up to the longest path, and each cycle
+length counts the trace of the matching matrix power.
+``exhaustive_count`` enumerates every word of length n outright as one
+boolean tensor with an axis per position, and checks each visible
+constraint against every word: a ground-truth oracle for small n, with
+m**n bytes of memory.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +44,16 @@ class PatternCount:
     components: int
 
 
-def _path_count(A: BinaryMatrix, length: int) -> int:
-    """Colorings of a path with `length` vertices: DP along the edges."""
+def _path_counts(A: BinaryMatrix, longest: int) -> list[int]:
+    """pc[L] = colorings of a path with L vertices, for every
+    L <= longest: one DP along the edges."""
     vec = [1] * A.m
     rows = A.rows
-    for _ in range(length - 1):
+    pc = [1, A.m]
+    for _ in range(longest - 1):
         vec = [sum(rows[s][t] * vec[t] for t in range(A.m)) for s in range(A.m)]
-    return sum(vec)
+        pc.append(sum(vec))
+    return pc
 
 
 def count_patterns(p: ParamTuple, A: BinaryMatrix, n: int) -> PatternCount:
@@ -65,8 +72,8 @@ def count_patterns(p: ParamTuple, A: BinaryMatrix, n: int) -> PatternCount:
             raise NonPathComponent(f"vertex {v} has two incoming constraints")
     vertices = set(out) | set(indeg)
     visited: set[int] = set()
-    count = 1
-    components = 0
+    paths: Counter[int] = Counter()  # path length -> number of paths
+    cycles: Counter[int] = Counter()
     # paths: start anywhere without an incoming edge
     for start in sorted(vertices):
         if start in visited or start in indeg:
@@ -78,8 +85,7 @@ def count_patterns(p: ParamTuple, A: BinaryMatrix, n: int) -> PatternCount:
             cur = out[cur]
             visited.add(cur)
             length += 1
-        count *= _path_count(A, length)
-        components += 1
+        paths[length] += 1
     # remaining vertices lie on cycles
     for start in sorted(vertices):
         if start in visited:
@@ -94,39 +100,45 @@ def count_patterns(p: ParamTuple, A: BinaryMatrix, n: int) -> PatternCount:
                 break
             if cur in visited:
                 raise NonPathComponent("malformed cycle in constraint graph")
-        count *= A.trace_power(length)
-        components += 1
+        cycles[length] += 1
     isolated = n - len(vertices)
-    count *= A.m ** isolated
+    pc = _path_counts(A, max(paths, default=1))
+    count = A.m ** isolated
+    for length, c in paths.items():
+        count *= pc[length] ** c
+    for length, c in cycles.items():
+        count *= A.trace_power(length) ** c
     return PatternCount(
-        n=n, count=count, method="component-dp", components=components + isolated
+        n=n, count=count, method="component-dp",
+        components=paths.total() + cycles.total() + isolated,
     )
 
 
 def exhaustive_count(p: ParamTuple, A: BinaryMatrix, n: int,
                      cap_bits: int = 24) -> int:
     """Enumerate all m**n words, keep those satisfying every constraint
-    with both endpoints in [1, n].  Requires m**n <= 2**cap_bits."""
+    with both endpoints in [1, n].  Requires m**n <= 2**cap_bits.
+
+    The words are the cells of one boolean tensor of shape (m,) * n,
+    whose axis i is the symbol at position i + 1.  Each edge (u, v) ANDs
+    in A broadcast onto axes u - 1 and v - 1 (A.T when u > v, the
+    diagonal of A when u = v), so every word is checked against every
+    edge.  Memory is m**n bytes, 16 MiB at the default cap."""
     m = A.m
     if n < 1:
         raise ValueError("window size must be >= 1")
     if n * math.log2(m) > cap_bits:
         raise CapExceeded(f"m^n = {m}**{n} exceeds the 2**{cap_bits} cap")
-    edges = constraint_edges(p, n)
-    total_words = m**n
     allowed = np.array(A.rows, dtype=bool)
-    powers = [m**i for i in range(n)]
-    count = 0
-    chunk = 1 << 20
-    for lo in range(0, total_words, chunk):
-        ids = np.arange(lo, min(lo + chunk, total_words), dtype=np.int64)
-        ok = np.ones(ids.shape, dtype=bool)
-        for u, v in edges:
-            du = (ids // powers[u - 1]) % m
-            dv = (ids // powers[v - 1]) % m
-            ok &= allowed[du, dv]
-        count += int(ok.sum())
-    return count
+    ok = np.ones((m,) * n, dtype=bool)
+    for u, v in constraint_edges(p, n):
+        shape = [1] * n
+        shape[u - 1] = shape[v - 1] = m
+        if u == v:
+            ok &= allowed.diagonal().reshape(shape)
+        else:
+            ok &= (allowed if u < v else allowed.T).reshape(shape)
+    return int(np.count_nonzero(ok))
 
 
 def finite_scale_logcount(p: ParamTuple, A: BinaryMatrix, n: int) -> float:

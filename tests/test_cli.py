@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from beattydim.cli import main
+from beattydim.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +208,45 @@ def test_dim_empty_row(capsys):
     assert code == 2
     assert captured.out == ""
     assert "invalid input: matrix has an empty row" in captured.err
+
+
+VERIFY = ["verify", "--alpha", "3/2", "--gamma", "3", "--matrix", "11;10",
+          "--n", "18"]
+DIM = ["dim", "--alpha", "2", "--gamma", "3", "--matrix", "11;10",
+       "--n", "500", "--which", "minkowski"]
+CLASSIFY = ["classify", "--alpha", "2", "--gamma", "4", "--delta", "2"]
+REJECTED = ["verify", "--alpha", "2", "--matrix", "11;10"]  # no --gamma
+INVALID = ["verify", "--alpha", "zebra", "--gamma", "3", "--matrix", "11;10"]
+
+
+def _call(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def _fresh(capsys, argv):
+    """Exit code and stdout of a call on a newly built parser."""
+    build_parser.cache_clear()
+    return _call(capsys, argv)
+
+
+def test_parser_is_built_once():
+    build_parser.cache_clear()
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("sequence, codes", [
+    ([VERIFY, VERIFY], [0, 0]),
+    ([VERIFY, DIM, CLASSIFY, VERIFY], [0, 0, 0, 0]),
+    ([REJECTED, VERIFY, DIM], [2, 0, 0]),
+    ([INVALID, VERIFY, CLASSIFY], [2, 0, 0]),
+], ids=["verify-twice", "verify-dim-classify-verify", "after-rejection",
+        "after-invalid-input"])
+def test_reused_parser_matches_fresh_calls(capsys, sequence, codes):
+    fresh = [_fresh(capsys, argv) for argv in sequence]
+    assert [code for code, _ in fresh] == codes
+    build_parser.cache_clear()
+    assert [_call(capsys, argv) for argv in sequence] == fresh

@@ -1,6 +1,11 @@
 import math
+from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beattydim import (
     GOLDEN_MEAN,
@@ -8,12 +13,96 @@ from beattydim import (
     CapExceeded,
     ParamTuple,
     chain_product_count,
+    constraint_edges,
     count_patterns,
     decompose,
     exhaustive_count,
     finite_scale_logcount,
 )
+from beattydim.oracle import NonPathComponent, PatternCount
 from conftest import REGION_TUPLES
+
+
+def scalar_exhaustive_count(p, A, n):
+    """Reference enumeration: word id -> digits by int64 division, in
+    chunks of 2**20 words; every word checked against every edge."""
+    return _scalar_word_count(constraint_edges(p, n), A, n)
+
+
+def _scalar_word_count(edges, A, n):
+    m = A.m
+    total_words = m**n
+    allowed = np.array(A.rows, dtype=bool)
+    powers = [m**i for i in range(n)]
+    count = 0
+    chunk = 1 << 20
+    for lo in range(0, total_words, chunk):
+        ids = np.arange(lo, min(lo + chunk, total_words), dtype=np.int64)
+        ok = np.ones(ids.shape, dtype=bool)
+        for u, v in edges:
+            du = (ids // powers[u - 1]) % m
+            dv = (ids // powers[v - 1]) % m
+            ok &= allowed[du, dv]
+        count += int(ok.sum())
+    return count
+
+
+def _path_count(A, length):
+    """Colorings of a path with `length` vertices: DP along the edges."""
+    vec = [1] * A.m
+    rows = A.rows
+    for _ in range(length - 1):
+        vec = [sum(rows[s][t] * vec[t] for t in range(A.m)) for s in range(A.m)]
+    return sum(vec)
+
+
+def scalar_count_patterns(p, A, n):
+    """Reference graph count: one path DP per component, multiplied in
+    component order."""
+    out, indeg = {}, {}
+    for u, v in constraint_edges(p, n):
+        if u in out:
+            raise NonPathComponent(f"vertex {u} has two outgoing constraints")
+        out[u] = v
+        indeg[v] = indeg.get(v, 0) + 1
+        if indeg[v] > 1:
+            raise NonPathComponent(f"vertex {v} has two incoming constraints")
+    vertices = set(out) | set(indeg)
+    visited = set()
+    count = 1
+    components = 0
+    for start in sorted(vertices):
+        if start in visited or start in indeg:
+            continue
+        length = 1
+        visited.add(start)
+        cur = start
+        while cur in out:
+            cur = out[cur]
+            visited.add(cur)
+            length += 1
+        count *= _path_count(A, length)
+        components += 1
+    for start in sorted(vertices):
+        if start in visited:
+            continue
+        length = 0
+        cur = start
+        while True:
+            visited.add(cur)
+            length += 1
+            cur = out[cur]
+            if cur == start:
+                break
+            if cur in visited:
+                raise NonPathComponent("malformed cycle in constraint graph")
+        count *= A.trace_power(length)
+        components += 1
+    isolated = n - len(vertices)
+    count *= A.m ** isolated
+    return PatternCount(n=n, count=count, method="component-dp",
+                        components=components + isolated)
+
 
 ORACLE_TUPLES = [
     (1, 0, 2, 0), (2, 1, 4, 0), (2, 0, 3, 0), (2, 0, 4, 2),
@@ -141,3 +230,110 @@ def test_chain_product_refuses_constrained_residual():
         chain_product_count(dec, GOLDEN_MEAN, p)
     with pytest.raises(ValueError):
         chain_product_count(dec, GOLDEN_MEAN)  # residual needs p to verify
+
+
+# the index pairs on [1, 14] run backwards, (6, 2), and through the
+# self-loop (10, 10)
+BACKWARD_TUPLE = (1, 5, 2, 0)
+NON_SYMMETRIC = {
+    2: ("11;10", "10;11", "11;01", "01;11"),
+    3: ("110;001;111", "111;110;100", "011;101;110", "100;011;111"),
+    4: ("1100;0011;1110;0101", "1000;1100;0110;1111", "0111;1011;1101;0001"),
+}
+# largest window under the 2**24 cap; the scalar reference is slow there
+CAP_N = {2: 24, 3: 15, 4: 12}
+
+
+def test_backward_tuple_edges():
+    edges = constraint_edges(ParamTuple(*BACKWARD_TUPLE), 14)
+    assert (6, 2) in edges and (10, 10) in edges
+
+
+# surds a + b*sqrt(r) >= 1, in increasing order
+SURDS = sorted(
+    (a + b * math.sqrt(r), f"{a}+{b}*sqrt({r})" if a else f"{b}*sqrt({r})")
+    for r in (2, 3, 5) for a in (0, 1, 2) for b in (1, 2)
+)
+
+
+@st.composite
+def _oracle_tuples(draw):
+    """Rational or surd (alpha, gamma) with rational shifts in [-6, 6]."""
+    shift = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    beta, delta = str(draw(shift)), str(draw(shift))
+    if draw(st.booleans()):
+        alpha = draw(st.fractions(min_value=1, max_value=4, max_denominator=5))
+        gamma = alpha + draw(st.fractions(min_value=Fraction(1, 5), max_value=4,
+                                          max_denominator=5))
+        return ParamTuple(str(alpha), beta, str(gamma), delta)
+    i = draw(st.integers(min_value=0, max_value=len(SURDS) - 2))
+    j = draw(st.integers(min_value=i + 1, max_value=len(SURDS) - 1))
+    return ParamTuple(SURDS[i][1], beta, SURDS[j][1], delta)
+
+
+@given(p=_oracle_tuples(), m=st.sampled_from([2, 3, 4]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_exhaustive_count_matches_scalar_reference(p, m, data):
+    A = BinaryMatrix.from_string(data.draw(st.sampled_from(NON_SYMMETRIC[m])))
+    n = data.draw(st.integers(min_value=1, max_value={2: 14, 3: 9, 4: 7}[m]))
+    assert exhaustive_count(p, A, n) == scalar_exhaustive_count(p, A, n)
+
+
+# On Beatty edge sets every path runs one way (u < v on each edge, or
+# u > v on each), and reversing a whole path keeps |A^L|, so only
+# arbitrary edge sets tell A from A.T on a backward edge.
+@given(m=st.sampled_from([2, 3, 4]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_exhaustive_count_on_arbitrary_edges(m, data):
+    A = BinaryMatrix.from_string(data.draw(st.sampled_from(NON_SYMMETRIC[m])))
+    n = data.draw(st.integers(min_value=1, max_value={2: 12, 3: 8, 4: 6}[m]))
+    vertex = st.integers(min_value=1, max_value=n)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    with mock.patch("beattydim.oracle.constraint_edges", lambda p, n: edges):
+        got = exhaustive_count(None, A, n)
+    assert got == _scalar_word_count(edges, A, n)
+
+
+def test_exhaustive_count_mixed_direction_path():
+    # 1 -> 3 -> 2 under A = 11;01: x1 <= x3 and x3 <= x2
+    with mock.patch("beattydim.oracle.constraint_edges",
+                    lambda p, n: [(1, 3), (3, 2)]):
+        assert exhaustive_count(None, BinaryMatrix.from_string("11;01"), 3) == 4
+
+
+@pytest.mark.parametrize("text", [t for ts in NON_SYMMETRIC.values() for t in ts])
+def test_backward_edges_and_self_loop_match_scalar_reference(text):
+    p = ParamTuple(*BACKWARD_TUPLE)
+    A = BinaryMatrix.from_string(text)
+    for n in range(1, {2: 15, 3: 11, 4: 9}[A.m]):
+        assert exhaustive_count(p, A, n) == scalar_exhaustive_count(p, A, n)
+
+
+@pytest.mark.parametrize("text", ["11;10", "110;001;111"])
+def test_exhaustive_count_at_the_cap(text):
+    A = BinaryMatrix.from_string(text)
+    n = CAP_N[A.m]
+    for tup in [(2, 0, 3, 0), BACKWARD_TUPLE]:
+        p = ParamTuple(*tup)
+        assert exhaustive_count(p, A, n) == count_patterns(p, A, n).count
+    with pytest.raises(CapExceeded):
+        exhaustive_count(p, A, n + 1)
+
+
+def _assert_same_count(p, A, n):
+    got, ref = count_patterns(p, A, n), scalar_count_patterns(p, A, n)
+    assert (got.count, got.components) == (ref.count, ref.components)
+
+
+@pytest.mark.parametrize("text", ["11;10", "110;001;111"])
+@pytest.mark.parametrize("key", sorted(REGION_TUPLES))
+def test_count_patterns_matches_scalar_reference(key, text):
+    _assert_same_count(REGION_TUPLES[key], BinaryMatrix.from_string(text), 2000)
+
+
+@pytest.mark.parametrize("text", ["11;10", "01;11", "110;001;111", "111;110;100"])
+def test_count_patterns_cycles_and_backward_edges(text):
+    A = BinaryMatrix.from_string(text)
+    for tup in [("sqrt(2)", 0, "sqrt(3)", 0), BACKWARD_TUPLE]:
+        for n in (1, 2, 10, 14, 300, 2000):
+            _assert_same_count(ParamTuple(*tup), A, n)
