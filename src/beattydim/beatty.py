@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import (
+    PrecisionExhausted,
     QuadraticSurd,
     Rational,
     Real,
@@ -70,10 +71,14 @@ class ParamTuple:
     def __init__(self, alpha, beta, gamma, delta):
         alpha, beta = _coerce(alpha), _coerce(beta)
         gamma, delta = _coerce(gamma), _coerce(delta)
-        if compare(alpha, 1) < 0:
-            raise ValueError("alpha must satisfy alpha >= 1")
-        if compare(alpha, gamma) >= 0:
-            raise ValueError("parameters must satisfy alpha < gamma")
+        try:
+            if compare(alpha, 1) < 0:
+                raise ValueError("alpha must satisfy alpha >= 1")
+            if compare(alpha, gamma) >= 0:
+                raise ValueError("parameters must satisfy alpha < gamma")
+        except PrecisionExhausted as exc:
+            # e.g. alpha = gamma written as two different radicand sums
+            raise ValueError(f"cannot decide 1 <= alpha < gamma: {exc}") from None
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)

@@ -34,11 +34,11 @@ past the kernel's int64 guard resumes in ``walk`` at its step.
 ``walk_heads`` is the one head-scan engine.  ``decompose`` runs it over
 every head and stores the chains in columns, with the refined counts
 d_{i,j} (exactly j of the i chain elements inside [1,n]) and the
-residual set; ``measured_dij`` and ``residual_count`` read them off it.
-``_window_counts`` runs it over a window in blocks of CHUNK positions
-and keeps only class tallies, from which ``empirical_densities``
-estimates d_i; its horizon-doubling probe walks each head once to twice
-the horizon and reads the class at the horizon off that walk.
+residual set.  ``_window_counts`` runs it over a window in blocks of
+CHUNK positions and keeps only class tallies, from which
+``empirical_densities`` estimates d_i; its horizon-doubling probe walks
+each head once to twice the horizon and reads the class at the horizon
+off that walk.
 Membership tables are marked in place from chunked kernel floors, so
 windows of 10^6 are routine.
 """
@@ -68,6 +68,7 @@ from .numerics import Rational, _add, _div, _mul, _neg, as_real
 
 DEFAULT_K = 40
 CHUNK = 1 << 12  # lanes per table-marking call, positions per head walk
+STABILITY_TOL = 1e-3  # candidate share a doubled horizon may move
 _PERIOD_CAP = 1 << 16  # longest membership period a certificate checks
 
 Num = Union[Fraction, float]
@@ -637,17 +638,6 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
     )
 
 
-def measured_dij(p: ParamTuple, n: int, horizon: Optional[int] = None) -> dict:
-    """Anchored A_(i,j) head counts on [1, n]: (i, j) -> number of
-    class-i heads with exactly j trajectory elements inside [1, n]."""
-    return decompose(p, n, horizon).counts
-
-
-def residual_count(p: ParamTuple, n: int, horizon: Optional[int] = None) -> int:
-    """|R ∩ [1, n]|, the size of the decomposition's residual set."""
-    return len(decompose(p, n, horizon).residual)
-
-
 # ---------------------------------------------------------------------------
 # empirical densities
 # ---------------------------------------------------------------------------
@@ -693,17 +683,14 @@ def empirical_densities(
     windows: Sequence[tuple[int, int]],
     horizon: Optional[int] = None,
     K: int = DEFAULT_K,
-    check_horizon: bool = True,
-    stability_tol: float = 1e-3,
 ) -> DensityVector:
     """Per-window head-class frequencies; the returned vector uses the
     largest window, with a convergence diagnostic over the two largest.
 
     Raises HorizonTooSmall when doubling the horizon moves the
     infinity-candidate mass of the largest window by more than
-    ``stability_tol`` (long finite chains being mistaken for infinite
-    ones).  With the check, the largest window is counted at the doubled
-    horizon."""
+    ``STABILITY_TOL`` (long finite chains being mistaken for infinite
+    ones).  The largest window is counted at the doubled horizon."""
     if K < 2:
         raise ValueError("K must be >= 2")
     wins = sorted(
@@ -721,10 +708,10 @@ def empirical_densities(
     ctx = _ScanContext(p, top)
     per_window = []
     for idx, (lo, hi) in enumerate(wins):
-        probe = check_horizon and idx == 0
+        probe = idx == 0
         a1, fin, cand, moved = _window_counts(ctx, lo, hi, horizon, probe)
         share = moved / (hi - lo + 1)
-        if probe and share > stability_tol:
+        if probe and share > STABILITY_TOL:
             raise HorizonTooSmall(
                 f"infinity-candidate mass moved by {share:.2e} when "
                 f"doubling the horizon from {horizon}; increase the horizon"

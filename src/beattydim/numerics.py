@@ -31,6 +31,7 @@ from typing import Callable, Tuple, Union
 
 INTERVAL_START_BITS = 128
 INTERVAL_MAX_BITS = 8192
+RADICAND_MAX = 10**12  # parse_real splits radicands by trial division
 
 _EncFn = Callable[[int], Tuple[Fraction, Fraction]]
 
@@ -611,7 +612,8 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
 def parse_real(text: str) -> Real:
     """Parameter grammar: integers ("3"), rationals ("7/2"), decimal
     literals ("2.5", exact), and surd expressions of the form
-    rational ± rational·sqrt(int), e.g. "1+2*sqrt(5)/3" or "sqrt(2)".
+    rational ± rational·sqrt(int), e.g. "1+2*sqrt(5)/3" or "sqrt(2)",
+    with every radicand in [1, RADICAND_MAX].
     """
     s = text.replace(" ", "")
     if not s:
@@ -624,8 +626,14 @@ def parse_real(text: str) -> Real:
         if m:
             coef = _parse_unsigned_rational(m.group(1)) if m.group(1) else Fraction(1)
             if m.group(3):
+                if int(m.group(3)) == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
                 coef /= int(m.group(3))
-            value = surd(0, sgn * coef, int(m.group(2)))
+            radicand = int(m.group(2))
+            if not 1 <= radicand <= RADICAND_MAX:
+                raise ValueError(
+                    f"radicand in {text!r} must lie in [1, {RADICAND_MAX}]")
+            value = surd(0, sgn * coef, radicand)
         else:
             value = Rational(sgn * _parse_unsigned_rational(term))
         total = _add(total, value)

@@ -26,6 +26,8 @@ from .beatty import ParamTuple, constraint_edges
 from .chains import ChainDecomposition
 from .matrix import BinaryMatrix
 
+CAP_BITS = 24  # exhaustive_count enumerates at most 2**CAP_BITS words
+
 
 class NonPathComponent(RuntimeError):
     """A vertex with in- or out-degree above 1: impossible under the
@@ -114,21 +116,20 @@ def count_patterns(p: ParamTuple, A: BinaryMatrix, n: int) -> PatternCount:
     )
 
 
-def exhaustive_count(p: ParamTuple, A: BinaryMatrix, n: int,
-                     cap_bits: int = 24) -> int:
+def exhaustive_count(p: ParamTuple, A: BinaryMatrix, n: int) -> int:
     """Enumerate all m**n words, keep those satisfying every constraint
-    with both endpoints in [1, n].  Requires m**n <= 2**cap_bits.
+    with both endpoints in [1, n].  Requires m**n <= 2**CAP_BITS.
 
     The words are the cells of one boolean tensor of shape (m,) * n,
     whose axis i is the symbol at position i + 1.  Each edge (u, v) ANDs
     in A broadcast onto axes u - 1 and v - 1 (A.T when u > v, the
     diagonal of A when u = v), so every word is checked against every
-    edge.  Memory is m**n bytes, 16 MiB at the default cap."""
+    edge.  Memory is m**n bytes, 16 MiB at the cap."""
     m = A.m
     if n < 1:
         raise ValueError("window size must be >= 1")
-    if n * math.log2(m) > cap_bits:
-        raise CapExceeded(f"m^n = {m}**{n} exceeds the 2**{cap_bits} cap")
+    if n * math.log2(m) > CAP_BITS:
+        raise CapExceeded(f"m^n = {m}**{n} exceeds the 2**{CAP_BITS} cap")
     allowed = np.array(A.rows, dtype=bool)
     ok = np.ones((m,) * n, dtype=bool)
     for u, v in constraint_edges(p, n):

@@ -4,7 +4,7 @@ The parameter space {1 <= alpha < gamma} splits into regions with known
 density vectors:
 
 * R1   alpha = 1 (any gamma > 1):            d = (0, 0, 0.., 1 - 1/gamma)
-* R2   alpha, gamma rational, alpha > 1:     residue-cover machinery below
+* R2   alpha, gamma rational, alpha > 1:     residue-cover count (rational_d)
 * R3   alpha irrational, gamma rational:     d_i = (alpha-1)(gamma-1)/(alpha^i gamma)
 * R4   alpha, gamma irrational with {1, 1/alpha, 1/gamma} Q-independent:
        same formula as R3
@@ -18,8 +18,11 @@ density vectors:
 * R7..R10  the all-integer classification by alpha = 1 / divisibility of
        beta - delta by (alpha, gamma) / alpha_1 = 1.
 
-Integer tuples admit both the direct formulas and the residue-cover
-computation; the two must agree exactly, which the test suite checks.
+Every tuple with rational alpha and gamma (R1 with rational gamma, R2,
+R7..R10) takes its vector from one residue-cover count, ``rational_d``;
+the region id only names the provenance.  The direct R7..R10 formulas
+live in the test suite, as the independent reference that the count
+must match exactly.
 
 For quadratic surds Q-linear independence of {1, 1/alpha, 1/gamma} is
 decided exactly: distinct square-free radicands are always independent,
@@ -29,7 +32,8 @@ rationality and independence undecidable, so they classify as Unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -64,6 +68,9 @@ class NotRational(ValueError):
 
 class UndecidableIndependence(ValueError):
     """Q-independence cannot be decided from interval enclosures."""
+
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,68 +114,42 @@ def g_density(a: int, b: int, i: int, j: int) -> Fraction:
     return Fraction(0)
 
 
-@dataclass(frozen=True)
-class ResidueCover:
-    a: int
-    b: int
-    c: int
-    d: int
-    r_ab: frozenset
-    r_cd: frozenset
-    comp_ab: frozenset
-    comp_cd: frozenset
-
-    @classmethod
-    def from_params(cls, p: ParamTuple) -> "ResidueCover":
-        if not (isinstance(p.alpha, Rational) and isinstance(p.gamma, Rational)):
-            raise NotRational("alpha and gamma must be rational")
-        al, gm = p.alpha.value, p.gamma.value
-        a, b = al.denominator, al.numerator
-        c, d = gm.denominator, gm.numerator
-        r_ab = residue_set(a, b, p.beta)
-        r_cd = residue_set(c, d, p.delta)
-        return cls(
-            a=a, b=b, c=c, d=d,
-            r_ab=r_ab, r_cd=r_cd,
-            comp_ab=frozenset(range(b)) - r_ab,
-            comp_cd=frozenset(range(d)) - r_cd,
-        )
-
-
 def rational_d(p: ParamTuple, K: int = DEFAULT_K) -> DensityVector:
     """Exact density vector for rational alpha = b/a, gamma = d/c.
 
-    With the residue sets R_a^b, R_c^d of the two sequences:
-      d_1     = sum of g(b,d,i,j) over complementary residues,
-      entry   = mass of S(alpha,beta) \\ S(gamma,delta)    (chain heads),
-      ratio   = mass(S_ab ∩ S_cd) / mass(S_cd)             (stay prob.),
-      exit    = mass(S_cd \\ S_ab) / mass(S_cd)            (exit prob.),
-      d_i     = entry * ratio^(i-2) * exit   for i >= 2,
+    Residues i mod b and j mod d meet with density g/(b*d), g = gcd(b, d),
+    exactly when i = j (mod g) (``g_density``).  With S the number of such
+    pairs in R_a^b x R_c^d, counted class by class mod g in O(a + c):
+      stay    = g*S/(b*d)   mass(S_ab ∩ S_cd),
+      d_1     = 1 - a/b - c/d + stay   (in neither sequence),
+      entry   = a/b - stay  mass(S_ab \\ S_cd)   (chain heads),
+      ratio   = stay*d/c    mass(S_ab ∩ S_cd) / mass(S_cd)   (stay prob.),
+      d_i     = entry * ratio^(i-2) * (1 - ratio)   for i >= 2,
       d_inf   = entry * ratio^infinity  (0 if ratio < 1, entry at ratio = 1).
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    cover = ResidueCover.from_params(p)
-    b, d = cover.b, cover.d
-
-    def gsum(iset, jset) -> Fraction:
-        return sum(
-            (g_density(b, d, i, j) for i in iset for j in jset), Fraction(0)
-        )
-
-    d1 = gsum(cover.comp_ab, cover.comp_cd)
-    entry = gsum(cover.r_ab, cover.comp_cd)
-    stay = gsum(cover.r_ab, cover.r_cd)
-    base = sum((g_density(1, d, 0, j) for j in cover.r_cd), Fraction(0))
-    ratio = stay / base
-    exitp = (base - stay) / base
-    finite = [d1]
-    for i in range(2, K + 1):
-        finite.append(entry * ratio ** (i - 2) * exitp)
-    d_inf = entry if ratio == 1 else Fraction(0)
+    if not (isinstance(p.alpha, Rational) and isinstance(p.gamma, Rational)):
+        raise NotRational("alpha and gamma must be rational")
+    al, gm = p.alpha.value, p.gamma.value
+    a, b = al.denominator, al.numerator
+    c, d = gm.denominator, gm.numerator
+    g = gcd(b, d)
+    per_class = Counter(i % g for i in residue_set(a, b, p.beta))
+    pairs = sum(per_class[j % g] for j in residue_set(c, d, p.delta))
+    stay = Fraction(g * pairs, b * d)
+    entry = Fraction(a, b) - stay
+    ratio = stay * Fraction(d, c)
+    d1 = 1 - Fraction(a, b) - Fraction(c, d) + stay
+    # zero entries share one object, so retained vectors stay small
+    finite = [d1 or _ZERO]
+    term = entry * (1 - ratio)
+    for _ in range(2, K + 1):
+        finite.append(term or _ZERO)
+        term *= ratio
     return DensityVector(
         finite=tuple(finite),
-        d_inf=d_inf,
+        d_inf=entry if ratio == 1 else _ZERO,
         K=K,
         provenance=ClosedForm("R2"),
         tail_ratio=ratio,
@@ -362,65 +343,32 @@ def classify_region(p: ParamTuple, search_bound: int = 10_000) -> RegionId:
 
 def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVector:
     """Exact density vector for a region with a known formula.  Rational
-    parameter regions yield exact Fractions; surd regions yield floats
-    evaluated from exact enclosures."""
+    alpha and gamma take ``rational_d`` (exact Fractions) whatever the
+    region; surd regions yield floats evaluated from exact enclosures."""
     rid = r.id
     if K < 2:
         raise ValueError("K must be >= 2")
     if not r.has_closed_form():
         raise NoClosedForm(f"region {rid} has no closed-form density vector")
 
-    if rid == "R2":
-        return rational_d(p, K)
-
     prov = ClosedForm(rid)
-    if rid in ("R1", "R7"):
-        if isinstance(p.gamma, Rational):
-            dinf: object = 1 - Fraction(1) / p.gamma.value
-            zero: object = Fraction(0)
-        else:
-            dinf = 1.0 - 1.0 / p.gamma.approx()
-            zero = 0.0
+    if isinstance(p.alpha, Rational) and isinstance(p.gamma, Rational):
+        return replace(rational_d(p, K), provenance=prov)
+
+    if rid == "R1":  # gamma is a surd
         return DensityVector(
-            finite=tuple([zero] * K), d_inf=dinf, K=K, provenance=prov,
-            tail_ratio=zero,
+            finite=(0.0,) * K, d_inf=1.0 - 1.0 / p.gamma.approx(), K=K,
+            provenance=prov, tail_ratio=0.0,
         )
 
-    if rid in ("R5", "R8"):
-        if isinstance(p.alpha, Rational) and isinstance(p.gamma, Rational):
-            d1: object = 1 - Fraction(1) / p.alpha.value - Fraction(1) / p.gamma.value
-            d2: object = Fraction(1) / p.alpha.value
-            zero = Fraction(0)
-        else:
-            # exact cancellation is common here (complementary pairs have
-            # 1/alpha + 1/gamma = 1 exactly), so evaluate in the surd field
-            inv_a, inv_g = _reciprocal(p.alpha), _reciprocal(p.gamma)
-            d1 = _add(Rational(Fraction(1)), _neg(_add(inv_a, inv_g))).approx()
-            d2 = inv_a.approx()
-            zero = 0.0
+    if rid == "R5":
+        # exact cancellation is common here (complementary pairs have
+        # 1/alpha + 1/gamma = 1 exactly), so evaluate in the surd field
+        inv_a, inv_g = _reciprocal(p.alpha), _reciprocal(p.gamma)
+        d1 = _add(Rational(Fraction(1)), _neg(_add(inv_a, inv_g))).approx()
         return DensityVector(
-            finite=tuple([d1, d2] + [zero] * (K - 2)), d_inf=zero, K=K,
-            provenance=prov, tail_ratio=zero,
-        )
-
-    if rid in ("R9", "R10"):
-        A, G = p.alpha.value.numerator, p.gamma.value.numerator
-        g0 = gcd(A, G)
-        a1, g1 = A // g0, G // g0
-        d1 = 1 - Fraction(1, A) - Fraction(1, G) + Fraction(1, g0 * a1 * g1)
-        if rid == "R9":
-            return DensityVector(
-                finite=tuple([d1] + [Fraction(0)] * (K - 1)),
-                d_inf=Fraction(g1 - 1, A * g1),
-                K=K, provenance=prov, tail_ratio=Fraction(0),
-            )
-        finite = [d1] + [
-            Fraction((g1 - 1) * (a1 - 1), g1 * A * a1 ** (i - 1))
-            for i in range(2, K + 1)
-        ]
-        return DensityVector(
-            finite=tuple(finite), d_inf=Fraction(0), K=K, provenance=prov,
-            tail_ratio=Fraction(1, a1),
+            finite=(d1, inv_a.approx()) + (0.0,) * (K - 2), d_inf=0.0, K=K,
+            provenance=prov, tail_ratio=0.0,
         )
 
     # R3 / R4: d_i = (alpha-1)(gamma-1) / (alpha^i * gamma)

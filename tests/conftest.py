@@ -1,5 +1,7 @@
 import pathlib
 import sys
+from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -49,3 +51,55 @@ REGION_TUPLES = {
     "R9": ParamTuple(2, 0, 4, 2),
     "R10": ParamTuple(2, 0, 3, 0),
 }
+
+
+# ---------------------------------------------------------------------------
+# independent references for regions.rational_d
+# ---------------------------------------------------------------------------
+
+def integer_region_d(p, rid, K):
+    """(d_1 .. d_K, d_inf) from the direct formulas of the all-integer
+    regions R7..R10, written out independently of the residue count."""
+    A, B = p.alpha.value.numerator, p.beta.value.numerator
+    G, D = p.gamma.value.numerator, p.delta.value.numerator
+    zero = Fraction(0)
+    if rid == "R7":
+        return (zero,) * K, 1 - Fraction(1, G)
+    g0 = gcd(A, G)
+    if rid == "R8":
+        assert (B - D) % g0 != 0
+        return (1 - Fraction(1, A) - Fraction(1, G), Fraction(1, A)) + (zero,) * (K - 2), zero
+    a1, g1 = A // g0, G // g0
+    d1 = 1 - Fraction(1, A) - Fraction(1, G) + Fraction(1, g0 * a1 * g1)
+    if rid == "R9":
+        return (d1,) + (zero,) * (K - 1), Fraction(g1 - 1, A * g1)
+    assert rid == "R10"
+    tail = tuple(Fraction((g1 - 1) * (a1 - 1), g1 * A * a1 ** (i - 1))
+                 for i in range(2, K + 1))
+    return (d1,) + tail, zero
+
+
+def pairwise_rational_d(p, K):
+    """(d_1 .. d_K, d_inf, ratio) for rational alpha = b/a, gamma = d/c by
+    summing g_density over every pair of residues, complements included:
+    b*d exact additions, the definition rather than the class count."""
+    from beattydim import g_density, residue_set
+
+    a, b = p.alpha.value.denominator, p.alpha.value.numerator
+    c, d = p.gamma.value.denominator, p.gamma.value.numerator
+    r_ab, r_cd = residue_set(a, b, p.beta), residue_set(c, d, p.delta)
+    comp_ab, comp_cd = set(range(b)) - r_ab, set(range(d)) - r_cd
+
+    def gsum(iset, jset):
+        return sum((g_density(b, d, i, j) for i in iset for j in jset),
+                   Fraction(0))
+
+    d1 = gsum(comp_ab, comp_cd)
+    entry = gsum(r_ab, comp_cd)
+    stay = gsum(r_ab, r_cd)
+    base = sum((g_density(1, d, 0, j) for j in r_cd), Fraction(0))
+    ratio = stay / base
+    exitp = (base - stay) / base
+    finite = (d1,) + tuple(entry * ratio ** (i - 2) * exitp
+                           for i in range(2, K + 1))
+    return finite, entry if ratio == 1 else Fraction(0), ratio

@@ -29,12 +29,11 @@ from beattydim import (
     member,
     minkowski_dim,
     rational_d,
-    residual_count,
     residue_set,
     t_phi,
 )
 from beattydim.numerics import as_real, compare, rational, surd
-from conftest import REGION_TUPLES, random_irreducible
+from conftest import REGION_TUPLES, integer_region_d, random_irreducible
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -144,10 +143,11 @@ def test_criterion_04_integer_exactness():
             p = ParamTuple(*tup)
             region = classify_region(p)
             assert region.id == want_region, (tup, region)
-            via_formula = closed_form_d(p, region, K=40)
+            finite, d_inf = integer_region_d(p, region.id, 40)
             via_residues = rational_d(p, K=40)
-            assert via_formula.finite == via_residues.finite, tup
-            assert via_formula.d_inf == via_residues.d_inf, tup
+            assert finite == via_residues.finite, tup
+            assert d_inf == via_residues.d_inf, tup
+            assert closed_form_d(p, region, K=40).finite == finite, tup
             assert all(isinstance(v, Fraction) for v in via_residues.finite)
             checked += 1
     report(4, "residue machinery = integer-region formulas, exact rationals",
@@ -295,8 +295,10 @@ def test_criterion_10_structural_properties():
         assert sorted(covered) == list(range(1, n + 1)), key
         assert len(dec.residual) / n < 0.01, key
     for key in ("R7", "R8", "R10", "R2", "R1", "R3", "R4", "R5"):
-        assert residual_count(REGION_TUPLES[key], 10**6) / 10**6 < 0.01, key
-    assert residual_count(REGION_TUPLES["R9"], 2 * 10**5) / (2 * 10**5) < 0.01
+        residual = decompose(REGION_TUPLES[key], 10**6).residual
+        assert len(residual) / 10**6 < 0.01, key
+    residual = decompose(REGION_TUPLES["R9"], 2 * 10**5).residual
+    assert len(residual) / (2 * 10**5) < 0.01
 
     # g-density normalization over full residue grids
     for a in range(1, 31):

@@ -14,7 +14,6 @@ from beattydim import (
     derived_dij,
     dij_row,
     empirical_densities,
-    residual_count,
 )
 from beattydim.beatty import f_map, member
 from beattydim.chains import (
@@ -191,7 +190,7 @@ def test_partition_with_anomalies():
     covered = [x for c in dec.chains for x in c.elements] + list(dec.residual)
     assert sorted(covered) == list(range(1, 51))
     assert set(dec.residual) == {2, 4, 8}
-    assert residual_count(p, 50) == 3
+    assert len(decompose(p, 50).residual) == 3
 
 
 @pytest.mark.parametrize("tup", [
@@ -284,7 +283,7 @@ def test_bitset_matches_beatty_values():
 
 def test_residual_sparsity():
     for key in ("R7", "R8", "R10", "R2"):
-        assert residual_count(REGION_TUPLES[key], 10**5) == 0
+        assert len(decompose(REGION_TUPLES[key], 10**5).residual) == 0
 
 
 def test_derived_dij_telescopes():
@@ -300,11 +299,9 @@ def test_derived_dij_telescopes():
 
 def test_derived_dij_counting_oracle():
     # anchored A_{i,j} counts for (2,0,3,0): d_2 = 1/6 splits 1/18 + 1/9
-    from beattydim import measured_dij
-
     p = ParamTuple(2, 0, 3, 0)
     n = 10**6
-    counts = measured_dij(p, n)
+    counts = decompose(p, n).counts
     d2 = Fraction(1, 6)
     row = dij_row(p, 2, d2)
     assert row == [Fraction(1, 18), Fraction(1, 9)]
@@ -315,7 +312,7 @@ def test_derived_dij_counting_oracle():
         assert abs(counts.get((3, j), 0) / n - float(row3[j - 1])) < 5e-3
     # decompose tallies the same counts on a smaller window
     dec = decompose(p, 50_000)
-    small = measured_dij(p, 50_000)
+    small = decompose(p, 50_000).counts
     assert dec.counts == small
 
 

@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -120,6 +122,29 @@ def test_exit_code_on_bad_input(capsys):
     capsys.readouterr()
     assert main(["classify", "--alpha", "3", "--gamma", "2"]) == 2
     capsys.readouterr()
+
+
+def test_undecidable_order_is_invalid_input(capsys):
+    # alpha = gamma written as two radicand sums: no enclosure separates
+    # them, so the tuple is rejected as invalid (2), not as a numeric
+    # failure (3)
+    assert main(["classify", "--alpha", "sqrt(2)+sqrt(3)",
+                 "--gamma", "sqrt(3)+sqrt(2)"]) == 2
+    assert "cannot decide" in capsys.readouterr().err
+
+
+def test_classify_large_rational_numerators(capsys):
+    # alpha = 4997/1000, gamma = 1543/100: coprime numerators, so g = 1
+    # and the residue count takes O(a + c) steps, not b*d = 7.7e6
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "classify", "--alpha", "4.997",
+                        "--gamma", "15.43")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    rep = json.loads(out)
+    d1 = (1 - Fraction(1000, 4997)) * (1 - Fraction(100, 1543))
+    assert rep["d"]["finite"][0] == str(d1)
+    assert rep["d"]["d_inf"] == "0"
 
 
 def test_dim_mode_both(capsys):

@@ -6,9 +6,9 @@ with a code in 0-3 -- argparse rejections included -- and never raise,
 within a time limit per example.  Shifts stay within |50| and windows
 within n <= 300: ``decompose`` still scans [1, n + C] with C growing
 with the shifts (ROADMAP item 3).  Decimals have at most two places:
-``regions.rational_d`` sums over every pair of residues, so alpha = b/a
-and gamma = d/c cost b*d steps (26 s for 4.997 and 15.43).  ``--out``
-is left out, since it writes files.  All examples share one parser.
+that scan and the horizon also grow as gamma - alpha shrinks, and more
+places bring alpha and gamma closer.  ``--out`` is left out, since it
+writes files.  All examples share one parser.
 """
 
 import json

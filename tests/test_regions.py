@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattydim import (
+    DEFAULT_K,
+    ClosedForm,
     NoClosedForm,
     NotRational,
     ParamTuple,
-    ResidueCover,
     classify_region,
     closed_form_d,
     empirical_densities,
@@ -19,7 +21,7 @@ from beattydim import (
     residue_set,
 )
 from beattydim.numerics import rational, surd
-from conftest import REGION_TUPLES
+from conftest import REGION_TUPLES, integer_region_d, pairwise_rational_d
 
 
 def test_residue_set_examples():
@@ -180,16 +182,52 @@ def test_rational_d_vs_empirical():
 
 
 def test_rational_d_matches_corollary_exactly():
-    # the residue machinery and the integer-region formulas must agree
-    # entry-by-entry as exact rationals
+    # the residue count and the integer-region formulas (written out in
+    # conftest) must agree entry-by-entry as exact rationals;
+    # closed_form_d serves the count under the region's provenance
     for tup in [(1, 0, 2, 0), (2, 1, 4, 0), (2, 0, 4, 2), (2, 0, 3, 0),
                 (1, -1, 3, 2), (6, 0, 9, 3)]:
         p = ParamTuple(*tup)
         r = classify_region(p)
-        via_formula = closed_form_d(p, r)
+        finite, d_inf = integer_region_d(p, r.id, DEFAULT_K)
         via_residues = rational_d(p)
-        assert via_formula.finite == via_residues.finite, tup
-        assert via_formula.d_inf == via_residues.d_inf, tup
+        assert via_residues.finite == finite, tup
+        assert via_residues.d_inf == d_inf, tup
+        assert closed_form_d(p, r) == replace(
+            via_residues, provenance=ClosedForm(r.id))
+
+
+def _shift(rng):
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return rational(int(rng.integers(-9, 10)))
+    if kind == 1:
+        return rational(int(rng.integers(-30, 31)), int(rng.integers(1, 10)))
+    return surd(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))),
+                Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 6))),
+                int(rng.choice([2, 3, 5, 7])))
+
+
+def test_rational_d_matches_pairwise_sum(rng):
+    # the class count mod gcd(b, d) against the b*d double sum over every
+    # residue pair, on random alpha = b/a <= 40, gamma = d/c <= 60
+    checked = 0
+    while checked < 150:
+        b = int(rng.integers(1, 41))
+        d = int(rng.integers(2, 61))
+        alpha = Fraction(b, int(rng.integers(1, b + 1)))
+        gamma = Fraction(d, int(rng.integers(1, d + 1)))
+        if not alpha < gamma:
+            continue
+        p = ParamTuple(rational(alpha), _shift(rng), rational(gamma), _shift(rng))
+        K = int(rng.choice([2, 7, 40]))
+        finite, d_inf, ratio = pairwise_rational_d(p, K)
+        got = rational_d(p, K)
+        assert got.finite == finite, p
+        assert got.d_inf == d_inf, p
+        assert got.tail_ratio == ratio, p
+        assert all(isinstance(v, Fraction) for v in got.finite + (got.d_inf,))
+        checked += 1
 
 
 def test_slow_growth_regime():
@@ -227,8 +265,9 @@ def test_closed_form_r1_rational_gamma_matches_residues():
     assert r.id == "R1"
     direct = closed_form_d(p, r)
     residues = rational_d(p)
-    assert direct.finite == residues.finite
+    assert direct.finite == residues.finite == (Fraction(0),) * direct.K
     assert direct.d_inf == residues.d_inf == Fraction(3, 5)
+    assert direct.provenance == ClosedForm("R1")
 
 
 def test_closed_form_r1_surd():
@@ -264,13 +303,6 @@ def test_no_closed_form():
     assert r.id == "R6Open"
     with pytest.raises(NoClosedForm):
         closed_form_d(p, r)
-
-
-def test_residue_cover_invariant():
-    cov = ResidueCover.from_params(ParamTuple("3/2", 0, "7/3", 0))
-    assert len(cov.r_ab) == cov.a == 2
-    assert len(cov.r_cd) == cov.c == 3
-    assert cov.r_ab | cov.comp_ab == set(range(cov.b))
 
 
 def test_region_report_payload():
