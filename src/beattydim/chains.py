@@ -24,18 +24,20 @@ it runs to the horizon.
 Two walks step along chains.  ``_ScanContext.walk`` is the scalar
 reference: one head at a time on the integer closures of ``beatty``,
 starting at a head or resuming a surviving walk at its step j.
-``_ScanContext.walk_heads`` is level-synchronous: each round applies f
-once to every live head through the vectorized exact kernel
-(``beatty.floor_lanes_fn``/``member_lanes_fn``) and returns per-head
-arrays (class, the step a residual chain left N, and, when elements are
-visible, contiguity and the visible elements in CSR form); an iterate
-past the kernel's int64 guard resumes in ``walk`` at its step.
+``_ScanContext.walk_heads`` is a refilling lane stream: each round
+applies f once to every live lane through the vectorized exact kernel
+(``beatty.floor_lanes_fn``/``member_lanes_fn``), every lane at its own
+step, and whenever at most CHUNK // 2 lanes are live it draws the next
+heads of its stream; an iterate past the kernel's int64 guard resumes
+in ``walk`` at its step.
 
-``walk_heads`` is the one head-scan engine.  ``decompose`` runs it over
-every head and stores the chains in columns, with the refined counts
-d_{i,j} (exactly j of the i chain elements inside [1,n]) and the
-residual set.  ``_window_counts`` runs it over a window in blocks of
-CHUNK positions and keeps only class tallies, from which
+``walk_heads`` is the one head-scan engine.  ``decompose`` passes every
+head at once and gets per-head arrays (class, contiguity and the
+visible elements in CSR form), which it stores as chains in columns,
+with the refined counts d_{i,j} (exactly j of the i chain elements
+inside [1,n]) and the residual set.
+``_window_counts`` streams a window's heads from the tables one slice
+of CHUNK positions at a time and keeps only class tallies, from which
 ``empirical_densities`` estimates d_i; its horizon-doubling probe walks
 each head once to twice the horizon and reads the class at the horizon
 off that walk.
@@ -50,7 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import ceil, floor, inf, lcm, log
-from typing import IO, NamedTuple, Optional, Sequence, Union
+from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
@@ -67,7 +70,7 @@ from .beatty import (
 from .numerics import Rational, _add, _div, _mul, _neg, as_real
 
 DEFAULT_K = 40
-CHUNK = 1 << 12  # lanes per table-marking call, positions per head walk
+CHUNK = 1 << 12  # lanes per table-marking call, positions per head slice
 STABILITY_TOL = 1e-3  # candidate share a doubled horizon may move
 _PERIOD_CAP = 1 << 16  # longest membership period a certificate checks
 
@@ -421,92 +424,165 @@ class _ScanContext:
         contiguous = vis == 0 or last - first + 1 == vis
         return (kind, val, y, vis, contiguous)
 
-    def walk_heads(self, heads: np.ndarray, horizon: int,
-                   cutoff: int) -> "_HeadWalks":
-        """Follow the chains of all heads (int64, each in SA\\SG) at
-        once, one step of f per round for every live head, through the
-        vectorized kernel.  The steps, exits and visibility rules are
-        those of ``walk``; a head whose iterate passes the lane guard
-        resumes there at its step j.  With cutoff < 1 nothing is
-        visible, and only the classes and exit steps are returned."""
+    def head_slices(self, lo: int, hi: int) -> Iterator[np.ndarray]:
+        """The heads (in SA\\SG) of [lo, hi] in order, one int64 array
+        per slice of CHUNK positions."""
+        sg = np.frombuffer(self.sg, dtype=np.uint8)
+        sa = np.frombuffer(self.sa, dtype=np.uint8)
+        for start in range(lo, hi + 1, CHUNK):
+            stop = min(start + CHUNK, hi + 1)
+            free = sg[start:stop] == 0
+            yield np.flatnonzero(free & (sa[start:stop] == 1)) + start
+
+    def walk_heads(self, heads: Iterable[np.ndarray], horizon: int,
+                   cutoff: int) -> Union["_HeadWalks", "_HeadTally"]:
+        """Follow the chains of a stream of heads (int64 arrays in head
+        order, each head in SA\\SG), one step of f per round for every
+        live lane, through the vectorized kernel.  A lane is a column
+        (head index, step j, iterate y), and whenever at most CHUNK // 2
+        lanes are live the next non-empty array of the stream joins
+        them, so a window pays the tail of its longest chains once.  The
+        steps, exits and visibility rules are those of ``walk``; a lane
+        whose iterate passes the lane guard resumes there at its step j.
+
+        A lane ends as the column (head index, j, k): k = 0 when its
+        step-j iterate left SA (class j + 1), k < 0 when the chain left
+        N at step j, k > 0 for an infinity candidate or a chain proved
+        infinite.  With cutoff >= 1 the elements <= cutoff are visible,
+        and the per-head arrays of the whole stream come back as
+        ``_HeadWalks``.  With cutoff < 1 ended lanes are tallied, in
+        O(CHUNK + horizon) memory, into a ``_HeadTally``."""
         track = cutoff >= 1
-        stop = self._stop(cutoff)
-        m = heads.size
-        cls = np.full(m, _INFINITE, dtype=np.int64)
-        left = np.zeros(m, dtype=np.int64)
         if track:
+            heads = list(heads)
+            m = sum(h.size for h in heads)
+            cls = np.zeros(m, dtype=np.int64)
             vis = np.zeros(m, dtype=np.int64)
             first = np.full(m, -1, dtype=np.int64)
             last = np.full(m, -1, dtype=np.int64)
-        seen_lanes: list[np.ndarray] = []
-        seen_values: list[np.ndarray] = []
+        else:
+            ends = np.zeros(horizon + 1, dtype=np.int64)
+            earliest = np.full(horizon + 1, np.iinfo(np.int64).max)
+            left = np.zeros(horizon + 1, dtype=np.int64)
+        seen_lanes = [np.zeros(0, dtype=np.int64)]
+        seen_values = [np.zeros(0, dtype=np.int64)]
         resumed: dict[int, bool] = {}  # lane -> contiguity
+        ended: list[np.ndarray] = []  # end columns not yet tallied
+        pending = 0
 
         def see(lanes, y, j):
             if not track:
                 return
             s = y <= cutoff
-            lanes = lanes[s]
+            lanes, j = lanes[s], j[s]
             vis[lanes] += 1
             first[lanes] = np.where(first[lanes] < 0, j, first[lanes])
             last[lanes] = j
             seen_lanes.append(lanes)
             seen_values.append(y[s])
 
-        def resume(lane, y, j):
+        def end(cols):
+            # end columns wait until CHUNK // 4 of them are tallied at
+            # once, so rounds with few lanes pay no tally of their own
+            nonlocal pending
+            ended.append(cols)
+            pending += cols.shape[1]
+            if pending >= CHUNK // 4:
+                tally()
+
+        def tally():
+            nonlocal pending
+            lanes, j, k = (ended[0] if len(ended) == 1
+                           else np.concatenate(ended, axis=1))
+            ended.clear()
+            pending = 0
+            out, fin = k < 0, k == 0
+            if track:
+                cls[lanes] = np.where(fin, j + 1,
+                                      np.where(out, _RESIDUAL, _INFINITE))
+                return
+            steps = j[fin]
+            ends[:] += np.bincount(steps, minlength=horizon + 1)
+            np.minimum.at(earliest, steps, lanes[fin])
+            if out.any():
+                left[:] += np.bincount(j[out], minlength=horizon + 1)
+
+        def resume(lane, j, y):
             # y is the step-j iterate, already seen; its membership is
-            # decided here, then walk() takes over and sees y again
+            # decided here, then walk() takes over and sees y again.
+            # Returns the lane's end column.
             if j and not self.in_sa(y):
-                cls[lane] = j + 1
-                return
+                return lane, j, 0
             if j >= horizon:
-                return
+                return lane, j, 1
             rec: Optional[list[int]] = [] if track else None
             kind, val, _, _, tail_ok = self.walk(y, horizon, cutoff, rec, j)
-            cls[lane] = (val if kind == "finite" else
-                         _RESIDUAL if kind == "residual" else _INFINITE)
-            if kind == "residual":
-                left[lane] = val
-            if not track:
-                return
-            if y <= cutoff:
-                del rec[0]
-            # an unseen step j splits two non-empty visible parts
-            split = y > cutoff and rec and vis[lane]
-            resumed[lane] = bool(tail_ok and not split and (
-                vis[lane] == 0 or last[lane] - first[lane] + 1 == vis[lane]))
-            seen_lanes.append(np.full(len(rec), lane, dtype=np.int64))
-            seen_values.append(np.array(rec, dtype=np.int64))
+            if track:
+                if y <= cutoff:
+                    del rec[0]
+                # an unseen step j splits two non-empty visible parts
+                split = y > cutoff and rec and vis[lane]
+                resumed[lane] = bool(tail_ok and not split and (
+                    vis[lane] == 0
+                    or last[lane] - first[lane] + 1 == vis[lane]))
+                seen_lanes.append(np.full(len(rec), lane, dtype=np.int64))
+                seen_values.append(np.array(rec, dtype=np.int64))
+            if kind == "finite":
+                return lane, val - 1, 0
+            return (lane, val, -1) if kind == "residual" else (lane, j, 1)
 
-        live = np.arange(m)
-        y = heads.astype(np.int64)
-        see(live, y, 0)
-        j = 0
-        while live.size:
-            far = y > self.guard
+        stop = self._stop(cutoff)
+        batches = iter(heads)
+        drawn = 0
+
+        def draw(live):
+            # live, joined by the lanes of the next non-empty heads at
+            # step 0
+            nonlocal drawn
+            h = next((h for h in batches if h.size), None)
+            if h is None:
+                return live
+            new = np.zeros((3, h.size), dtype=np.int64)
+            new[0] = np.arange(drawn, drawn + h.size)
+            new[2] = h
+            drawn += h.size
+            see(new[0], h, new[1])
+            return np.concatenate([live, new], axis=1)
+
+        live = np.zeros((3, 0), dtype=np.int64)  # rows: head index, j, y
+        while True:
+            if live.shape[1] <= CHUNK // 2:
+                live = draw(live)
+            if not live.shape[1]:
+                break
+            far = live[2] > self.guard
             if far.any():
-                for lane, yv in zip(live[far].tolist(), y[far].tolist()):
-                    resume(lane, yv, j)
-                live, y = live[~far], y[~far]
-            k = self.member_a(y)
-            out = k == 0
-            cls[live[out]] = j + 1
-            live, k = live[~out], k[~out]
-            if j >= horizon:
-                break  # survivors stay infinity candidates
-            y = self.floor_g(k)
-            j += 1
-            out = y < 1
-            cls[live[out]] = _RESIDUAL
-            left[live[out]] = j
-            live, y = live[~out], y[~out]
-            see(live, y, j)
+                end(np.array([resume(*c) for c in live[:, far].T.tolist()],
+                             dtype=np.int64).T)
+                live = live.compress(~far, axis=1)
+            # out of SA (k = 0), at the horizon, or proved infinite
+            out = live[1] >= horizon
             if self.Y is not None:
-                out = y >= stop  # proved infinite
-                live, y = live[~out], y[~out]
+                out |= live[2] >= stop
+            live[2] = self.member_a(live[2])
+            out |= live[2] == 0
+            gone, live = (live.compress(out, axis=1),
+                          live.compress(~out, axis=1))
+            end(gone)
+            live[1] += 1
+            live[2] = self.floor_g(live[2])
+            out = live[2] < 1
+            if out.any():  # left N at step j
+                gone, live = (live.compress(out, axis=1),
+                              live.compress(~out, axis=1))
+                gone[2] = -1
+                end(gone)
+            see(live[0], live[2], live[1])
+        if ended:
+            tally()
 
         if not track:
-            return _HeadWalks(cls, left, None, None, None)
+            return _HeadTally(drawn, ends, earliest, left)
         contiguous = (vis == 0) | (last - first + 1 == vis)
         for lane, ok in resumed.items():
             contiguous[lane] = ok
@@ -514,20 +590,26 @@ class _ScanContext:
         offsets = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(lanes, minlength=m), out=offsets[1:])
         elements = np.concatenate(seen_values)[np.argsort(lanes, kind="stable")]
-        return _HeadWalks(cls, left, contiguous, offsets, elements)
+        return _HeadWalks(cls, contiguous, offsets, elements)
 
 
 class _HeadWalks(NamedTuple):
-    """Per-head results of ``_ScanContext.walk_heads``; the last three
-    are None when nothing was visible (cutoff < 1)."""
+    """Per-head results of ``_ScanContext.walk_heads`` with cutoff >= 1."""
 
     cls: np.ndarray  # finite class i, _INFINITE or _RESIDUAL
-    left: np.ndarray  # step at which a _RESIDUAL chain left N, else 0
-    # visible elements sit at consecutive steps
-    contiguous: Optional[np.ndarray]
+    contiguous: np.ndarray  # visible elements sit at consecutive steps
     # head h saw elements[offsets[h]:offsets[h + 1]], in trajectory order
-    offsets: Optional[np.ndarray]
-    elements: Optional[np.ndarray]
+    offsets: np.ndarray
+    elements: np.ndarray
+
+
+class _HeadTally(NamedTuple):
+    """Class tallies of ``_ScanContext.walk_heads`` with cutoff < 1."""
+
+    heads: int
+    ends: np.ndarray  # at j: heads whose step-j iterate left SA (class j + 1)
+    first: np.ndarray  # at j: the head index of the first of those
+    left: np.ndarray  # at j: heads whose chain left N at step j
 
 
 def _lane_guard(p: ParamTuple) -> int:
@@ -596,7 +678,7 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
     free = np.frombuffer(ctx.sg, dtype=np.uint8)[1:] == 0  # x = index + 1
     in_sa = np.frombuffer(ctx.sa, dtype=np.uint8)[1:] == 1
     heads = np.flatnonzero(in_sa & free) + 1
-    w = ctx.walk_heads(heads, horizon, n)
+    w = ctx.walk_heads([heads], horizon, n)
     vis = np.diff(w.offsets)
     # a chain that left N leaves its visible elements to the residual
     keep = (w.cls != _RESIDUAL) & (vis > 0)
@@ -644,37 +726,27 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
 
 def _window_counts(ctx: _ScanContext, lo: int, hi: int, horizon: int,
                    probe: bool):
-    """Classify all heads x in [lo, hi] at the horizon, one
-    ``walk_heads`` call per block of CHUNK positions; returns (a1,
-    {i: count}, candidates, moved).  With probe every head walks to
-    twice the horizon, and the counts are read there: moved is the
-    number of horizon candidates whose chains ended past the horizon (a
-    finite class i > horizon + 1, or an exit from N).  Class keys are
-    in order of first appearance, with those past horizon + 1 last: the
-    order of a horizon scan followed by a probe, which the float sums
-    over ``DensityVector.beyond`` follow."""
+    """Classify all heads x in [lo, hi] at the horizon, as one
+    ``walk_heads`` stream over the window; returns (a1, {i: count},
+    candidates, moved).  With probe every head walks to twice the
+    horizon, and the counts are read there: moved is the number of
+    horizon candidates whose chains ended past the horizon (a finite
+    class i > horizon + 1, or an exit from N).  Class keys are in order
+    of first appearance, with those past horizon + 1 last: the order of
+    a horizon scan followed by a probe, which the float sums over
+    ``DensityVector.beyond`` follow."""
     reach = 2 * horizon if probe else horizon
-    sg = np.frombuffer(ctx.sg, dtype=np.uint8)
-    sa = np.frombuffer(ctx.sa, dtype=np.uint8)
-    a1 = cand = moved = 0
-    finite: dict[int, int] = {}
-    for start in range(lo, hi + 1, CHUNK):
-        stop = min(start + CHUNK, hi + 1)
-        free = sg[start:stop] == 0
-        in_sa = sa[start:stop] == 1
-        a1 += int(np.count_nonzero(free & ~in_sa))
-        heads = np.flatnonzero(free & in_sa) + start
-        w = ctx.walk_heads(heads, reach, 0)
-        cand += int(np.count_nonzero(w.cls == _INFINITE))
-        moved += int(np.count_nonzero(
-            (w.cls > horizon + 1) | (w.left > horizon)))
-        keys, at, tally = np.unique(
-            w.cls[w.cls >= 2], return_index=True, return_counts=True)
-        for u in np.argsort(at).tolist():
-            i = int(keys[u])
-            finite[i] = finite.get(i, 0) + int(tally[u])
+    t = ctx.walk_heads(ctx.head_slices(lo, hi), reach, 0)
+    # A_1: the positions of the window in neither SG nor the heads
+    sg = np.frombuffer(ctx.sg, dtype=np.uint8)[lo:hi + 1]
+    a1 = sg.size - int(np.count_nonzero(sg)) - t.heads
+    cand = t.heads - int(t.ends.sum() + t.left.sum())
+    moved = int(t.ends[horizon + 1:].sum() + t.left[horizon + 1:].sum())
+    steps = np.flatnonzero(t.ends)  # heads are in SA: steps j >= 1
+    steps = steps[np.argsort(t.first[steps])]
     if probe:
-        finite = dict(sorted(finite.items(), key=lambda it: it[0] > horizon + 1))
+        steps = steps[np.argsort(steps > horizon, kind="stable")]
+    finite = {j + 1: int(t.ends[j]) for j in steps.tolist()}
     return a1, finite, cand, moved
 
 

@@ -178,7 +178,8 @@ class QuadraticSurd(Real):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
-        # callers go through surd(); this constructor trusts normalized input
+        # callers go through surd() or pass a square-free d; this constructor
+        # trusts normalized input
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
@@ -348,6 +349,12 @@ def surd(a, b, d: int) -> Real:
     return QuadraticSurd(a, b * s, d0)
 
 
+def _in_field(a: Fraction, b: Fraction, d: int) -> Real:
+    """a + b*sqrt(d) for a square-free d >= 2: ``surd`` without the
+    re-split of d."""
+    return QuadraticSurd(a, b, d) if b else Rational(a)
+
+
 def normalize(x: RealLike) -> Real:
     """Canonical form; normalizing twice equals normalizing once."""
     x = as_real(x)
@@ -386,7 +393,7 @@ def _add(x: Real, y: Real) -> Real:
     if isinstance(x, QuadraticSurd) and isinstance(y, Rational):
         return QuadraticSurd(x.a + y.value, x.b, x.d)
     if isinstance(x, QuadraticSurd) and isinstance(y, QuadraticSurd) and x.d == y.d:
-        return surd(x.a + y.a, x.b + y.b, x.d)
+        return _in_field(x.a + y.a, x.b + y.b, x.d)
 
     def fn(bits):
         lx, hx = x.enclosure(bits + 2)
@@ -418,17 +425,20 @@ def _mul(x: Real, y: Real) -> Real:
     if isinstance(x, Rational) and isinstance(y, Rational):
         return Rational(x.value * y.value)
     if isinstance(x, Rational) and isinstance(y, QuadraticSurd):
-        return surd(x.value * y.a, x.value * y.b, y.d)
+        return _in_field(x.value * y.a, x.value * y.b, y.d)
     if isinstance(x, QuadraticSurd) and isinstance(y, Rational):
-        return surd(x.a * y.value, x.b * y.value, x.d)
+        return _in_field(x.a * y.value, x.b * y.value, x.d)
     if isinstance(x, QuadraticSurd) and isinstance(y, QuadraticSurd):
         if x.d == y.d:
-            return surd(
+            return _in_field(
                 x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d
             )
         if x.a == 0 and y.a == 0:
-            # b1*sqrt(d1) * b2*sqrt(d2) = b1*b2*sqrt(d1*d2)
-            return surd(0, x.b * y.b, x.d * y.d)
+            # b1*sqrt(d1) * b2*sqrt(d2) = b1*b2*g*sqrt((d1/g)*(d2/g)) with
+            # g = gcd(d1, d2): coprime square-free factors, neither 1
+            g = gcd(x.d, y.d)
+            return QuadraticSurd(Fraction(0), x.b * y.b * g,
+                                 (x.d // g) * (y.d // g))
 
     def fn(bits):
         coarse_x = x.enclosure(16)
@@ -451,7 +461,7 @@ def _reciprocal(x: Real) -> Real:
         return Rational(1 / x.value)
     if isinstance(x, QuadraticSurd):
         norm = x.a * x.a - x.b * x.b * x.d  # nonzero: x irrational
-        return surd(x.a / norm, -x.b / norm, x.d)
+        return _in_field(x.a / norm, -x.b / norm, x.d)
 
     def fn(bits):
         bb = max(bits, INTERVAL_START_BITS)

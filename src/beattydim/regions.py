@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .beatty import ParamTuple
+from .beatty import ParamTuple, floor_fn
 from .chains import DEFAULT_K, ClosedForm, DensityVector
 from .numerics import (
     PrecisionExhausted,
@@ -51,7 +51,6 @@ from .numerics import (
     _mul,
     _neg,
     _reciprocal,
-    as_real,
     compare,
     frac,
     floor_value,
@@ -89,15 +88,14 @@ class RegionId:
 def residue_set(a: int, b: int, beta: RealLike) -> frozenset:
     """{ floor(beta + b*h/a) mod b : 0 <= h <= a-1 }; size is exactly a
     for coprime a <= b (the floors are strictly increasing and span less
-    than one full period)."""
+    than one full period).  One ``floor_fn`` closure takes every floor:
+    integer divisions for rational beta, one isqrt each for a surd."""
     if a < 1 or b < 1 or a > b:
         raise ValueError("need 1 <= a <= b (alpha = b/a >= 1)")
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    beta = as_real(beta)
-    out = frozenset(
-        (_add(beta, Rational(Fraction(b * h, a))).floor()) % b for h in range(a)
-    )
+    floor_at = floor_fn(Rational(Fraction(b, a)), beta)
+    out = frozenset(floor_at(h) % b for h in range(a))
     if len(out) != a:
         raise AssertionError("residue set size invariant violated")
     return out

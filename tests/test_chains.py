@@ -399,15 +399,25 @@ def test_decompose_matches_scalar_reference_on_anomalies(tup, n):
     assert_matches_scalar(ParamTuple(*tup), n)
 
 
-@pytest.mark.parametrize("guard", [-1, 0, 5, 299, 300, 2000])
-def test_walk_resumes_past_the_lane_guard(guard, monkeypatch):
+GUARDS = [-1, 0, 5, 299, 300, 2000]
+
+
+@pytest.mark.parametrize("guard,chunk", [
+    *(pytest.param(g, None, id=str(g)) for g in GUARDS),
+    *(pytest.param(g, 7, id=f"{g}-chunk7") for g in GUARDS),
+])
+def test_walk_resumes_past_the_lane_guard(guard, chunk, monkeypatch):
     # heads and iterates above the guard finish in the scalar walk at
     # their step; the merged chains must not change, and the window
     # counts must split resumed lanes into the horizon and doubled-horizon
-    # classes (finite i, exit step from N) as the scalar reference does
+    # classes (finite i, exit step from N) as the scalar reference does.
+    # With 7-position slices, resumed lanes share the window's stream
+    # with lanes refilled at later rounds.
     import beattydim.chains as chains_mod
 
     monkeypatch.setattr(chains_mod, "_lane_guard", lambda p: guard)
+    if chunk is not None:
+        monkeypatch.setattr(chains_mod, "CHUNK", chunk)
     moved = 0
     for tup in [("3/2", 0, 3, 0), ("3/2", 0, 3, -50), (2, 0, 3, 0),
                 (1, 0, "sqrt(5)", 0), ("sqrt(2)", "1/4", "sqrt(3)", "1/4")]:
@@ -464,6 +474,40 @@ def test_empirical_densities_independent_of_chunk(key, chunk, n, monkeypatch):
     got = empirical_densities(p, [(1, n)], K=5)
     assert got == ref
     assert list((got.beyond or {}).items()) == list((ref.beyond or {}).items())
+
+
+@pytest.mark.parametrize("tup,n", [
+    # H = 320: long straggler tails
+    pytest.param(("21/20", 0, "11/10", 0), 200_000, id="21/20,0,11/10,0"),
+    pytest.param(("sqrt(2)", 0, 3, 0), 100_000, id="sqrt(2),0,3,0"),
+    pytest.param((2, 1, 5, 0), 100_000, id="2,1,5,0"),
+])
+def test_window_pays_one_straggler_tail(tup, n, monkeypatch):
+    # a window is one refilling lane stream, so its kernel rounds stay
+    # near lane_steps / (CHUNK // 2) plus one tail of the probe's 2H
+    # steps; a tail per block of CHUNK positions breaks the bound
+    from beattydim.chains import CHUNK
+
+    rounds = lane_steps = 0
+    init = _ScanContext.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        member_a = self.member_a
+
+        def counted(y):
+            nonlocal rounds, lane_steps
+            rounds += 1
+            lane_steps += y.size
+            return member_a(y)
+
+        self.member_a = counted
+
+    monkeypatch.setattr(_ScanContext, "__init__", counting_init)
+    p = ParamTuple(*tup)
+    empirical_densities(p, [(1, n)])
+    H = default_horizon(p, n)
+    assert rounds <= lane_steps // (CHUNK // 2) + 2 * H + 2
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,31 @@ def test_classify_large_rational_numerators(capsys):
     assert rep["d"]["d_inf"] == "0"
 
 
+def test_classify_large_distinct_radicands(capsys):
+    # sqrt(d1)*sqrt(d2) is built from gcd(d1, d2): no trial division of
+    # d1*d2 ~ 1e18
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "classify", "--alpha", "sqrt(1000000007)",
+                        "--gamma", "sqrt(1000000009)")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    assert json.loads(out)["region"] == "R4"
+
+
+def test_classify_long_alpha_denominator(capsys):
+    # alpha = 100001/100000: residue_set takes 10^5 integer floors from
+    # one closure
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "classify", "--alpha", "1.00001",
+                        "--gamma", "3")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    rep = json.loads(out)
+    d1 = (1 - Fraction(100000, 100001)) * (1 - Fraction(1, 3))
+    assert rep["d"]["finite"][0] == str(d1)
+    assert rep["d"]["d_inf"] == "0"
+
+
 def test_dim_mode_both(capsys):
     code, out = run_cli(
         capsys, "dim", "--alpha", "2", "--beta", "0", "--gamma", "3",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from beattydim.numerics import (
     PrecisionExhausted,
     QuadraticSurd,
     Rational,
+    _mul,
+    _squarefree,
     as_fraction,
     compare,
     floor_linear,
@@ -60,6 +63,20 @@ def test_surd_normalization():
     assert as_fraction(surd(1, 2, 9)) == 7  # 1 + 2*3
     s = surd(0, 1, 12)  # sqrt(12) = 2*sqrt(3)
     assert (s.a, s.b, s.d) == (0, 2, 3)
+
+
+def test_surd_product_matches_the_split_radicand():
+    # b1*sqrt(d1) * b2*sqrt(d2) is built from g = gcd(d1, d2) without
+    # factoring d1*d2; it must equal the product that surd() splits
+    squarefree = [d for d in range(2, 120) if _squarefree(d)[0] == 1]
+    rng = random.Random(20261018)
+    for _ in range(400):
+        d1, d2 = rng.choice(squarefree), rng.choice(squarefree)
+        b1, b2 = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                           rng.randint(1, 9)) for _ in range(2))
+        got = _mul(surd(0, b1, d1), surd(0, b2, d2))
+        ref = surd(0, b1 * b2, d1 * d2)
+        assert type(got) is type(ref) and got == ref, (b1, d1, b2, d2)
 
 
 @given(

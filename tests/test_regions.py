@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -20,7 +21,7 @@ from beattydim import (
     region_report,
     residue_set,
 )
-from beattydim.numerics import rational, surd
+from beattydim.numerics import Rational, _add, as_real, rational, surd
 from conftest import REGION_TUPLES, integer_region_d, pairwise_rational_d
 
 
@@ -40,6 +41,35 @@ def test_residue_set_size_invariant(rng):
         assert len(residue_set(a, b, rational(beta))) == a
     # surd shifts work too
     assert len(residue_set(3, 7, surd(0, 1, 2))) == 3
+
+
+def residue_set_reference(a, b, beta):
+    """residue_set with one generic exact addition and floor per residue."""
+    beta = as_real(beta)
+    return frozenset(_add(beta, Rational(Fraction(b * h, a))).floor() % b
+                     for h in range(a))
+
+
+def test_residue_set_matches_generic_floors():
+    # rational shifts take integer floors, surd shifts one isqrt each,
+    # and a shift outside the field the generic interval path
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 60:
+        b = rng.randint(1, 40)
+        a = rng.randint(1, b)
+        if gcd(a, b) != 1:
+            continue
+        q = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+        shifts = [
+            rational(q),
+            surd(q, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+                 rng.choice([2, 3, 5, 7])),
+            _add(surd(0, rng.choice([-1, 1]), 2), surd(q, 1, 3)),
+        ]
+        for beta in shifts:
+            assert residue_set(a, b, beta) == residue_set_reference(a, b, beta)
+        checked += 1
 
 
 def test_g_density_examples():
