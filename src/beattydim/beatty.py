@@ -9,16 +9,18 @@ the map f(floor(alpha*k + beta)) = floor(gamma*k + delta) (well defined
 because k |-> floor(tau*k + eta) is injective for tau >= 1), and the
 pair constraints A(x_u, x_v) = 1 over the edges (u, v) generated per k.
 
-Besides the general exact operations, this module builds specialized
-integer-only closures for membership and chain stepping: million-scale
-window scans cannot afford generic object arithmetic per element.  For
-rational parameters everything reduces to integer ceil/floor divisions;
-for quadratic surds to one or two integer-square-root comparisons.
+Besides the general exact operations, this module holds one
+``BeattyPair`` per sequence, with integer-only closures and int64 lane
+kernels for its floors and memberships: million-scale window scans
+cannot afford generic object arithmetic per element.  For rational
+parameters everything reduces to integer ceil/floor divisions; for
+quadratic surds to one or two integer-square-root comparisons.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Callable, Optional
 
@@ -144,15 +146,10 @@ def constraint_edges(p: ParamTuple, n: int) -> list[tuple[int, int]]:
     with both coordinates in [1, n]."""
     if n < 1:
         raise ValueError("window size must be >= 1")
-    fu = floor_fn(p.alpha, p.beta)
-    fv = floor_fn(p.gamma, p.delta)
-    edges = []
-    k = max(first_positive_k(p.alpha, p.beta),
-            first_positive_k(p.gamma, p.delta))
-    while True:
-        v = fv(k)
-        if v > n:
-            break
+    a, g = BeattyPair(p.alpha, p.beta), BeattyPair(p.gamma, p.delta)
+    fu, fv = a.floor, g.floor
+    edges, k = [], max(a.first_k, g.first_k)
+    while (v := fv(k)) <= n:
         u = fu(k)
         if u <= n:
             edges.append((u, v))
@@ -162,42 +159,37 @@ def constraint_edges(p: ParamTuple, n: int) -> list[tuple[int, int]]:
 
 def beatty_values(tau: RealLike, eta: RealLike, limit: int) -> list[int]:
     """All values floor(tau*k + eta) for k >= 1 that land in [1, limit]."""
-    fv = floor_fn(as_real(tau), as_real(eta))
-    out = []
-    k = first_positive_k(tau, eta)
-    while True:
-        v = fv(k)
-        if v > limit:
-            break
+    pair = BeattyPair(tau, eta)
+    out, k = [], pair.first_k
+    while (v := pair.floor(k)) <= limit:
         out.append(v)
         k += 1
     return out
 
 
-def first_positive_k(tau: RealLike, eta: RealLike) -> int:
-    """The first k >= 1 with floor(tau*k + eta) >= 1.
-
-    Loops over k start here, so a large negative shift costs nothing:
-    k >= (1 - eta)/tau is the condition, its lower enclosure gives a
-    start at or below the answer, and monotonicity of k -> floor(tau*k
-    + eta) lets the final steps settle it exactly."""
-    tau, eta = as_real(tau), as_real(eta)
-    lo, _ = _div(_add(Rational(Fraction(1)), _neg(eta)), tau).enclosure(64)
-    k = max(1, -((-lo.numerator) // lo.denominator))
-    fv = floor_fn(tau, eta)
-    while fv(k) < 1:
-        k += 1
-    return k
-
-
 # ---------------------------------------------------------------------------
-# fast integer closures
+# Beatty pairs
 #
 # An exact pair (tau, eta) within one quadratic field has the linear form
 #     tau*k + eta = ((A*k + E) + (B*k + F) * sqrt(D)) / Z
-# with integer A, B, E, F, Z > 0.  Floors then cost one isqrt (none when
-# B = F = 0), which is what makes 10^6-element scans affordable.
+# with integer A, B, E, F, Z > 0, and so has its inverse x -> (x - eta)/tau.
+# Scalar floors then cost one isqrt (none when B = F = 0), which is what
+# makes 10^6-element scans affordable.
+#
+# The lane kernels take the same floors over a numpy array of int64
+# lanes.  Rational pairs use int64 arithmetic where A*k + E cannot
+# overflow.  Every other pair (surds, cross-field pairs, intervals)
+# evaluates tau*k + eta in float64 next to an explicit per-lane bound on
+# its error and keeps a lane only when the bound excludes every integer
+# (the filter-then-exact pattern of Shewchuk's robust predicates).  Lanes
+# that fail either guard take the scalar closures, so no result depends
+# on a float rounding decision.  Callers keep the results inside int64.
 # ---------------------------------------------------------------------------
+
+LANE_BOUND = 1 << 62  # |A*k + E| stays below this on the int64 path
+_U = 2.0 ** -53  # unit roundoff of float64
+_SLACK = 2.0 ** -40  # absolute floor of every float error bound
+
 
 def _parts(x: Real) -> Optional[tuple[Fraction, Fraction, int]]:
     if isinstance(x, Rational):
@@ -228,124 +220,6 @@ def _linear_form(tau: Real, eta: Real):
     return (A, B, E, F, z, d)
 
 
-def floor_fn(tau: RealLike, eta: RealLike) -> Callable[[int], int]:
-    """Fast k -> floor(tau*k + eta); falls back to the generic exact path
-    for parameters outside a common quadratic field."""
-    tau, eta = as_real(tau), as_real(eta)
-    form = _linear_form(tau, eta)
-    if form is None:
-        return lambda k: floor_linear(tau, k, eta)
-    A, B, E, F, Z, D = form
-    if B == 0 and F == 0:
-        return lambda k: (A * k + E) // Z
-    sf = _surd_floor_ints
-
-    def fast(k: int) -> int:
-        Y = B * k + F
-        X = A * k + E
-        if Y == 0:
-            return X // Z
-        return sf(X, Y, D, Z)
-
-    return fast
-
-
-def _inverse_forms(tau: Real, eta: Real):
-    """Linear form of x -> (x - eta)/tau, or None outside a common field."""
-    if not (is_exact(tau) and is_exact(eta)):
-        return None
-    inv = _reciprocal(tau)
-    shift = _neg(_mul(eta, inv))
-    return _linear_form(inv, shift)
-
-
-def member_fn(tau: RealLike, eta: RealLike) -> Callable[[int], int]:
-    """Fast x -> the k >= 1 with floor(tau*k + eta) = x, or 0, for x >= 1.
-
-    x is a member iff k = ceil((x - eta)/tau) satisfies k >= 1 and
-    floor(tau*k + eta) = x; both reduce to flat integer expressions in
-    the common-field case (scans call this millions of times)."""
-    tau, eta = as_real(tau), as_real(eta)
-    wform = _inverse_forms(tau, eta)
-    vform = _linear_form(tau, eta)
-    if wform is None or vform is None:
-        return lambda x: member(x, tau, eta) or 0
-    A1, B1, E1, F1, Z1, D1 = wform
-    A2, B2, E2, F2, Z2, D2 = vform
-    sf = _surd_floor_ints
-    if B1 == 0 and F1 == 0 and B2 == 0 and F2 == 0:
-        def rational(x: int) -> int:
-            k = -((-(A1 * x + E1)) // Z1)
-            return k if k >= 1 and (A2 * k + E2) // Z2 == x else 0
-
-        return rational
-
-    def fast(x: int) -> int:
-        X, Y = A1 * x + E1, B1 * x + F1
-        k = -((-X) // Z1) if Y == 0 else -sf(-X, -Y, D1, Z1)
-        if k < 1:
-            return 0
-        Y2 = B2 * k + F2
-        X2 = A2 * k + E2
-        v = X2 // Z2 if Y2 == 0 else sf(X2, Y2, D2, Z2)
-        return k if v == x else 0
-
-    return fast
-
-
-def membership_fn(tau: RealLike, eta: RealLike) -> Callable[[int], bool]:
-    """Fast predicate x -> (x in S(tau, eta)) for x >= 1 (see
-    ``member_fn``)."""
-    member_k = member_fn(tau, eta)
-    return lambda x: member_k(x) > 0
-
-
-def f_step_fn(p: ParamTuple) -> Callable[[int], int]:
-    """Fast x -> f(x) for x already known to lie in S(alpha, beta).
-    The returned image may be < 1 (caller decides residual handling)."""
-    wform = _inverse_forms(p.alpha, p.beta)
-    vform = _linear_form(p.gamma, p.delta)
-    if wform is None or vform is None:
-        def generic(x: int) -> int:
-            k = member(x, p.alpha, p.beta)
-            if k is None:
-                raise NotInDomain(f"{x} not in S(alpha, beta)")
-            return floor_linear(p.gamma, k, p.delta)
-        return generic
-    A1, B1, E1, F1, Z1, D1 = wform
-    A2, B2, E2, F2, Z2, D2 = vform
-    sf = _surd_floor_ints
-    if B1 == 0 and F1 == 0 and B2 == 0 and F2 == 0:
-        return lambda x: (A2 * (-((-(A1 * x + E1)) // Z1)) + E2) // Z2
-
-    def fast(x: int) -> int:
-        X, Y = A1 * x + E1, B1 * x + F1
-        k = -((-X) // Z1) if Y == 0 else -sf(-X, -Y, D1, Z1)
-        Y2 = B2 * k + F2
-        X2 = A2 * k + E2
-        return X2 // Z2 if Y2 == 0 else sf(X2, Y2, D2, Z2)
-
-    return fast
-
-
-# ---------------------------------------------------------------------------
-# vectorized exact kernel
-#
-# The same floors over a numpy array of int64 lanes k.  Rational pairs
-# use int64 arithmetic where A*k + E cannot overflow.  Every other pair
-# (surds, cross-field pairs, intervals) evaluates tau*k + eta in float64
-# next to an explicit per-lane bound on its error and keeps a lane only
-# when the bound excludes every integer (the filter-then-exact pattern
-# of Shewchuk's robust predicates).  Lanes that fail either guard take
-# the scalar closures above, so no result depends on a float rounding
-# decision.  Callers keep the results inside int64.
-# ---------------------------------------------------------------------------
-
-LANE_BOUND = 1 << 62  # |A*k + E| stays below this on the int64 path
-_U = 2.0 ** -53  # unit roundoff of float64
-_SLACK = 2.0 ** -40  # absolute floor of every float error bound
-
-
 def _float_pair(x: Real) -> Optional[tuple[float, float]]:
     """(v, e) with |x - v| <= e, from the value's 96-bit enclosure; None
     if the value does not fit a float."""
@@ -367,106 +241,199 @@ def _scalar_lanes(out: np.ndarray, bad: np.ndarray, lanes: np.ndarray,
     return out
 
 
-def floor_lanes_fn(tau: RealLike, eta: RealLike
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized exact k -> floor(tau*k + eta) over int64 lanes, for
-    tau > 0."""
-    tau, eta = as_real(tau), as_real(eta)
-    scalar = floor_fn(tau, eta)
-    form = _linear_form(tau, eta)
-    if form is not None and form[1] == form[3] == 0:
-        A, _, E, _, Z, _ = form
-        if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
-            kmax = (LANE_BOUND - abs(E)) // A
-
-            def rational(k: np.ndarray) -> np.ndarray:
-                ok = np.abs(k) <= kmax
-                if ok.all():
-                    return (A * k + E) // Z
-                out = np.where(ok, k, 0)
-                out = (A * out + E) // Z
-                return _scalar_lanes(out, ~ok, k, scalar)
-
-            return rational
-    ft, fe = _float_pair(tau), _float_pair(eta)
-    if ft is None or fe is None:
-        return lambda k: _scalar_lanes(np.empty_like(k), np.ones(k.shape, bool),
-                                       k, scalar)
-    (t, et), (e, ee) = ft, fe
-    # |tau*k + eta - fl(fl(t*k) + e)| <= |k|(et + 4u|t|) + ee + 2u|e|,
-    # counting the int64 -> float64 rounding of k; doubling covers the
-    # rounding of the bound itself.
-    c1 = 2.0 * (et + 4.0 * _U * abs(t))
-    c0 = 2.0 * (ee + 2.0 * _U * abs(e)) + _SLACK
-
-    def filtered(k: np.ndarray) -> np.ndarray:
-        kf = k.astype(np.float64)
-        with np.errstate(invalid="ignore", over="ignore"):
-            v = kf * t + e
-            fl = np.floor(v)
-            frac = v - fl
-            err = np.abs(kf) * c1 + c0
-            ok = (frac > err) & (frac < 1.0 - err)
-        if ok.all():
-            return fl.astype(np.int64)
-        out = np.where(ok, fl, 0.0).astype(np.int64)
-        return _scalar_lanes(out, ~ok, k, scalar)
-
-    return filtered
+def _all_scalar(fn: Callable[[int], int]) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda v: np.array([fn(x) for x in v.tolist()], dtype=np.int64)
 
 
-def member_lanes_fn(tau: RealLike, eta: RealLike
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized exact x -> the k >= 1 with floor(tau*k + eta) = x, or 0
-    for non-members, over int64 lanes x >= 1, for tau >= 1.
+class BeattyPair:
+    """The map k -> floor(tau*k + eta) of one sequence S(tau, eta), and
+    its inverse x -> k on the sequence, for tau >= 1 (tau > 0 suffices
+    for the floors).
 
-    The only candidate is k = ceil((x - eta)/tau) (see ``member``).
-    Rational pairs compute it with the int64 inverse form; otherwise
-    the float quotient and its error bound must put both ends of the
-    error interval under one ceiling.  One kernel floor then decides
-    membership; lanes that fail a guard take the scalar ``member_fn``."""
-    tau, eta = as_real(tau), as_real(eta)
-    floors = floor_lanes_fn(tau, eta)
-    scalar = member_fn(tau, eta)
+    The linear form is computed here.  The rest is built on first use
+    and kept: the inverse form, the float enclosures, the scalar
+    closures ``floor`` and ``member`` (x -> its k, or 0), the int64 lane
+    kernels ``floor_lanes`` and ``member_lanes``, and ``first_k``.
+    Outside a common quadratic field every closure takes the generic
+    exact operations."""
 
-    def decide(x: np.ndarray, k: np.ndarray, ok: np.ndarray) -> np.ndarray:
-        if ok.all():
-            return np.where((k >= 1) & (floors(k) == x), k, 0)
-        out = np.zeros_like(x)
-        xs, ks = x[ok], k[ok]
-        out[ok] = np.where((ks >= 1) & (floors(ks) == xs), ks, 0)
-        return _scalar_lanes(out, ~ok, x, scalar)
+    def __init__(self, tau: RealLike, eta: RealLike):
+        self.tau, self.eta = as_real(tau), as_real(eta)
+        self.form = _linear_form(self.tau, self.eta)
 
-    wform = _inverse_forms(tau, eta)
-    if wform is not None and wform[1] == wform[3] == 0:
-        A1, _, E1, _, Z1, _ = wform
-        if A1 < LANE_BOUND and abs(E1) < LANE_BOUND and Z1 < LANE_BOUND:
-            xmax = (LANE_BOUND - abs(E1)) // A1
+    @cached_property
+    def _inverse(self):
+        """Linear form of x -> (x - eta)/tau, or None without a forward
+        form (the inverse then leaves the field as well)."""
+        if self.form is None:
+            return None
+        inv = _reciprocal(self.tau)
+        return _linear_form(inv, _neg(_mul(self.eta, inv)))
 
-            def rational(x: np.ndarray) -> np.ndarray:
-                ok = x <= xmax
-                xs = np.where(ok, x, 0)
-                return decide(x, -((-(A1 * xs + E1)) // Z1), ok)
+    @cached_property
+    def _floats(self) -> Optional[tuple[float, float, float, float]]:
+        """(t, et, e, ee) with |tau - t| <= et and |eta - e| <= ee, or
+        None if a value does not fit a float."""
+        ft, fe = _float_pair(self.tau), _float_pair(self.eta)
+        return None if ft is None or fe is None else ft + fe
 
-            return rational
-    ft, fe = _float_pair(tau), _float_pair(eta)
-    if ft is None or fe is None or ft[1] > 0.5:
-        return lambda x: _scalar_lanes(np.empty_like(x), np.ones(x.shape, bool),
-                                       x, scalar)
-    (t, et), (e, ee) = ft, fe
-    # With N' = fl(x - e) and q' = fl(N'/t), tau >= 1 and et <= 1/2:
-    # |(x - eta)/tau - q'| <= ee + 2u(|x| + |e|) + 2|N'|et + 2u|q'|, which
-    # |N'|*c1 + c0 bounds with a factor 2 to spare.
-    c1 = 4.0 * et + 16.0 * _U
-    c0 = 2.0 * ee + 16.0 * _U * abs(e) + _SLACK
+    @cached_property
+    def floor(self) -> Callable[[int], int]:
+        """k -> floor(tau*k + eta)."""
+        tau, eta = self.tau, self.eta
+        if self.form is None:
+            return lambda k: floor_linear(tau, k, eta)
+        A, B, E, F, Z, D = self.form
+        if B == 0 and F == 0:
+            return lambda k: (A * k + E) // Z
+        sf = _surd_floor_ints
 
-    def filtered(x: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore", over="ignore"):
-            num = x.astype(np.float64) - e
-            q = num / t
-            err = np.abs(num) * c1 + c0
-            lo, hi = np.ceil(q - err), np.ceil(q + err)
-            ok = (lo == hi) & (np.abs(lo) < LANE_BOUND)
-        return decide(x, np.where(ok, lo, 0.0).astype(np.int64), ok)
+        def fast(k: int) -> int:
+            X, Y = A * k + E, B * k + F
+            return X // Z if Y == 0 else sf(X, Y, D, Z)
 
-    return filtered
+        return fast
+
+    @cached_property
+    def member(self) -> Callable[[int], int]:
+        """x -> the k >= 1 with floor(tau*k + eta) = x, or 0, for x >= 1.
+
+        x is a member iff k = ceil((x - eta)/tau) satisfies k >= 1 and
+        floor(tau*k + eta) = x; both reduce to flat integer expressions in
+        the common-field case (scans call this millions of times)."""
+        tau, eta, floor = self.tau, self.eta, self.floor
+        if self._inverse is None:
+            return lambda x: member(x, tau, eta) or 0
+        A1, B1, E1, F1, Z1, D1 = self._inverse
+        sf = _surd_floor_ints
+
+        def fast(x: int) -> int:
+            X, Y = A1 * x + E1, B1 * x + F1
+            k = -((-X) // Z1) if Y == 0 else -sf(-X, -Y, D1, Z1)
+            return k if k >= 1 and floor(k) == x else 0
+
+        return fast
+
+    @cached_property
+    def first_k(self) -> int:
+        """The first k >= 1 with floor(tau*k + eta) >= 1.
+
+        Loops over k start here, so a large negative shift costs nothing:
+        k >= (1 - eta)/tau is the condition, its lower enclosure gives a
+        start at or below the answer, and monotonicity of k -> floor(tau*k
+        + eta) lets the final steps settle it exactly."""
+        one_minus = _add(Rational(Fraction(1)), _neg(self.eta))
+        lo, _ = _div(one_minus, self.tau).enclosure(64)
+        k = max(1, -((-lo.numerator) // lo.denominator))
+        floor = self.floor
+        while floor(k) < 1:
+            k += 1
+        return k
+
+    @cached_property
+    def floor_lanes(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorized exact k -> floor(tau*k + eta) over int64 lanes."""
+        scalar = self.floor
+        form = self.form
+        if form is not None and form[1] == form[3] == 0:
+            A, _, E, _, Z, _ = form
+            if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
+                kmax = (LANE_BOUND - abs(E)) // A
+
+                def rational(k: np.ndarray) -> np.ndarray:
+                    ok = np.abs(k) <= kmax
+                    if ok.all():
+                        return (A * k + E) // Z
+                    out = np.where(ok, k, 0)
+                    out = (A * out + E) // Z
+                    return _scalar_lanes(out, ~ok, k, scalar)
+
+                return rational
+        if self._floats is None:
+            return _all_scalar(scalar)
+        t, et, e, ee = self._floats
+        # |tau*k + eta - fl(fl(t*k) + e)| <= |k|(et + 4u|t|) + ee + 2u|e|,
+        # counting the int64 -> float64 rounding of k; doubling covers the
+        # rounding of the bound itself.
+        c1 = 2.0 * (et + 4.0 * _U * abs(t))
+        c0 = 2.0 * (ee + 2.0 * _U * abs(e)) + _SLACK
+
+        def filtered(k: np.ndarray) -> np.ndarray:
+            kf = k.astype(np.float64)
+            with np.errstate(invalid="ignore", over="ignore"):
+                v = kf * t + e
+                fl = np.floor(v)
+                frac = v - fl
+                err = np.abs(kf) * c1 + c0
+                ok = (frac > err) & (frac < 1.0 - err)
+            if ok.all():
+                return fl.astype(np.int64)
+            out = np.where(ok, fl, 0.0).astype(np.int64)
+            return _scalar_lanes(out, ~ok, k, scalar)
+
+        return filtered
+
+    @cached_property
+    def member_lanes(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorized exact x -> the k >= 1 with floor(tau*k + eta) = x, or
+        0 for non-members, over int64 lanes x >= 1.
+
+        The only candidate is k = ceil((x - eta)/tau) (see ``member``).
+        Rational pairs compute it with the int64 inverse form; otherwise
+        the float quotient and its error bound must put both ends of the
+        error interval under one ceiling.  One kernel floor then decides
+        membership; lanes that fail a guard take the scalar ``member``."""
+        floors = self.floor_lanes
+        scalar = self.member
+
+        def decide(x: np.ndarray, k: np.ndarray, ok: np.ndarray) -> np.ndarray:
+            if ok.all():
+                return np.where((k >= 1) & (floors(k) == x), k, 0)
+            out = np.zeros_like(x)
+            xs, ks = x[ok], k[ok]
+            out[ok] = np.where((ks >= 1) & (floors(ks) == xs), ks, 0)
+            return _scalar_lanes(out, ~ok, x, scalar)
+
+        wform = self._inverse
+        if wform is not None and wform[1] == wform[3] == 0:
+            A1, _, E1, _, Z1, _ = wform
+            if A1 < LANE_BOUND and abs(E1) < LANE_BOUND and Z1 < LANE_BOUND:
+                xmax = (LANE_BOUND - abs(E1)) // A1
+
+                def rational(x: np.ndarray) -> np.ndarray:
+                    ok = x <= xmax
+                    xs = np.where(ok, x, 0)
+                    return decide(x, -((-(A1 * xs + E1)) // Z1), ok)
+
+                return rational
+        if self._floats is None or self._floats[1] > 0.5:
+            return _all_scalar(scalar)
+        t, et, e, ee = self._floats
+        # With N' = fl(x - e) and q' = fl(N'/t), tau >= 1 and et <= 1/2:
+        # |(x - eta)/tau - q'| <= ee + 2u(|x| + |e|) + 2|N'|et + 2u|q'|, which
+        # |N'|*c1 + c0 bounds with a factor 2 to spare.
+        c1 = 4.0 * et + 16.0 * _U
+        c0 = 2.0 * ee + 16.0 * _U * abs(e) + _SLACK
+
+        def filtered(x: np.ndarray) -> np.ndarray:
+            with np.errstate(invalid="ignore", over="ignore"):
+                num = x.astype(np.float64) - e
+                q = num / t
+                err = np.abs(num) * c1 + c0
+                lo, hi = np.ceil(q - err), np.ceil(q + err)
+                ok = (lo == hi) & (np.abs(lo) < LANE_BOUND)
+            return decide(x, np.where(ok, lo, 0.0).astype(np.int64), ok)
+
+        return filtered
+
+
+def floor_fn(tau: RealLike, eta: RealLike) -> Callable[[int], int]:
+    """``BeattyPair(tau, eta).floor``."""
+    return BeattyPair(tau, eta).floor
+
+
+def membership_fn(tau: RealLike, eta: RealLike) -> Callable[[int], bool]:
+    """Predicate x -> (x in S(tau, eta)) for x >= 1, from
+    ``BeattyPair(tau, eta).member``."""
+    member_k = BeattyPair(tau, eta).member
+    return lambda x: member_k(x) > 0

@@ -14,22 +14,23 @@ elements).  Head classes:
                 the certificate below, or detected up to a finite
                 horizon and reported as candidates).
 
-``_ScanContext`` holds the per-tuple scan state, built once: tables,
-closures, lane kernels, and a certificate threshold Y from one period
+``_ScanContext`` holds the per-tuple scan state, built once: the two
+pairs, tables, and a certificate threshold Y from one period
 of kernel floors (``_certificate``; never from ``regions``, whose closed
 forms stay an independent check).  A walk whose iterate reaches Y above
 the visible window is proved infinite and stops; without a certificate
 it runs to the horizon.
 
-Two walks step along chains.  ``_ScanContext.walk`` is the scalar
-reference: one head at a time on the integer closures of ``beatty``,
-starting at a head or resuming a surviving walk at its step j.
-``_ScanContext.walk_heads`` is a refilling lane stream: each round
-applies f once to every live lane through the vectorized exact kernel
-(``beatty.floor_lanes_fn``/``member_lanes_fn``), every lane at its own
-step, and whenever at most CHUNK // 2 lanes are live it draws the next
-heads of its stream; an iterate past the kernel's int64 guard resumes
-in ``walk`` at its step.
+Two walks step along chains by one rule: from the iterate y, k =
+a.member(y) (0 ends the chain: y left SA), then y = g.floor(k), with a
+and g the ``beatty.BeattyPair`` of S(alpha, beta) and S(gamma, delta).
+``_ScanContext.walk`` is the scalar reference: one head at a time on
+the pairs' scalar closures, from a head or resuming a walk at its step
+j.  ``_ScanContext.walk_heads`` is a refilling lane stream: each round
+steps every live lane, each at its own step, through the pairs' lane
+kernels, and whenever at most CHUNK // 2 lanes are live it draws the
+next heads of its stream; an iterate past the kernel's int64 guard
+resumes in ``walk`` at its step.
 
 ``walk_heads`` is the one head-scan engine.  ``decompose`` passes every
 head at once and gets per-head arrays (class, contiguity and the
@@ -57,17 +58,8 @@ from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from .beatty import (
-    LANE_BOUND,
-    ParamTuple,
-    f_step_fn,
-    first_positive_k,
-    floor_fn,
-    floor_lanes_fn,
-    member_fn,
-    member_lanes_fn,
-)
-from .numerics import Rational, _add, _div, _mul, _neg, as_real
+from .beatty import LANE_BOUND, BeattyPair, ParamTuple
+from .numerics import Rational, _add, _div, _mul, _neg
 
 DEFAULT_K = 40
 CHUNK = 1 << 12  # lanes per table-marking call, positions per head slice
@@ -326,14 +318,13 @@ def default_horizon(p: ParamTuple, n: int) -> int:
 # scan machinery
 # ---------------------------------------------------------------------------
 
-def _mark_bitset(tau, eta, bound: int) -> bytearray:
-    """Byte membership table of S(tau, eta) on [1, bound], from chunked
-    kernel floors.  Lane i holds k = k0 + i, with k0 the first k of a
-    positive floor folded into the shift, so lanes stay small whatever
-    the shift."""
-    tau, eta = as_real(tau), as_real(eta)
-    k0 = first_positive_k(tau, eta)
-    floors = floor_lanes_fn(tau, _add(eta, _mul(tau, Rational(k0))))
+def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
+    """Byte membership table of the pair's S(tau, eta) on [1, bound], from
+    chunked kernel floors.  Lane i holds k = k0 + i, with k0 = first_k
+    folded into the shift, so lanes stay small whatever the shift."""
+    tau = pair.tau
+    shifted = _add(pair.eta, _mul(tau, Rational(pair.first_k)))
+    floors = BeattyPair(tau, shifted).floor_lanes
     # k -> floor(tau*k + eta) steps by at least 1, so about bound/tau
     # lanes land in [1, bound]
     step = min(CHUNK, int(bound / tau.approx()) + 2)
@@ -349,28 +340,20 @@ def _mark_bitset(tau, eta, bound: int) -> bytearray:
 
 
 class _ScanContext:
-    """Per-tuple scan state, built once per tuple: membership tables
-    inside [1, B], integer closures beyond, the lane kernels and guard
-    of ``walk_heads``, and the certificate threshold Y (None without
-    one).  A walk stops as proved infinite at an iterate y >= Y above
-    the cutoff: every later iterate is larger and in S(alpha, beta)."""
+    """Per-tuple scan state, built once per tuple: the pairs a and g,
+    their membership tables on [1, bound], the lane guard of
+    ``walk_heads``, and the certificate threshold Y (None without one).
+    A walk stops as proved infinite at an iterate y >= Y above the
+    cutoff: every later iterate is larger and in S(alpha, beta)."""
 
     def __init__(self, p: ParamTuple, bound: int):
         self.p = p
-        self.B = bound
-        self.sg = _mark_bitset(p.gamma, p.delta, bound)
-        self.sa = _mark_bitset(p.alpha, p.beta, bound)
-        self.f = f_step_fn(p)
-        self.far_sa = member_fn(p.alpha, p.beta)  # k, or 0
-        self.member_a = member_lanes_fn(p.alpha, p.beta)
-        self.floor_g = floor_lanes_fn(p.gamma, p.delta)
+        self.a = BeattyPair(p.alpha, p.beta)
+        self.g = BeattyPair(p.gamma, p.delta)
+        self.sg = _mark_bitset(self.g, bound)
+        self.sa = _mark_bitset(self.a, bound)
         self.guard = _lane_guard(p)
-        self.Y = _certificate(p)
-
-    def in_sa(self, y: int) -> bool:
-        if y <= self.B:
-            return bool(self.sa[y])
-        return self.far_sa(y) > 0
+        self.Y = _certificate(self.a, self.g)
 
     def _stop(self, cutoff: int):
         """The least iterate that ends a walk as proved infinite."""
@@ -379,8 +362,8 @@ class _ScanContext:
     def walk(self, x: int, horizon: int, cutoff: int = 0, rec=None,
              j: int = 0):
         """Follow a chain from x, its trajectory point at step j: a head
-        in SA\\SG for j = 0, or the last iterate of a walk that survived
-        to step j, which this call resumes.
+        in SA\\SG for j = 0, or the step-j iterate of a walk, which this
+        call resumes, one step of the module's rule at a time.
 
         Returns (kind, value, y_last, vis, contiguous) with kind one of
         'finite' (value = class index i), 'cand' (value = horizon
@@ -395,12 +378,21 @@ class _ScanContext:
         vis = 1 if x <= cutoff else 0
         if rec is not None and x <= cutoff:
             rec.append(x)
-        sa, B, far, f = self.sa, self.B, self.far_sa, self.f
+        member, floor = self.a.member, self.g.floor
         stop = self._stop(cutoff)
         y = x
-        kind = val = None
         while True:
-            y = f(y)
+            if y >= stop:
+                kind, val = "proved", j
+                break
+            k = member(y)
+            if not k:
+                kind, val = "finite", j + 1
+                break
+            if j >= horizon:
+                kind, val = "cand", horizon
+                break
+            y = floor(k)
             j += 1
             if y < 1:
                 kind, val = "residual", j
@@ -412,15 +404,6 @@ class _ScanContext:
                 last = j
                 if rec is not None:
                     rec.append(y)
-            if y >= stop:
-                kind, val = "proved", j
-                break
-            if not (sa[y] if y <= B else far(y)):
-                kind, val = "finite", j + 1
-                break
-            if j >= horizon:
-                kind, val = "cand", horizon
-                break
         contiguous = vis == 0 or last - first + 1 == vis
         return (kind, val, y, vis, contiguous)
 
@@ -508,13 +491,8 @@ class _ScanContext:
                 left[:] += np.bincount(j[out], minlength=horizon + 1)
 
         def resume(lane, j, y):
-            # y is the step-j iterate, already seen; its membership is
-            # decided here, then walk() takes over and sees y again.
-            # Returns the lane's end column.
-            if j and not self.in_sa(y):
-                return lane, j, 0
-            if j >= horizon:
-                return lane, j, 1
+            # y is the step-j iterate, already seen; walk() takes over
+            # from it and sees it again.  Returns the lane's end column.
             rec: Optional[list[int]] = [] if track else None
             kind, val, _, _, tail_ok = self.walk(y, horizon, cutoff, rec, j)
             if track:
@@ -564,13 +542,13 @@ class _ScanContext:
             out = live[1] >= horizon
             if self.Y is not None:
                 out |= live[2] >= stop
-            live[2] = self.member_a(live[2])
+            live[2] = self.a.member_lanes(live[2])
             out |= live[2] == 0
             gone, live = (live.compress(out, axis=1),
                           live.compress(~out, axis=1))
             end(gone)
             live[1] += 1
-            live[2] = self.floor_g(live[2])
+            live[2] = self.g.floor_lanes(live[2])
             out = live[2] < 1
             if out.any():  # left N at step j
                 gone, live = (live.compress(out, axis=1),
@@ -622,8 +600,9 @@ def _lane_guard(p: ParamTuple) -> int:
     return floor((LANE_BOUND - d) / g - b) - 3
 
 
-def _certificate(p: ParamTuple) -> Optional[int]:
-    """A threshold Y such that every y >= Y in S(gamma, delta) lies in
+def _certificate(a: BeattyPair, g: BeattyPair) -> Optional[int]:
+    """For the pairs a of S(alpha, beta) and g of S(gamma, delta), a
+    threshold Y such that every y >= Y in S(gamma, delta) lies in
     S(alpha, beta) and has f(y) > y, so a chain reaching Y is infinite;
     or None.
 
@@ -635,25 +614,26 @@ def _certificate(p: ParamTuple) -> Optional[int]:
     check, for any gamma.  f(y) > y once (gamma - alpha)*k >=
     1 + beta - delta, i.e. for y >= floor(alpha*k_f + beta).  None for
     irrational alpha, a failed inclusion, a period above _PERIOD_CAP,
-    or a threshold past the int64 lanes."""
-    if not isinstance(p.alpha, Rational):
+    or a threshold or member index past the int64 lanes."""
+    if not isinstance(a.tau, Rational):
         return None
-    fa = floor_fn(p.alpha, p.beta)
-    y0 = max(1, fa(1), floor_fn(p.gamma, p.delta)(1))
-    gap = _div(_add(_add(Rational(Fraction(1)), p.beta), _neg(p.delta)),
-               _add(p.gamma, _neg(p.alpha)))
+    y0 = max(1, a.floor(1), g.floor(1))
+    gap = _div(_add(_add(Rational(Fraction(1)), a.eta), _neg(g.eta)),
+               _add(g.tau, _neg(a.tau)))
     hi = gap.enclosure(64)[1]
-    Y = max(y0, fa(max(1, -(-hi.numerator // hi.denominator))))
-    b = p.alpha.value.numerator
+    Y = max(y0, a.floor(max(1, -(-hi.numerator // hi.denominator))))
+    b = a.tau.value.numerator
     if b > 1:
-        if not isinstance(p.gamma, Rational):
+        if not isinstance(g.tau, Rational):
             return None
-        period = lcm(b, p.gamma.value.numerator)
-        if period > _PERIOD_CAP or y0 + period > LANE_BOUND:
+        period = lcm(b, g.tau.value.numerator)
+        # the member index of y is at most first_k + y
+        k_top = max(a.first_k, g.first_k) + y0 + period
+        if period > _PERIOD_CAP or k_top > LANE_BOUND:
             return None
         y = np.arange(y0, y0 + period, dtype=np.int64)
-        y = y[member_lanes_fn(p.gamma, p.delta)(y) > 0]
-        if not member_lanes_fn(p.alpha, p.beta)(y).all():
+        y = y[g.member_lanes(y) > 0]
+        if not a.member_lanes(y).all():
             return None
     return Y if Y <= LANE_BOUND else None
 

@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from decimal import Decimal
 from typing import Optional
 
 import numpy as np
@@ -36,7 +35,8 @@ from .oracle import (
     count_patterns,
     exhaustive_count,
 )
-from .regions import classify_region, closed_form_d, density_payload, region_report
+from .regions import (classify_region, closed_form_d, density_payload, digits,
+                      region_report)
 
 
 def _round12(x: float) -> float:
@@ -190,12 +190,6 @@ def _run_dim(args) -> int:
     return 0
 
 
-def _digits(count: int) -> str:
-    """Decimal digits of a pattern count; unlike str(int), not capped at
-    Python's int-to-str digit limit."""
-    return str(Decimal(count))
-
-
 def _run_verify(args) -> int:
     p = _params(args)
     A = BinaryMatrix.from_string(args.matrix)
@@ -209,8 +203,8 @@ def _run_verify(args) -> int:
         checks.append({
             "name": "oracle-equality",
             "status": "PASS" if ok else "FAIL",
-            "detail": f"component-dp={_digits(graph.count)} "
-                      f"exhaustive={_digits(brute)}",
+            "detail": f"component-dp={digits(graph.count)} "
+                      f"exhaustive={digits(brute)}",
         })
     except CapExceeded as exc:
         checks.append({
@@ -223,8 +217,8 @@ def _run_verify(args) -> int:
     checks.append({
         "name": "chain-product-consistency",
         "status": "PASS" if ok else "FAIL",
-        "detail": f"chain-product={_digits(prod)} "
-                  f"component-dp={_digits(graph.count)}",
+        "detail": f"chain-product={digits(prod)} "
+                  f"component-dp={digits(graph.count)}",
     })
 
     covered = np.sort(np.concatenate(

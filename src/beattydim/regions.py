@@ -34,11 +34,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .beatty import ParamTuple, floor_fn
+from .beatty import BeattyPair, ParamTuple
 from .chains import DEFAULT_K, ClosedForm, DensityVector
 from .numerics import (
     PrecisionExhausted,
@@ -88,13 +89,13 @@ class RegionId:
 def residue_set(a: int, b: int, beta: RealLike) -> frozenset:
     """{ floor(beta + b*h/a) mod b : 0 <= h <= a-1 }; size is exactly a
     for coprime a <= b (the floors are strictly increasing and span less
-    than one full period).  One ``floor_fn`` closure takes every floor:
+    than one full period).  One ``BeattyPair.floor`` takes every floor:
     integer divisions for rational beta, one isqrt each for a surd."""
     if a < 1 or b < 1 or a > b:
         raise ValueError("need 1 <= a <= b (alpha = b/a >= 1)")
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    floor_at = floor_fn(Rational(Fraction(b, a)), beta)
+    floor_at = BeattyPair(Rational(Fraction(b, a)), beta).floor
     out = frozenset(floor_at(h) % b for h in range(a))
     if len(out) != a:
         raise AssertionError("residue set size invariant violated")
@@ -372,7 +373,12 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
     # R3 / R4: d_i = (alpha-1)(gamma-1) / (alpha^i * gamma)
     af, gf = p.alpha.approx(), p.gamma.approx()
     top = (af - 1.0) * (gf - 1.0) / gf
-    finite = [top / af ** i for i in range(1, K + 1)]
+    finite = []
+    for i in range(1, K + 1):
+        try:
+            finite.append(top / af ** i)
+        except OverflowError:  # af**i is past the float range
+            finite.append(finite[-1] / af)
     return DensityVector(
         finite=tuple(finite), d_inf=0.0, K=K, provenance=prov,
         tail_ratio=1.0 / af,
@@ -383,9 +389,16 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
 # report payload
 # ---------------------------------------------------------------------------
 
+def digits(count: int) -> str:
+    """Decimal digits of an integer; unlike str(int), not capped at
+    Python's int-to-str digit limit."""
+    return str(Decimal(count))
+
+
 def _num_payload(v) -> object:
     if isinstance(v, Fraction):
-        return str(v)
+        num = digits(v.numerator)
+        return num if v.denominator == 1 else f"{num}/{digits(v.denominator)}"
     return float(v)
 
 

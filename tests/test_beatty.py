@@ -15,14 +15,7 @@ from beattydim import (
     floor_linear,
     member,
 )
-from beattydim.beatty import (
-    LANE_BOUND,
-    _linear_form,
-    f_step_fn,
-    floor_lanes_fn,
-    member_lanes_fn,
-    membership_fn,
-)
+from beattydim.beatty import LANE_BOUND, BeattyPair, _linear_form
 from beattydim.numerics import (
     Interval,
     as_fraction,
@@ -156,13 +149,12 @@ def test_growth_sandwich(tup, rng):
 ])
 def test_fast_paths_match_generic(tup):
     p = ParamTuple(*tup)
-    in_sa = membership_fn(p.alpha, p.beta)
-    fstep = f_step_fn(p)
+    a, g = BeattyPair(p.alpha, p.beta), BeattyPair(p.gamma, p.delta)
     for x in range(1, 400):
         ref = member(x, p.alpha, p.beta)
-        assert in_sa(x) == (ref is not None)
+        assert a.member(x) == (ref or 0)
         if ref is not None:
-            assert fstep(x) == floor_linear(p.gamma, ref, p.delta)
+            assert g.floor(a.member(x)) == floor_linear(p.gamma, ref, p.delta)
 
 
 def test_beatty_values():
@@ -221,7 +213,7 @@ def test_kernel_floors_exact_integer_values(b, d):
     for ea in (0, -300):
         for m in range(-30, 31):
             eta = surd(ea, -b * m, d)
-            got = floor_lanes_fn(tau, eta)(np.array([m - 1, m, m + 1]))
+            got = BeattyPair(tau, eta).floor_lanes(np.array([m - 1, m, m + 1]))
             assert got.tolist() == [floor_linear(tau, k, eta)
                                     for k in (m - 1, m, m + 1)], (ea, m)
 
@@ -230,13 +222,18 @@ def test_kernel_floors_exact_integer_values(b, d):
 @settings(max_examples=120, deadline=None)
 def test_kernel_matches_scalar_floors_and_membership(case):
     tau, eta, ks = case
-    # the kernel's contract: every floor fits in int64
+    pair = BeattyPair(tau, eta)
     want = {v: floor_linear(tau, v, eta) for v in ks}
+    # every scalar walk step is pair.member, then pair.floor
+    assert [pair.floor(v) for v in ks] == [want[v] for v in ks]
+    k = pair.first_k
+    assert pair.floor(k) >= 1 and (k == 1 or pair.floor(k - 1) < 1)
+    # the kernel's contract: every floor fits in int64
     ks = [v for v in ks if -2**63 <= want[v] < 2**63]
-    floors = floor_lanes_fn(tau, eta)(np.array(ks, dtype=np.int64))
+    floors = pair.floor_lanes(np.array(ks, dtype=np.int64))
     assert floors.tolist() == [want[v] for v in ks]
     xs = sorted({int(v) + dv for v in floors for dv in (-1, 0, 1)
                  if 1 <= int(v) + dv < LANE_BOUND} | set(range(1, 40)))
-    x = np.array(xs, dtype=np.int64)
-    got = member_lanes_fn(tau, eta)(x)
-    assert got.tolist() == [member(v, tau, eta) or 0 for v in xs]
+    ref = [member(v, tau, eta) or 0 for v in xs]
+    assert [pair.member(v) for v in xs] == ref
+    assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref

@@ -15,7 +15,7 @@ from beattydim import (
     dij_row,
     empirical_densities,
 )
-from beattydim.beatty import f_map, member
+from beattydim.beatty import BeattyPair, f_map, member
 from beattydim.chains import (
     A1,
     Chain,
@@ -53,6 +53,12 @@ def classify_head(x, p, horizon):
         j += 1
 
 
+def certificate(p):
+    """chains._certificate on the two pairs of p."""
+    return _certificate(BeattyPair(p.alpha, p.beta),
+                        BeattyPair(p.gamma, p.delta))
+
+
 def scalar_decompose(p, n):
     """Reference for decompose: one scalar walk per head, as
     (chains, residual, counts, all_contiguous), with no certificate."""
@@ -65,7 +71,7 @@ def scalar_decompose(p, n):
     for x in range(1, bound + 1):
         if ctx.sg[x]:
             continue
-        if ctx.in_sa(x):
+        if ctx.sa[x]:
             rec = []
             kind, val, _, vis, contiguous = ctx.walk(x, horizon, n, rec=rec)
             if kind == "residual" or not rec:
@@ -100,7 +106,7 @@ def scalar_window_counts(ctx, lo, hi, horizon, probe):
     for x in range(lo, hi + 1):
         if ctx.sg[x]:
             continue
-        if not ctx.in_sa(x):
+        if not ctx.sa[x]:
             a1 += 1
             continue
         kind, val, y, _, _ = ctx.walk(x, horizon)
@@ -226,7 +232,7 @@ def test_resumed_walk_matches_fresh_walk(key, H):
     ctx.Y = None
     resumed = 0
     for x in range(1, n + 1):
-        if ctx.sg[x] or not ctx.in_sa(x):
+        if ctx.sg[x] or not ctx.sa[x]:
             continue
         kind, _, y, _, _ = ctx.walk(x, H)
         if kind == "cand":
@@ -276,7 +282,7 @@ def test_bitset_matches_beatty_values():
         (surd(1, 1, 5), surd(0, 1, 5)),
     ]
     for tau, eta in cases:
-        bits = _mark_bitset(tau, eta, 700)
+        bits = _mark_bitset(BeattyPair(tau, eta), 700)
         marked = {x for x in range(1, 701) if bits[x]}
         assert marked == set(beatty_values(tau, eta, 700))
 
@@ -493,7 +499,7 @@ def test_window_pays_one_straggler_tail(tup, n, monkeypatch):
 
     def counting_init(self, *args):
         init(self, *args)
-        member_a = self.member_a
+        member_a = self.a.member_lanes
 
         def counted(y):
             nonlocal rounds, lane_steps
@@ -501,7 +507,7 @@ def test_window_pays_one_straggler_tail(tup, n, monkeypatch):
             lane_steps += y.size
             return member_a(y)
 
-        self.member_a = counted
+        self.a.member_lanes = counted
 
     monkeypatch.setattr(_ScanContext, "__init__", counting_init)
     p = ParamTuple(*tup)
@@ -519,7 +525,7 @@ def assert_certificate_sound(p, span=None):
     the two memberships by default) that lies in S(gamma, delta) lies in
     S(alpha, beta) and has f(y) > y, by the generic exact operations.
     Returns whether there is a certificate."""
-    Y = _certificate(p)
+    Y = certificate(p)
     if Y is None:
         return False
     if span is None:
@@ -572,7 +578,7 @@ def test_certificate_sweep(tup, certified):
     if isinstance(p.gamma, Rational) and isinstance(p.alpha, Rational):
         assert assert_certificate_sound(p) == certified
     else:
-        assert (_certificate(p) is not None) == certified
+        assert (certificate(p) is not None) == certified
 
 
 @pytest.mark.parametrize("tup", [
@@ -584,13 +590,36 @@ def test_certificate_alpha_one_any_gamma(tup):
     assert assert_certificate_sound(ParamTuple(*tup), span=300)
 
 
+@pytest.mark.parametrize("tup", [
+    ("3/2", 0, 3, 0),  # rational, with a certificate period
+    ("sqrt(2)", 0, "sqrt(3)", 0),
+    ("sqrt(2)", "sqrt(3)", "sqrt(5)", 0),  # cross-field: generic floors
+])
+def test_scan_builds_each_pair_once(tup, monkeypatch):
+    # a scan builds two pairs and one shifted pair per table: at most
+    # two forward forms, two inverse forms and two shifted forms
+    import beattydim.beatty as beatty_mod
+
+    calls = 0
+    form = beatty_mod._linear_form
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return form(*args)
+
+    monkeypatch.setattr(beatty_mod, "_linear_form", counted)
+    empirical_densities(ParamTuple(*tup), [(1, 2000)])
+    assert 0 < calls <= 6
+
+
 def assert_matches_references(p, n):
     """decompose and the window counts (probe on, lo = 1 and lo > 1)
     equal the references, which run without the certificate; no
     candidate moves on a certified tuple."""
     assert_matches_scalar(p, n)
     moved = assert_counts_match(p, 1, n) + assert_counts_match(p, n // 3, n)
-    if _certificate(p) is not None:
+    if certificate(p) is not None:
         assert moved == 0
 
 
@@ -605,7 +634,7 @@ DINF_TUPLES = [
 @pytest.mark.parametrize("tup", DINF_TUPLES)
 def test_dinf_tuples_match_references(tup):
     p = ParamTuple(*tup)
-    assert _certificate(p) is not None
+    assert certificate(p) is not None
     assert_matches_references(p, 6000)
 
 
@@ -639,7 +668,7 @@ def test_rational_sweep_matches_references(tup):
 
 
 def test_rational_sweep_has_both_outcomes():
-    outcomes = {_certificate(ParamTuple(*t)) is not None
+    outcomes = {certificate(ParamTuple(*t)) is not None
                 for t in _rational_sweep()}
     assert outcomes == {True, False}
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -170,6 +171,57 @@ def test_classify_long_alpha_denominator(capsys):
     d1 = (1 - Fraction(100000, 100001)) * (1 - Fraction(1, 3))
     assert rep["d"]["finite"][0] == str(d1)
     assert rep["d"]["d_inf"] == "0"
+
+
+def test_classify_past_float_overflow(capsys):
+    # sqrt(2)**i leaves the float range near i = 2048: the R4 entries
+    # past it come out finite and decreasing, and those before it keep
+    # their bits
+    code, out = run_cli(capsys, "classify", "--alpha", "sqrt(2)",
+                        "--gamma", "sqrt(3)", "--K", "2048")
+    assert code == 0
+    finite = json.loads(out)["d"]["finite"]
+    assert len(finite) == 2048
+    assert all(0 <= b <= a for a, b in zip(finite, finite[1:]))
+    # d_2048 = d_2047 / sqrt(2), near 1e-309
+    assert abs(finite[-1] * 2 ** 0.5 / finite[-2] - 1) < 1e-9
+    code, out = run_cli(capsys, "classify", "--alpha", "sqrt(2)",
+                        "--gamma", "sqrt(3)", "--K", "2000")
+    assert code == 0
+    assert json.loads(out)["d"]["finite"] == finite[:2000]
+    code, out = run_cli(capsys, "dim", "--alpha", "sqrt(2)", "--gamma",
+                        "sqrt(3)", "--matrix", "11;10", "--K", "2100")
+    assert code == 0
+    assert json.loads(out)["region"] == "R4"
+
+
+def test_classify_density_past_digit_limit(capsys):
+    # the K = 2500 entries of (2, 0, 3, 0) have denominators of about 750
+    # digits, past a lowered int-to-str limit of 640
+    argv = ("classify", "--alpha", "2", "--gamma", "3", "--K", "2500")
+    code, want = run_cli(capsys, *argv)
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert out == want
+    assert max(len(v) for v in json.loads(out)["d"]["finite"]) > 640
+
+
+@pytest.mark.parametrize("shift", ["--beta", "--delta"])
+def test_densities_shift_past_int64(capsys, shift):
+    # member indices near 10^30: the certificate declines instead of
+    # overflowing the int64 lanes of its period check
+    code, out = run_cli(capsys, "densities", "--alpha", "3/2", "--gamma", "3",
+                        f"{shift}=-{10**30}", "--mode", "empirical",
+                        "--n", "3000")
+    assert code == 0
+    d = json.loads(out)["d"]
+    assert 0 <= sum(d["finite"]) + d["d_inf"] <= 1
 
 
 def test_dim_mode_both(capsys):
