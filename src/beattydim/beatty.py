@@ -68,7 +68,7 @@ class ParamTuple:
     """Validated parameter tuple with the derived ratio gamma/alpha and
     the chain growth bound C = (1 + |beta| + |delta|) * alpha / (gamma - alpha)."""
 
-    __slots__ = ("alpha", "beta", "gamma", "delta", "ratio", "chain_bound")
+    __slots__ = ("alpha", "beta", "gamma", "delta", "ratio", "_chain_bound")
 
     def __init__(self, alpha, beta, gamma, delta):
         alpha, beta = _coerce(alpha), _coerce(beta)
@@ -86,14 +86,22 @@ class ParamTuple:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "ratio", _div(gamma, alpha))
-        one_plus = _add(_add(Rational(Fraction(1)), abs(beta)), abs(delta))
-        object.__setattr__(
-            self, "chain_bound",
-            _div(_mul(one_plus, alpha), _add(gamma, _neg(alpha))),
-        )
 
     def __setattr__(self, *a):
         raise AttributeError("ParamTuple is immutable")
+
+    @property
+    def chain_bound(self) -> Real:
+        """C, computed on first use: only ``decompose`` needs it."""
+        try:
+            return self._chain_bound
+        except AttributeError:
+            one_plus = _add(_add(Rational(Fraction(1)), abs(self.beta)),
+                            abs(self.delta))
+            c = _div(_mul(one_plus, self.alpha),
+                     _add(self.gamma, _neg(self.alpha)))
+            object.__setattr__(self, "_chain_bound", c)
+            return c
 
     def chain_bound_int(self) -> int:
         """Integer upper bound for C (safe for window-extension logic)."""
@@ -176,14 +184,16 @@ def beatty_values(tau: RealLike, eta: RealLike, limit: int) -> list[int]:
 # Scalar floors then cost one isqrt (none when B = F = 0), which is what
 # makes 10^6-element scans affordable.
 #
-# The lane kernels take the same floors over a numpy array of int64
-# lanes.  Rational pairs use int64 arithmetic where A*k + E cannot
-# overflow.  Every other pair (surds, cross-field pairs, intervals)
-# evaluates tau*k + eta in float64 next to an explicit per-lane bound on
-# its error and keeps a lane only when the bound excludes every integer
-# (the filter-then-exact pattern of Shewchuk's robust predicates).  Lanes
-# that fail either guard take the scalar closures, so no result depends
-# on a float rounding decision.  Callers keep the results inside int64.
+# The lane kernels take the same floors and memberships over a numpy
+# array of int64 lanes, in one guarded pass each.  Rational pairs use
+# int64 arithmetic where A*k + E (or Z*x - E) cannot overflow.  Every
+# other pair (surds, cross-field pairs, intervals) evaluates tau*k + eta,
+# or the quotient (x - eta)/tau, in float64 next to an explicit per-lane
+# bound on its error, and keeps a lane only when the bound settles the
+# floor, or the ceiling and the membership test (the filter-then-exact
+# pattern of Shewchuk's robust predicates).  Lanes that fail either
+# guard take the scalar closures, so no result depends on a float
+# rounding decision.  Callers keep the results inside int64.
 # ---------------------------------------------------------------------------
 
 LANE_BOUND = 1 << 62  # |A*k + E| stays below this on the int64 path
@@ -321,9 +331,12 @@ class BeattyPair:
         Loops over k start here, so a large negative shift costs nothing:
         k >= (1 - eta)/tau is the condition, its lower enclosure gives a
         start at or below the answer, and monotonicity of k -> floor(tau*k
-        + eta) lets the final steps settle it exactly."""
-        one_minus = _add(Rational(Fraction(1)), _neg(self.eta))
-        lo, _ = _div(one_minus, self.tau).enclosure(64)
+        + eta) lets the final steps settle it exactly.  The enclosure
+        carries the bits of the quotient's magnitude on top of 64, so it
+        is narrower than 1 even for shifts near 10^30 times a surd."""
+        q = _div(_add(Rational(Fraction(1)), _neg(self.eta)), self.tau)
+        mag = max(map(abs, q.enclosure(16)))
+        lo, _ = q.enclosure(64 + int(mag).bit_length())
         k = max(1, -((-lo.numerator) // lo.denominator))
         floor = self.floor
         while floor(k) < 1:
@@ -378,51 +391,61 @@ class BeattyPair:
         """Vectorized exact x -> the k >= 1 with floor(tau*k + eta) = x, or
         0 for non-members, over int64 lanes x >= 1.
 
-        The only candidate is k = ceil((x - eta)/tau) (see ``member``).
-        Rational pairs compute it with the int64 inverse form; otherwise
-        the float quotient and its error bound must put both ends of the
-        error interval under one ceiling.  One kernel floor then decides
-        membership; lanes that fail a guard take the scalar ``member``."""
-        floors = self.floor_lanes
-        scalar = self.member
-
-        def decide(x: np.ndarray, k: np.ndarray, ok: np.ndarray) -> np.ndarray:
-            if ok.all():
-                return np.where((k >= 1) & (floors(k) == x), k, 0)
-            out = np.zeros_like(x)
-            xs, ks = x[ok], k[ok]
-            out[ok] = np.where((ks >= 1) & (floors(ks) == xs), ks, 0)
-            return _scalar_lanes(out, ~ok, x, scalar)
-
-        wform = self._inverse
-        if wform is not None and wform[1] == wform[3] == 0:
-            A1, _, E1, _, Z1, _ = wform
-            if A1 < LANE_BOUND and abs(E1) < LANE_BOUND and Z1 < LANE_BOUND:
-                xmax = (LANE_BOUND - abs(E1)) // A1
+        The only candidate is k = ceil((x - eta)/tau), and x is a member
+        iff k >= 1 and k < (x + 1 - eta)/tau (see ``member``); one pass
+        decides both from the quotient.  Rational pairs do it exactly in
+        int64 with the forward form; otherwise the float quotient, its
+        error bound and a bound on the error of 1/tau must settle the
+        ceiling and the sign of k - (x + 1 - eta)/tau.  Lanes that fail a
+        guard take the scalar ``member``."""
+        form = self.form
+        if form is not None and form[1] == form[3] == 0:
+            A, _, E, _, Z, _ = form
+            if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
+                xmax = (LANE_BOUND - abs(E)) // Z
 
                 def rational(x: np.ndarray) -> np.ndarray:
+                    # t = Z*x - E and k = ceil(t/A): x = floor((A*k + E)/Z)
+                    # iff A*k - t < Z.  |t| <= LANE_BOUND and A*k < t + A.
                     ok = x <= xmax
-                    xs = np.where(ok, x, 0)
-                    return decide(x, -((-(A1 * xs + E1)) // Z1), ok)
+                    t = Z * np.where(ok, x, 0) - E
+                    k = -((-t) // A)
+                    out = np.where((k >= 1) & (A * k - t < Z), k, 0)
+                    return out if ok.all() else _scalar_lanes(
+                        out, ~ok, x, self.member)
 
                 return rational
         if self._floats is None or self._floats[1] > 0.5:
-            return _all_scalar(scalar)
+            return _all_scalar(self.member)
         t, et, e, ee = self._floats
         # With N' = fl(x - e) and q' = fl(N'/t), tau >= 1 and et <= 1/2:
         # |(x - eta)/tau - q'| <= ee + 2u(|x| + |e|) + 2|N'|et + 2u|q'|, which
         # |N'|*c1 + c0 bounds with a factor 2 to spare.
         c1 = 4.0 * et + 16.0 * _U
         c0 = 2.0 * ee + 16.0 * _U * abs(e) + _SLACK
+        # k = ceil(fl(q' - err)) is the ceiling of (x - eta)/tau once
+        # fl(k - q') >= err.  r = fl(1/t): t >= tau - et >= 1/2, so
+        # |1/tau - 1/t| = |t - tau|/(tau*t) <= 2et, and the division adds
+        # u/t <= 2u.  Then k - q' lies in [0, 1] and r in (0, 2], so s =
+        # fl(fl(k - q') - r) rounds twice by at most 2u each, and
+        # |k - (x + 1 - eta)/tau - s| <= err + 2et + 6u < err + c_r: x is a
+        # member iff k >= 1 and s < 0, once |s| clears that margin.
+        r = 1.0 / t
+        c_r = 2.0 * et + 8.0 * _U + _SLACK
 
         def filtered(x: np.ndarray) -> np.ndarray:
             with np.errstate(invalid="ignore", over="ignore"):
                 num = x.astype(np.float64) - e
                 q = num / t
                 err = np.abs(num) * c1 + c0
-                lo, hi = np.ceil(q - err), np.ceil(q + err)
-                ok = (lo == hi) & (np.abs(lo) < LANE_BOUND)
-            return decide(x, np.where(ok, lo, 0.0).astype(np.int64), ok)
+                k = np.ceil(q - err)
+                d = k - q
+                s = d - r
+                ok = ((d >= err) & (np.abs(s) > err + c_r)
+                      & (np.abs(k) < LANE_BOUND))
+                k = np.where(ok & (s < 0) & (k >= 1), k, 0.0)
+            out = k.astype(np.int64)
+            return out if ok.all() else _scalar_lanes(out, ~ok, x, self.member)
 
         return filtered
 

@@ -15,11 +15,12 @@ elements).  Head classes:
                 horizon and reported as candidates).
 
 ``_ScanContext`` holds the per-tuple scan state, built once: the two
-pairs, tables, and a certificate threshold Y from one period
-of kernel floors (``_certificate``; never from ``regions``, whose closed
-forms stay an independent check).  A walk whose iterate reaches Y above
-the visible window is proved infinite and stops; without a certificate
-it runs to the horizon.
+pairs, tables, and a certificate threshold Y (``_certificate``: from one
+period of kernel floors for rational alpha, from the exact relations
+gamma = m*alpha and delta = beta + j*alpha for surd alpha; never from
+``regions``, whose closed forms stay an independent check).  A walk
+whose iterate reaches Y above the visible window is proved infinite and
+stops; without a certificate it runs to the horizon.
 
 Two walks step along chains by one rule: from the iterate y, k =
 a.member(y) (0 ends the chain: y left SA), then y = g.floor(k), with a
@@ -27,10 +28,10 @@ and g the ``beatty.BeattyPair`` of S(alpha, beta) and S(gamma, delta).
 ``_ScanContext.walk`` is the scalar reference: one head at a time on
 the pairs' scalar closures, from a head or resuming a walk at its step
 j.  ``_ScanContext.walk_heads`` is a refilling lane stream: each round
-steps every live lane, each at its own step, through the pairs' lane
-kernels, and whenever at most CHUNK // 2 lanes are live it draws the
-next heads of its stream; an iterate past the kernel's int64 guard
-resumes in ``walk`` at its step.
+steps every live lane, each at its own step, through one guarded pass
+of each lane kernel, and whenever at most CHUNK // 2 lanes are live it
+draws heads from its stream until more are; an iterate past the
+kernel's int64 guard resumes in ``walk`` at its step.
 
 ``walk_heads`` is the one head-scan engine.  ``decompose`` passes every
 head at once and gets per-head arrays (class, contiguity and the
@@ -59,10 +60,10 @@ from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .beatty import LANE_BOUND, BeattyPair, ParamTuple
-from .numerics import Rational, _add, _div, _mul, _neg
+from .numerics import QuadraticSurd, Rational, _add, _div, _mul, _neg
 
 DEFAULT_K = 40
-CHUNK = 1 << 12  # lanes per table-marking call, positions per head slice
+CHUNK = 1 << 14  # lanes per table-marking call, positions per head slice
 STABILITY_TOL = 1e-3  # candidate share a doubled horizon may move
 _PERIOD_CAP = 1 << 16  # longest membership period a certificate checks
 
@@ -320,17 +321,24 @@ def default_horizon(p: ParamTuple, n: int) -> int:
 
 def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
     """Byte membership table of the pair's S(tau, eta) on [1, bound], from
-    chunked kernel floors.  Lane i holds k = k0 + i, with k0 = first_k
-    folded into the shift, so lanes stay small whatever the shift."""
-    tau = pair.tau
-    shifted = _add(pair.eta, _mul(tau, Rational(pair.first_k)))
-    floors = BeattyPair(tau, shifted).floor_lanes
+    chunked kernel floors of k = k0, k0 + 1, ..., with k0 = first_k.  A
+    first_k past the bound (a large negative shift) is folded into a
+    shifted pair, whose lane i holds k0 + i, so lanes stay small whatever
+    the shift."""
+    tau, k0 = pair.tau, pair.first_k
+    table = bytearray(bound + 1)
+    marks = np.frombuffer(table, dtype=np.uint8)  # marks in place
+    if pair.floor(k0) > bound:  # a large positive shift: no member
+        return table
+    if k0 > bound:
+        shifted = _add(pair.eta, _mul(tau, Rational(k0)))
+        floors, k0 = BeattyPair(tau, shifted).floor_lanes, 0
+    else:
+        floors = pair.floor_lanes
     # k -> floor(tau*k + eta) steps by at least 1, so about bound/tau
     # lanes land in [1, bound]
     step = min(CHUNK, int(bound / tau.approx()) + 2)
-    table = bytearray(bound + 1)
-    marks = np.frombuffer(table, dtype=np.uint8)  # marks in place
-    start = 0
+    start = k0
     while True:
         v = floors(np.arange(start, start + step, dtype=np.int64))
         marks[v[v <= bound]] = 1
@@ -414,8 +422,8 @@ class _ScanContext:
         sa = np.frombuffer(self.sa, dtype=np.uint8)
         for start in range(lo, hi + 1, CHUNK):
             stop = min(start + CHUNK, hi + 1)
-            free = sg[start:stop] == 0
-            yield np.flatnonzero(free & (sa[start:stop] == 1)) + start
+            # tables hold 0 or 1: sa > sg marks SA\SG
+            yield np.flatnonzero(sa[start:stop] > sg[start:stop]) + start
 
     def walk_heads(self, heads: Iterable[np.ndarray], horizon: int,
                    cutoff: int) -> Union["_HeadWalks", "_HeadTally"]:
@@ -423,10 +431,11 @@ class _ScanContext:
         order, each head in SA\\SG), one step of f per round for every
         live lane, through the vectorized kernel.  A lane is a column
         (head index, step j, iterate y), and whenever at most CHUNK // 2
-        lanes are live the next non-empty array of the stream joins
-        them, so a window pays the tail of its longest chains once.  The
-        steps, exits and visibility rules are those of ``walk``; a lane
-        whose iterate passes the lane guard resumes there at its step j.
+        lanes are live the next arrays of the stream join them until more
+        are, so rounds stay full and a window pays the tail of its
+        longest chains once.  The steps, exits and visibility rules are
+        those of ``walk``; a lane whose iterate passes the lane guard
+        resumes there at its step j.
 
         A lane ends as the column (head index, j, k): k = 0 when its
         step-j iterate left SA (class j + 1), k < 0 when the chain left
@@ -514,18 +523,21 @@ class _ScanContext:
         drawn = 0
 
         def draw(live):
-            # live, joined by the lanes of the next non-empty heads at
-            # step 0
+            # live, joined at step 0 by the lanes of the stream's next
+            # heads until more than CHUNK // 2 lanes are live
             nonlocal drawn
-            h = next((h for h in batches if h.size), None)
-            if h is None:
-                return live
-            new = np.zeros((3, h.size), dtype=np.int64)
-            new[0] = np.arange(drawn, drawn + h.size)
-            new[2] = h
-            drawn += h.size
-            see(new[0], h, new[1])
-            return np.concatenate([live, new], axis=1)
+            parts, size = [live], live.shape[1]
+            for h in batches:
+                new = np.zeros((3, h.size), dtype=np.int64)
+                new[0] = np.arange(drawn, drawn + h.size)
+                new[2] = h
+                drawn += h.size
+                see(new[0], h, new[1])
+                parts.append(new)
+                size += h.size
+                if size > CHUNK // 2:
+                    break
+            return np.concatenate(parts, axis=1)
 
         live = np.zeros((3, 0), dtype=np.int64)  # rows: head index, j, y
         while True:
@@ -606,36 +618,64 @@ def _certificate(a: BeattyPair, g: BeattyPair) -> Optional[int]:
     S(alpha, beta) and has f(y) > y, so a chain reaching Y is infinite;
     or None.
 
-    Above y0 = max(1, floor(alpha + beta), floor(gamma + delta)) the limit
-    k >= 1 no longer binds, and k -> k + a adds b to floor(b/a*k + beta):
-    membership has period b in S(b/a, beta) and d in S(d/c, delta),
-    whatever the shifts.  So the inclusion holds above y0 iff it holds
-    on [y0, y0 + lcm(b, d)), which the kernel checks; alpha = 1 needs no
-    check, for any gamma.  f(y) > y once (gamma - alpha)*k >=
-    1 + beta - delta, i.e. for y >= floor(alpha*k_f + beta).  None for
-    irrational alpha, a failed inclusion, a period above _PERIOD_CAP,
-    or a threshold or member index past the int64 lanes."""
-    if not isinstance(a.tau, Rational):
-        return None
-    y0 = max(1, a.floor(1), g.floor(1))
+    f(y) > y once (gamma - alpha)*k >= 1 + beta - delta, i.e. for y >=
+    floor(alpha*k_f + beta).  The inclusion holds above a member bound
+    y0:
+    * rational alpha = b/a: above y0 = max(1, floor(alpha + beta),
+      floor(gamma + delta)) the limit k >= 1 no longer binds, and k ->
+      k + a adds b to floor(b/a*k + beta): membership has period b in
+      S(b/a, beta) and d in S(d/c, delta), whatever the shifts.  So the
+      inclusion holds above y0 iff it holds on [y0, y0 + lcm(b, d)),
+      which the kernel checks; alpha = 1 needs no check, for any gamma.
+    * irrational alpha (``_surd_inclusion``): gamma = m*alpha and
+      delta = beta + j*alpha for integers m >= 2 and j.
+    None for any other alpha, a failed inclusion, a period above
+    _PERIOD_CAP, or a threshold or member index past the int64 lanes."""
+    if isinstance(a.tau, Rational):
+        y0 = max(1, a.floor(1), g.floor(1))
+        b = a.tau.value.numerator
+        if b > 1:
+            if not isinstance(g.tau, Rational):
+                return None
+            period = lcm(b, g.tau.value.numerator)
+            # the member index of y is at most first_k + y
+            k_top = max(a.first_k, g.first_k) + y0 + period
+            if period > _PERIOD_CAP or k_top > LANE_BOUND:
+                return None
+            y = np.arange(y0, y0 + period, dtype=np.int64)
+            y = y[g.member_lanes(y) > 0]
+            if not a.member_lanes(y).all():
+                return None
+    else:
+        y0 = _surd_inclusion(a, g)
+        if y0 is None:
+            return None
     gap = _div(_add(_add(Rational(Fraction(1)), a.eta), _neg(g.eta)),
                _add(g.tau, _neg(a.tau)))
     hi = gap.enclosure(64)[1]
     Y = max(y0, a.floor(max(1, -(-hi.numerator // hi.denominator))))
-    b = a.tau.value.numerator
-    if b > 1:
-        if not isinstance(g.tau, Rational):
-            return None
-        period = lcm(b, g.tau.value.numerator)
-        # the member index of y is at most first_k + y
-        k_top = max(a.first_k, g.first_k) + y0 + period
-        if period > _PERIOD_CAP or k_top > LANE_BOUND:
-            return None
-        y = np.arange(y0, y0 + period, dtype=np.int64)
-        y = y[g.member_lanes(y) > 0]
-        if not a.member_lanes(y).all():
-            return None
     return Y if Y <= LANE_BOUND else None
+
+
+def _surd_inclusion(a: BeattyPair, g: BeattyPair) -> Optional[int]:
+    """A bound y0 >= 1 with every y >= y0 in S(gamma, delta) inside
+    S(alpha, beta), for a quadratic surd alpha with gamma = m*alpha and
+    delta - beta = j*alpha (m >= 2 and j integers, decided exactly in the
+    field); or None.  Then floor(gamma*k + delta) = floor(alpha*(m*k + j)
+    + beta), a member of S(alpha, beta) whenever m*k + j >= 1, i.e. for k
+    >= k_j = max(1, ceil((1 - j)/m)); floors grow with k, so y0 =
+    floor(gamma*k_j + delta) bounds the members with k < k_j.  Pairs
+    outside one quadratic field (cross-field shifts, intervals) give
+    None."""
+    if not isinstance(a.tau, QuadraticSurd) or a.form is None or g.form is None:
+        return None
+    m = _div(g.tau, a.tau)
+    j = _div(_add(g.eta, _neg(a.eta)), a.tau)
+    if not (isinstance(m, Rational) and m.value.denominator == 1
+            and isinstance(j, Rational) and j.value.denominator == 1):
+        return None
+    kj = max(1, -((j.value.numerator - 1) // m.value.numerator))
+    return max(1, g.floor(kj))
 
 
 # ---------------------------------------------------------------------------

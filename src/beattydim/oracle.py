@@ -38,6 +38,12 @@ class CapExceeded(ValueError):
     """Exhaustive enumeration asked for m**n beyond the configured cap."""
 
 
+class ProductFormInapplicable(ValueError):
+    """The chain decomposition does not factor the pattern count: a
+    chain's visible part is not contiguous, or a residual element (of a
+    chain that left N) is constrained."""
+
+
 @dataclass(frozen=True)
 class PatternCount:
     n: int
@@ -167,9 +173,10 @@ def chain_product_count(dec: ChainDecomposition, A: BinaryMatrix,
     except for fixed points x = f(x): the self-edge (x, x) alone makes x
     a one-vertex cycle, which counts trace(A) instead of m.  Pass p to
     check the residual against the constraint edges when it is
-    non-empty."""
+    non-empty.  Raises ProductFormInapplicable where the product form
+    does not apply."""
     if not dec.all_contiguous:
-        raise ValueError(
+        raise ProductFormInapplicable(
             "a chain's visible part is not a contiguous trajectory segment; "
             "the product form does not apply"
         )
@@ -185,7 +192,7 @@ def chain_product_count(dec: ChainDecomposition, A: BinaryMatrix,
             if u not in rset and v not in rset:
                 continue
             if u != v:
-                raise ValueError(
+                raise ProductFormInapplicable(
                     f"residual element participates in constraint ({u}, {v}); "
                     "the product form does not apply"
                 )

@@ -237,3 +237,58 @@ def test_kernel_matches_scalar_floors_and_membership(case):
     ref = [member(v, tau, eta) or 0 for v in xs]
     assert [pair.member(v) for v in xs] == ref
     assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
+
+
+@st.composite
+def _membership_boundary_case(draw):
+    """(tau, eta, xs): a pair and lanes x right at the membership
+    boundary.  For surd and interval pairs tau*m + eta lands exactly on
+    (or 2^-30 above) an integer X, so x = X - 1 has its candidate k = m
+    with k - (x + 1 - eta)/tau at (or next to) 0, which only the error
+    bound of the one-pass test decides; cross-field pairs come 2^-30
+    close in the same way.  Rational pairs put x next to the int64 guard
+    of their exact path."""
+    kind = draw(st.sampled_from(["rational", "surd", "cross", "interval"]))
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    b = draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(5, 7),
+                              Fraction(9, 4)]))
+    m = draw(st.one_of(st.integers(1, 2**12), st.integers(2**20, 2**40)))
+    ea = draw(st.integers(-300, 300))
+    tiny = rational(Fraction(1, 2**30))
+    tau = surd(1, b, d)
+    eta = surd(ea, -b * m, d)  # tau*m + eta = m + ea exactly
+    if kind == "rational":
+        num = draw(st.integers(min_value=1, max_value=10**6))
+        den = draw(st.integers(min_value=1, max_value=num))
+        tau = rational(num, den)
+        eta = rational(Fraction(ea) + draw(st.fractions(
+            min_value=-1, max_value=1, max_denominator=50)))
+        A, _, E, _, Z, _ = _linear_form(tau, eta)
+        xmax = (LANE_BOUND - abs(E)) // Z
+        kx = (xmax * Z - E) // A
+        pair = BeattyPair(tau, eta)
+        ks = [kx + dk for dk in range(-2, 3)] + [m]
+        return tau, eta, [xmax + dx for dx in range(-2, 3)] + [
+            pair.floor(k) + dx for k in ks for dx in (-1, 0, 1)]
+    if kind == "cross":
+        d2 = draw(st.sampled_from([x for x in (2, 3, 5, 7) if x != d]))
+        eta = surd(ea, -b * m, d) + surd(0, Fraction(1, 2**30), d2)
+    elif kind == "interval":
+        # the interval floors settle on refinement: no value is an integer
+        tau = Interval(tau.enclosure)
+        eta = eta + tiny
+    elif draw(st.booleans()):
+        eta = eta + tiny
+    X = m + ea
+    return tau, eta, [X - 1, X, X + 1, X + 2]
+
+
+@given(case=_membership_boundary_case())
+@settings(max_examples=200, deadline=None)
+def test_member_lanes_at_the_membership_boundary(case):
+    tau, eta, xs = case
+    xs = sorted({x for x in xs if 1 <= x < 2**63})
+    pair = BeattyPair(tau, eta)
+    ref = [member(x, tau, eta) or 0 for x in xs]
+    assert [pair.member(x) for x in xs] == ref
+    assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref

@@ -280,6 +280,12 @@ def test_bitset_matches_beatty_values():
         (surd(0, 1, 2), rational(-300)),
         (surd(0, 1, 2), rational(0)),
         (surd(1, 1, 5), surd(0, 1, 5)),
+        (rational(65, 64), rational(0)),
+        (rational(101, 100), rational(1, 7)),
+        (rational(2), rational(-10**30)),
+        (surd(0, 1, 2), rational(-10**30)),  # a shifted pair
+        (rational(3, 2), rational(10**30)),  # no member
+        (surd(0, 1, 2), rational(10**30)),
     ]
     for tau, eta in cases:
         bits = _mark_bitset(BeattyPair(tau, eta), 700)
@@ -448,11 +454,14 @@ def test_window_counts_match_scalar_reference_without_probe(key):
 
 @pytest.mark.parametrize("tup", [("3/2", 0, 3, 0), (2, 0, 3, 0),
                                  (1, 0, "sqrt(5)", 0), ("3/2", 0, 3, -50)])
-def test_window_counts_match_scalar_reference_off_origin(tup):
-    # lo > 1, window edges inside blocks, several blocks
-    from beattydim.chains import CHUNK
+def test_window_counts_match_scalar_reference_off_origin(tup, monkeypatch):
+    # lo > 1, window edges inside blocks, several blocks; CHUNK is fixed
+    # here so that the window does not grow with the tuning constant
+    import beattydim.chains as chains_mod
 
-    assert_counts_match(ParamTuple(*tup), CHUNK - 5, 3 * CHUNK + 17)
+    monkeypatch.setattr(chains_mod, "CHUNK", 1 << 12)
+    chunk = chains_mod.CHUNK
+    assert_counts_match(ParamTuple(*tup), chunk - 5, 3 * chunk + 17)
 
 
 @pytest.mark.parametrize("key", ["R2", "R9", "R10"])
@@ -522,14 +531,17 @@ def test_window_pays_one_straggler_tail(tup, n, monkeypatch):
 
 def assert_certificate_sound(p, span=None):
     """With a certificate Y, every y in [Y, Y + span] (three periods of
-    the two memberships by default) that lies in S(gamma, delta) lies in
-    S(alpha, beta) and has f(y) > y, by the generic exact operations.
-    Returns whether there is a certificate."""
+    the two memberships by default, 300 for irrational parameters) that
+    lies in S(gamma, delta) lies in S(alpha, beta) and has f(y) > y, by
+    the generic exact operations.  Returns whether there is a
+    certificate."""
     Y = certificate(p)
     if Y is None:
         return False
-    if span is None:
+    if span is None and isinstance(p.alpha, Rational) and isinstance(p.gamma, Rational):
         span = 3 * lcm(p.alpha.value.numerator, p.gamma.value.numerator)
+    elif span is None:
+        span = 300
     for y in range(Y, Y + span + 1):
         if member(y, p.gamma, p.delta) is not None:
             assert member(y, p.alpha, p.beta) is not None, (p, Y, y)
@@ -537,24 +549,59 @@ def assert_certificate_sound(p, span=None):
     return True
 
 
+_SHIFT = st.one_of(
+    st.builds(rational, st.integers(-60, 60), st.integers(1, 6)),
+    st.builds(surd, st.integers(-60, 60), st.sampled_from([-2, -1, 1, 3]),
+              st.sampled_from([2, 3, 5])),
+)
+
+
 @st.composite
 def _certificate_case(draw):
+    """A rational alpha and gamma: the certificate may or may not exist."""
     b = draw(st.integers(1, 12))
     alpha = Fraction(b, draw(st.integers(1, b)))
     c = draw(st.integers(1, 8))
     gamma = Fraction(int(alpha * c) + draw(st.integers(1, 16)), c)
-    shift = st.one_of(
+    return ParamTuple(Rational(alpha), draw(_SHIFT), Rational(gamma),
+                      draw(_SHIFT))
+
+
+@st.composite
+def _surd_inclusion_case(draw):
+    """(p, certified): a quadratic surd alpha with gamma = m*alpha and
+    delta = beta + j*alpha (certified True), or a near miss of that
+    family (certified False)."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    a0, b0 = draw(st.sampled_from([(0, 1), (1, Fraction(1, 2)), (1, 1),
+                                   (2, Fraction(3, 2)), (-1, 2)]))
+    alpha = surd(a0, b0, d)
+    beta = draw(st.one_of(
         st.builds(rational, st.integers(-60, 60), st.integers(1, 6)),
         st.builds(surd, st.integers(-60, 60), st.sampled_from([-2, -1, 1, 3]),
-                  st.sampled_from([2, 3, 5])),
-    )
-    return ParamTuple(Rational(alpha), draw(shift), Rational(gamma), draw(shift))
+                  st.just(d)),
+    ))
+    m, j = draw(st.integers(2, 4)), draw(st.integers(-6, 6))
+    gamma, delta = m * alpha, beta + j * alpha
+    miss = draw(st.sampled_from([None, "half", "third", "surd", "gamma"]))
+    if miss == "half":
+        delta = delta + rational(1, 2)
+    elif miss == "third":
+        delta = delta - rational(1, 3)
+    elif miss == "surd":
+        delta = delta + surd(0, Fraction(1, 7), d)
+    elif miss == "gamma":
+        gamma = gamma + rational(1, 4)
+    return ParamTuple(alpha, beta, gamma, delta), miss is None
 
 
-@given(p=_certificate_case())
+@given(p=_certificate_case(), case=_surd_inclusion_case())
 @settings(max_examples=150, deadline=None)
-def test_certificate_is_sound(p):
+def test_certificate_is_sound(p, case):
+    # each example checks one rational tuple and one dependent-surd tuple
     assert_certificate_sound(p)
+    q, certified = case
+    assert assert_certificate_sound(q) == certified
 
 
 @pytest.mark.parametrize("tup,certified", [
@@ -596,8 +643,9 @@ def test_certificate_alpha_one_any_gamma(tup):
     ("sqrt(2)", "sqrt(3)", "sqrt(5)", 0),  # cross-field: generic floors
 ])
 def test_scan_builds_each_pair_once(tup, monkeypatch):
-    # a scan builds two pairs and one shifted pair per table: at most
-    # two forward forms, two inverse forms and two shifted forms
+    # a scan builds two pairs; an inverse form only for a lane that falls
+    # back to the scalar member, and a shifted pair only past a table's
+    # bound: at most two forward and two inverse forms here
     import beattydim.beatty as beatty_mod
 
     calls = 0
@@ -610,7 +658,7 @@ def test_scan_builds_each_pair_once(tup, monkeypatch):
 
     monkeypatch.setattr(beatty_mod, "_linear_form", counted)
     empirical_densities(ParamTuple(*tup), [(1, 2000)])
-    assert 0 < calls <= 6
+    assert 0 < calls <= 4
 
 
 def assert_matches_references(p, n):
@@ -679,3 +727,37 @@ def test_slow_ratio_matches_references():
     p = ParamTuple("21/20", 0, "11/10", 0)
     assert_counts_match(p, 1, 20_000)
     assert_matches_scalar(p, 3000)
+
+
+# dependent surds with S(gamma, delta) inside S(alpha, beta): gamma =
+# m*alpha and delta = beta + j*alpha, so every head but finitely many is
+# proved infinite early instead of walking to twice the horizon
+SURD_INCLUSION_TUPLES = [
+    ("sqrt(2)", 0, "2*sqrt(2)", 0),
+    ("sqrt(2)", 0, "3*sqrt(2)", 0),
+    ("1+sqrt(3)", 0, "3+3*sqrt(3)", 0),
+    ("sqrt(2)", "1/3", "2*sqrt(2)", "1/3+sqrt(2)"),
+    ("sqrt(2)", "1/2", "2*sqrt(2)", "1/2-3*sqrt(2)"),  # j = -3
+]
+
+
+@pytest.mark.parametrize("tup", SURD_INCLUSION_TUPLES)
+def test_surd_inclusion_tuples_match_references(tup):
+    p = ParamTuple(*tup)
+    assert assert_certificate_sound(p)
+    assert_matches_references(p, 3000)
+
+
+def test_surd_inclusion_scan_is_fast():
+    # (sqrt(2), 0, 2*sqrt(2), 0) took 5.5 s at n = 10^5 without the
+    # certificate: every head walked to twice the horizon
+    import time
+
+    p = ParamTuple(*SURD_INCLUSION_TUPLES[0])
+    t0 = time.perf_counter()
+    d = empirical_densities(p, [(1, 10**5)])
+    assert time.perf_counter() - t0 < 2.0
+    # d_1 = 1 - 1/alpha and d_inf = 1/alpha - 1/gamma
+    assert abs(d.finite[0] - (1 - 2**-0.5)) < 1e-4
+    assert abs(d.d_inf - 2**-1.5) < 1e-4
+    assert sum(d.finite[1:]) == 0

@@ -66,6 +66,20 @@ def test_verify_fixed_point(capsys):
     assert all(c["status"] == "PASS" for c in rep["checks"])
 
 
+def test_verify_skips_product_form_for_chains_leaving_n(capsys):
+    # the chain 37 -> 25 -> 1 leaves N at f(1) = -47, so its elements are
+    # residual yet constrained: the product form does not apply, and the
+    # check is skipped instead of rejecting the input
+    code, out = run_cli(
+        capsys, "verify", "--alpha=3/2", "--gamma=3", "--delta=-50",
+        "--matrix=11;10", "--n=300",
+    )
+    assert code == 0
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert status == {"oracle-equality": "SKIPPED", "partition": "PASS",
+                      "chain-product-consistency": "SKIPPED"}
+
+
 def test_verify_counts_past_int_str_digit_limit(capsys):
     # the golden-mean count on [1, 24000] has more than 4300 digits
     code, out = run_cli(
@@ -218,6 +232,30 @@ def test_densities_shift_past_int64(capsys, shift):
     # overflowing the int64 lanes of its period check
     code, out = run_cli(capsys, "densities", "--alpha", "3/2", "--gamma", "3",
                         f"{shift}=-{10**30}", "--mode", "empirical",
+                        "--n", "3000")
+    assert code == 0
+    d = json.loads(out)["d"]
+    assert 0 <= sum(d["finite"]) + d["d_inf"] <= 1
+
+
+@pytest.mark.parametrize("shift", ["--beta", "--delta"])
+def test_densities_surd_shift_past_int64(capsys, shift):
+    # first_k of sqrt(2)*k - 10^30 comes from an enclosure narrower than 1,
+    # not from stepping across the 2^-64 enclosure of sqrt(2) times 10^30
+    code, out = run_cli(capsys, "densities", "--alpha", "sqrt(2)",
+                        "--gamma", "2+sqrt(2)", f"{shift}=-{10**30}",
+                        "--mode", "empirical", "--n", "1000")
+    assert code == 0
+    d = json.loads(out)["d"]
+    assert 0 <= sum(d["finite"]) + d["d_inf"] <= 1
+
+
+@pytest.mark.parametrize("shift", ["--beta", "--delta"])
+def test_densities_positive_shift_past_int64(capsys, shift):
+    # values near 10^30: the membership table of that sequence on [1, n]
+    # is empty, and no floor of it enters an int64 lane
+    code, out = run_cli(capsys, "densities", "--alpha", "3/2", "--gamma", "3",
+                        f"{shift}={10**30}", "--mode", "empirical",
                         "--n", "3000")
     assert code == 0
     d = json.loads(out)["d"]
