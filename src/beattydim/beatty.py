@@ -48,16 +48,6 @@ from .numerics import (
 )
 
 
-class NotInDomain(ValueError):
-    """f applied to a value outside S(alpha, beta)."""
-
-
-class NonPositiveImage(ValueError):
-    """floor(gamma*k + delta) < 1: the image falls outside N (possible
-    for very negative delta at small k); such elements belong to the
-    residual set of the decomposition."""
-
-
 def _coerce(v) -> Real:
     if isinstance(v, str):
         return parse_real(v)
@@ -137,32 +127,31 @@ def member(x: int, tau: RealLike, eta: RealLike) -> Optional[int]:
     return None
 
 
-def f_map(x: int, p: ParamTuple) -> int:
-    """f(x) = floor(gamma*k + delta) for the unique k with
-    floor(alpha*k + beta) = x."""
-    k = member(x, p.alpha, p.beta)
-    if k is None:
-        raise NotInDomain(f"{x} is not of the form floor(alpha*k + beta)")
-    y = floor_linear(p.gamma, k, p.delta)
-    if y < 1:
-        raise NonPositiveImage(f"f({x}) = {y} falls outside the positive integers")
-    return y
-
-
 def constraint_edges(p: ParamTuple, n: int) -> list[tuple[int, int]]:
     """All pairs (floor(alpha*k+beta), floor(gamma*k+delta)) over k >= 1
-    with both coordinates in [1, n]."""
+    with both coordinates in [1, n], in k order.
+
+    Both floors increase with k, so both are >= 1 from max(first_k) on,
+    and both are <= n on a prefix of those k: the edges are the one
+    block of k up to the first k where either floor passes n, evaluated
+    by the pairs' lane kernels, with every floor in [1, n]."""
+    u, v = _edge_lanes(p, n)
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) columns of ``constraint_edges(p, n)`` as int64 arrays."""
     if n < 1:
         raise ValueError("window size must be >= 1")
     a, g = BeattyPair(p.alpha, p.beta), BeattyPair(p.gamma, p.delta)
-    fu, fv = a.floor, g.floor
-    edges, k = [], max(a.first_k, g.first_k)
-    while (v := fv(k)) <= n:
-        u = fu(k)
-        if u <= n:
-            edges.append((u, v))
-        k += 1
-    return edges
+    k0 = max(a.first_k, g.first_k)
+    count = max(0, min(a.first_k_at(n + 1), g.first_k_at(n + 1)) - k0)
+    if k0 > count:  # shifted pairs: lane i holds k = k0 + i
+        a, g = (BeattyPair(q.tau, _add(q.eta, _mul(q.tau, Rational(k0))))
+                for q in (a, g))
+        k0 = 0
+    k = np.arange(k0, k0 + count, dtype=np.int64)
+    return a.floor_lanes(k), g.floor_lanes(k)
 
 
 def beatty_values(tau: RealLike, eta: RealLike, limit: int) -> list[int]:
@@ -326,20 +315,24 @@ class BeattyPair:
 
     @cached_property
     def first_k(self) -> int:
-        """The first k >= 1 with floor(tau*k + eta) >= 1.
+        """The first k >= 1 with floor(tau*k + eta) >= 1."""
+        return self.first_k_at(1)
 
-        Loops over k start here, so a large negative shift costs nothing:
-        k >= (1 - eta)/tau is the condition, its lower enclosure gives a
+    def first_k_at(self, x: int) -> int:
+        """The first k >= 1 with floor(tau*k + eta) >= x.
+
+        Loops over k start or end here, so a large shift costs nothing:
+        k >= (x - eta)/tau is the condition, its lower enclosure gives a
         start at or below the answer, and monotonicity of k -> floor(tau*k
         + eta) lets the final steps settle it exactly.  The enclosure
         carries the bits of the quotient's magnitude on top of 64, so it
         is narrower than 1 even for shifts near 10^30 times a surd."""
-        q = _div(_add(Rational(Fraction(1)), _neg(self.eta)), self.tau)
+        q = _div(_add(Rational(Fraction(x)), _neg(self.eta)), self.tau)
         mag = max(map(abs, q.enclosure(16)))
         lo, _ = q.enclosure(64 + int(mag).bit_length())
         k = max(1, -((-lo.numerator) // lo.denominator))
         floor = self.floor
-        while floor(k) < 1:
+        while floor(k) < x:
             k += 1
         return k
 

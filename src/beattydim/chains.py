@@ -331,13 +331,18 @@ def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
     if pair.floor(k0) > bound:  # a large positive shift: no member
         return table
     if k0 > bound:
-        shifted = _add(pair.eta, _mul(tau, Rational(k0)))
-        floors, k0 = BeattyPair(tau, shifted).floor_lanes, 0
-    else:
-        floors = pair.floor_lanes
+        pair, k0 = BeattyPair(tau, _add(pair.eta, _mul(tau, Rational(k0)))), 0
+    floors = pair.floor_lanes
     # k -> floor(tau*k + eta) steps by at least 1, so about bound/tau
-    # lanes land in [1, bound]
-    step = min(CHUNK, int(bound / tau.approx()) + 2)
+    # lanes land in [1, bound], and none floors above bound + tau*step;
+    # where that sum may leave int64 (tau of 2^59 or more), the lanes
+    # end at the first k past the bound
+    t = tau.approx()
+    step = min(CHUNK, int(bound / t) + 2)
+    if bound + t * step > LANE_BOUND / 4:
+        lanes = np.arange(k0, pair.first_k_at(bound + 1), dtype=np.int64)
+        marks[floors(lanes)] = 1
+        return table
     start = k0
     while True:
         v = floors(np.arange(start, start + step, dtype=np.int64))

@@ -2,12 +2,15 @@
 
 ``count_patterns`` builds the constraint graph from the raw (u, v) index
 pairs -- no use of the chain classification -- and multiplies exact
-per-component coloring counts.  Injectivity of k -> floor(tau*k + eta)
-caps every in- and out-degree at 1, so components are simple paths or
-(rarely, among elements below the growth bound) short cycles.  The
-components are tallied by length; one dynamic program along A gives the
-path count for every length up to the longest path, and each cycle
-length counts the trace of the matching matrix power.
+per-component coloring counts.  It shares only the forward floors
+k -> floor(tau*k + eta) with ``chains.decompose``, never its membership
+kernels or chain walk.  Injectivity of those floors caps every in- and
+out-degree at 1, so components are simple paths or (rarely, among
+elements below the growth bound) short cycles.  The components are
+tallied by length with array steps, all paths advancing together; one
+dynamic program along A gives the path count for every length up to the
+longest path, and each cycle length counts the trace of the matching
+matrix power.
 ``exhaustive_count`` enumerates every word of length n outright as one
 boolean tensor with an axis per position, and checks each visible
 constraint against every word: a ground-truth oracle for small n, with
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beatty import ParamTuple, constraint_edges
+from .beatty import ParamTuple, _edge_lanes, constraint_edges
 from .chains import ChainDecomposition
 from .matrix import BinaryMatrix
 
@@ -64,52 +67,56 @@ def _path_counts(A: BinaryMatrix, longest: int) -> list[int]:
     return pc
 
 
+def _component_tally(u: np.ndarray, v: np.ndarray,
+                     n: int) -> tuple[Counter, Counter, int]:
+    """(paths, cycles, isolated) of the graph on [1, n] with edges
+    u[i] -> v[i]: paths and cycles map a vertex count to the number of
+    such components.  Every path start (a vertex without an incoming
+    edge) steps once per round along its path, so round L sees the
+    paths of at least L vertices; the vertices no path reaches lie on
+    cycles."""
+    if max(np.bincount(u, minlength=1).max(),
+           np.bincount(v, minlength=1).max()) > 1:
+        outs, ins = set(), set()  # report the first edge, in edge order
+        for a, b in zip(u.tolist(), v.tolist()):
+            if a in outs:
+                raise NonPathComponent(f"vertex {a} has two outgoing constraints")
+            if b in ins:
+                raise NonPathComponent(f"vertex {b} has two incoming constraints")
+            outs.add(a)
+            ins.add(b)
+    succ = np.zeros(n + 1, dtype=np.int64)
+    succ[u] = v
+    unseen = np.zeros(n + 1, dtype=bool)
+    unseen[u] = unseen[v] = True
+    vertices = int(np.count_nonzero(unseen))
+    cur = np.setdiff1d(u, v, assume_unique=True)  # the path starts
+    alive = []  # alive[L - 1] = paths with at least L vertices
+    while cur.size:
+        alive.append(cur.size)
+        unseen[cur] = False
+        cur = succ[cur]
+        cur = cur[cur > 0]
+    ended = [a - b for a, b in zip(alive, alive[1:] + [0])]
+    paths = Counter({length: c for length, c in enumerate(ended, 1) if c})
+    cycles: Counter[int] = Counter()
+    for start in np.flatnonzero(unseen).tolist():
+        if not unseen[start]:
+            continue
+        length, cur = 0, start
+        while unseen[cur]:
+            unseen[cur] = False
+            cur = int(succ[cur])
+            length += 1
+        if cur != start:
+            raise NonPathComponent("malformed cycle in constraint graph")
+        cycles[length] += 1
+    return paths, cycles, n - vertices
+
+
 def count_patterns(p: ParamTuple, A: BinaryMatrix, n: int) -> PatternCount:
     """Exact number of admissible words of length n (big integer)."""
-    if n < 1:
-        raise ValueError("window size must be >= 1")
-    edges = constraint_edges(p, n)
-    out: dict[int, int] = {}
-    indeg: dict[int, int] = {}
-    for u, v in edges:
-        if u in out:
-            raise NonPathComponent(f"vertex {u} has two outgoing constraints")
-        out[u] = v
-        indeg[v] = indeg.get(v, 0) + 1
-        if indeg[v] > 1:
-            raise NonPathComponent(f"vertex {v} has two incoming constraints")
-    vertices = set(out) | set(indeg)
-    visited: set[int] = set()
-    paths: Counter[int] = Counter()  # path length -> number of paths
-    cycles: Counter[int] = Counter()
-    # paths: start anywhere without an incoming edge
-    for start in sorted(vertices):
-        if start in visited or start in indeg:
-            continue
-        length = 1
-        visited.add(start)
-        cur = start
-        while cur in out:
-            cur = out[cur]
-            visited.add(cur)
-            length += 1
-        paths[length] += 1
-    # remaining vertices lie on cycles
-    for start in sorted(vertices):
-        if start in visited:
-            continue
-        length = 0
-        cur = start
-        while True:
-            visited.add(cur)
-            length += 1
-            cur = out[cur]
-            if cur == start:
-                break
-            if cur in visited:
-                raise NonPathComponent("malformed cycle in constraint graph")
-        cycles[length] += 1
-    isolated = n - len(vertices)
+    paths, cycles, isolated = _component_tally(*_edge_lanes(p, n), n)
     pc = _path_counts(A, max(paths, default=1))
     count = A.m ** isolated
     for length, c in paths.items():
@@ -187,16 +194,17 @@ def chain_product_count(dec: ChainDecomposition, A: BinaryMatrix,
                 "non-empty residual: pass the parameter tuple so residual "
                 "elements can be checked against the constraint edges"
             )
-        rset = set(dec.residual)
-        for u, v in constraint_edges(p, dec.n):
-            if u not in rset and v not in rset:
-                continue
-            if u != v:
-                raise ProductFormInapplicable(
-                    f"residual element participates in constraint ({u}, {v}); "
-                    "the product form does not apply"
-                )
-            fixed += 1
+        residual = np.zeros(dec.n + 1, dtype=bool)
+        residual[list(dec.residual)] = True
+        u, v = _edge_lanes(p, dec.n)
+        hit = residual[u] | residual[v]
+        bad = hit & (u != v)
+        if bad.any():
+            i = bad.argmax()  # the first such edge
+            raise ProductFormInapplicable(
+                f"residual element participates in constraint ({u[i]}, "
+                f"{v[i]}); the product form does not apply")
+        fixed = int(np.count_nonzero(hit))
     count = 1
     for v, cnt in sorted(dec.length_counts().items()):
         count *= A.power_sum(v - 1) ** cnt

@@ -11,6 +11,8 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
+from beattydim.beatty import BeattyPair, member  # noqa: E402
+from beattydim.numerics import floor_linear  # noqa: E402
 
 
 def random_binary(rng, m):
@@ -37,6 +39,48 @@ def random_primitive(rng, m):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the chain map and the constraint edges
+# ---------------------------------------------------------------------------
+
+class NotInDomain(ValueError):
+    """f applied to a value outside S(alpha, beta)."""
+
+
+class NonPositiveImage(ValueError):
+    """floor(gamma*k + delta) < 1: the image falls outside N (possible
+    for very negative delta at small k); such elements belong to the
+    residual set of the decomposition."""
+
+
+def f_map(x, p):
+    """f(x) = floor(gamma*k + delta) for the unique k with
+    floor(alpha*k + beta) = x, by the generic exact operations."""
+    k = member(x, p.alpha, p.beta)
+    if k is None:
+        raise NotInDomain(f"{x} is not of the form floor(alpha*k + beta)")
+    y = floor_linear(p.gamma, k, p.delta)
+    if y < 1:
+        raise NonPositiveImage(f"f({x}) = {y} falls outside the positive integers")
+    return y
+
+
+def scalar_constraint_edges(p, n):
+    """constraint_edges(p, n) by one scalar exact floor per k and
+    sequence: k from max(first_k) while floor(gamma*k + delta) <= n,
+    keeping the pairs whose first coordinate is <= n as well."""
+    if n < 1:
+        raise ValueError("window size must be >= 1")
+    a, g = BeattyPair(p.alpha, p.beta), BeattyPair(p.gamma, p.delta)
+    edges, k = [], max(a.first_k, g.first_k)
+    while (v := g.floor(k)) <= n:
+        u = a.floor(k)
+        if u <= n:
+            edges.append((u, v))
+        k += 1
+    return edges
 
 
 # representative tuples for every region with a closed form

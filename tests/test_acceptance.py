@@ -274,7 +274,7 @@ def test_criterion_10_structural_properties():
             if member(x0, p.alpha, p.beta) is None:
                 continue
             x = x0
-            from beattydim import f_map
+            from conftest import f_map
             for l in range(0, 21):
                 ratio_l = as_real(1)
                 for _ in range(l):

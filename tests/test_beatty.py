@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattydim import (
-    NonPositiveImage,
-    NotInDomain,
     ParamTuple,
     beatty_values,
     constraint_edges,
-    f_map,
     floor_linear,
     member,
 )
@@ -24,6 +21,7 @@ from beattydim.numerics import (
     rational,
     surd,
 )
+from conftest import NonPositiveImage, NotInDomain, f_map, scalar_constraint_edges
 
 
 def test_member_examples():
@@ -202,6 +200,74 @@ def _kernel_case(draw):
                         max_size=20))
     ks += [2**52, 2**53 + 1, -(2**55)]  # past the float filter
     return tau, eta, ks
+
+
+@st.composite
+def _edge_case(draw):
+    """(p, n): alpha rational, a surd with shifts from its own field or
+    another one, or an interval, and shifts of size up to 10^6 or 10^30.
+    Shifts place edges near k = K (about that size).  For exact tuples
+    they may put alpha*k + beta and gamma*k + delta exactly on integers
+    in [1, n] at one k = K + j, an edge where only the kernel's error
+    bound keeps the floors exact."""
+    kind = draw(st.sampled_from(["rational", "surd", "surd", "cross",
+                                 "interval"]))
+    exact = kind in ("rational", "surd")
+    n = draw(st.integers(min_value=1, max_value=3000 if exact else 300))
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    b = draw(st.fractions(min_value=Fraction(1, 8), max_value=3,
+                          max_denominator=12))
+    if kind == "rational":
+        alpha = rational(draw(st.fractions(min_value=1, max_value=4,
+                                           max_denominator=9)))
+    else:
+        alpha = surd(1, b, d)
+    gamma = alpha + draw(st.fractions(min_value=Fraction(1, 5), max_value=4,
+                                      max_denominator=7))
+    if kind == "interval":
+        alpha, gamma = Interval(alpha.enclosure), Interval(gamma.enclosure)
+    size = draw(st.sampled_from([0, 10**6, 10**30]))
+    K = size + draw(st.integers(min_value=0, max_value=n))
+    j = draw(st.integers(min_value=0, max_value=n))
+
+    def shift(tau):
+        half = Fraction(2 * draw(st.integers(0, 3)) + 1, 8)
+        way = draw(st.sampled_from(["plain", "near", "hit", "hit"] if exact
+                                   else ["plain", "near", "near"]))
+        if way == "plain":  # either sign, up to size
+            return rational(draw(st.integers(-size, size)) + half)
+        if way == "hit":  # tau*(K + j) + shift is an integer in [1, n]
+            return draw(st.integers(1, n)) - tau * (K + j)
+        c = draw(st.integers(min_value=-n, max_value=2 * n))
+        eta = rational(c - floor_linear(tau, K, 0) + half)
+        if kind == "cross":
+            d2 = draw(st.sampled_from([x for x in (2, 3, 5, 7, 11) if x != d]))
+            eta = eta + surd(0, b / 3, d2)
+        return eta
+
+    return ParamTuple(alpha, shift(alpha), gamma, shift(gamma)), n
+
+
+@given(case=_edge_case())
+@settings(max_examples=150, deadline=None)
+def test_constraint_edges_match_scalar_reference(case):
+    p, n = case
+    edges = constraint_edges(p, n)
+    assert edges == scalar_constraint_edges(p, n)
+    assert all(type(x) is int for e in edges for x in e)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("b", [Fraction(1), Fraction(1, 3), Fraction(5, 7)])
+def test_constraint_edges_through_exact_integer_values(b, d):
+    # alpha*m + beta = 5 and gamma*m + delta = 9 exactly: the float sums
+    # land on either side of those integers, so only the kernel's error
+    # bound keeps the edge (5, 9) and its neighbours exact
+    alpha = surd(1, b, d)
+    gamma = alpha + Fraction(1, 2)
+    for m in (7, 300, 2999, 10**6 + 1, 10**30 + 7):
+        p = ParamTuple(alpha, 5 - alpha * m, gamma, 9 - gamma * m)
+        assert constraint_edges(p, 3000) == scalar_constraint_edges(p, 3000)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattydim import (
-    NonPositiveImage,
     ParamTuple,
     HorizonTooSmall,
     decompose,
@@ -15,7 +14,7 @@ from beattydim import (
     dij_row,
     empirical_densities,
 )
-from beattydim.beatty import BeattyPair, f_map, member
+from beattydim.beatty import BeattyPair, member
 from beattydim.chains import (
     A1,
     Chain,
@@ -28,7 +27,7 @@ from beattydim.chains import (
     infinity_candidate,
 )
 from beattydim.numerics import Rational, rational, surd
-from conftest import REGION_TUPLES
+from conftest import REGION_TUPLES, NonPositiveImage, f_map
 
 NOT_HEAD = ChainClass("not_head")
 

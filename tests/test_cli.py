@@ -262,6 +262,25 @@ def test_densities_positive_shift_past_int64(capsys, shift):
     assert 0 <= sum(d["finite"]) + d["d_inf"] <= 1
 
 
+# one step of gamma passes 2^63 while floor(gamma + delta) = 5 is inside
+# the window
+STEP_PAST_INT64 = ["--alpha", "2", "--gamma", "10000000000000000000*sqrt(2)",
+                   "--delta=5-10000000000000000000*sqrt(2)", "--n", "100"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["densities", "--mode", "empirical", *STEP_PAST_INT64],
+    ["verify", *STEP_PAST_INT64, "--matrix", "11;10"],
+], ids=["densities", "verify"])
+def test_step_past_int64(capsys, argv):
+    # no lane past the last member of S(gamma, delta) on the window is
+    # evaluated, so no floor leaves int64
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert 0 <= code <= 3
+    assert "Traceback" not in captured.err
+
+
 def test_dim_mode_both(capsys):
     code, out = run_cli(
         capsys, "dim", "--alpha", "2", "--beta", "0", "--gamma", "3",

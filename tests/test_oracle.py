@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -19,14 +20,16 @@ from beattydim import (
     exhaustive_count,
     finite_scale_logcount,
 )
-from beattydim.oracle import NonPathComponent, PatternCount
-from conftest import REGION_TUPLES
+from beattydim.beatty import _edge_lanes
+from beattydim.oracle import NonPathComponent, PatternCount, _component_tally
+from conftest import REGION_TUPLES, scalar_constraint_edges
 
 
 def scalar_exhaustive_count(p, A, n):
     """Reference enumeration: word id -> digits by int64 division, in
-    chunks of 2**20 words; every word checked against every edge."""
-    return _scalar_word_count(constraint_edges(p, n), A, n)
+    chunks of 2**20 words; every word checked against every scalar
+    edge."""
+    return _scalar_word_count(scalar_constraint_edges(p, n), A, n)
 
 
 def _scalar_word_count(edges, A, n):
@@ -56,11 +59,12 @@ def _path_count(A, length):
     return sum(vec)
 
 
-def scalar_count_patterns(p, A, n):
-    """Reference graph count: one path DP per component, multiplied in
-    component order."""
+def dict_tally(edges, n):
+    """Reference component tally on [1, n]: (paths, cycles, isolated),
+    paths and cycles as Counters of vertex counts, by walking each
+    component through dicts, one vertex at a time."""
     out, indeg = {}, {}
-    for u, v in constraint_edges(p, n):
+    for u, v in edges:
         if u in out:
             raise NonPathComponent(f"vertex {u} has two outgoing constraints")
         out[u] = v
@@ -69,8 +73,7 @@ def scalar_count_patterns(p, A, n):
             raise NonPathComponent(f"vertex {v} has two incoming constraints")
     vertices = set(out) | set(indeg)
     visited = set()
-    count = 1
-    components = 0
+    paths, cycles = Counter(), Counter()
     for start in sorted(vertices):
         if start in visited or start in indeg:
             continue
@@ -81,8 +84,7 @@ def scalar_count_patterns(p, A, n):
             cur = out[cur]
             visited.add(cur)
             length += 1
-        count *= _path_count(A, length)
-        components += 1
+        paths[length] += 1
     for start in sorted(vertices):
         if start in visited:
             continue
@@ -96,12 +98,29 @@ def scalar_count_patterns(p, A, n):
                 break
             if cur in visited:
                 raise NonPathComponent("malformed cycle in constraint graph")
-        count *= A.trace_power(length)
-        components += 1
-    isolated = n - len(vertices)
-    count *= A.m ** isolated
+        cycles[length] += 1
+    return paths, cycles, n - len(vertices)
+
+
+def scalar_count_patterns(p, A, n):
+    """Reference graph count: the dict tally of the scalar edges, one
+    path DP per path length."""
+    paths, cycles, isolated = dict_tally(scalar_constraint_edges(p, n), n)
+    count = A.m ** isolated
+    for length, c in paths.items():
+        count *= _path_count(A, length) ** c
+    for length, c in cycles.items():
+        count *= A.trace_power(length) ** c
+    components = paths.total() + cycles.total() + isolated
     return PatternCount(n=n, count=count, method="component-dp",
-                        components=components + isolated)
+                        components=components)
+
+
+def lane_tally(edges, n):
+    """_component_tally on an edge list."""
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    return _component_tally(u, v, n)
 
 
 ORACLE_TUPLES = [
@@ -337,3 +356,58 @@ def test_count_patterns_cycles_and_backward_edges(text):
     for tup in [("sqrt(2)", 0, "sqrt(3)", 0), BACKWARD_TUPLE]:
         for n in (1, 2, 10, 14, 300, 2000):
             _assert_same_count(ParamTuple(*tup), A, n)
+
+
+@pytest.mark.parametrize("n", [500, 5000])
+@pytest.mark.parametrize("key", sorted(REGION_TUPLES))
+def test_component_tally_matches_dict_walk(key, n):
+    p = REGION_TUPLES[key]
+    got = _component_tally(*_edge_lanes(p, n), n)
+    assert got == dict_tally(scalar_constraint_edges(p, n), n)
+
+
+@pytest.mark.parametrize("tup", [BACKWARD_TUPLE, ("sqrt(2)", 0, "sqrt(3)", 0),
+                                 ("sqrt(2)", "1/4", "sqrt(3)", "1/4")])
+def test_component_tally_backward_edges_and_self_loops(tup):
+    p = ParamTuple(*tup)
+    for n in (1, 2, 10, 14, 300, 2000):
+        got = _component_tally(*_edge_lanes(p, n), n)
+        assert got == dict_tally(scalar_constraint_edges(p, n), n)
+        if n >= 10:
+            # both floors increase with k, so every cycle is a self-loop:
+            # (10, 10) for the backward tuple, (1, 1) for the others
+            assert set(got[1]) == {1}
+
+
+@st.composite
+def _partial_injection(draw):
+    """(edges, n): a graph on [1, n] with in- and out-degree at most 1,
+    so its components are paths and cycles of any length, in a random
+    edge order; sometimes one extra edge breaks a degree."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(0, n), max_size=n)) | {0, n})
+    edges = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = order[lo:hi]
+        edges += list(zip(block, block[1:]))
+        if draw(st.booleans()):  # close the block into a cycle
+            edges.append((block[-1], block[0]))
+    edges = draw(st.permutations(edges))
+    if edges and draw(st.integers(0, 4)) == 0:
+        vertex = st.integers(min_value=1, max_value=n)
+        edges = edges + [(draw(vertex), draw(vertex))]
+    return edges, n
+
+
+@given(case=_partial_injection())
+@settings(max_examples=200, deadline=None)
+def test_component_tally_on_arbitrary_graphs(case):
+    edges, n = case
+    try:
+        want = dict_tally(edges, n)
+    except NonPathComponent as exc:
+        with pytest.raises(NonPathComponent, match=f"^{exc}$"):
+            lane_tally(edges, n)
+    else:
+        assert lane_tally(edges, n) == want
