@@ -30,7 +30,8 @@ print(f"dim_M    : {rep.dim_M.value:.12f}  (+/- {rep.dim_M.err:.1e})")
 print(f"dim_H    : {rep.dim_H.value:.12f}  (+/- {rep.dim_H.err:.1e})")
 print(f"coincide : {rep.coincide} (row sums {GOLDEN_MEAN.row_sums} differ)")
 sol = solve_t(GOLDEN_MEAN, 2.0)
-print(f"t vector : {tuple(round(t, 10) for t in sol.t)}, residual {sol.residual:.1e}")
+print(f"t vector : {tuple(round(t, 10) for t in sol.t)}, certificate "
+      f"{sol.residual:.1e} ({sol.iterations} solver steps)")
 print(f"           dim_H = (1/2) log2(t0 + t1) = {0.5 * math.log2(sum(sol.t)):.12f}")
 
 print()

@@ -186,14 +186,19 @@ class Empirical:
 class DensityVector:
     """(d_1 .. d_K, d_inf) with provenance.
 
-    ``tail_ratio`` extends closed-form vectors geometrically past K
-    (d_{i+1} = tail_ratio * d_i for i >= 2); empirical vectors instead
-    carry the measured masses of classes beyond K in ``beyond`` and a
-    window-agreement ``diagnostic``.  Infinity-candidate mass is kept
-    separate from finite tail mass throughout.
+    ``head`` holds the leading entries; past ``len(head)`` the entries
+    follow the geometric law d_{i+1} = tail_ratio * d_i (zero without a
+    ratio or with a head shorter than 2), in exact arithmetic for
+    ``Fraction`` heads.  So a rational closed form stores (d_1, d_2)
+    whatever K is, and ``finite`` rebuilds d_1 .. d_K on each read.  The
+    law also extends closed-form vectors past K; empirical vectors
+    instead carry K explicit entries, the measured masses of classes
+    beyond K in ``beyond`` and a window-agreement ``diagnostic``.
+    Infinity-candidate mass is kept separate from finite tail mass
+    throughout.
     """
 
-    finite: tuple[Num, ...]
+    head: tuple[Num, ...]
     d_inf: Num
     K: int
     provenance: object
@@ -202,30 +207,58 @@ class DensityVector:
     beyond: Optional[dict] = None  # {i: mass} for K < i (empirical)
     diagnostic: Optional[float] = None
 
+    def _float_run(self) -> list[float]:
+        """float(d_1) .. float(d_K), each rounded once from its exact
+        value.  An exact law steps an unreduced numerator and denominator
+        (int / int rounds correctly whatever their common factors), which
+        skips the gcds of every Fraction product."""
+        h, r = len(self.head), self.tail_ratio
+        if h >= self.K:
+            return [float(v) for v in self.head[:self.K]]
+        if h < 2 or not (isinstance(r, Fraction)
+                         and isinstance(self.head[-1], Fraction)):
+            return [float(v) for v in self.finite]
+        out = [float(v) for v in self.head]
+        num, den = self.head[-1].numerator, self.head[-1].denominator
+        for _ in range(self.K - h):
+            num *= r.numerator
+            den *= r.denominator
+            out.append(num / den)
+        return out
+
+    @property
+    def finite(self) -> tuple[Num, ...]:
+        """d_1 .. d_K."""
+        return tuple(self.entry(i) for i in range(1, self.K + 1))
+
     def entry(self, i: int) -> Num:
         if i < 1:
             raise ValueError("class index starts at 1")
-        if i <= self.K:
-            return self.finite[i - 1]
-        if self.beyond:
+        h = len(self.head)
+        if i <= h:
+            return self.head[i - 1]
+        if i > self.K and self.beyond:
             return self.beyond.get(i, 0.0)
-        if self.tail_ratio is not None and self.K >= 2:
-            return self.finite[self.K - 1] * self.tail_ratio ** (i - self.K)
-        return 0 * self.finite[0]
+        if self.tail_ratio is not None and h >= 2:
+            return self.head[-1] * self.tail_ratio ** (i - h)
+        return 0 * self.head[0]
 
     def entry_float(self, i: int) -> float:
         return float(self.entry(i))
 
     def suffix_float(self, i: int) -> float:
         """sum of d_j over j > i (geometric extension / measured tail)."""
+        return self._suffix(i, self._float_run())
+
+    def _suffix(self, i: int, finite: list[float]) -> float:
         total = 0.0
         for j in range(i + 1, self.K + 1):
-            total += float(self.finite[j - 1])
+            total += finite[j - 1]
         if self.beyond:
             total += sum(v for jj, v in self.beyond.items() if jj > max(i, self.K))
         elif self.tail_ratio is not None and self.K >= 2:
             rho = float(self.tail_ratio)
-            dk = float(self.finite[self.K - 1])
+            dk = finite[self.K - 1]
             if dk > 0 and rho >= 1:
                 raise ValueError("geometric tail with ratio >= 1 is not summable")
             if dk > 0 and rho > 0:
@@ -238,7 +271,8 @@ class DensityVector:
         i = 1 .. N, as floats (list index i - 1): one read of the vector
         for a series truncated at N."""
         K = self.K
-        d = [float(v) for v in self.finite[:N]]
+        finite = self._float_run()
+        d = finite[:N]
         if N > K:
             if self.beyond:
                 d += [float(self.beyond.get(i, 0.0)) for i in range(K + 1, N + 1)]
@@ -248,7 +282,7 @@ class DensityVector:
             else:
                 d += [0.0] * (N - K)
         suffix = [0.0] * N
-        s = self.suffix_float(N)
+        s = self._suffix(N, finite)
         for i in range(N - 1, -1, -1):
             suffix[i] = s
             s += d[i]
@@ -258,9 +292,10 @@ class DensityVector:
         return float(self.d_inf)
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.finite) and isinstance(
-            self.d_inf, Fraction
-        )
+        law = (self.tail_ratio,) if (
+            len(self.head) < self.K and self.tail_ratio is not None) else ()
+        return all(isinstance(v, Fraction)
+                   for v in (*self.head, *law, self.d_inf))
 
 
 def dij_row(p: ParamTuple, i: int, d_i: Num) -> list:
@@ -290,7 +325,7 @@ def derived_dij(d: DensityVector, p: ParamTuple) -> DensityVector:
         for j, v in enumerate(dij_row(p, i, di), start=1):
             table[(i, j)] = v
     return DensityVector(
-        finite=d.finite,
+        head=d.head,
         d_inf=d.d_inf,
         K=d.K,
         provenance=d.provenance,
@@ -309,10 +344,14 @@ def default_horizon(p: ParamTuple, n: int) -> int:
     """A head x <= n has at most ceil(log_{gamma/alpha}(n + C)) + 2
     trajectory points below any fixed bound, so this horizon sees every
     exit that matters for a size-n window, with slack."""
-    ratio = float(p.ratio.approx())
-    if ratio <= 1.0:
+    try:
+        log_ratio = log(p.ratio.approx())
+    except OverflowError:  # past the float range: from the exact quotient
+        q = p.ratio.enclosure(96)[0]
+        log_ratio = log(q.numerator) - log(q.denominator)
+    if log_ratio <= 0.0:
         raise ValueError("gamma/alpha must exceed 1")
-    return int(ceil(log(max(10 * n, 10)) / log(ratio))) + 8
+    return int(ceil(log(max(10 * n, 10)) / log_ratio)) + 8
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +877,7 @@ def empirical_densities(
         )
 
     return DensityVector(
-        finite=tuple(ent),
+        head=tuple(ent),
         d_inf=dinf,
         K=K,
         provenance=Empirical(windows=tuple(wins), horizon=horizon),

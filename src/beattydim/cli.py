@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=int, default=None)
     sp.add_argument("--eps", type=float, default=1e-10)
     sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the randomized solver restarts only")
+                    help="accepted for compatibility; does nothing (the "
+                         "fixed-point solver is deterministic)")
 
     sp = sub.add_parser("verify", help="oracle cross-checks")
     _add_param_flags(sp, need_matrix=True)
@@ -177,7 +178,7 @@ def _run_dim(args) -> int:
     p = _params(args)
     A = BinaryMatrix.from_string(args.matrix)
     kw = dict(n=args.n, horizon=args.horizon, K=args.K, eps=args.eps,
-              seed=args.seed, which=args.which, search_bound=args.search_bound)
+              which=args.which, search_bound=args.search_bound)
     if args.mode == "both":
         closed_rep = dimension_report(p, A, mode="closed", **kw)
         emp_rep = dimension_report(p, A, mode="empirical", **kw)

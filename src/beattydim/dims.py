@@ -11,8 +11,7 @@ transition matrix A:
 
 * Hausdorff: d_1 + sum_{i>=2} d_i log_m T(i) + d_inf log_m sum_i t_i,
   where t is the unique positive solution of t_i^{gamma/alpha} =
-  sum_j A(i,j) t_j (damped fixed-point iteration, uniqueness probed by
-  random restarts) and T(i) is the weighted chain sum built from the
+  sum_j A(i,j) t_j and T(i) is the weighted chain sum built from the
   d_{i,j} split:
 
       T(i) = sum over admissible length-i symbol tuples of
@@ -27,6 +26,13 @@ transition matrix A:
   1 + e_k = rho for all i and k, so a single recursion g_k = (A g_{k-1})^rho
   gives every T(i) at once: O(N m^2) for the whole series.
 
+  The fixed point t (``solve_t``) is found by Newton's method on
+  u = log t with a certificate: Phi(u) = rho log(A e^u) is a
+  rho-contraction in the sup norm (Phi preserves order and adds rho c
+  to every entry when c is added to u), so t is unique and
+  ||Phi(u) - u*|| <= rho/(1-rho) ||Phi(u) - u|| for any u.  The
+  Hausdorff ``err`` carries d_inf / ln m times that bound.
+
 The two dimensions coincide exactly when the row sums of A are equal.
 """
 
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -41,6 +48,7 @@ import numpy as np
 from .beatty import ParamTuple
 from .chains import DEFAULT_K, DensityVector, empirical_densities
 from .matrix import BinaryMatrix
+from .numerics import Rational, Real, _reciprocal
 from .regions import RegionId, classify_region, closed_form_d, density_payload
 
 
@@ -49,7 +57,8 @@ class InvalidDensity(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """Fixed-point iteration failed to converge or restarts disagree."""
+    """The fixed-point solver reached its step cap while its certificate
+    was still shrinking."""
 
 
 class DegenerateWeights(ValueError):
@@ -61,6 +70,7 @@ class TSolverResult:
     t: tuple[float, ...]
     residual: float
     iterations: int
+    log_total: float
 
     def total(self) -> float:
         return float(sum(self.t))
@@ -101,7 +111,7 @@ class DimensionReport:
 
 
 def _validate_density(d: DensityVector) -> None:
-    vals = [float(v) for v in d.finite] + [float(d.d_inf)]
+    vals = d.floats(d.K)[0] + [float(d.d_inf)]
     if any(v < -1e-12 for v in vals):
         raise InvalidDensity("density entries must be non-negative")
     if sum(vals) > 1 + 1e-9:
@@ -115,8 +125,13 @@ def _validate_eps(eps: float) -> None:
         raise ValueError("eps must be a positive finite number")
 
 
+_EPS = math.ulp(1.0)  # machine epsilon
+
+
 def _rho(p: ParamTuple) -> float:
-    return 1.0 / float(p.ratio.approx())
+    """alpha/gamma from the exact quotient: it stays finite (or
+    underflows to 0) where gamma/alpha passes the float range."""
+    return _reciprocal(p.ratio).approx()
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +150,8 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     """Truncated series with reported bound = geometric tail + float slack."""
     _validate_eps(eps)
     _validate_density(d)
-    rho = _rho(p)
-    if not (0.0 < rho < 1.0):
+    rho = _rho(p)  # 0 where gamma/alpha passes the float range
+    if not (0.0 <= rho < 1.0):
         raise ValueError("alpha/gamma must lie in (0, 1)")
     N = max(d.K, 8)
     while _mink_tail(N, rho) > eps / 2 and N < 200_000:
@@ -159,64 +174,72 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
 # Perron-type fixed point
 # ---------------------------------------------------------------------------
 
-def _iterate_t(A_np: np.ndarray, r: float, t0: np.ndarray, tol: float,
-               max_iter: int) -> tuple[np.ndarray, float, int]:
-    t = t0.astype(float)
-    lam = 1.0
-    prev_res = math.inf
-    best = math.inf
-    stall = 0
-    inv_r = 1.0 / r
-    for it in range(1, max_iter + 1):
-        at = A_np @ t
-        t_new = (1.0 - lam) * t + lam * at**inv_r
-        at_new = A_np @ t_new
-        res = float(np.max(np.abs(t_new**r - at_new)))
-        step = float(np.max(np.abs(t_new - t)))
-        scale = max(1.0, float(np.max(np.abs(at_new))))
-        tmax = max(1.0, float(np.max(np.abs(t_new))))
-        if res > 1.5 * prev_res and res > 100 * tol * scale and lam > 1.0 / 1024:
-            lam *= 0.5  # oscillation guard for exponents near 1
-        t, prev_res = t_new, res
-        if res < tol and step < tol / 10 * tmax:
-            return t, res, it  # met the absolute tolerance
-        if res < 0.9 * best:
-            best, stall = res, 0
-        else:
-            stall += 1
-        # residual stopped improving: accept it if within the scale-aware
-        # tolerance (double precision cannot do better for large iterates)
-        if stall >= 50 and res < tol * scale:
-            return t, res, it
-    raise NonConvergence(
-        f"t-solver did not reach residual {tol} in {max_iter} iterations"
-    )
+def _log_map(A: np.ndarray, rho: float,
+             u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(u) = rho log(A e^u), and P with P_ij = A_ij e^{u_j} / (A e^u)_i,
+    so that the Jacobian of Phi is rho P.  Each row is shifted by its
+    largest admitted u_j, so e^u never leaves the float range."""
+    U = np.where(A, u, -np.inf)
+    top = U.max(axis=1)
+    E = np.exp(U - top[:, None])
+    S = E.sum(axis=1)
+    return rho * (top + np.log(S)), E / S[:, None]
 
 
 def solve_t(A: BinaryMatrix, r, tol: float = 1e-13,
-            max_iter: int = 1_000_000, seed: int = 0,
-            restarts: int = 5) -> TSolverResult:
+            max_iter: int = 200) -> TSolverResult:
     """Unique positive vector with t_i^r = sum_j A(i,j) t_j, r > 1.
 
-    Damped iteration t <- (A t)^(1/r) from the all-ones vector; claimed
-    uniqueness is probed by `restarts` random positive starting vectors,
-    which must agree within 10 * tol."""
-    r = float(r.approx()) if hasattr(r, "approx") else float(r)
-    if r <= 1.0:
+    Newton's method on u = log t for the fixed point of
+    Phi(u) = rho log(A e^u), rho = 1/r: each step solves
+    (I - rho P) delta = Phi(u) - u, which is invertible because P is
+    row-stochastic and rho < 1.  A Newton step that does not shrink
+    ||Phi(u) - u||_inf is replaced by the contraction step u <- Phi(u),
+    so convergence does not depend on the start.  The steps stop once
+    the certificate rho/(1-rho) ||Phi(u) - u||_inf is at most ``tol`` or
+    stops shrinking, and t = exp(Phi(u)) is returned.
+
+    ``residual`` bounds ||log t - log t*||_inf: the certificate plus the
+    float-evaluation term 8 eps (m + ||Phi(u)||_inf) / (1 - rho), with
+    eps the machine epsilon, which covers the rounding of rho, exp, the
+    m-term row sums, log and the returned exp.  ``log_total`` is
+    log sum(t), taken from Phi(u) without leaving the float range;
+    ``iterations`` counts the steps taken."""
+    r = r if isinstance(r, Real) else Rational(Fraction(r))
+    rho = _reciprocal(r).approx() if r > 1 else 1.0  # may underflow to 0
+    if not rho < 1.0:
         raise ValueError("exponent gamma/alpha must exceed 1")
     if min(A.row_sums) == 0:
         raise ValueError("matrix has an empty row; no positive fixed point")
-    A_np = np.array(A.rows, dtype=float)
-    t, res, iters = _iterate_t(A_np, r, np.ones(A.m), tol, max_iter)
-    rng = np.random.default_rng(seed)
-    agree = 10 * tol * max(1.0, float(np.max(np.abs(t))))
-    for _ in range(restarts):
-        t0 = rng.uniform(0.5, 2.0, A.m)
-        t_alt, _, _ = _iterate_t(A_np, r, t0, tol, max_iter)
-        if float(np.max(np.abs(t_alt - t))) > agree:
-            raise NonConvergence("random restarts disagree; fixed point suspect")
-    return TSolverResult(t=tuple(float(v) for v in t), residual=res,
-                         iterations=iters)
+    A_np = np.array(A.rows, dtype=bool)
+    eye = np.eye(A.m)
+    gain = rho / (1.0 - rho)
+    u = np.zeros(A.m)
+    v, P = _log_map(A_np, rho, u)
+    gap = float(np.max(np.abs(v - u)))
+    steps = 0
+    while gain * gap > tol:
+        if steps == max_iter:
+            raise NonConvergence(
+                f"t-solver certificate still shrinking after {max_iter} steps")
+        u_new = u + np.linalg.solve(eye - rho * P, v - u)
+        v_new, P_new = _log_map(A_np, rho, u_new)
+        gap_new = float(np.max(np.abs(v_new - u_new)))
+        if not gap_new < gap:  # Newton did not help: contract instead
+            u_new = v
+            v_new, P_new = _log_map(A_np, rho, u_new)
+            gap_new = float(np.max(np.abs(v_new - u_new)))
+            if not gap_new < gap:
+                break  # the float evaluation of Phi is the limit
+        u, v, P, gap = u_new, v_new, P_new, gap_new
+        steps += 1
+    floats = 8.0 * _EPS * (A.m + float(np.max(np.abs(v)))) / (1.0 - rho)
+    top = float(np.max(v))
+    with np.errstate(over="ignore"):  # t past the float range reads inf
+        t = np.exp(v)
+    return TSolverResult(t=tuple(float(x) for x in t),
+                         residual=gain * gap + floats, iterations=steps,
+                         log_total=top + math.log(float(np.sum(np.exp(v - top)))))
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +312,14 @@ def _hausdorff_tail(d: DensityVector, N: int) -> float:
 
 
 def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
-                  eps: float = 1e-10, solver_seed: int = 0,
-                  solver_tol: float = 1e-13) -> DimValue:
+                  eps: float = 1e-10, solver_tol: float = 1e-13) -> DimValue:
     """d_1 + sum_{i>=2} d_i log_m T(i) + d_inf log_m sum(t).
 
     Classes with d_i = 0 contribute nothing and are skipped (their
     exponents would be degenerate); the t-solver runs only when
-    d_inf > 0.  Requires primitive A when d_inf > 0, irreducible
-    otherwise (the caller surfaces warnings)."""
+    d_inf > 0, and its certificate enters ``err`` as
+    d_inf * residual / ln m.  Requires primitive A when d_inf > 0,
+    irreducible otherwise (the caller surfaces warnings)."""
     _validate_eps(eps)
     _validate_density(d)
     logm = math.log(A.m)
@@ -315,10 +338,12 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
         for i, di in terms:
             total += di * math.log(T[i - 2]) / logm
     dinf = d.d_inf_float()
+    err = tail + 1e-12
     if dinf > 0.0:
-        sol = solve_t(A, p.ratio, tol=solver_tol, seed=solver_seed)
-        total += dinf * math.log(sol.total()) / logm
-    return DimValue(total, tail + 1e-12)
+        sol = solve_t(A, p.ratio, tol=solver_tol)
+        total += dinf * sol.log_total / logm
+        err += dinf * sol.residual / logm
+    return DimValue(total, err)
 
 
 def dims_coincide(A: BinaryMatrix) -> bool:
@@ -338,7 +363,6 @@ def dimension_report(
     horizon: Optional[int] = None,
     K: int = DEFAULT_K,
     eps: float = 1e-10,
-    seed: int = 0,
     which: str = "both",
     search_bound: int = 10_000,
 ) -> DimensionReport:
@@ -368,7 +392,7 @@ def dimension_report(
         )
 
     dim_m = minkowski_dim(A, d, p, eps=eps) if which in ("both", "minkowski") else None
-    dim_h = hausdorff_dim(A, d, p, eps=eps, solver_seed=seed) if which in (
+    dim_h = hausdorff_dim(A, d, p, eps=eps) if which in (
         "both", "hausdorff") else None
     return DimensionReport(
         region=region,

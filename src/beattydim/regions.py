@@ -140,14 +140,10 @@ def rational_d(p: ParamTuple, K: int = DEFAULT_K) -> DensityVector:
     entry = Fraction(a, b) - stay
     ratio = stay * Fraction(d, c)
     d1 = 1 - Fraction(a, b) - Fraction(c, d) + stay
-    # zero entries share one object, so retained vectors stay small
-    finite = [d1 or _ZERO]
-    term = entry * (1 - ratio)
-    for _ in range(2, K + 1):
-        finite.append(term or _ZERO)
-        term *= ratio
+    # d_3 .. d_K follow from d_2 by the ratio, so the vector stores two
+    # entries whatever K is
     return DensityVector(
-        finite=tuple(finite),
+        head=(d1, entry * (1 - ratio)),
         d_inf=entry if ratio == 1 else _ZERO,
         K=K,
         provenance=ClosedForm("R2"),
@@ -356,7 +352,7 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
 
     if rid == "R1":  # gamma is a surd
         return DensityVector(
-            finite=(0.0,) * K, d_inf=1.0 - 1.0 / p.gamma.approx(), K=K,
+            head=(0.0,) * K, d_inf=1.0 - 1.0 / p.gamma.approx(), K=K,
             provenance=prov, tail_ratio=0.0,
         )
 
@@ -366,7 +362,7 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
         inv_a, inv_g = _reciprocal(p.alpha), _reciprocal(p.gamma)
         d1 = _add(Rational(Fraction(1)), _neg(_add(inv_a, inv_g))).approx()
         return DensityVector(
-            finite=(d1, inv_a.approx()) + (0.0,) * (K - 2), d_inf=0.0, K=K,
+            head=(d1, inv_a.approx()) + (0.0,) * (K - 2), d_inf=0.0, K=K,
             provenance=prov, tail_ratio=0.0,
         )
 
@@ -380,7 +376,7 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
         except OverflowError:  # af**i is past the float range
             finite.append(finite[-1] / af)
     return DensityVector(
-        finite=tuple(finite), d_inf=0.0, K=K, provenance=prov,
+        head=tuple(finite), d_inf=0.0, K=K, provenance=prov,
         tail_ratio=1.0 / af,
     )
 

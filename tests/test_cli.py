@@ -281,6 +281,24 @@ def test_step_past_int64(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+# gamma/alpha = 5 * 10^399 is past the float range
+RATIO_PAST_FLOAT = ["--alpha", "2", "--gamma", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", *RATIO_PAST_FLOAT, "--matrix", "11;10"],
+    ["densities", "--mode", "empirical", *RATIO_PAST_FLOAT, "--n", "100"],
+    ["verify", *RATIO_PAST_FLOAT, "--matrix", "11;10"],
+], ids=["dim", "densities", "verify"])
+def test_ratio_past_float_range(capsys, argv):
+    # alpha/gamma comes from the exact quotient (it underflows to 0) and
+    # log(gamma/alpha) from the exact numerator and denominator
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+
+
 def test_dim_mode_both(capsys):
     code, out = run_cli(
         capsys, "dim", "--alpha", "2", "--beta", "0", "--gamma", "3",

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -66,6 +68,81 @@ def test_solve_t_validation():
         solve_t(GOLDEN_MEAN, 1.0)
     with pytest.raises(ValueError):
         solve_t(BinaryMatrix([[1, 1], [0, 0]]), 2.0)  # empty row
+
+
+def _gauss(M, b):
+    """Solve M x = b by Gaussian elimination with partial pivoting."""
+    n = len(b)
+    M = [row[:] + [v] for row, v in zip(M, b)]
+    for c in range(n):
+        piv = max(range(c, n), key=lambda i: abs(M[i][c]))
+        M[c], M[piv] = M[piv], M[c]
+        for i in range(c + 1, n):
+            f = M[i][c] / M[c][c]
+            if f:
+                for j in range(c, n + 1):
+                    M[i][j] -= f * M[c][j]
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (M[i][n] - sum(M[i][j] * x[j] for j in range(i + 1, n))) / M[i][i]
+    return x
+
+
+def decimal_log_total(A, r: str, t_float):
+    """log sum(t*) to 40 digits, for t_i^r = sum_j A(i,j) t_j: Newton on
+    u = log t for u = rho log(A e^u) in 50-digit decimals, one Gaussian
+    elimination per step, started from the float solution."""
+    rows = [[j for j, a in enumerate(row) if a] for row in A.rows]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rho = 1 / Decimal(r)
+        u = [Decimal(math.log(t)) for t in t_float]
+        for _ in range(10):
+            e = [x.exp() for x in u]
+            s = [sum(e[j] for j in row) for row in rows]
+            J = [[Decimal(i == j) for j in range(A.m)] for i in range(A.m)]
+            for i, row in enumerate(rows):
+                for j in row:
+                    J[i][j] -= rho * e[j] / s[i]
+            delta = _gauss(J, [rho * si.ln() - ui for si, ui in zip(s, u)])
+            u = [ui + di for ui, di in zip(u, delta)]
+            if max(abs(d) for d in delta) < Decimal("1e-45"):
+                return sum(x.exp() for x in u).ln()
+    raise AssertionError("decimal Newton did not settle")
+
+
+@pytest.mark.parametrize("m", [2, 16, 64])
+@pytest.mark.parametrize("r", ["1.01", "1.05", "1.1", "2"])
+def test_solve_t_against_decimal_reference(rng, r, m):
+    # the certificate bounds the error of log sum(t), and Newton needs
+    # few steps even at gamma/alpha = 1.01, where the iterates reach e^400
+    A = random_primitive(rng, m)
+    sol = solve_t(A, Fraction(r))
+    ref = decimal_log_total(A, r, sol.t)
+    assert 0 < sol.residual < 1e-9
+    assert abs(Decimal(sol.log_total) - ref) <= Decimal(sol.residual)
+    assert abs(Decimal(math.log(sol.total())) - ref) <= Decimal(sol.residual)
+    assert sol.iterations <= 20
+
+
+@pytest.mark.parametrize("r", ["1.01", "2"])
+def test_solve_t_swap_against_decimal_reference(r):
+    A = BinaryMatrix([[0, 1], [1, 0]])
+    sol = solve_t(A, Fraction(r))
+    ref = decimal_log_total(A, r, sol.t)
+    assert abs(Decimal(sol.log_total) - ref) <= Decimal(sol.residual)
+    assert sol.iterations <= 20
+
+
+def test_solve_t_accepts_the_exact_ratio():
+    # the ParamTuple ratio, a Fraction and a float give one fixed point;
+    # a ratio past the float range gives rho = 0 and t = 1
+    p = ParamTuple(2, 0, 3, 0)
+    a, b, c = (solve_t(GOLDEN_MEAN, r).t for r in (p.ratio, Fraction(3, 2), 1.5))
+    assert a == b == c
+    assert solve_t(GOLDEN_MEAN, 10**400).t == (1.0, 1.0)
+    with pytest.raises(ValueError, match="must exceed 1"):
+        solve_t(GOLDEN_MEAN, Fraction(1))
 
 
 def test_t_phi_row_sum_power():
@@ -203,11 +280,11 @@ def test_dims_coincide():
 
 def test_invalid_density():
     p = REGION_TUPLES["R7"]
-    bad = DensityVector(finite=(-0.2, 0.1), d_inf=0.5, K=2,
+    bad = DensityVector(head=(-0.2, 0.1), d_inf=0.5, K=2,
                         provenance=ClosedForm("R7"))
     with pytest.raises(InvalidDensity):
         minkowski_dim(GOLDEN_MEAN, bad, p)
-    heavy = DensityVector(finite=(0.9, 0.9), d_inf=0.5, K=2,
+    heavy = DensityVector(head=(0.9, 0.9), d_inf=0.5, K=2,
                           provenance=ClosedForm("R7"))
     with pytest.raises(InvalidDensity):
         hausdorff_dim(GOLDEN_MEAN, heavy, p)
@@ -230,6 +307,22 @@ def test_dimension_report_closed():
     assert rep.dim_H.value < rep.dim_M.value
     payload = rep.to_json_dict()
     assert set(payload) >= {"region", "d", "dim_M", "dim_H", "coincide", "warnings"}
+
+
+def test_retained_reports_stay_small():
+    # a rational closed form stores (d_1, d_2), not K exact entries, so a
+    # caller that keeps many reports keeps little
+    p = ParamTuple("13/12", 0, "7/6", 0)
+    A = BinaryMatrix([[1, 1], [1, 0]])
+    dimension_report(p, A)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = [dimension_report(p, A) for _ in range(100)]
+        per_report = (tracemalloc.get_traced_memory()[0] - base) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_report < 1500
 
 
 def test_dimension_report_open_region_falls_back():
@@ -355,17 +448,17 @@ def test_hausdorff_empty_row():
     d = closed_form_d(p, classify_region(p))
     with pytest.raises(ValueError, match="matrix has an empty row"):
         hausdorff_dim(A, d, p)
-    late = DensityVector(finite=(0.5, 0.0, 0.0, 0.25), d_inf=0, K=4,
+    late = DensityVector(head=(0.5, 0.0, 0.0, 0.25), d_inf=0, K=4,
                          provenance=ClosedForm("R7"))
     with pytest.raises(ValueError, match="matrix has an empty row"):
         hausdorff_dim(A, late, p)
     with pytest.raises(ValueError, match="matrix has an empty row"):
         transfer_sums(A, 0.5, 3)
     # d_1 alone needs no transfer sum; d_inf alone needs the fixed point
-    first = DensityVector(finite=(1, 0), d_inf=0, K=2,
+    first = DensityVector(head=(1, 0), d_inf=0, K=2,
                           provenance=ClosedForm("R7"))
     assert hausdorff_dim(A, first, p).value == 1.0
-    only_inf = DensityVector(finite=(0.5, 0), d_inf=0.5, K=2,
+    only_inf = DensityVector(head=(0.5, 0), d_inf=0.5, K=2,
                              provenance=ClosedForm("R7"))
     with pytest.raises(ValueError, match="no positive fixed point"):
         hausdorff_dim(A, only_inf, p)

@@ -280,6 +280,19 @@ def test_slow_growth_regime():
     assert closed_form_d(p, r).d_inf == Fraction(1, 3)
 
 
+def test_rational_d_stores_two_entries():
+    # d_3 .. d_K follow from d_2 by the exact ratio, so K = 10_000 costs
+    # two stored entries; spot entries match entry 1/4, stay 3/4, exit 1/4
+    p = ParamTuple("4/3", 0, "3/2", 0)
+    d = rational_d(p, K=10_000)
+    assert len(d.head) <= 2
+    assert d.is_exact()
+    assert d.entry(1) == Fraction(1, 12)
+    for i in (2, 3, 777, 10_000, 10_001):
+        assert d.entry(i) == Fraction(3, 4) ** (i - 2) / 16, i
+    assert rational_d(p, K=40).finite == tuple(map(d.entry, range(1, 41)))
+
+
 def test_k_validation():
     p = ParamTuple(2, 0, 3, 0)
     with pytest.raises(ValueError):
