@@ -9,19 +9,20 @@ the map f(floor(alpha*k + beta)) = floor(gamma*k + delta) (well defined
 because k |-> floor(tau*k + eta) is injective for tau >= 1), and the
 pair constraints A(x_u, x_v) = 1 over the edges (u, v) generated per k.
 
-Besides the general exact operations, this module holds one
-``BeattyPair`` per sequence, with integer-only closures and int64 lane
-kernels for its floors and memberships: million-scale window scans
-cannot afford generic object arithmetic per element.  For rational
-parameters everything reduces to integer ceil/floor divisions; for
-quadratic surds to one or two integer-square-root comparisons.
+Besides the general exact operations, this module holds the
+``BeattyPair`` of a sequence (a ``ParamTuple`` owns one per sequence),
+with integer-only closures and int64 lane kernels for its floors and
+memberships: million-scale window scans cannot afford generic object
+arithmetic per element.  For rational parameters everything reduces to
+integer ceil/floor divisions; for quadratic surds to one or two
+integer-square-root comparisons.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +37,6 @@ from .numerics import (
     _div,
     _mul,
     _neg,
-    _reciprocal,
     _surd_floor_ints,
     as_real,
     ceil_value,
@@ -55,10 +55,16 @@ def _coerce(v) -> Real:
 
 
 class ParamTuple:
-    """Validated parameter tuple with the derived ratio gamma/alpha and
-    the chain growth bound C = (1 + |beta| + |delta|) * alpha / (gamma - alpha)."""
+    """Validated parameter tuple with the derived ratio gamma/alpha, the
+    chain growth bound C = (1 + |beta| + |delta|) * alpha / (gamma - alpha)
+    and the two sequences' pairs (BeattyPair(alpha, beta),
+    BeattyPair(gamma, delta)).  C and the pairs are built on first use
+    and kept, so every layer that scans, walks or counts this tuple
+    shares one exact setup of each sequence; the tuple is otherwise
+    immutable."""
 
-    __slots__ = ("alpha", "beta", "gamma", "delta", "ratio", "_chain_bound")
+    __slots__ = ("alpha", "beta", "gamma", "delta", "ratio", "_chain_bound",
+                 "_pairs")
 
     def __init__(self, alpha, beta, gamma, delta):
         alpha, beta = _coerce(alpha), _coerce(beta)
@@ -81,6 +87,18 @@ class ParamTuple:
         raise AttributeError("ParamTuple is immutable")
 
     @property
+    def pairs(self) -> tuple[BeattyPair, BeattyPair]:
+        """(BeattyPair(alpha, beta), BeattyPair(gamma, delta)), built on
+        first use."""
+        try:
+            return self._pairs
+        except AttributeError:
+            pairs = (BeattyPair(self.alpha, self.beta),
+                     BeattyPair(self.gamma, self.delta))
+            object.__setattr__(self, "_pairs", pairs)
+            return pairs
+
+    @property
     def chain_bound(self) -> Real:
         """C, computed on first use: only ``decompose`` needs it."""
         try:
@@ -94,7 +112,22 @@ class ParamTuple:
             return c
 
     def chain_bound_int(self) -> int:
-        """Integer upper bound for C (safe for window-extension logic)."""
+        """An integer >= C (safe for window-extension logic).
+
+        It comes from the pairs' float enclosures over ``_gap_floor``,
+        rounded outward: the numerator sums nonnegative terms, so it and
+        the quotient carry a relative error below 10u.  The exact C takes
+        over where a value does not fit a float or the gap is not clearly
+        positive."""
+        a, g = self.pairs
+        gap = _gap_floor(a, g)
+        if gap > 0.0:
+            t, et, e, ee = a._floats
+            eg, eeg = g._floats[2:]
+            top = (1.0 + abs(e) + ee + abs(eg) + eeg) * (t + et)
+            c = top / gap * (1.0 + 32.0 * _U)
+            if c < 2.0 ** 62:
+                return int(c) + 1
         _, hi = self.chain_bound.enclosure(64)
         return hi.numerator // hi.denominator + 1
 
@@ -143,7 +176,7 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (u, v) columns of ``constraint_edges(p, n)`` as int64 arrays."""
     if n < 1:
         raise ValueError("window size must be >= 1")
-    a, g = BeattyPair(p.alpha, p.beta), BeattyPair(p.gamma, p.delta)
+    a, g = p.pairs
     k0 = max(a.first_k, g.first_k)
     count = max(0, min(a.first_k_at(n + 1), g.first_k_at(n + 1)) - k0)
     if k0 > count:  # shifted pairs: lane i holds k = k0 + i
@@ -220,17 +253,50 @@ def _linear_form(tau: Real, eta: Real):
 
 
 def _float_pair(x: Real) -> Optional[tuple[float, float]]:
-    """(v, e) with |x - v| <= e, from the value's 96-bit enclosure; None
-    if the value does not fit a float."""
-    lo, hi = x.enclosure(96)
+    """(v, e) with |x - v| <= e; None if the value does not fit a float.
+
+    v is the float nearest the midpoint of a 96-bit enclosure [lo, hi] of
+    x, and e rounds max(hi - v, v - lo) up.  The enclosure is held as
+    integers lo_n/den and hi_n/den: a rational or surd (X + Y*sqrt(D))/Z
+    takes one isqrt of D * 2^192, and only an interval asks for its
+    enclosure.  int / int true division rounds correctly, so no Fraction
+    arithmetic is done."""
+    parts = _parts(x)
+    if parts is not None:  # x = a + b*sqrt(d), b = d = 0 for a rational
+        a, b, d = parts
+        z = lcm(a.denominator, b.denominator)
+        X = a.numerator * (z // a.denominator) << 96
+        Y = b.numerator * (z // b.denominator)
+        r = isqrt(d << 192)  # r <= 2^96 sqrt(d) < r + 1
+        lo_n, hi_n = sorted((X + Y * r, X + Y * (r + 1)))
+        den = z << 96
+    else:
+        lo, hi = x.enclosure(96)
+        den = lo.denominator * hi.denominator
+        lo_n = lo.numerator * hi.denominator
+        hi_n = hi.numerator * lo.denominator
     try:
-        v = float((lo + hi) / 2)
-        fv = Fraction(v)
-        # float() rounds to nearest; the factor rounds the bound up
-        e = float(max(hi - fv, fv - lo)) * (1 + 2.0 ** -50) + 2.0 ** -1074
+        v = (lo_n + hi_n) / (2 * den)
     except OverflowError:
         return None
-    return v, e
+    vn, vd = v.as_integer_ratio()
+    gap = max(hi_n * vd - vn * den, vn * den - lo_n * vd)
+    # the division rounds to nearest; the factor rounds the bound up
+    return v, gap / (den * vd) * (1 + 2.0 ** -50) + 2.0 ** -1074
+
+
+def _gap_floor(a: BeattyPair, g: BeattyPair) -> float:
+    """A positive float at or below gamma - alpha for the pairs a of
+    S(alpha, beta) and g of S(gamma, delta), from their float
+    enclosures, or 0.0 where a value does not fit a float or the gap is
+    not clearly positive.  The three roundings of the difference are at
+    most 4u times the sum s of its operands' magnitudes."""
+    if a._floats is None or g._floats is None:
+        return 0.0
+    t, et = a._floats[:2]
+    tg, etg = g._floats[:2]
+    gap = (tg - etg) - (t + et) - 8.0 * _U * (tg + etg + t + et)
+    return gap if gap > 0.0 else 0.0
 
 
 def _scalar_lanes(out: np.ndarray, bad: np.ndarray, lanes: np.ndarray,
@@ -250,11 +316,13 @@ class BeattyPair:
     for the floors).
 
     The linear form is computed here.  The rest is built on first use
-    and kept: the inverse form, the float enclosures, the scalar
-    closures ``floor`` and ``member`` (x -> its k, or 0), the int64 lane
-    kernels ``floor_lanes`` and ``member_lanes``, and ``first_k``.
-    Outside a common quadratic field every closure takes the generic
-    exact operations."""
+    and kept, in integer arithmetic on the form: the inverse form, the
+    float enclosures, the scalar closures ``floor`` and ``member`` (x ->
+    its k, or 0), the int64 lane kernels ``floor_lanes`` and
+    ``member_lanes``, and ``first_k``.  Outside a common quadratic field
+    every closure takes the generic exact operations.  The sequences of
+    a tuple take their pairs from ``ParamTuple.pairs``, so this setup
+    runs once per sequence."""
 
     def __init__(self, tau: RealLike, eta: RealLike):
         self.tau, self.eta = as_real(tau), as_real(eta)
@@ -263,11 +331,19 @@ class BeattyPair:
     @cached_property
     def _inverse(self):
         """Linear form of x -> (x - eta)/tau, or None without a forward
-        form (the inverse then leaves the field as well)."""
+        form (the inverse then leaves the field as well).
+
+        With P = Z*x - E, (x - eta)/tau = (P - F*sqrt(D))/(A + B*sqrt(D))
+        = ((A*P + B*F*D) - (B*P + A*F)*sqrt(D)) / (A^2 - B^2*D), in
+        integers; dividing out the common factor and the sign gives the
+        form _linear_form builds from the reduced coefficients."""
         if self.form is None:
             return None
-        inv = _reciprocal(self.tau)
-        return _linear_form(inv, _neg(_mul(self.eta, inv)))
+        A, B, E, F, Z, D = self.form
+        form = (A * Z, -B * Z, B * F * D - A * E, B * E - A * F,
+                A * A - B * B * D)
+        c = gcd(*form) * (1 if form[4] > 0 else -1)
+        return (*(v // c for v in form), D)
 
     @cached_property
     def _floats(self) -> Optional[tuple[float, float, float, float]]:
@@ -322,15 +398,23 @@ class BeattyPair:
         """The first k >= 1 with floor(tau*k + eta) >= x.
 
         Loops over k start or end here, so a large shift costs nothing:
-        k >= (x - eta)/tau is the condition, its lower enclosure gives a
-        start at or below the answer, and monotonicity of k -> floor(tau*k
-        + eta) lets the final steps settle it exactly.  The enclosure
-        carries the bits of the quotient's magnitude on top of 64, so it
-        is narrower than 1 even for shifts near 10^30 times a surd."""
-        q = _div(_add(Rational(Fraction(x)), _neg(self.eta)), self.tau)
-        mag = max(map(abs, q.enclosure(16)))
-        lo, _ = q.enclosure(64 + int(mag).bit_length())
-        k = max(1, -((-lo.numerator) // lo.denominator))
+        k >= (x - eta)/tau is the condition, so the answer is max(1,
+        ceil((x - eta)/tau)).  With the inverse form that ceiling is one
+        ``_surd_floor_ints`` (an integer division for rational pairs),
+        the expression ``member`` evaluates.  Other pairs start from a
+        lower enclosure of the quotient, which carries the bits of its
+        magnitude on top of 64, so it is narrower than 1 even for shifts
+        near 10^30 times a surd.  Monotonicity of k -> floor(tau*k + eta)
+        lets the final steps settle the start exactly."""
+        if self._inverse is not None:
+            A1, B1, E1, F1, Z1, D1 = self._inverse
+            k = -_surd_floor_ints(-(A1 * x + E1), -(B1 * x + F1), D1, Z1)
+        else:
+            q = _div(_add(Rational(Fraction(x)), _neg(self.eta)), self.tau)
+            mag = max(map(abs, q.enclosure(16)))
+            lo, _ = q.enclosure(64 + int(mag).bit_length())
+            k = -((-lo.numerator) // lo.denominator)
+        k = max(1, k)
         floor = self.floor
         while floor(k) < x:
             k += 1

@@ -14,13 +14,14 @@ elements).  Head classes:
                 the certificate below, or detected up to a finite
                 horizon and reported as candidates).
 
-``_ScanContext`` holds the per-tuple scan state, built once: the two
-pairs, tables, and a certificate threshold Y (``_certificate``: from one
-period of kernel floors for rational alpha, from the exact relations
-gamma = m*alpha and delta = beta + j*alpha for surd alpha; never from
-``regions``, whose closed forms stay an independent check).  A walk
-whose iterate reaches Y above the visible window is proved infinite and
-stops; without a certificate it runs to the horizon.
+``_ScanContext`` holds the per-tuple scan state, built once: the
+tuple's two pairs (``ParamTuple.pairs``), tables, and a certificate
+threshold Y (``_certificate``: from one period of kernel floors for
+rational alpha, from the exact relations gamma = m*alpha and delta =
+beta + j*alpha for surd alpha; never from ``regions``, whose closed
+forms stay an independent check).  A walk whose iterate reaches Y above
+the visible window is proved infinite and stops; without a certificate
+it runs to the horizon.
 
 Two walks step along chains by one rule: from the iterate y, k =
 a.member(y) (0 ends the chain: y left SA), then y = g.floor(k), with a
@@ -53,13 +54,13 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, floor, inf, lcm, log
+from math import ceil, floor, inf, isfinite, lcm, log
 from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
                     Union)
 
 import numpy as np
 
-from .beatty import LANE_BOUND, BeattyPair, ParamTuple
+from .beatty import LANE_BOUND, BeattyPair, ParamTuple, _U, _gap_floor
 from .numerics import QuadraticSurd, Rational, _add, _div, _mul, _neg
 
 DEFAULT_K = 40
@@ -369,6 +370,7 @@ def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
     marks = np.frombuffer(table, dtype=np.uint8)  # marks in place
     if pair.floor(k0) > bound:  # a large positive shift: no member
         return table
+    t = tau.approx() if pair._floats is None else pair._floats[0]
     if k0 > bound:
         pair, k0 = BeattyPair(tau, _add(pair.eta, _mul(tau, Rational(k0)))), 0
     floors = pair.floor_lanes
@@ -376,7 +378,6 @@ def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
     # lanes land in [1, bound], and none floors above bound + tau*step;
     # where that sum may leave int64 (tau of 2^59 or more), the lanes
     # end at the first k past the bound
-    t = tau.approx()
     step = min(CHUNK, int(bound / t) + 2)
     if bound + t * step > LANE_BOUND / 4:
         lanes = np.arange(k0, pair.first_k_at(bound + 1), dtype=np.int64)
@@ -392,16 +393,15 @@ def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
 
 
 class _ScanContext:
-    """Per-tuple scan state, built once per tuple: the pairs a and g,
-    their membership tables on [1, bound], the lane guard of
+    """Per-tuple scan state, built once per tuple: the tuple's pairs a
+    and g, their membership tables on [1, bound], the lane guard of
     ``walk_heads``, and the certificate threshold Y (None without one).
     A walk stops as proved infinite at an iterate y >= Y above the
     cutoff: every later iterate is larger and in S(alpha, beta)."""
 
     def __init__(self, p: ParamTuple, bound: int):
         self.p = p
-        self.a = BeattyPair(p.alpha, p.beta)
-        self.g = BeattyPair(p.gamma, p.delta)
+        self.a, self.g = p.pairs
         self.sg = _mark_bitset(self.g, bound)
         self.sa = _mark_bitset(self.a, bound)
         self.guard = _lane_guard(p)
@@ -596,7 +596,7 @@ class _ScanContext:
                 live = live.compress(~far, axis=1)
             # out of SA (k = 0), at the horizon, or proved infinite
             out = live[1] >= horizon
-            if self.Y is not None:
+            if stop <= LANE_BOUND:
                 out |= live[2] >= stop
             live[2] = self.a.member_lanes(live[2])
             out |= live[2] == 0
@@ -649,11 +649,23 @@ class _HeadTally(NamedTuple):
 def _lane_guard(p: ParamTuple) -> int:
     """The largest iterate y that ``walk_heads`` keeps in the kernel: a
     member y <= it has k <= y + |beta| + 1 (alpha >= 1), so every floor
-    of a step stays below LANE_BOUND."""
-    g = p.gamma.enclosure(64)[1]
-    b = max(map(abs, p.beta.enclosure(64)))
-    d = max(map(abs, p.delta.enclosure(64)))
-    return floor((LANE_BOUND - d) / g - b) - 3
+    of a step stays below LANE_BOUND.
+
+    Any guard at or below floor((LANE_BOUND - |delta|)/gamma - |beta|) - 3
+    keeps that promise, and so does any guard below 1, which keeps no
+    iterate.  This one comes from the pairs' float enclosures, less twice
+    the bound 4u((LANE_BOUND + |delta|)/gamma + |beta|) on the rounding
+    of the float steps.  A value past the float range (2^1024) makes the
+    formula negative: then the guard is -3."""
+    a, g = p.pairs
+    if a._floats is None or g._floats is None:
+        return -3
+    e, ee = a._floats[2:]
+    tg, etg, eg, eeg = g._floats
+    b, d = abs(e) + ee, abs(eg) + eeg
+    y = (LANE_BOUND - d) / (tg + etg) - b
+    y -= 8.0 * _U * ((LANE_BOUND + d) / (tg + etg) + b) + 1.0
+    return floor(y) - 3 if isfinite(y) else -3
 
 
 def _certificate(a: BeattyPair, g: BeattyPair) -> Optional[int]:
@@ -674,7 +686,10 @@ def _certificate(a: BeattyPair, g: BeattyPair) -> Optional[int]:
     * irrational alpha (``_surd_inclusion``): gamma = m*alpha and
       delta = beta + j*alpha for integers m >= 2 and j.
     None for any other alpha, a failed inclusion, a period above
-    _PERIOD_CAP, or a threshold or member index past the int64 lanes."""
+    _PERIOD_CAP, or a period whose member indices pass the int64 lanes.
+    Y is a Python int and may pass int64 (gamma = 10^400 * alpha puts it
+    near 10^400): ``walk`` stops at it exactly, and ``walk_heads`` tests
+    its lanes against it only where it fits them."""
     if isinstance(a.tau, Rational):
         y0 = max(1, a.floor(1), g.floor(1))
         b = a.tau.value.numerator
@@ -694,11 +709,28 @@ def _certificate(a: BeattyPair, g: BeattyPair) -> Optional[int]:
         y0 = _surd_inclusion(a, g)
         if y0 is None:
             return None
+    return max(y0, a.floor(_growth_start(a, g)))
+
+
+def _growth_start(a: BeattyPair, g: BeattyPair) -> int:
+    """An integer k_f >= max(1, (1 + beta - delta)/(gamma - alpha)): f(y)
+    > y for every member y = floor(alpha*k + beta) with k >= k_f.  From
+    the float enclosures over ``_gap_floor``, the numerator's four terms
+    raised by 8u times their magnitude sum; from 64-bit enclosures where
+    ``_gap_floor`` declines."""
+    gap = _gap_floor(a, g)
+    if gap > 0.0:
+        e, ee = a._floats[2:]
+        eg, eeg = g._floats[2:]
+        top = 1.0 + e - eg + (ee + eeg)
+        top += 8.0 * _U * (1.0 + abs(e) + abs(eg) + ee + eeg)
+        q = top / gap * (1.0 + 4.0 * _U)
+        if q < 2.0 ** 62:
+            return max(1, ceil(q))
     gap = _div(_add(_add(Rational(Fraction(1)), a.eta), _neg(g.eta)),
                _add(g.tau, _neg(a.tau)))
     hi = gap.enclosure(64)[1]
-    Y = max(y0, a.floor(max(1, -(-hi.numerator // hi.denominator))))
-    return Y if Y <= LANE_BOUND else None
+    return max(1, -(-hi.numerator // hi.denominator))
 
 
 def _surd_inclusion(a: BeattyPair, g: BeattyPair) -> Optional[int]:
@@ -713,12 +745,17 @@ def _surd_inclusion(a: BeattyPair, g: BeattyPair) -> Optional[int]:
     None."""
     if not isinstance(a.tau, QuadraticSurd) or a.form is None or g.form is None:
         return None
-    m = _div(g.tau, a.tau)
-    j = _div(_add(g.eta, _neg(a.eta)), a.tau)
-    if not (isinstance(m, Rational) and m.value.denominator == 1
-            and isinstance(j, Rational) and j.value.denominator == 1):
+    # alpha = (A + B*sqrt(D))/Z with B != 0, beta = (E + F*sqrt(D))/Z, and
+    # likewise gamma and delta over Z2: compare the rational and the
+    # sqrt(D) parts of gamma = m*alpha and delta - beta = j*alpha
+    A, B, E, F, Z, D = a.form
+    A2, B2, E2, F2, Z2, D2 = g.form
+    m, rm = divmod(B2 * Z, B * Z2)
+    j, rj = divmod(F2 * Z - F * Z2, B * Z2)
+    if (D2 != D or rm or rj or m * A * Z2 != A2 * Z
+            or j * A * Z2 != E2 * Z - E * Z2):
         return None
-    kj = max(1, -((j.value.numerator - 1) // m.value.numerator))
+    kj = max(1, -((j - 1) // m))
     return max(1, g.floor(kj))
 
 

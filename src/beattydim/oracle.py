@@ -2,15 +2,16 @@
 
 ``count_patterns`` builds the constraint graph from the raw (u, v) index
 pairs -- no use of the chain classification -- and multiplies exact
-per-component coloring counts.  It shares only the forward floors
-k -> floor(tau*k + eta) with ``chains.decompose``, never its membership
-kernels or chain walk.  Injectivity of those floors caps every in- and
-out-degree at 1, so components are simple paths or (rarely, among
-elements below the growth bound) short cycles.  The components are
-tallied by length with array steps, all paths advancing together; one
-dynamic program along A gives the path count for every length up to the
-longest path, and each cycle length counts the trace of the matching
-matrix power.
+per-component coloring counts.  It takes the tuple's two pairs
+(``ParamTuple.pairs``, the ones ``chains.decompose`` walks), but calls
+only their forward floors (``floor_lanes``, ``first_k_at``), never
+``member_lanes`` or the chain walk.  Injectivity of those floors caps
+every in- and out-degree at 1, so components are simple paths or
+(rarely, among elements below the growth bound) short cycles.  The
+components are tallied by length with array steps, all paths advancing
+together; one dynamic program along A gives the path count for every
+length up to the longest path, and each cycle length counts the trace
+of the matching matrix power.
 ``exhaustive_count`` enumerates every word of length n outright as one
 boolean tensor with an axis per position, and checks each visible
 constraint against every word: a ground-truth oracle for small n, with

@@ -351,8 +351,12 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
         return replace(rational_d(p, K), provenance=prov)
 
     if rid == "R1":  # gamma is a surd
+        try:
+            inv_g = 1.0 / p.gamma.approx()
+        except OverflowError:  # gamma past the float range
+            inv_g = _reciprocal(p.gamma).approx()
         return DensityVector(
-            head=(0.0,) * K, d_inf=1.0 - 1.0 / p.gamma.approx(), K=K,
+            head=(0.0,) * K, d_inf=1.0 - inv_g, K=K,
             provenance=prov, tail_ratio=0.0,
         )
 
@@ -367,8 +371,12 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
         )
 
     # R3 / R4: d_i = (alpha-1)(gamma-1) / (alpha^i * gamma)
-    af, gf = p.alpha.approx(), p.gamma.approx()
-    top = (af - 1.0) * (gf - 1.0) / gf
+    af = p.alpha.approx()
+    try:
+        gf = p.gamma.approx()
+        top = (af - 1.0) * (gf - 1.0) / gf
+    except OverflowError:  # gamma past the float range
+        top = (af - 1.0) * (1.0 - _reciprocal(p.gamma).approx())
     finite = []
     for i in range(1, K + 1):
         try:

@@ -1,7 +1,7 @@
 import pathlib
 import sys
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import numpy as np
 import pytest
@@ -11,8 +11,9 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
-from beattydim.beatty import BeattyPair, member  # noqa: E402
-from beattydim.numerics import floor_linear  # noqa: E402
+from beattydim.beatty import LANE_BOUND, BeattyPair, member  # noqa: E402
+from beattydim.numerics import (  # noqa: E402
+    Rational, _add, _div, _neg, floor_linear)
 
 
 def random_binary(rng, m):
@@ -81,6 +82,30 @@ def scalar_constraint_edges(p, n):
             edges.append((u, v))
         k += 1
     return edges
+
+
+def first_k_at_reference(pair, x):
+    """The first k >= 1 with floor(tau*k + eta) >= x, from a lower
+    enclosure of (x - eta)/tau that carries the bits of the quotient's
+    magnitude on top of 64, settled by stepping k up: the generic path
+    of ``BeattyPair.first_k_at``."""
+    q = _div(_add(Rational(Fraction(x)), _neg(pair.eta)), pair.tau)
+    mag = max(map(abs, q.enclosure(16)))
+    lo, _ = q.enclosure(64 + int(mag).bit_length())
+    k = max(1, -((-lo.numerator) // lo.denominator))
+    while pair.floor(k) < x:
+        k += 1
+    return k
+
+
+def lane_guard_reference(p, bits):
+    """floor((LANE_BOUND - |delta|)/gamma - |beta|) - 3 from bits-bit
+    enclosures of gamma, beta and delta, rounded down: at or below the
+    exact value, and within 1 of it once the enclosures are narrow."""
+    g = p.gamma.enclosure(bits)[1]
+    b = max(map(abs, p.beta.enclosure(bits)))
+    d = max(map(abs, p.delta.enclosure(bits)))
+    return floor((LANE_BOUND - d) / g - b) - 3
 
 
 # representative tuples for every region with a closed form

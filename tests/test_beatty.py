@@ -12,16 +12,26 @@ from beattydim import (
     floor_linear,
     member,
 )
-from beattydim.beatty import LANE_BOUND, BeattyPair, _linear_form
+from beattydim.beatty import LANE_BOUND, BeattyPair, _float_pair, _linear_form
+from beattydim.chains import _growth_start, _lane_guard
 from beattydim.numerics import (
     Interval,
+    QuadraticSurd,
+    Rational,
     as_fraction,
     as_real,
     compare,
     rational,
     surd,
 )
-from conftest import NonPositiveImage, NotInDomain, f_map, scalar_constraint_edges
+from conftest import (
+    NonPositiveImage,
+    NotInDomain,
+    f_map,
+    first_k_at_reference,
+    lane_guard_reference,
+    scalar_constraint_edges,
+)
 
 
 def test_member_examples():
@@ -358,3 +368,159 @@ def test_member_lanes_at_the_membership_boundary(case):
     ref = [member(x, tau, eta) or 0 for x in xs]
     assert [pair.member(x) for x in xs] == ref
     assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
+
+
+# ---------------------------------------------------------------------------
+# the constants of a pair from its integer linear forms
+# ---------------------------------------------------------------------------
+
+_SIZES = st.sampled_from([1, 10**6, 10**30])
+
+
+@st.composite
+def _exact_shift(draw, d, size=None):
+    """A rational, or a value of Q(sqrt(d)), of size up to ``size`` (one
+    of 1, 10^6 and 10^30 by default), either sign."""
+    size = draw(_SIZES) if size is None else size
+    a = draw(st.integers(-size, size)) + draw(st.fractions(
+        min_value=-1, max_value=1, max_denominator=60))
+    if draw(st.booleans()):
+        return rational(a)
+    b = draw(st.integers(-size, size)) + draw(st.fractions(
+        min_value=-1, max_value=1, max_denominator=60))
+    return surd(a, b or 1, d)
+
+
+@st.composite
+def _exact_tau(draw, d):
+    """tau >= 1: a rational, or a + b*sqrt(d) with either sign of b."""
+    if draw(st.booleans()):
+        return rational(draw(st.fractions(min_value=1, max_value=50,
+                                          max_denominator=1000)))
+    b = draw(st.fractions(min_value=Fraction(1, 40), max_value=6,
+                          max_denominator=40))
+    b = b if draw(st.booleans()) else -b
+    a = draw(st.fractions(min_value=-6, max_value=20, max_denominator=40))
+    tau = surd(a, b, d)
+    if compare(tau, 1) < 0:  # lift it past 1 by an integer
+        tau = tau + (1 - tau.floor())
+    return tau
+
+
+@st.composite
+def _exact_pair(draw):
+    """(tau, eta) in one quadratic field, or both rational."""
+    d = draw(st.sampled_from([2, 3, 5, 7, 10]))
+    return draw(_exact_tau(d)), draw(_exact_shift(d))
+
+
+@given(case=_exact_pair(),
+       x=st.one_of(st.integers(1, 300), st.integers(1, 10**30)))
+@settings(max_examples=300, deadline=None)
+def test_first_k_at_from_the_inverse_form(case, x):
+    tau, eta = case
+    pair = BeattyPair(tau, eta)
+    want = first_k_at_reference(pair, x)
+    floor, seen = pair.floor, []
+    pair.__dict__["floor"] = lambda k: seen.append(k) or floor(k)
+    assert pair.first_k_at(x) == want
+    # the ceiling is exact: the settle loop checks it once and steps no k
+    assert seen == [want]
+
+
+@pytest.mark.parametrize("tau,eta", [
+    (rational(7, 3), rational(Fraction(1, 2) - 10**30)),
+    (surd(0, 1, 2), rational(-10**30)),
+    (surd(1, 1, 3), surd(Fraction(1, 3), 10**20, 3)),
+    (rational(5, 2), surd(0, Fraction(-1, 7), 5)),
+])
+def test_first_k_at_takes_no_enclosure_on_exact_pairs(tau, eta, monkeypatch):
+    pair = BeattyPair(tau, eta)
+    xs = [1, 2, 77, 10**12, 10**30]
+    want = [first_k_at_reference(pair, x) for x in xs]
+
+    def refuse(self, bits):
+        raise AssertionError("an enclosure was asked for")
+
+    for cls in (Rational, QuadraticSurd, Interval):
+        monkeypatch.setattr(cls, "enclosure", refuse)
+    assert [pair.first_k_at(x) for x in xs] == want
+
+
+def _float_pair_from_enclosure(x):
+    """(v, e) from the Fractions of the 96-bit enclosure."""
+    lo, hi = x.enclosure(96)
+    v = float((lo + hi) / 2)
+    fv = Fraction(v)
+    return v, float(max(hi - fv, fv - lo)) * (1 + 2.0 ** -50) + 2.0 ** -1074
+
+
+@st.composite
+def _exact_value(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7, 10]))
+    x = draw(_exact_shift(d))
+    scale = draw(st.sampled_from([1, 1, Fraction(1, 10**9),
+                                  Fraction(1, 10**40)]))
+    return x * rational(scale)
+
+
+@given(x=_exact_value())
+@settings(max_examples=300, deadline=None)
+def test_float_pair_encloses_the_value(x):
+    v, e = _float_pair(x)
+    lo, hi = x.enclosure(256)
+    assert Fraction(v) - Fraction(e) <= lo and hi <= Fraction(v) + Fraction(e)
+    # the integers give the bits the Fractions of the enclosure gave
+    assert (v, e) == _float_pair_from_enclosure(x)
+
+
+def test_float_pair_past_the_float_range():
+    assert _float_pair(rational(10**400)) is None
+    assert _float_pair(surd(0, 10**400, 2)) is None
+    v, e = _float_pair(rational(Fraction(1, 10**400)))
+    assert v == 0.0 and 0 < e < 2.0 ** -1000
+
+
+@st.composite
+def _exact_tuple(draw):
+    """A tuple in one quadratic field (or all rational), shifts up to
+    10^30, gamma - alpha from 1/40 up."""
+    d = draw(st.sampled_from([2, 3, 5, 7, 10]))
+    alpha = draw(_exact_tau(d))
+    step = draw(_exact_shift(d, size=5))
+    if compare(step, rational(Fraction(1, 40))) < 0:
+        step = rational(Fraction(1, 40)) + abs(step)
+    return ParamTuple(alpha, draw(_exact_shift(d)), alpha + step,
+                      draw(_exact_shift(d)))
+
+
+@given(p=_exact_tuple())
+@settings(max_examples=200, deadline=None)
+def test_tuple_bounds_from_float_enclosures(p):
+    k = _growth_start(*p.pairs)
+    assert k >= 1
+    assert compare((1 + p.beta - p.delta) / (p.gamma - p.alpha), k) <= 0
+    c = p.chain_bound_int()
+    assert compare(p.chain_bound, c) <= 0
+    # rounding loses at most a few ulps of the gap gamma - alpha
+    af, gf = p.alpha.approx(), p.gamma.approx()
+    slack = 2.0 ** -40 * (gf + af) / (gf - af)
+    assert c <= p.chain_bound.approx() * (1 + slack) + 2
+    ref = lane_guard_reference(p, 256)
+    margin = 2.0 ** -40 * ((LANE_BOUND + abs(p.delta.approx()))
+                           / p.gamma.approx() + abs(p.beta.approx()))
+    assert ref - 8 - margin <= _lane_guard(p) <= ref
+
+
+@pytest.mark.parametrize("tup", [
+    ("sqrt(2)", 0, f"{10**400}*sqrt(2)", 0),
+    (1, f"{10**400}", 3, "sqrt(2)"),
+    (1, 0, "7/3", f"-{10**400}*sqrt(5)"),
+])
+def test_chain_bound_and_lane_guard_past_the_float_range(tup):
+    # a value that does not fit a float: C from its 64-bit enclosure, and
+    # no iterate in the kernel, as the exact guard says
+    p = ParamTuple(*tup)
+    hi = p.chain_bound.enclosure(64)[1]
+    assert p.chain_bound_int() == hi.numerator // hi.denominator + 1
+    assert _lane_guard(p) < 1 and lane_guard_reference(p, 64) < 1

@@ -14,7 +14,7 @@ from beattydim import (
     dij_row,
     empirical_densities,
 )
-from beattydim.beatty import BeattyPair, member
+from beattydim.beatty import LANE_BOUND, BeattyPair, member
 from beattydim.chains import (
     A1,
     Chain,
@@ -54,8 +54,7 @@ def classify_head(x, p, horizon):
 
 def certificate(p):
     """chains._certificate on the two pairs of p."""
-    return _certificate(BeattyPair(p.alpha, p.beta),
-                        BeattyPair(p.gamma, p.delta))
+    return _certificate(*p.pairs)
 
 
 def scalar_decompose(p, n):
@@ -760,3 +759,49 @@ def test_surd_inclusion_scan_is_fast():
     assert abs(d.finite[0] - (1 - 2**-0.5)) < 1e-4
     assert abs(d.d_inf - 2**-1.5) < 1e-4
     assert sum(d.finite[1:]) == 0
+
+
+def test_certificate_past_int64_matches_the_uncertified_scan(monkeypatch):
+    # gamma = 10^19 * alpha: the surd inclusion holds from Y = floor(gamma)
+    # on, past int64.  The scan stops its walks there exactly; without the
+    # certificate every head walks to the horizon.  Both give one answer.
+    import beattydim.chains as chains_mod
+
+    tup = ("sqrt(2)", 0, f"{10**19}*sqrt(2)", 0)
+    p = ParamTuple(*tup)
+    assert certificate(p) > LANE_BOUND
+    dec = decompose(p, 300)
+    emp = empirical_densities(p, [(1, 300), (1, 150)])
+    monkeypatch.setattr(chains_mod, "_certificate", lambda a, g: None)
+    q = ParamTuple(*tup)
+    ref_dec = decompose(q, 300)
+    ref_emp = empirical_densities(q, [(1, 300), (1, 150)])
+    assert emp == ref_emp
+    assert (dec.residual, dec.counts, dec.all_contiguous) == (
+        ref_dec.residual, ref_dec.counts, ref_dec.all_contiguous)
+    for name in ("heads", "classes", "offsets", "elements"):
+        assert getattr(dec, name).tolist() == getattr(ref_dec, name).tolist()
+
+
+def test_one_pair_per_sequence(monkeypatch, capsys):
+    # verify (both oracles, the scan and the product check) and a scan
+    # take their floors and memberships from the tuple's two pairs
+    from beattydim.cli import main
+
+    built = []
+    init = BeattyPair.__init__
+
+    def counted(self, tau, eta):
+        built.append((tau, eta))
+        init(self, tau, eta)
+
+    monkeypatch.setattr(BeattyPair, "__init__", counted)
+    tup = ["--alpha", "sqrt(2)", "--beta", "1/3", "--gamma", "2*sqrt(2)",
+           "--delta", "5/6"]
+    assert main(["verify", *tup, "--matrix", "11;10", "--n", "18"]) == 0
+    assert '"status": "PASS"' in capsys.readouterr().out
+    assert len(built) == 2
+    built.clear()
+    empirical_densities(ParamTuple("sqrt(2)", "1/3", "2*sqrt(2)", "5/6"),
+                        [(1, 5000), (1, 2500)])
+    assert len(built) == 2

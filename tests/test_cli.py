@@ -299,6 +299,45 @@ def test_ratio_past_float_range(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+# Z = 10^400: gamma past the float range in a surd region
+_Z = "1" + "0" * 400
+GAMMA_PAST_FLOAT = {
+    "R1": ["--alpha", "1", "--gamma", f"{_Z}*sqrt(2)"],
+    "R3": ["--alpha", "sqrt(2)", "--gamma", _Z],
+    "R4": ["--alpha", "sqrt(2)", "--gamma", f"{_Z}*sqrt(3)"],
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"], ["dim", "--matrix", "11;10"]], ids=["classify", "dim"])
+@pytest.mark.parametrize("region", sorted(GAMMA_PAST_FLOAT))
+def test_closed_form_with_gamma_past_float(capsys, command, region):
+    # the closed forms take 1/gamma from the exact reciprocal where gamma
+    # itself does not fit a float
+    code = main([*command, *GAMMA_PAST_FLOAT[region]])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["region"] == region
+
+
+def test_scan_with_a_certificate_past_int64(capsys):
+    # gamma = 10^400 * alpha (R6Open): the inclusion certificate starts
+    # near 10^400, and every chain stops there after one step instead of
+    # walking to twice the horizon through floors of 400*j digits
+    t0 = time.perf_counter()
+    code = main(["densities", "--alpha", "sqrt(2)", "--gamma",
+                 f"{_Z}*sqrt(2)", "--mode", "empirical", "--n", "3000"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    d = json.loads(captured.out)["d"]
+    assert d["finite"][1:] == [0.0] * 39
+    assert abs(d["d_inf"] - (1 - d["finite"][0])) < 1e-12
+    assert elapsed < 20
+
+
 def test_dim_mode_both(capsys):
     code, out = run_cli(
         capsys, "dim", "--alpha", "2", "--beta", "0", "--gamma", "3",
