@@ -7,7 +7,11 @@ transition matrix A:
       [ rho^{i-1} d_i + (rho^{i-1} - rho^i)(sum_{j>i} d_j + d_inf) ]
       * log_m |A^{i-1}|,
   with rho = alpha/gamma; truncated with a rigorous geometric tail bound
-  (log_m |A^{i-1}| <= i + 1 and the bracket <= 2 rho^{i-1}).
+  (log_m |A^{i-1}| <= i + 1 and the bracket <= 2 rho^{i-1}).  The
+  weights are one array expression over the cumulative products
+  rho^{i-1}, the logs are taken of the exact sums ``power_sums(N)``
+  where a weight is nonzero, and the terms are added left to right, so
+  every float step is the one of the term-by-term loop.
 
 * Hausdorff: d_1 + sum_{i>=2} d_i log_m T(i) + d_inf log_m sum_i t_i,
   where t is the unique positive solution of t_i^{gamma/alpha} =
@@ -24,7 +28,8 @@ transition matrix A:
   g_1 = a^(1+e_1) (a the row-sum vector) and g_k = (A @ g_{k-1})^(1+e_k),
   one has T(i) = sum(g_{i-1}).  Every ``dij_row`` makes the exponent
   1 + e_k = rho for all i and k, so a single recursion g_k = (A g_{k-1})^rho
-  gives every T(i) at once: O(N m^2) for the whole series.
+  gives every T(i) at once: O(N m^2) for the whole series.  The g_k
+  fill the rows of one (N-1) x m array, and the T(i) are its row sums.
 
   The fixed point t (``solve_t``) is found by Newton's method on
   u = log t with a certificate: Phi(u) = rho log(A e^u) is a
@@ -147,7 +152,10 @@ def _mink_tail(N: int, rho: float) -> float:
 
 def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
                   eps: float = 1e-10) -> DimValue:
-    """Truncated series with reported bound = geometric tail + float slack."""
+    """Truncated series with reported bound = geometric tail + float slack.
+
+    A term with weight 0 takes no log; a nilpotent A, whose |A^l| vanish
+    from some l on, is rejected where such a term has weight."""
     _validate_eps(eps)
     _validate_density(d)
     rho = _rho(p)  # 0 where gamma/alpha passes the float range
@@ -159,14 +167,21 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     tail = _mink_tail(N, rho)
     logm = math.log(A.m)
     dinf = d.d_inf_float()
-    dv, suffix = d.floats(N)
+    dv, suffix = map(np.array, d.floats(N))
+    rp = np.full(N, rho)
+    rp[0] = 1.0
+    rp = np.cumprod(rp)  # rho^{i-1}, in the order of repeated rp *= rho
+    weights = (rp * dv + (rp - rp * rho) * (suffix + dinf)).tolist()
+    sums = A.power_sums(N)
+    if not sums[-1]:  # A is nilpotent: |A^l| = 0 from some l on
+        zero = sums.index(0)
+        if any(weights[zero:]):
+            raise ValueError(f"matrix is nilpotent: |A^l| = 0 for l >= {zero}, "
+                             "so log_m |A^l| is undefined")
     total = 0.0
-    rp = 1.0  # rho^{i-1}
-    for i in range(1, N + 1):
-        w = rp * dv[i - 1] + (rp - rp * rho) * (suffix[i - 1] + dinf)
+    for w, s in zip(weights, sums):
         if w:
-            total += w * (math.log(A.power_sum(i - 1)) / logm)
-        rp *= rho
+            total += w * (math.log(s) / logm)
     return DimValue(total, tail + 1e-13 * max(1, N))
 
 
@@ -281,16 +296,19 @@ def t_phi(A: BinaryMatrix, i: int, dij_weights) -> float:
 def transfer_sums(A: BinaryMatrix, rho: float, N: int) -> list[float]:
     """[T(2), ..., T(N)] from one recursion g_1 = a^rho,
     g_k = (A g_{k-1})^rho, T(i) = sum(g_{i-1}): ``t_phi`` with every
-    exponent equal to rho = alpha/gamma, as every ``dij_row`` makes it."""
+    exponent equal to rho = alpha/gamma, as every ``dij_row`` makes it.
+    Row k - 1 of one preallocated array holds g_k, and one row-sum call
+    reads every T(i)."""
     if min(A.row_sums) == 0:
         raise ValueError("matrix has an empty row")
+    if N < 2:
+        return []
     A_np = np.array(A.rows, dtype=float)
-    g = np.array(A.row_sums, dtype=float) ** rho
-    out = []
-    for _ in range(2, N + 1):
-        out.append(float(np.sum(g)))
-        g = (A_np @ g) ** rho
-    return out
+    G = np.empty((N - 1, A.m))
+    G[0] = np.array(A.row_sums, dtype=float) ** rho
+    for k in range(1, N - 1):
+        G[k] = (A_np @ G[k - 1]) ** rho
+    return G.sum(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

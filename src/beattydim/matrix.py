@@ -3,15 +3,18 @@
 The dimension series consume |A^l| (sum of all entries of the l-th
 power) for consecutive l.  They come from the vector recursion
 u_0 = 1, u_l = A u_{l-1}, so |A^l| = sum(u_l): each step is big-integer
-additions along the ones of A, and only the sums are memoized, with no
-lock (see ``power_sum``).  Structural predicates (irreducible,
-primitive, equal row sums) run on boolean matrices; no floating-point
-spectral machinery is involved anywhere.
+additions along the ones of A.  The sums are memoized as one list
+|A^0|, |A^1|, ... next to the last u, with no lock (see
+``power_sums``).  Structural predicates (irreducible, primitive, equal
+row sums) run on numpy boolean matrices; no floating-point spectral
+machinery is involved anywhere.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 def _mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple:
@@ -24,7 +27,7 @@ def _mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple:
 class BinaryMatrix:
     """Immutable m x m 0/1 matrix with memoized power sums."""
 
-    __slots__ = ("m", "rows", "row_sums", "_ones", "_sums", "_top")
+    __slots__ = ("m", "rows", "row_sums", "_ones", "_memo")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(int(v) for v in r) for r in rows)
@@ -43,8 +46,8 @@ class BinaryMatrix:
         # column indices of the ones of each row
         object.__setattr__(self, "_ones", tuple(
             tuple(j for j, v in enumerate(r) if v) for r in rows))
-        object.__setattr__(self, "_sums", {0: m})
-        object.__setattr__(self, "_top", (0, (1,) * m))
+        # ([|A^0|, ..., |A^l|], u_l), replaced as a whole when extended
+        object.__setattr__(self, "_memo", ([m], [1] * m))
 
     def __setattr__(self, *a):
         raise AttributeError("BinaryMatrix is immutable")
@@ -68,27 +71,34 @@ class BinaryMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def power_sum(self, l: int) -> int:
-        """|A^l| as an exact big integer, l >= 0.
+    def power_sums(self, N: int) -> list[int]:
+        """[|A^0|, ..., |A^(N-1)|] as exact big integers, N >= 0.
 
-        Thread-safe without a lock: a caller extends a snapshot of
-        (l, u_l) and publishes it in one assignment, and every thread
-        stores the same value for each l.  A slower thread may publish a
-        lower snapshot after a higher one; that costs recomputation only."""
+        Thread-safe without a lock: a caller extends a copy of the
+        memoized (sums, u) snapshot and publishes it in one assignment,
+        and every thread computes the same value for each l.  A slower
+        thread may publish a shorter snapshot after a longer one; that
+        costs recomputation only."""
+        if N < 0:
+            raise ValueError("term count must be non-negative")
+        sums, u = self._memo
+        if len(sums) < N:
+            sums = sums.copy()
+            ones = self._ones
+            while len(sums) < N:
+                get = u.__getitem__
+                u = [sum(map(get, js)) for js in ones]
+                sums.append(sum(u))
+            if len(sums) > len(self._memo[0]):
+                object.__setattr__(self, "_memo", (sums, u))
+        return sums[:N]
+
+    def power_sum(self, l: int) -> int:
+        """|A^l| as an exact big integer, l >= 0: a read of
+        ``power_sums``."""
         if l < 0:
             raise ValueError("exponent must be non-negative")
-        s = self._sums.get(l)
-        if s is not None:
-            return s
-        top, u = self._top
-        ones = self._ones
-        while top < l:
-            u = tuple(sum([u[j] for j in js]) for js in ones)
-            top += 1
-            self._sums[top] = sum(u)
-        if top > self._top[0]:
-            object.__setattr__(self, "_top", (top, u))
-        return self._sums[l]
+        return self.power_sums(l + 1)[l]
 
     def power(self, l: int) -> tuple:
         """A^l as a tuple-of-tuples, by l plain products."""
@@ -112,45 +122,28 @@ class BinaryMatrix:
 
     # -- structural predicates ---------------------------------------------
 
-    def _bool_reach(self) -> list[list[bool]]:
-        m = self.m
-        reach = [[bool(v) for v in row] for row in self.rows]
-        for k in range(m):  # Warshall closure
-            rk = reach[k]
-            for i in range(m):
-                if reach[i][k]:
-                    ri = reach[i]
-                    for j in range(m):
-                        if rk[j]:
-                            ri[j] = True
-        return reach
-
     def is_irreducible(self) -> bool:
-        """True iff the directed graph of A is strongly connected."""
-        reach = self._bool_reach()
-        return all(all(row) for row in reach)
+        """True iff the directed graph of A is strongly connected: the
+        closure (I + A)^(m-1), taken by boolean squaring, is all true."""
+        reach = np.array(self.rows, dtype=bool) | np.eye(self.m, dtype=bool)
+        steps = 1
+        while steps < self.m - 1:
+            reach = reach @ reach
+            steps *= 2
+        return bool(reach.all())
 
     def is_primitive(self) -> bool:
-        """True iff some power A^k is entrywise positive; k is searched up
-        to the Wielandt bound m**2 - 2m + 2."""
-        m = self.m
-        bound = m * m - 2 * m + 2
-        cur = [[bool(v) for v in row] for row in self.rows]
-        for _ in range(bound):
-            if all(all(row) for row in cur):
-                return True
-            nxt = [[False] * m for _ in range(m)]
-            for i in range(m):
-                ci = cur[i]
-                ni = nxt[i]
-                for k in range(m):
-                    if ci[k]:
-                        ak = self.rows[k]
-                        for j in range(m):
-                            if ak[j]:
-                                ni[j] = True
-            cur = nxt
-        return False
+        """True iff some power A^k is entrywise positive.  Once a power
+        is positive every later one is, and a primitive A has one at the
+        Wielandt bound m**2 - 2m + 2, so A^k is taken by boolean squaring
+        until k reaches that bound."""
+        bound = self.m * self.m - 2 * self.m + 2
+        power = np.array(self.rows, dtype=bool)
+        k = 1
+        while k < bound:
+            power = power @ power
+            k *= 2
+        return bool(power.all())
 
     def row_sums_equal(self) -> bool:
         return len(set(self.row_sums)) == 1

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ if str(SRC) not in sys.path:
 
 from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
 from beattydim.beatty import LANE_BOUND, BeattyPair, member  # noqa: E402
+from beattydim.dims import _mink_tail, _rho  # noqa: E402
 from beattydim.numerics import (  # noqa: E402
     Rational, _add, _div, _neg, floor_linear)
 
@@ -106,6 +108,103 @@ def lane_guard_reference(p, bits):
     b = max(map(abs, p.beta.enclosure(bits)))
     d = max(map(abs, p.delta.enclosure(bits)))
     return floor((LANE_BOUND - d) / g - b) - 3
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the dimension series and the matrix predicates
+# ---------------------------------------------------------------------------
+
+def naive_power_sums(rows, max_l):
+    """Independent oracle: literal repeated multiplication."""
+    m = len(rows)
+    out = [m]  # identity
+    cur = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for _ in range(max_l):
+        cur = [
+            [sum(cur[i][k] * rows[k][j] for k in range(m)) for j in range(m)]
+            for i in range(m)
+        ]
+        out.append(sum(map(sum, cur)))
+    return out
+
+
+def recursion_power_sums(A, N):
+    """|A^0| .. |A^(N-1)| by the vector recursion u_l = A u_{l-1}, one
+    exact integer step at a time."""
+    u, out = [1] * A.m, []
+    for _ in range(N):
+        out.append(sum(u))
+        u = [sum(u[j] for j in range(A.m) if row[j]) for row in A.rows]
+    return out
+
+
+def reference_minkowski_dim(A, d, p, eps=1e-10):
+    """The scalar minkowski_dim loop: rho^{i-1} by repeated products, one
+    weight and one log per term, summed left to right.  The array
+    version must agree to the last bit."""
+    rho = _rho(p)
+    N = max(d.K, 8)
+    while _mink_tail(N, rho) > eps / 2 and N < 200_000:
+        N += max(8, N // 8)
+    tail = _mink_tail(N, rho)
+    sums = recursion_power_sums(A, N)
+    logm = math.log(A.m)
+    dinf = d.d_inf_float()
+    dv, suffix = d.floats(N)
+    total = 0.0
+    rp = 1.0  # rho^{i-1}
+    for i in range(1, N + 1):
+        w = rp * dv[i - 1] + (rp - rp * rho) * (suffix[i - 1] + dinf)
+        if w:
+            total += w * (math.log(sums[i - 1]) / logm)
+        rp *= rho
+    return total, tail + 1e-13 * max(1, N)
+
+
+def reference_transfer_sums(A, rho, N):
+    """[T(2), ..., T(N)] by the step-at-a-time recursion g_1 = a^rho,
+    g_k = (A g_{k-1})^rho, T(i) = sum(g_{i-1})."""
+    A_np = np.array(A.rows, dtype=float)
+    g = np.array(A.row_sums, dtype=float) ** rho
+    out = []
+    for _ in range(2, N + 1):
+        out.append(float(np.sum(g)))
+        g = (A_np @ g) ** rho
+    return out
+
+
+def reference_is_irreducible(A):
+    """Warshall closure of the graph of A, all true."""
+    m = A.m
+    reach = [[bool(v) for v in row] for row in A.rows]
+    for k in range(m):
+        rk = reach[k]
+        for i in range(m):
+            if reach[i][k]:
+                ri = reach[i]
+                for j in range(m):
+                    if rk[j]:
+                        ri[j] = True
+    return all(all(row) for row in reach)
+
+
+def reference_is_primitive(A):
+    """Some power A^k, k up to the Wielandt bound m**2 - 2m + 2, is
+    entrywise positive; the powers are taken one product at a time."""
+    m = A.m
+    cur = [[bool(v) for v in row] for row in A.rows]
+    for _ in range(m * m - 2 * m + 2):
+        if all(all(row) for row in cur):
+            return True
+        nxt = [[False] * m for _ in range(m)]
+        for i in range(m):
+            for k in range(m):
+                if cur[i][k]:
+                    for j in range(m):
+                        if A.rows[k][j]:
+                            nxt[i][j] = True
+        cur = nxt
+    return False
 
 
 # representative tuples for every region with a closed form

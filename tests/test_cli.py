@@ -139,6 +139,16 @@ def test_exit_code_on_bad_input(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("matrix,start", [("01;00", 2), ("010;001;000", 3)])
+def test_dim_nilpotent_matrix_is_invalid_input(capsys, matrix, start):
+    # |A^l| = 0 from l = m on, where the Minkowski series has weight
+    assert main(["dim", "--alpha", "2", "--gamma", "3",
+                 "--matrix", matrix]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"invalid input: matrix is nilpotent: |A^l| = 0 for "
+                   f"l >= {start}, so log_m |A^l| is undefined\n")
+
+
 def test_undecidable_order_is_invalid_input(capsys):
     # alpha = gamma written as two radicand sums: no enclosure separates
     # them, so the tuple is rejected as invalid (2), not as a numeric

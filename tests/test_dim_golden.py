@@ -1,0 +1,67 @@
+"""``beattydim dim`` prints the same bytes as its golden files in
+tests/golden/dim/.
+
+Each case runs the CLI in-process and compares the exit code and the
+exact stdout.  The tuples are one per closed-form region (the
+``REGION_TUPLES`` of conftest) plus two slow-tail tuples with
+alpha/gamma = 21/22 and 20/21, whose series run to hundreds of terms.
+Each tuple runs with a 2x2, a 3x3 and an 8x8 primitive matrix with
+unequal row sums, so both dimensions are evaluated and differ.  After
+an intended change of output, rewrite a golden file with
+``PYTHONPATH=src python -m beattydim.cli dim ARGS > tests/golden/dim/NAME.out``.
+"""
+
+import pathlib
+
+import pytest
+
+from beattydim import ParamTuple, cli
+from conftest import REGION_TUPLES
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "dim"
+
+# name -> (alpha, beta, gamma, delta); the first nine match REGION_TUPLES
+TUPLES = {
+    "R1": ("1", "0", "sqrt(5)", "0"),
+    "R2": ("3/2", "0", "3", "0"),
+    "R3": ("sqrt(2)", "0", "3", "0"),
+    "R4": ("sqrt(2)", "0", "sqrt(3)", "0"),
+    "R5": ("sqrt(2)", "0", "2+sqrt(2)", "0"),
+    "R7": ("1", "0", "2", "0"),
+    "R8": ("2", "1", "4", "0"),
+    "R9": ("2", "0", "4", "2"),
+    "R10": ("2", "0", "3", "0"),
+    "slow_21_22": ("21/20", "0", "11/10", "0"),
+    "slow_20_21": ("1", "0", "21/20", "0"),
+}
+
+MATRICES = {
+    "m2": "11;10",
+    "m3": "011;001;110",
+    "m8": "10100101;10111100;10000111;11110001;"
+          "11110001;00011001;01000010;10011110",
+}
+
+CASES = {f"{t}_{m}": (TUPLES[t], MATRICES[m]) for t in TUPLES for m in MATRICES}
+
+
+def test_every_case_has_a_golden_file():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
+def test_tuples_match_region_tuples():
+    for name, p in REGION_TUPLES.items():
+        q = ParamTuple(*TUPLES[name])
+        assert (q.alpha, q.beta, q.gamma, q.delta) == (
+            p.alpha, p.beta, p.gamma, p.delta)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dim_output_is_byte_stable(name, capsys):
+    (alpha, beta, gamma, delta), matrix = CASES[name]
+    argv = [f"--alpha={alpha}", f"--beta={beta}", f"--gamma={gamma}",
+            f"--delta={delta}", f"--matrix={matrix}"]
+    assert cli.main(["dim", *argv]) == 0
+    out, _ = capsys.readouterr()
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

@@ -24,8 +24,9 @@ from beattydim import (
 from beattydim import empirical_densities
 from beattydim.chains import ClosedForm
 from beattydim.dims import _hausdorff_tail, _mink_tail, transfer_sums
-from conftest import REGION_TUPLES, random_irreducible, random_primitive
-from test_matrix import naive_power_sums
+from conftest import (REGION_TUPLES, naive_power_sums, random_irreducible,
+                      random_primitive, reference_minkowski_dim,
+                      reference_transfer_sums)
 
 
 def plastic_root(tol=1e-13):
@@ -367,8 +368,8 @@ _NAIVE_SUMS = {}
 
 
 def reference_minkowski(A, d, p, eps=1e-10):
-    """The former minkowski_dim loop: |A^{i-1}| from full matrix powers,
-    entry and suffix reads per term."""
+    """An independent minkowski_dim loop: |A^{i-1}| from full matrix
+    powers, rho from 1/float(ratio), entry and suffix reads per term."""
     rho = 1.0 / float(p.ratio.approx())
     N = max(d.K, 8)
     while _mink_tail(N, rho) > eps / 2 and N < 200_000:
@@ -389,9 +390,11 @@ def reference_minkowski(A, d, p, eps=1e-10):
 
 def _assert_series_match(A, d, p, label):
     h = hausdorff_dim(A, d, p).value
-    m = minkowski_dim(A, d, p).value
+    m = minkowski_dim(A, d, p)
     assert abs(h - reference_hausdorff(A, d, p)) <= 1e-12, (label, "H")
-    assert abs(m - reference_minkowski(A, d, p)) <= 1e-12, (label, "M")
+    assert abs(m.value - reference_minkowski(A, d, p)) <= 1e-12, (label, "M")
+    # and to the last bit against the scalar loop the array steps replace
+    assert (m.value, m.err) == reference_minkowski_dim(A, d, p), (label, "M=")
 
 
 @pytest.mark.parametrize("m", [2, 3, 8, 16])
@@ -423,6 +426,24 @@ def test_series_match_reference_loops_empirical_tail(rng):
         _assert_series_match(random_primitive(rng, m), d, p, m)
 
 
+def test_density_floats_match_entry_reads():
+    # the one-pass read the series use, against per-term entry and
+    # suffix reads: closed-form, slow geometric and measured tails
+    ds = [closed_form_d(p, classify_region(p)) for p in REGION_TUPLES.values()]
+    for args in (("21/20", 0, "11/10", 0), ("11/10", "1/3", "6/5", 0)):
+        p = ParamTuple(*args)
+        ds.append(closed_form_d(p, classify_region(p)))
+    p = ParamTuple("sqrt(2)", 0, "3/2*sqrt(2)", 0)
+    ds.append(empirical_densities(p, [(1, 20_000)], K=3))
+    for d in ds:
+        for N in (1, d.K, d.K + 1, 3 * d.K + 50):
+            dv, suffix = d.floats(N)
+            assert len(dv) == len(suffix) == N
+            for i in range(1, N + 1):
+                assert abs(dv[i - 1] - d.entry_float(i)) <= 1e-15, (d, i)
+                assert abs(suffix[i - 1] - d.suffix_float(i)) <= 1e-15, (d, i)
+
+
 def test_transfer_sums_match_t_phi(rng):
     # every d_{i,j} row makes each t_phi exponent alpha/gamma, so one
     # recursion gives T(i) for all i; checked on float and exact rows
@@ -439,6 +460,28 @@ def test_transfer_sums_match_t_phi(rng):
             for i in range(2, 61):
                 ref = t_phi(A, i, dij_row(p, i, di))
                 assert abs(math.log(ref) - math.log(T[i - 2])) <= 1e-12, (p, m, i)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 12, 16])
+def test_transfer_sums_match_reference_loop(rng, m):
+    # the array recursion takes the same float steps as the scalar loop
+    A = random_irreducible(rng, m)
+    for rho in (0.5, 2 / 3, 20 / 21, 1 / 1.3, 0.0):
+        for N in (0, 1, 2, 3, 17, 600):
+            assert transfer_sums(A, rho, N) == reference_transfer_sums(A, rho, N)
+
+
+def test_minkowski_nilpotent_matrix():
+    # |A^l| = 0 from l = m on: a term of weight there has no log
+    p = REGION_TUPLES["R7"]
+    d = closed_form_d(p, classify_region(p))
+    for text, m in (("01;00", 2), ("010;001;000", 3)):
+        with pytest.raises(ValueError, match=f"nilpotent: .* l >= {m}"):
+            minkowski_dim(BinaryMatrix.from_string(text), d, p)
+    # weight only where |A^l| > 0: the zero sums take no log
+    first = DensityVector(head=(1, 0), d_inf=0, K=2,
+                          provenance=ClosedForm("R7"))
+    assert minkowski_dim(BinaryMatrix.from_string("01;00"), first, p).value == 1.0
 
 
 def test_hausdorff_empty_row():

@@ -2,23 +2,12 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beattydim import GOLDEN_MEAN, BinaryMatrix
-from conftest import random_binary
-
-
-def naive_power_sums(rows, max_l):
-    """Independent oracle: literal repeated multiplication."""
-    m = len(rows)
-    out = [m]  # identity
-    cur = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for _ in range(max_l):
-        cur = [
-            [sum(cur[i][k] * rows[k][j] for k in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-        out.append(sum(map(sum, cur)))
-    return out
+from conftest import (naive_power_sums, random_binary,
+                      reference_is_irreducible, reference_is_primitive)
 
 
 def test_power_sum_examples():
@@ -58,6 +47,25 @@ def test_power_sum_random(rng):
         want = naive_power_sums([list(r) for r in A.rows], 150)
         assert A.power_sum(150) == want[150]
         assert [A.power_sum(l) for l in range(151)] == want
+
+
+def test_power_sums_match_naive(rng):
+    for m in (2, 3, 5, 8, 16):
+        A = random_binary(rng, m)
+        want = naive_power_sums([list(r) for r in A.rows], 80)
+        assert A.power_sums(81) == want
+        assert A.power_sums(30) == want[:30]  # a read of the memo
+        assert A.power_sums(0) == []
+        assert [A.power_sum(l) for l in range(81)] == want
+    with pytest.raises(ValueError, match="non-negative"):
+        GOLDEN_MEAN.power_sums(-1)
+
+
+def test_power_sums_is_a_copy():
+    A = BinaryMatrix.from_string("110;011;101")
+    first = A.power_sums(10)
+    first[3] = -1
+    assert A.power_sums(10)[3] == A.power_sum(3) > 0
 
 
 def test_all_ones_growth():
@@ -107,6 +115,34 @@ def test_primitive_implies_irreducible(rng):
             assert A.is_irreducible()
 
 
+@st.composite
+def _binary_rows(draw):
+    m = draw(st.integers(2, 9))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    return [[int(draw(st.floats(0, 1)) < density) for _ in range(m)]
+            for _ in range(m)]
+
+
+@given(rows=_binary_rows())
+@settings(max_examples=300, deadline=None)
+def test_predicates_match_reference_loops(rows):
+    A = BinaryMatrix(rows)
+    assert A.is_irreducible() == reference_is_irreducible(A)
+    assert A.is_primitive() == reference_is_primitive(A)
+
+
+def test_primitive_needs_the_wielandt_bound():
+    # the Wielandt matrix: its first positive power is m**2 - 2m + 2
+    for m in range(2, 10):
+        rows = [[int(j == i + 1) for j in range(m)] for i in range(m)]
+        rows[m - 1][0] = rows[m - 2][0] = 1
+        A = BinaryMatrix(rows)
+        bound = m * m - 2 * m + 2
+        assert not all(map(all, A.power(bound - 1)))
+        assert all(map(all, A.power(bound)))
+        assert A.is_primitive() and A.is_irreducible()
+
+
 def test_row_sums_equal():
     assert BinaryMatrix.all_ones(3).row_sums_equal()
     assert not GOLDEN_MEAN.row_sums_equal()
@@ -144,11 +180,13 @@ def test_trace_power_random(rng):
 
 
 def test_concurrent_power_sum():
-    A = BinaryMatrix.from_string("110;011;101")
+    want = naive_power_sums([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 50)
+    A, B = (BinaryMatrix.from_string("110;011;101") for _ in range(2))
     with ThreadPoolExecutor(max_workers=8) as ex:
-        results = list(ex.map(A.power_sum, [50] * 16))
-    assert len(set(results)) == 1
-    assert results[0] == naive_power_sums([list(r) for r in A.rows], 50)[50]
+        sums = list(ex.map(A.power_sum, [50] * 16))
+        lists = list(ex.map(B.power_sums, [51] * 16))
+    assert sums == [want[50]] * 16
+    assert lists == [want] * 16
 
 
 def test_power_sum_thread_stress(rng):
@@ -163,8 +201,11 @@ def test_power_sum_thread_stress(rng):
             ls = [int(l) for l in rng.integers(0, 121, size=64)]
             with ThreadPoolExecutor(max_workers=8) as ex:
                 futures = [ex.submit(A.power_sum, l) for l in ls]
+                lists = [ex.submit(A.power_sums, l + 1) for l in ls]
                 got = [f.result(timeout=60) for f in futures]
+                got_lists = [f.result(timeout=60) for f in lists]
             assert got == [want[l] for l in ls]
+            assert got_lists == [want[:l + 1] for l in ls]
             assert [A.power_sum(l) for l in range(121)] == want
     finally:
         sys.setswitchinterval(old)
