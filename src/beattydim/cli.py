@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification check failed, 2 validation error,
 3 numeric failure (precision exhausted, non-convergence, unstable
-horizon).  Reports are byte-stable for a fixed invocation: keys are
-sorted and floats rounded to 12 significant digits.
+horizon, a dimension outside the float range).  Reports are byte-stable
+for a fixed invocation: keys are sorted and floats rounded to 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ def _canonical(obj):
 
 def _emit(payload, args) -> None:
     if args.format == "json":
-        text = json.dumps(_canonical(payload), sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(_canonical(payload), sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:  # a NaN or infinity is not JSON
+            raise FloatingPointError(f"report is not finite: {exc}") from None
     else:
         text = _density_csv(payload)
     if args.out:
@@ -87,7 +92,6 @@ def _add_param_flags(sp, need_matrix: bool) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="write the report to PATH")
     sp.add_argument("--K", type=int, default=DEFAULT_K)
-    sp.add_argument("--search-bound", type=int, default=10_000)
 
 
 @functools.cache
@@ -119,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--horizon", type=int, default=None)
     sp.add_argument("--eps", type=float, default=1e-10)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="accepted for compatibility; does nothing (the "
-                         "fixed-point solver is deterministic)")
 
     sp = sub.add_parser("verify", help="oracle cross-checks")
     _add_param_flags(sp, need_matrix=True)
@@ -137,13 +138,13 @@ def _params(args) -> ParamTuple:
 
 def _run_classify(args) -> int:
     p = _params(args)
-    _emit(region_report(p, K=args.K, search_bound=args.search_bound), args)
+    _emit(region_report(p, K=args.K), args)
     return 0
 
 
 def _run_densities(args) -> int:
     p = _params(args)
-    region = classify_region(p, search_bound=args.search_bound)
+    region = classify_region(p)
     payload: dict = {"region": region.id, "certificate": region.certificate}
     closed = None
     if args.mode in ("closed", "both") and region.has_closed_form():
@@ -178,7 +179,7 @@ def _run_dim(args) -> int:
     p = _params(args)
     A = BinaryMatrix.from_string(args.matrix)
     kw = dict(n=args.n, horizon=args.horizon, K=args.K, eps=args.eps,
-              which=args.which, search_bound=args.search_bound)
+              which=args.which)
     if args.mode == "both":
         closed_rep = dimension_report(p, A, mode="closed", **kw)
         emp_rep = dimension_report(p, A, mode="empirical", **kw)
@@ -255,7 +256,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         raise AssertionError("unreachable")
-    except (PrecisionExhausted, NonConvergence, HorizonTooSmall) as exc:
+    except (PrecisionExhausted, NonConvergence, HorizonTooSmall,
+            FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -115,8 +115,10 @@ class DimensionReport:
         return out
 
 
-def _validate_density(d: DensityVector) -> None:
-    vals = d.floats(d.K)[0] + [float(d.d_inf)]
+def _validate_density(d: DensityVector, dv: list[float]) -> None:
+    """Check d_1 .. d_K and d_inf, with d_1 .. d_K read off the series'
+    own ``d.floats(N)`` list dv, N >= K."""
+    vals = dv[:d.K] + [d.d_inf_float()]
     if any(v < -1e-12 for v in vals):
         raise InvalidDensity("density entries must be non-negative")
     if sum(vals) > 1 + 1e-9:
@@ -131,6 +133,8 @@ def _validate_eps(eps: float) -> None:
 
 
 _EPS = math.ulp(1.0)  # machine epsilon
+SOLVER_TOL = 1e-13  # certificate bound at which solve_t stops
+SOLVER_MAX_STEPS = 200  # solve_t raises NonConvergence past this
 
 
 def _rho(p: ParamTuple) -> float:
@@ -157,7 +161,6 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     A term with weight 0 takes no log; a nilpotent A, whose |A^l| vanish
     from some l on, is rejected where such a term has weight."""
     _validate_eps(eps)
-    _validate_density(d)
     rho = _rho(p)  # 0 where gamma/alpha passes the float range
     if not (0.0 <= rho < 1.0):
         raise ValueError("alpha/gamma must lie in (0, 1)")
@@ -167,7 +170,9 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     tail = _mink_tail(N, rho)
     logm = math.log(A.m)
     dinf = d.d_inf_float()
-    dv, suffix = map(np.array, d.floats(N))
+    dv, suffix = d.floats(N)
+    _validate_density(d, dv)
+    dv, suffix = np.array(dv), np.array(suffix)
     rp = np.full(N, rho)
     rp[0] = 1.0
     rp = np.cumprod(rp)  # rho^{i-1}, in the order of repeated rp *= rho
@@ -201,8 +206,7 @@ def _log_map(A: np.ndarray, rho: float,
     return rho * (top + np.log(S)), E / S[:, None]
 
 
-def solve_t(A: BinaryMatrix, r, tol: float = 1e-13,
-            max_iter: int = 200) -> TSolverResult:
+def solve_t(A: BinaryMatrix, r) -> TSolverResult:
     """Unique positive vector with t_i^r = sum_j A(i,j) t_j, r > 1.
 
     Newton's method on u = log t for the fixed point of
@@ -211,8 +215,10 @@ def solve_t(A: BinaryMatrix, r, tol: float = 1e-13,
     row-stochastic and rho < 1.  A Newton step that does not shrink
     ||Phi(u) - u||_inf is replaced by the contraction step u <- Phi(u),
     so convergence does not depend on the start.  The steps stop once
-    the certificate rho/(1-rho) ||Phi(u) - u||_inf is at most ``tol`` or
-    stops shrinking, and t = exp(Phi(u)) is returned.
+    the certificate rho/(1-rho) ||Phi(u) - u||_inf is at most
+    ``SOLVER_TOL`` or stops shrinking, and t = exp(Phi(u)) is returned;
+    ``SOLVER_MAX_STEPS`` steps that still shrink it raise
+    NonConvergence.
 
     ``residual`` bounds ||log t - log t*||_inf: the certificate plus the
     float-evaluation term 8 eps (m + ||Phi(u)||_inf) / (1 - rho), with
@@ -233,10 +239,10 @@ def solve_t(A: BinaryMatrix, r, tol: float = 1e-13,
     v, P = _log_map(A_np, rho, u)
     gap = float(np.max(np.abs(v - u)))
     steps = 0
-    while gain * gap > tol:
-        if steps == max_iter:
-            raise NonConvergence(
-                f"t-solver certificate still shrinking after {max_iter} steps")
+    while gain * gap > SOLVER_TOL:
+        if steps == SOLVER_MAX_STEPS:
+            raise NonConvergence("t-solver certificate still shrinking after "
+                                 f"{SOLVER_MAX_STEPS} steps")
         u_new = u + np.linalg.solve(eye - rho * P, v - u)
         v_new, P_new = _log_map(A_np, rho, u_new)
         gap_new = float(np.max(np.abs(v_new - u_new)))
@@ -330,7 +336,7 @@ def _hausdorff_tail(d: DensityVector, N: int) -> float:
 
 
 def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
-                  eps: float = 1e-10, solver_tol: float = 1e-13) -> DimValue:
+                  eps: float = 1e-10) -> DimValue:
     """d_1 + sum_{i>=2} d_i log_m T(i) + d_inf log_m sum(t).
 
     Classes with d_i = 0 contribute nothing and are skipped (their
@@ -339,7 +345,6 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     d_inf * residual / ln m.  Requires primitive A when d_inf > 0,
     irreducible otherwise (the caller surfaces warnings)."""
     _validate_eps(eps)
-    _validate_density(d)
     logm = math.log(A.m)
     N = d.K
     if d.beyond:
@@ -349,16 +354,22 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
             N += max(8, N // 8)
     tail = _hausdorff_tail(d, N)
     dv, _ = d.floats(N)
+    _validate_density(d, dv)
     total = dv[0]
     terms = [(i, di) for i, di in enumerate(dv[1:], start=2) if di > 0.0]
     if terms:
-        T = transfer_sums(A, _rho(p), terms[-1][0])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            T = transfer_sums(A, _rho(p), terms[-1][0])
         for i, di in terms:
             total += di * math.log(T[i - 2]) / logm
+    if not math.isfinite(total):
+        raise FloatingPointError(
+            "Hausdorff series left the float range: the transfer sums T(i) "
+            "overflow")
     dinf = d.d_inf_float()
     err = tail + 1e-12
     if dinf > 0.0:
-        sol = solve_t(A, p.ratio, tol=solver_tol)
+        sol = solve_t(A, p.ratio)
         total += dinf * sol.log_total / logm
         err += dinf * sol.residual / logm
     return DimValue(total, err)
@@ -382,11 +393,10 @@ def dimension_report(
     K: int = DEFAULT_K,
     eps: float = 1e-10,
     which: str = "both",
-    search_bound: int = 10_000,
 ) -> DimensionReport:
     """Classify, pick the density vector (closed form if available,
     empirical otherwise or on request), evaluate the dimensions."""
-    region = classify_region(p, search_bound=search_bound)
+    region = classify_region(p)
     warnings: list[str] = []
     if mode not in ("closed", "empirical"):
         raise ValueError("mode must be 'closed' or 'empirical'")

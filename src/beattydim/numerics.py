@@ -486,7 +486,7 @@ def _div(x: Real, y: Real) -> Real:
 # sign, comparison
 # ---------------------------------------------------------------------------
 
-def sign(x: Real, max_bits: int = INTERVAL_MAX_BITS) -> int:
+def sign(x: Real) -> int:
     """Exact for the exact tiers; adaptive with PrecisionExhausted for
     intervals that keep straddling zero."""
     if isinstance(x, Rational):
@@ -503,14 +503,14 @@ def sign(x: Real, max_bits: int = INTERVAL_MAX_BITS) -> int:
             return -1
         if lo == hi:  # exactly zero
             return 0
-        if bits >= max_bits:
+        if bits >= INTERVAL_MAX_BITS:
             raise PrecisionExhausted(
                 f"sign still ambiguous at {bits} bits"
             )
-        bits = min(2 * bits, max_bits)
+        bits = min(2 * bits, INTERVAL_MAX_BITS)
 
 
-def compare(x: RealLike, y: RealLike, max_bits: int = INTERVAL_MAX_BITS) -> int:
+def compare(x: RealLike, y: RealLike) -> int:
     """-1, 0, or 1.  Exact whenever both operands live in one quadratic
     field; cross-field and interval comparisons refine adaptively (two
     genuinely equal values that are not syntactically comparable raise
@@ -528,7 +528,7 @@ def compare(x: RealLike, y: RealLike, max_bits: int = INTERVAL_MAX_BITS) -> int:
             return sign(_add(x, _neg(y)))
         # distinct square-free radicands: values can never be equal
         bits = INTERVAL_START_BITS
-        while bits <= max_bits:
+        while bits <= INTERVAL_MAX_BITS:
             lx, hx = x.enclosure(bits)
             ly, hy = y.enclosure(bits)
             if hx < ly:
@@ -537,7 +537,7 @@ def compare(x: RealLike, y: RealLike, max_bits: int = INTERVAL_MAX_BITS) -> int:
                 return 1
             bits *= 2  # distinct algebraics separate quickly
         raise PrecisionExhausted("cross-field comparison did not separate")
-    return sign(_add(x, _neg(y)), max_bits=max_bits)
+    return sign(_add(x, _neg(y)))
 
 
 def is_integer(x: Real) -> bool:
@@ -553,25 +553,20 @@ def is_integer(x: Real) -> bool:
 # floors and fractional parts
 # ---------------------------------------------------------------------------
 
-def floor_value(x: RealLike, max_bits: int = INTERVAL_MAX_BITS) -> int:
-    return as_real(x).floor(max_bits=max_bits)
+def ceil_value(x: RealLike) -> int:
+    return -as_real(_neg(as_real(x))).floor()
 
 
-def ceil_value(x: RealLike, max_bits: int = INTERVAL_MAX_BITS) -> int:
-    return -as_real(_neg(as_real(x))).floor(max_bits=max_bits)
-
-
-def floor_linear(tau: RealLike, k: int, eta: RealLike,
-                 max_bits: int = INTERVAL_MAX_BITS) -> int:
+def floor_linear(tau: RealLike, k: int, eta: RealLike) -> int:
     """⌊τ·k + η⌋, exact for exact tiers, adaptive for intervals."""
     tau, eta = as_real(tau), as_real(eta)
-    return _add(_mul(tau, Rational(Fraction(k))), eta).floor(max_bits=max_bits)
+    return _add(_mul(tau, Rational(Fraction(k))), eta).floor()
 
 
-def frac(x: RealLike, max_bits: int = INTERVAL_MAX_BITS) -> Real:
+def frac(x: RealLike) -> Real:
     """x - ⌊x⌋ in the same representation family, in [0, 1)."""
     x = as_real(x)
-    n = x.floor(max_bits=max_bits)
+    n = x.floor()
     return _add(x, Rational(Fraction(-n)))
 
 

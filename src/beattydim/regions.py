@@ -13,8 +13,9 @@ density vectors:
        integral; (ii): gamma/alpha = m/n in lowest terms with
        1 - m/alpha >= {m(beta-delta)/alpha} >= m/alpha):
        d = (1 - 1/alpha - 1/gamma, 1/alpha, 0.., 0)
-* R6Open  dependent irrationals with neither condition detected: no
-       closed form is known (open problem); empirical estimation only.
+* R6Open  dependent irrationals for which neither condition holds (both
+       are decided exactly in the shared field): no closed form is
+       known (open problem); empirical estimation only.
 * R7..R10  the all-integer classification by alpha = 1 / divisibility of
        beta - delta by (alpha, gamma) / alpha_1 = 1.
 
@@ -54,7 +55,6 @@ from .numerics import (
     _reciprocal,
     compare,
     frac,
-    floor_value,
 )
 
 
@@ -155,25 +155,6 @@ def rational_d(p: ParamTuple, K: int = DEFAULT_K) -> DensityVector:
 # witness conditions for dependent irrational pairs
 # ---------------------------------------------------------------------------
 
-def _exact_positive_integer(x: Real) -> Optional[int]:
-    """x as a positive integer if provably one; None if provably not or
-    undecidable (conservative)."""
-    if isinstance(x, Rational):
-        v = x.value
-        if v.denominator == 1 and v >= 1:
-            return v.numerator
-        return None
-    if isinstance(x, QuadraticSurd):
-        return None
-    try:  # interval: integers can be excluded, never confirmed
-        lo, hi = x.enclosure(256)
-        if lo == hi and lo.denominator == 1 and lo >= 1:
-            return lo.numerator
-    except PrecisionExhausted:
-        pass
-    return None
-
-
 def _is_integral(x: Real) -> bool:
     if isinstance(x, Rational):
         return x.value.denominator == 1
@@ -199,30 +180,28 @@ def q_independent(alpha: Real, gamma: Real) -> bool:
     )
 
 
-def _condition_i(p: ParamTuple, search_bound: int) -> Optional[tuple[int, int]]:
+def _condition_i(p: ParamTuple) -> Optional[tuple[int, int]]:
     """Positive integers (n, m) with n/alpha + m/gamma = 1 and
-    n*beta/alpha + m*delta/gamma integral; n < alpha bounds the search."""
-    try:
-        n_max = min(floor_value(p.alpha), search_bound)
-    except PrecisionExhausted:
+    n*beta/alpha + m*delta/gamma integral, for alpha and gamma in one
+    field Q(sqrt D).
+
+    With 1/alpha = a1 + b1 sqrt D and 1/gamma = a2 + b2 sqrt D the first
+    condition is the linear system n a1 + m a2 = 1, n b1 + m b2 = 0.  Its
+    only solution is n = b2/det, m = -b1/det with det = a1 b2 - a2 b1.
+    det = 0 admits none: b1, b2 != 0 then give (a1, a2) = c (b1, b2), so
+    n a1 + m a2 = c (n b1 + m b2) = 0."""
+    inv_a, inv_g = _reciprocal(p.alpha), _reciprocal(p.gamma)
+    det = inv_a.a * inv_g.b - inv_g.a * inv_a.b
+    if det == 0:
         return None
-    inv_a = _reciprocal(p.alpha)
-    inv_g = _reciprocal(p.gamma)
-    for n in range(1, n_max + 1):
-        try:
-            z = _mul(p.gamma, _add(Rational(Fraction(1)), _neg(_mul(Rational(Fraction(n)), inv_a))))
-            m = _exact_positive_integer(z)
-            if m is None:
-                continue
-            w = _add(
-                _mul(Rational(Fraction(n)), _mul(p.beta, inv_a)),
-                _mul(Rational(Fraction(m)), _mul(p.delta, inv_g)),
-            )
-            if _is_integral(w):
-                return (n, m)
-        except PrecisionExhausted:
-            continue
-    return None
+    n, m = inv_g.b / det, -inv_a.b / det
+    if n.denominator != 1 or m.denominator != 1 or n < 1 or m < 1:
+        return None
+    w = _add(
+        _mul(Rational(n), _mul(p.beta, inv_a)),
+        _mul(Rational(m), _mul(p.delta, inv_g)),
+    )
+    return (n.numerator, m.numerator) if _is_integral(w) else None
 
 
 def _condition_ii(p: ParamTuple) -> Optional[tuple[int, int]]:
@@ -247,7 +226,7 @@ def _condition_ii(p: ParamTuple) -> Optional[tuple[int, int]]:
 # classification
 # ---------------------------------------------------------------------------
 
-def classify_region(p: ParamTuple, search_bound: int = 10_000) -> RegionId:
+def classify_region(p: ParamTuple) -> RegionId:
     """Decision tree over the exactness, rationality, and independence of
     the parameters.  Total: every exact tuple receives a region (possibly
     R6Open); interval-valued tuples classify as Unknown."""
@@ -301,7 +280,7 @@ def classify_region(p: ParamTuple, search_bound: int = 10_000) -> RegionId:
                 f"{{1, 1/alpha, 1/gamma}} Q-independent: distinct square-free "
                 f"radicands {al.d} and {gm.d}",
             )
-        w = _condition_i(p, search_bound)
+        w = _condition_i(p)
         if w is not None:
             return RegionId(
                 "R5",
@@ -316,8 +295,7 @@ def classify_region(p: ParamTuple, search_bound: int = 10_000) -> RegionId:
         return RegionId(
             "R6Open",
             f"dependent irrationals (shared radicand {al.d}); neither witness "
-            f"condition detected (search bound {search_bound}); no closed "
-            "form is known",
+            "condition holds; no closed form is known",
         )
 
     if isinstance(al, QuadraticSurd) and isinstance(gm, Rational):
@@ -417,10 +395,9 @@ def density_payload(d: DensityVector) -> dict:
     return out
 
 
-def region_report(p: ParamTuple, K: int = DEFAULT_K,
-                  search_bound: int = 10_000) -> dict:
+def region_report(p: ParamTuple, K: int = DEFAULT_K) -> dict:
     """JSON-ready {region, certificate, d, exact} payload."""
-    r = classify_region(p, search_bound=search_bound)
+    r = classify_region(p)
     if r.has_closed_form():
         d = closed_form_d(p, r, K)
         return {

@@ -15,7 +15,7 @@ from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
 from beattydim.beatty import LANE_BOUND, BeattyPair, member  # noqa: E402
 from beattydim.dims import _mink_tail, _rho  # noqa: E402
 from beattydim.numerics import (  # noqa: E402
-    Rational, _add, _div, _neg, floor_linear)
+    Rational, _add, _div, _mul, _neg, _reciprocal, floor_linear)
 
 
 def random_binary(rng, m):
@@ -205,6 +205,27 @@ def reference_is_primitive(A):
                             nxt[i][j] = True
         cur = nxt
     return False
+
+
+def reference_condition_i(p, search_bound):
+    """R5's condition (i) by the bounded search: n = 1 .. min(floor(alpha),
+    search_bound), m = gamma (1 - n/alpha) where that is a positive
+    integer, accepted where n beta/alpha + m delta/gamma is an integer.
+    n < alpha holds for every witness, so a bound past floor(alpha)
+    makes the search complete."""
+    inv_a, inv_g = _reciprocal(p.alpha), _reciprocal(p.gamma)
+    one = Rational(Fraction(1))
+    for n in range(1, min(p.alpha.floor(), search_bound) + 1):
+        z = _mul(p.gamma, _add(one, _neg(_mul(Rational(Fraction(n)), inv_a))))
+        if not (isinstance(z, Rational) and z.value.denominator == 1
+                and z.value >= 1):
+            continue
+        m = z.value.numerator
+        w = _add(_mul(Rational(Fraction(n)), _mul(p.beta, inv_a)),
+                 _mul(Rational(Fraction(m)), _mul(p.delta, inv_g)))
+        if isinstance(w, Rational) and w.value.denominator == 1:
+            return (n, m)
+    return None
 
 
 # representative tuples for every region with a closed form

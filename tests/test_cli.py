@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from beattydim import GOLDEN_MEAN, NonConvergence, cli, dims
 from beattydim.cli import build_parser, main
 
 
@@ -417,6 +418,54 @@ def test_verify_rejects_non_positive_horizon(capsys):
     )
     assert code == 2
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "sqrt(2)", "--gamma", "3*sqrt(2)",
+     "--search-bound", "5"],
+    ["dim", "--alpha", "2", "--gamma", "3", "--matrix", "11;10",
+     "--seed", "1"],
+])
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_dim_overflowing_transfer_sums_is_a_numeric_failure(capsys):
+    # alpha/gamma = 0.998 with an 8x8 primitive matrix: the transfer sums
+    # T(i) pass the float range, and the report would read NaN
+    code = main(["dim", "--alpha", "501/500", "--gamma", "251/250",
+                 "--matrix", "10011111;11011000;11110101;10110101;"
+                             "11111110;10110101;10101010;11000111",
+                 "--which", "hausdorff"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("numeric failure: Hausdorff series left the "
+                            "float range: the transfer sums T(i) overflow\n")
+
+
+def test_emit_rejects_a_non_finite_report():
+    args = build_parser().parse_args(["classify", "--alpha", "2",
+                                      "--gamma", "3"])
+    with pytest.raises(FloatingPointError):
+        cli._emit({"value": float("nan")}, args)
+
+
+def test_solver_step_cap_is_a_numeric_failure(capsys, monkeypatch):
+    # d_inf = 1/4 > 0 for (2, 0, 4, 2), so the Hausdorff value needs t*
+    monkeypatch.setattr(dims, "SOLVER_MAX_STEPS", 0)
+    with pytest.raises(NonConvergence):
+        dims.solve_t(GOLDEN_MEAN, 2)
+    code = main(["dim", "--alpha", "2", "--gamma", "4", "--delta", "2",
+                 "--matrix", "11;10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("numeric failure: t-solver certificate still "
+                            "shrinking after 0 steps\n")
 
 @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
 def test_dim_rejects_bad_eps(capsys, eps):

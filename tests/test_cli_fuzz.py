@@ -80,7 +80,6 @@ def argv(draw):
         "--beta": _real(-50, 50),
         "--delta": _real(-50, 50),
         "--K": _int(1, 60, -2),
-        "--search-bound": _int(1, 2000, -2),
         "--format": _choice("json", "json", "csv", bad="xml"),
     }
     if command in ("dim", "verify"):
@@ -95,7 +94,6 @@ def argv(draw):
     if command == "dim":
         optional["--which"] = _choice("hausdorff", "minkowski", "both")
         optional["--eps"] = _choice("1e-10", "1e-6", bad="nan")
-        optional["--seed"] = _int(0, 5, -1)
     for flag, values in optional.items():
         if draw(st.booleans()):
             args.append(f"{flag}={draw(values)}")

@@ -1,10 +1,11 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beattydim import (
@@ -21,8 +22,11 @@ from beattydim import (
     region_report,
     residue_set,
 )
-from beattydim.numerics import Rational, _add, as_real, rational, surd
-from conftest import REGION_TUPLES, integer_region_d, pairwise_rational_d
+from beattydim.numerics import (QuadraticSurd, Rational, _add, _div, _mul,
+                                as_real, compare, rational, surd)
+from beattydim.regions import _condition_i
+from conftest import (REGION_TUPLES, integer_region_d, pairwise_rational_d,
+                      reference_condition_i)
 
 
 def test_residue_set_examples():
@@ -124,6 +128,96 @@ def test_classify_condition_ii():
     p = ParamTuple(surd(0, 5, 2), surd(0, Fraction(5, 6), 2), surd(0, Fraction(15, 2), 2), 0)
     r = classify_region(p)
     assert r.id == "R5" and "condition (ii)" in r.certificate
+
+
+# integers up to 10^4, spread over the scales so that the reference
+# search (up to floor(alpha) steps) stays short on most draws
+SCALED_INT = st.integers(min_value=0, max_value=13).flatmap(
+    lambda e: st.integers(min_value=2 ** e, max_value=min(2 ** (e + 1), 9_999)))
+SMALL_Q = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+RADICAND = st.sampled_from([2, 3, 5, 7, 13])
+
+
+def _surd_or_rational(draw, D):
+    """A shift: rational, or in the field Q(sqrt D)."""
+    return surd(draw(SMALL_Q), draw(SMALL_Q), D) if draw(st.booleans()) \
+        else rational(draw(SMALL_Q))
+
+
+@st.composite
+def same_field_tuples(draw):
+    """alpha <= 10^4 and gamma > alpha in one field Q(sqrt D), rational
+    or same-field shifts: condition (i) rarely holds on these."""
+    D = draw(RADICAND)
+    alpha = surd(draw(SCALED_INT) + draw(SMALL_Q), draw(SMALL_Q), D)
+    gamma = _add(alpha, surd(draw(SCALED_INT), draw(SMALL_Q), D))
+    assume(isinstance(alpha, QuadraticSurd) and isinstance(gamma, QuadraticSurd))
+    assume(compare(alpha, 1) >= 0 and compare(alpha, 10_000) <= 0)
+    assume(compare(alpha, gamma) < 0)
+    return ParamTuple(alpha, _surd_or_rational(draw, D), gamma,
+                      _surd_or_rational(draw, D))
+
+
+@st.composite
+def witness_tuples(draw):
+    """(p, witness) with n/alpha + m/gamma = 1: alpha = n + s with s in
+    (0, m), gamma = m alpha/(alpha - n) > alpha.  The shifts make
+    n beta/alpha + m delta/gamma an integer, witness (n, m), unless a
+    rational offset is added to beta, which makes it irrational, witness
+    None."""
+    D = draw(RADICAND)
+    n = draw(SCALED_INT)
+    m = draw(st.integers(min_value=1, max_value=60))
+    s = surd(draw(st.fractions(min_value=0, max_value=m, max_denominator=9)),
+             draw(SMALL_Q), D)
+    assume(isinstance(s, QuadraticSurd))
+    assume(compare(s, 0) > 0 and compare(s, m) < 0 and compare(s, 10_000 - n) <= 0)
+    alpha = _add(rational(n), s)
+    gamma = _div(_mul(rational(m), alpha), s)
+    offset = draw(st.sampled_from([0, 0, Fraction(1, 2)]))
+    beta = _add(_div(_mul(rational(draw(st.integers(-3, 3))), alpha), rational(n)),
+                rational(offset))
+    delta = _div(_mul(rational(draw(st.integers(-3, 3))), gamma), rational(m))
+    return ParamTuple(alpha, beta, gamma, delta), None if offset else (n, m)
+
+
+@given(p=same_field_tuples())
+@settings(max_examples=60, deadline=None)
+def test_condition_i_solve_matches_search(p):
+    assert _condition_i(p) == reference_condition_i(p, 10_000)
+
+
+@given(case=witness_tuples())
+@settings(max_examples=60, deadline=None)
+def test_condition_i_solve_finds_constructed_witnesses(case):
+    p, witness = case
+    assert _condition_i(p) == witness
+    assert reference_condition_i(p, 10_000) == witness
+
+
+def test_condition_i_on_region_tuples():
+    same_field = [p for p in (*REGION_TUPLES.values(),
+                              ParamTuple("sqrt(2)", 0, "3*sqrt(2)", 0),
+                              ParamTuple("sqrt(2)", 0, "2*sqrt(2)", 0))
+                  if isinstance(p.alpha, QuadraticSurd)
+                  and isinstance(p.gamma, QuadraticSurd)
+                  and p.alpha.d == p.gamma.d]
+    assert len(same_field) == 3
+    for p in same_field:
+        assert _condition_i(p) == reference_condition_i(p, 10_000)
+    assert _condition_i(REGION_TUPLES["R5"]) == (1, 1)  # Rayleigh pair
+
+
+def test_condition_i_witness_past_a_search_bound():
+    # n = 10001: a search over n <= 10^4 misses this witness
+    p = ParamTuple("10002+sqrt(2)", 0, "30003*sqrt(2)-30000", 0)
+    start = time.perf_counter()
+    r = classify_region(p)
+    assert time.perf_counter() - start < 0.1
+    assert r.id == "R5"
+    assert r.certificate == ("dependent irrationals; condition (i) witness "
+                             "n=10001, m=3")
+    assert reference_condition_i(p, 20_000) == (10_001, 3)
 
 
 def test_q_independent():
