@@ -28,17 +28,34 @@ a.member(y) (0 ends the chain: y left SA), then y = g.floor(k), with a
 and g the ``beatty.BeattyPair`` of S(alpha, beta) and S(gamma, delta).
 ``_ScanContext.walk`` is the scalar reference: one head at a time on
 the pairs' scalar closures, from a head or resuming a walk at its step
-j.  ``_ScanContext.walk_heads`` is a refilling lane stream: each round
-steps every live lane, each at its own step, through one guarded pass
-of each lane kernel, and whenever at most CHUNK // 2 lanes are live it
-draws heads from its stream until more are; an iterate past the
-kernel's int64 guard resumes in ``walk`` at its step.
+j; it returns the chain's end (kind, value, last iterate) and collects
+the visible elements on request.  ``_ScanContext.walk_heads`` is a
+refilling lane stream: each round steps every live lane, each at its
+own step, through one guarded pass of each lane kernel, and whenever at
+most CHUNK // 2 lanes are live it draws heads from its stream until
+more are; an iterate past the kernel's int64 guard resumes in ``walk``
+at its step.
+
+Chains are strictly monotone.  Let g(k) = floor(gamma*k + delta) -
+floor(alpha*k + beta) and h(k) = (gamma - alpha)*k + delta - beta.  Then
+h(k) - 1 < g(k) < h(k) + 1, and h is strictly increasing.  A step y =
+floor(alpha*k + beta) -> floor(gamma*k + delta) moves by g(k), which is
+never 0: that iterate would be a fixed point of f, and as f is
+injective so would every earlier one, down to the head, which is not
+in S(gamma, delta).  An up-step (g(k) >= 1) has h(k) > g(k) - 1 >= 0;
+the next step's index is larger, as member indices grow with the
+member, so its h is positive, its g is above -1, and it steps up again.
+A down-step (g(k) <= -1) has h(k) < g(k) + 1 <= 0; the next index is
+smaller, so h < 0 there, g < 1, and it steps down again.  So the
+elements of a chain inside [1, n] form a prefix or a suffix of its
+trajectory.  They sit at consecutive steps, as the pattern-count
+product form (``oracle.chain_product_count``) needs, so no walk checks.
 
 ``walk_heads`` is the one head-scan engine.  ``decompose`` passes every
-head at once and gets per-head arrays (class, contiguity and the
-visible elements in CSR form), which it stores as chains in columns,
-with the refined counts d_{i,j} (exactly j of the i chain elements
-inside [1,n]) and the residual set.
+head at once and gets per-head arrays (class and the visible elements
+in CSR form), which it stores as chains in columns, with the refined
+counts d_{i,j} (exactly j of the i chain elements inside [1,n]) and the
+residual set.
 ``_window_counts`` streams a window's heads from the tables one slice
 of CHUNK positions at a time and keeps only class tallies, from which
 ``empirical_densities`` estimates d_i; its horizon-doubling probe walks
@@ -128,7 +145,6 @@ class ChainDecomposition:
     residual: tuple[int, ...]
     counts: dict  # (i, j) -> number of finite-class-i heads with j visible
     horizon: int
-    all_contiguous: bool  # every chain's visible part is a contiguous segment
     heads: np.ndarray
     classes: np.ndarray
     offsets: np.ndarray
@@ -417,47 +433,29 @@ class _ScanContext:
         in SA\\SG for j = 0, or the step-j iterate of a walk, which this
         call resumes, one step of the module's rule at a time.
 
-        Returns (kind, value, y_last, vis, contiguous) with kind one of
-        'finite' (value = class index i), 'cand' (value = horizon
-        survived), 'proved' (infinite by the certificate), or
-        'residual' (trajectory left N).  vis counts trajectory elements
-        from step j on that are <= cutoff; rec, if given, collects them;
-        contiguous reports whether the visible elements sit at
-        consecutive trajectory positions (the condition for the
-        pattern-count product form).
+        Returns (kind, value, y_last) with kind one of 'finite' (value =
+        class index i), 'cand' (value = horizon survived), 'proved'
+        (infinite by the certificate), or 'residual' (trajectory left
+        N).  rec, if given, collects the trajectory elements from step j
+        on that are <= cutoff.
         """
-        first = last = j if x <= cutoff else -1
-        vis = 1 if x <= cutoff else 0
-        if rec is not None and x <= cutoff:
-            rec.append(x)
         member, floor = self.a.member, self.g.floor
         stop = self._stop(cutoff)
         y = x
         while True:
+            if rec is not None and y <= cutoff:
+                rec.append(y)
             if y >= stop:
-                kind, val = "proved", j
-                break
+                return "proved", j, y
             k = member(y)
             if not k:
-                kind, val = "finite", j + 1
-                break
+                return "finite", j + 1, y
             if j >= horizon:
-                kind, val = "cand", horizon
-                break
+                return "cand", horizon, y
             y = floor(k)
             j += 1
             if y < 1:
-                kind, val = "residual", j
-                break
-            if y <= cutoff:
-                vis += 1
-                if first < 0:
-                    first = j
-                last = j
-                if rec is not None:
-                    rec.append(y)
-        contiguous = vis == 0 or last - first + 1 == vis
-        return (kind, val, y, vis, contiguous)
+                return "residual", j, y
 
     def head_slices(self, lo: int, hi: int) -> Iterator[np.ndarray]:
         """The heads (in SA\\SG) of [lo, hi] in order, one int64 array
@@ -493,28 +491,19 @@ class _ScanContext:
             heads = list(heads)
             m = sum(h.size for h in heads)
             cls = np.zeros(m, dtype=np.int64)
-            vis = np.zeros(m, dtype=np.int64)
-            first = np.full(m, -1, dtype=np.int64)
-            last = np.full(m, -1, dtype=np.int64)
         else:
             ends = np.zeros(horizon + 1, dtype=np.int64)
-            earliest = np.full(horizon + 1, np.iinfo(np.int64).max)
             left = np.zeros(horizon + 1, dtype=np.int64)
         seen_lanes = [np.zeros(0, dtype=np.int64)]
         seen_values = [np.zeros(0, dtype=np.int64)]
-        resumed: dict[int, bool] = {}  # lane -> contiguity
         ended: list[np.ndarray] = []  # end columns not yet tallied
         pending = 0
 
-        def see(lanes, y, j):
+        def see(lanes, y):
             if not track:
                 return
             s = y <= cutoff
-            lanes, j = lanes[s], j[s]
-            vis[lanes] += 1
-            first[lanes] = np.where(first[lanes] < 0, j, first[lanes])
-            last[lanes] = j
-            seen_lanes.append(lanes)
+            seen_lanes.append(lanes[s])
             seen_values.append(y[s])
 
         def end(cols):
@@ -537,9 +526,7 @@ class _ScanContext:
                 cls[lanes] = np.where(fin, j + 1,
                                       np.where(out, _RESIDUAL, _INFINITE))
                 return
-            steps = j[fin]
-            ends[:] += np.bincount(steps, minlength=horizon + 1)
-            np.minimum.at(earliest, steps, lanes[fin])
+            ends[:] += np.bincount(j[fin], minlength=horizon + 1)
             if out.any():
                 left[:] += np.bincount(j[out], minlength=horizon + 1)
 
@@ -547,15 +534,10 @@ class _ScanContext:
             # y is the step-j iterate, already seen; walk() takes over
             # from it and sees it again.  Returns the lane's end column.
             rec: Optional[list[int]] = [] if track else None
-            kind, val, _, _, tail_ok = self.walk(y, horizon, cutoff, rec, j)
+            kind, val, _ = self.walk(y, horizon, cutoff, rec, j)
             if track:
                 if y <= cutoff:
                     del rec[0]
-                # an unseen step j splits two non-empty visible parts
-                split = y > cutoff and rec and vis[lane]
-                resumed[lane] = bool(tail_ok and not split and (
-                    vis[lane] == 0
-                    or last[lane] - first[lane] + 1 == vis[lane]))
                 seen_lanes.append(np.full(len(rec), lane, dtype=np.int64))
                 seen_values.append(np.array(rec, dtype=np.int64))
             if kind == "finite":
@@ -576,7 +558,7 @@ class _ScanContext:
                 new[0] = np.arange(drawn, drawn + h.size)
                 new[2] = h
                 drawn += h.size
-                see(new[0], h, new[1])
+                see(new[0], h)
                 parts.append(new)
                 size += h.size
                 if size > CHUNK // 2:
@@ -611,27 +593,23 @@ class _ScanContext:
                               live.compress(~out, axis=1))
                 gone[2] = -1
                 end(gone)
-            see(live[0], live[2], live[1])
+            see(live[0], live[2])
         if ended:
             tally()
 
         if not track:
-            return _HeadTally(drawn, ends, earliest, left)
-        contiguous = (vis == 0) | (last - first + 1 == vis)
-        for lane, ok in resumed.items():
-            contiguous[lane] = ok
+            return _HeadTally(drawn, ends, left)
         lanes = np.concatenate(seen_lanes)
         offsets = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(lanes, minlength=m), out=offsets[1:])
         elements = np.concatenate(seen_values)[np.argsort(lanes, kind="stable")]
-        return _HeadWalks(cls, contiguous, offsets, elements)
+        return _HeadWalks(cls, offsets, elements)
 
 
 class _HeadWalks(NamedTuple):
     """Per-head results of ``_ScanContext.walk_heads`` with cutoff >= 1."""
 
     cls: np.ndarray  # finite class i, _INFINITE or _RESIDUAL
-    contiguous: np.ndarray  # visible elements sit at consecutive steps
     # head h saw elements[offsets[h]:offsets[h + 1]], in trajectory order
     offsets: np.ndarray
     elements: np.ndarray
@@ -642,7 +620,6 @@ class _HeadTally(NamedTuple):
 
     heads: int
     ends: np.ndarray  # at j: heads whose step-j iterate left SA (class j + 1)
-    first: np.ndarray  # at j: the head index of the first of those
     left: np.ndarray  # at j: heads whose chain left N at step j
 
 
@@ -813,7 +790,6 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
         residual=residual,
         counts=counts,
         horizon=horizon,
-        all_contiguous=bool(w.contiguous[keep].all()),
         heads=chain_heads,
         classes=classes,
         offsets=offsets,
@@ -832,10 +808,8 @@ def _window_counts(ctx: _ScanContext, lo: int, hi: int, horizon: int,
     candidates, moved).  With probe every head walks to twice the
     horizon, and the counts are read there: moved is the number of
     horizon candidates whose chains ended past the horizon (a finite
-    class i > horizon + 1, or an exit from N).  Class keys are in order
-    of first appearance, with those past horizon + 1 last: the order of
-    a horizon scan followed by a probe, which the float sums over
-    ``DensityVector.beyond`` follow."""
+    class i > horizon + 1, or an exit from N).  Class keys are in
+    ascending order."""
     reach = 2 * horizon if probe else horizon
     t = ctx.walk_heads(ctx.head_slices(lo, hi), reach, 0)
     # A_1: the positions of the window in neither SG nor the heads
@@ -843,11 +817,8 @@ def _window_counts(ctx: _ScanContext, lo: int, hi: int, horizon: int,
     a1 = sg.size - int(np.count_nonzero(sg)) - t.heads
     cand = t.heads - int(t.ends.sum() + t.left.sum())
     moved = int(t.ends[horizon + 1:].sum() + t.left[horizon + 1:].sum())
-    steps = np.flatnonzero(t.ends)  # heads are in SA: steps j >= 1
-    steps = steps[np.argsort(t.first[steps])]
-    if probe:
-        steps = steps[np.argsort(steps > horizon, kind="stable")]
-    finite = {j + 1: int(t.ends[j]) for j in steps.tolist()}
+    # heads are in SA: steps j >= 1
+    finite = {j + 1: int(t.ends[j]) for j in np.flatnonzero(t.ends).tolist()}
     return a1, finite, cand, moved
 
 

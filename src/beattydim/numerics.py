@@ -511,32 +511,15 @@ def sign(x: Real) -> int:
 
 
 def compare(x: RealLike, y: RealLike) -> int:
-    """-1, 0, or 1.  Exact whenever both operands live in one quadratic
-    field; cross-field and interval comparisons refine adaptively (two
-    genuinely equal values that are not syntactically comparable raise
-    PrecisionExhausted at the cap)."""
+    """-1, 0, or 1: the sign of x - y.  Exact whenever both operands live
+    in one quadratic field; cross-field and interval comparisons refine
+    the difference adaptively (surds of distinct square-free radicands
+    are never equal, so they separate; two genuinely equal values that
+    are not syntactically comparable raise PrecisionExhausted at the
+    cap)."""
     x, y = as_real(x), as_real(y)
     if isinstance(x, Rational) and isinstance(y, Rational):
         return (x.value > y.value) - (x.value < y.value)
-    exact_pair = is_exact(x) and is_exact(y)
-    if exact_pair:
-        same_field = (
-            isinstance(x, Rational) or isinstance(y, Rational)
-            or x.d == y.d  # type: ignore[union-attr]
-        )
-        if same_field:
-            return sign(_add(x, _neg(y)))
-        # distinct square-free radicands: values can never be equal
-        bits = INTERVAL_START_BITS
-        while bits <= INTERVAL_MAX_BITS:
-            lx, hx = x.enclosure(bits)
-            ly, hy = y.enclosure(bits)
-            if hx < ly:
-                return -1
-            if hy < lx:
-                return 1
-            bits *= 2  # distinct algebraics separate quickly
-        raise PrecisionExhausted("cross-field comparison did not separate")
     return sign(_add(x, _neg(y)))
 
 

@@ -44,8 +44,7 @@ class CapExceeded(ValueError):
 
 class ProductFormInapplicable(ValueError):
     """The chain decomposition does not factor the pattern count: a
-    chain's visible part is not contiguous, or a residual element (of a
-    chain that left N) is constrained."""
+    residual element (of a chain that left N) is constrained."""
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,12 @@ def exhaustive_count(p: ParamTuple, A: BinaryMatrix, n: int) -> int:
 
 def finite_scale_logcount(p: ParamTuple, A: BinaryMatrix, n: int) -> float:
     """log_m(count of admissible words on [1, n]) / n, via exact bit-length
-    scaling of the big-integer count (relative error ~1e-15)."""
+    scaling of the big-integer count (relative error ~1e-15).  Raises
+    ValueError when no word of length n is admissible."""
     c = count_patterns(p, A, n).count
+    if not c:
+        raise ValueError(f"no word of length {n} is admissible: the count "
+                         "is 0 and has no logarithm")
     if c.bit_length() <= 53:
         log2c = math.log2(c)
     else:
@@ -169,32 +172,23 @@ def finite_scale_logcount(p: ParamTuple, A: BinaryMatrix, n: int) -> float:
 
 
 def chain_product_count(dec: ChainDecomposition, A: BinaryMatrix,
-                        p: ParamTuple | None = None) -> int:
-    """The pattern count implied by a chain decomposition: each chain with
-    v visible elements contributes |A^{v-1}| (fully visible chains the
-    full power, truncated chains the visible segment), residual elements
-    count as free symbols.  Comparing this against ``count_patterns``
-    validates the decomposition against the independently built graph.
+                        p: ParamTuple) -> int:
+    """The pattern count implied by a chain decomposition of p: each
+    chain with v visible elements contributes |A^{v-1}| (fully visible
+    chains the full power, truncated chains the visible segment),
+    residual elements count as free symbols.  Comparing this against
+    ``count_patterns`` validates the decomposition against the
+    independently built graph.
 
-    The product form requires every chain's visible part to be a
-    contiguous trajectory segment and the residual to be unconstrained,
-    except for fixed points x = f(x): the self-edge (x, x) alone makes x
-    a one-vertex cycle, which counts trace(A) instead of m.  Pass p to
-    check the residual against the constraint edges when it is
-    non-empty.  Raises ProductFormInapplicable where the product form
-    does not apply."""
-    if not dec.all_contiguous:
-        raise ProductFormInapplicable(
-            "a chain's visible part is not a contiguous trajectory segment; "
-            "the product form does not apply"
-        )
+    Chains are strictly monotone (see ``chains``), so every chain's
+    visible part is a contiguous trajectory segment.  The product form
+    fails only where a residual element is constrained: a residual
+    checked against the constraint edges of p may take part in none,
+    except as a fixed point x = f(x), whose self-edge (x, x) alone makes
+    x a one-vertex cycle, which counts trace(A) instead of m.  Raises
+    ProductFormInapplicable on any other constrained residual."""
     fixed = 0
     if dec.residual:
-        if p is None:
-            raise ValueError(
-                "non-empty residual: pass the parameter tuple so residual "
-                "elements can be checked against the constraint edges"
-            )
         residual = np.zeros(dec.n + 1, dtype=bool)
         residual[list(dec.residual)] = True
         u, v = _edge_lanes(p, dec.n)

@@ -1,6 +1,6 @@
 import io
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -59,25 +59,25 @@ def certificate(p):
 
 def scalar_decompose(p, n):
     """Reference for decompose: one scalar walk per head, as
-    (chains, residual, counts, all_contiguous), with no certificate."""
+    (chains, residual, counts), with no certificate."""
     horizon = default_horizon(p, n)
     bound = n + p.chain_bound_int()
     ctx = _ScanContext(p, bound)
     ctx.Y = None  # walk reads only Y: no chain is proved
     covered = bytearray(n + 1)
-    chains, counts, all_contiguous = [], {}, True
+    chains, counts = [], {}
     for x in range(1, bound + 1):
         if ctx.sg[x]:
             continue
         if ctx.sa[x]:
             rec = []
-            kind, val, _, vis, contiguous = ctx.walk(x, horizon, n, rec=rec)
+            kind, val, _ = ctx.walk(x, horizon, n, rec=rec)
             if kind == "residual" or not rec:
                 continue
-            all_contiguous = all_contiguous and contiguous
             if kind == "finite":
                 cls = finite_class(val)
-                counts[(val, vis)] = counts.get((val, vis), 0) + 1
+                key = (val, len(rec))
+                counts[key] = counts.get(key, 0) + 1
             else:
                 cls = infinity_candidate(horizon)
         elif x <= n:
@@ -89,14 +89,14 @@ def scalar_decompose(p, n):
         for e in rec:
             covered[e] = 1
     residual = tuple(x for x in range(1, n + 1) if not covered[x])
-    return tuple(chains), residual, counts, all_contiguous
+    return tuple(chains), residual, counts
 
 
 def scalar_window_counts(ctx, lo, hi, horizon, probe):
     """Reference for _window_counts: one scalar walk per head to the
     horizon, then, with probe, every candidate resumed in walk to twice
-    the horizon, as (a1, finite, cand, moved); ctx is rebuilt on
-    [1, hi] without the certificate."""
+    the horizon, as (a1, finite, cand, moved), class keys in ascending
+    order; ctx is rebuilt on [1, hi] without the certificate."""
     ctx = _ScanContext(ctx.p, hi)
     ctx.Y = None
     a1 = cand = moved = 0
@@ -107,7 +107,7 @@ def scalar_window_counts(ctx, lo, hi, horizon, probe):
         if not ctx.sa[x]:
             a1 += 1
             continue
-        kind, val, y, _, _ = ctx.walk(x, horizon)
+        kind, val, y = ctx.walk(x, horizon)
         if kind == "finite":
             finite[val] = finite.get(val, 0) + 1
         elif kind == "cand":
@@ -120,29 +120,28 @@ def scalar_window_counts(ctx, lo, hi, horizon, probe):
             cand -= 1
         if kind == "finite":
             finite[val] = finite.get(val, 0) + 1
-    return a1, finite, cand, moved
+    return a1, dict(sorted(finite.items())), cand, moved
 
 
 def assert_counts_match(p, lo, hi, horizon=None, probe=True):
-    """_window_counts equals the scalar reference, class keys in order;
-    returns the number of moved candidates."""
+    """_window_counts equals the scalar reference, class keys in
+    ascending order; returns the number of moved candidates."""
     if horizon is None:
         horizon = default_horizon(p, hi)
     ctx = _ScanContext(p, hi)
     got = _window_counts(ctx, lo, hi, horizon, probe)
     ref = scalar_window_counts(ctx, lo, hi, horizon, probe)
     assert got == ref
-    assert list(got[1].items()) == list(ref[1].items())
+    assert list(got[1]) == sorted(got[1])
     return got[3]
 
 
 def assert_matches_scalar(p, n):
-    chains, residual, counts, all_contiguous = scalar_decompose(p, n)
+    chains, residual, counts = scalar_decompose(p, n)
     dec = decompose(p, n)
     assert dec.chains == chains
     assert dec.residual == residual
     assert list(dec.counts.items()) == list(counts.items())
-    assert dec.all_contiguous == all_contiguous
 
 
 def test_classify_head_examples():
@@ -232,11 +231,74 @@ def test_resumed_walk_matches_fresh_walk(key, H):
     for x in range(1, n + 1):
         if ctx.sg[x] or not ctx.sa[x]:
             continue
-        kind, _, y, _, _ = ctx.walk(x, H)
+        kind, _, y = ctx.walk(x, H)
         if kind == "cand":
-            assert ctx.walk(y, 2 * H, j=H)[:3] == ctx.walk(x, 2 * H)[:3], x
+            assert ctx.walk(y, 2 * H, j=H) == ctx.walk(x, 2 * H), x
             resumed += 1
     assert resumed > 0
+
+
+def walked_chains(p, horizon, n=2000):
+    """The trajectory of every head in [1, n], walked by the scalar
+    reference with every element visible and no certificate."""
+    ctx = _ScanContext(p, n)
+    ctx.Y = None
+    chains = []
+    for x in range(1, n + 1):
+        if ctx.sa[x] and not ctx.sg[x]:
+            rec = []
+            ctx.walk(x, horizon, inf, rec)
+            chains.append(rec)
+    return chains
+
+
+def assert_strictly_monotone(chains):
+    for rec in chains:
+        steps = [b - a for a, b in zip(rec, rec[1:])]
+        assert all(s > 0 for s in steps) or all(s < 0 for s in steps), rec
+
+
+@st.composite
+def _monotone_case(draw):
+    """A rational tuple, or one in a single quadratic field Q(sqrt(d)),
+    with shifts in [-100, 100]."""
+    if draw(st.booleans()):
+        b = draw(st.integers(1, 12))
+        alpha = Fraction(b, draw(st.integers(1, b)))
+        c = draw(st.integers(1, 8))
+        gamma = Fraction(int(alpha * c) + draw(st.integers(1, 16)), c)
+        shift = st.builds(rational, st.integers(-100, 100), st.integers(1, 6))
+        return ParamTuple(rational(alpha), draw(shift), rational(gamma),
+                          draw(shift))
+    d = draw(st.sampled_from([2, 3, 5]))
+    alpha = surd(draw(st.integers(1, 3)), Fraction(draw(st.integers(1, 4)), 2), d)
+    a, b = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    gamma = alpha + surd(a, Fraction(b, 2), d)
+    # |c/den + e*sqrt(d)| <= 80 + 3*sqrt(5) < 100
+    shift = st.builds(surd, st.integers(-80, 80), st.integers(-3, 3),
+                      st.just(d))
+    return ParamTuple(alpha, draw(shift), gamma, draw(shift))
+
+
+@given(p=_monotone_case())
+@settings(max_examples=40, deadline=None)
+def test_chains_are_strictly_monotone(p):
+    # each step moves by g(k) = floor(gamma*k + delta) - floor(alpha*k +
+    # beta), which keeps the sign of an increasing h(k) = (gamma -
+    # alpha)*k + delta - beta: a chain steps up throughout or down
+    # throughout (the lemma in the chains module)
+    assert_strictly_monotone(walked_chains(p, 40))
+
+
+@pytest.mark.parametrize("tup", [
+    ("3/2", 0, 3, -500), (1, 0, "21/20", -7), ("sqrt(2)", 3, "sqrt(3)", -40),
+])
+def test_decreasing_chains_are_strictly_monotone(tup):
+    p = ParamTuple(*tup)
+    chains = walked_chains(p, default_horizon(p, 2000))
+    assert_strictly_monotone(chains)
+    assert any(len(rec) >= 3 and rec[1] < rec[0] for rec in chains)
+    assert any(len(rec) >= 3 and rec[1] > rec[0] for rec in chains)
 
 
 def test_interval_parameters_scan_like_their_exact_values():
@@ -777,8 +839,7 @@ def test_certificate_past_int64_matches_the_uncertified_scan(monkeypatch):
     ref_dec = decompose(q, 300)
     ref_emp = empirical_densities(q, [(1, 300), (1, 150)])
     assert emp == ref_emp
-    assert (dec.residual, dec.counts, dec.all_contiguous) == (
-        ref_dec.residual, ref_dec.counts, ref_dec.all_contiguous)
+    assert (dec.residual, dec.counts) == (ref_dec.residual, ref_dec.counts)
     for name in ("heads", "classes", "offsets", "elements"):
         assert getattr(dec, name).tolist() == getattr(ref_dec, name).tolist()
 

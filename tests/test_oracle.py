@@ -226,6 +226,16 @@ def test_finite_scale_logcount():
     assert abs(v1 - v2) < 1e-2
 
 
+def test_finite_scale_logcount_refuses_an_empty_shift():
+    # no word of length 12 is admissible: the count is 0, whose log is
+    # undefined, and the error says so instead of a math domain error
+    p = ParamTuple("sqrt(2)", 0, "sqrt(3)", 0)
+    A = BinaryMatrix.from_string("011;001;110")
+    assert count_patterns(p, A, 12).count == 0
+    with pytest.raises(ValueError, match="no word of length 12 is admissible"):
+        finite_scale_logcount(p, A, 12)
+
+
 def test_logcount_precision():
     # cross-check the bit-length log against math.log on a modest count
     p = ParamTuple(1, 0, 2, 0)
@@ -247,8 +257,6 @@ def test_chain_product_refuses_constrained_residual():
     dec = decompose(p, 20)
     with pytest.raises(ValueError):
         chain_product_count(dec, GOLDEN_MEAN, p)
-    with pytest.raises(ValueError):
-        chain_product_count(dec, GOLDEN_MEAN)  # residual needs p to verify
 
 
 # the index pairs on [1, 14] run backwards, (6, 2), and through the
