@@ -89,7 +89,6 @@ print("=" * 72)
 p = ParamTuple("sqrt(2)", 0, "2+sqrt(2)", 0)
 print(f"tuple  : {p!r}")
 print(f"ratio  : gamma/alpha = {p.ratio!r} = {p.ratio.approx():.6f}")
-print(f"C bound: {p.chain_bound!r} = {p.chain_bound.approx():.6f}")
 try:
     ParamTuple(2, 0, 2, 0)
 except ValueError as exc:

@@ -55,16 +55,13 @@ def _coerce(v) -> Real:
 
 
 class ParamTuple:
-    """Validated parameter tuple with the derived ratio gamma/alpha, the
-    chain growth bound C = (1 + |beta| + |delta|) * alpha / (gamma - alpha)
-    and the two sequences' pairs (BeattyPair(alpha, beta),
-    BeattyPair(gamma, delta)).  C and the pairs are built on first use
-    and kept, so every layer that scans, walks or counts this tuple
-    shares one exact setup of each sequence; the tuple is otherwise
-    immutable."""
+    """Validated parameter tuple with the derived ratio gamma/alpha and
+    the two sequences' pairs (BeattyPair(alpha, beta), BeattyPair(gamma,
+    delta)).  The pairs are built on first use and kept, so every layer
+    that scans, walks or counts this tuple shares one exact setup of each
+    sequence; the tuple is otherwise immutable."""
 
-    __slots__ = ("alpha", "beta", "gamma", "delta", "ratio", "_chain_bound",
-                 "_pairs")
+    __slots__ = ("alpha", "beta", "gamma", "delta", "ratio", "_pairs")
 
     def __init__(self, alpha, beta, gamma, delta):
         alpha, beta = _coerce(alpha), _coerce(beta)
@@ -97,39 +94,6 @@ class ParamTuple:
                      BeattyPair(self.gamma, self.delta))
             object.__setattr__(self, "_pairs", pairs)
             return pairs
-
-    @property
-    def chain_bound(self) -> Real:
-        """C, computed on first use: only ``decompose`` needs it."""
-        try:
-            return self._chain_bound
-        except AttributeError:
-            one_plus = _add(_add(Rational(Fraction(1)), abs(self.beta)),
-                            abs(self.delta))
-            c = _div(_mul(one_plus, self.alpha),
-                     _add(self.gamma, _neg(self.alpha)))
-            object.__setattr__(self, "_chain_bound", c)
-            return c
-
-    def chain_bound_int(self) -> int:
-        """An integer >= C (safe for window-extension logic).
-
-        It comes from the pairs' float enclosures over ``_gap_floor``,
-        rounded outward: the numerator sums nonnegative terms, so it and
-        the quotient carry a relative error below 10u.  The exact C takes
-        over where a value does not fit a float or the gap is not clearly
-        positive."""
-        a, g = self.pairs
-        gap = _gap_floor(a, g)
-        if gap > 0.0:
-            t, et, e, ee = a._floats
-            eg, eeg = g._floats[2:]
-            top = (1.0 + abs(e) + ee + abs(eg) + eeg) * (t + et)
-            c = top / gap * (1.0 + 32.0 * _U)
-            if c < 2.0 ** 62:
-                return int(c) + 1
-        _, hi = self.chain_bound.enclosure(64)
-        return hi.numerator // hi.denominator + 1
 
     def is_exact(self) -> bool:
         return all(is_exact(v) for v in

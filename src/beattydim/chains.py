@@ -55,7 +55,9 @@ product form (``oracle.chain_product_count``) needs, so no walk checks.
 head at once and gets per-head arrays (class and the visible elements
 in CSR form), which it stores as chains in columns, with the refined
 counts d_{i,j} (exactly j of the i chain elements inside [1,n]) and the
-residual set.
+residual set.  Its tables cover [1, n] only: a chain headed above n
+reaches the window only by down-steps (h(k) < 0, so k < k_f of
+``_growth_start``), and ``_entry_heads`` climbs it from its entry.
 ``_window_counts`` streams a window's heads from the tables one slice
 of CHUNK positions at a time and keeps only class tallies, from which
 ``empirical_densities`` estimates d_i; its horizon-doubling probe walks
@@ -358,9 +360,11 @@ def derived_dij(d: DensityVector, p: ParamTuple) -> DensityVector:
 # ---------------------------------------------------------------------------
 
 def default_horizon(p: ParamTuple, n: int) -> int:
-    """A head x <= n has at most ceil(log_{gamma/alpha}(n + C)) + 2
-    trajectory points below any fixed bound, so this horizon sees every
-    exit that matters for a size-n window, with slack."""
+    """ceil(log_{gamma/alpha}(10 n)) + 8 steps.  Iterates move away from
+    the fixed point of the affine map y -> (gamma/alpha)*(y - beta) +
+    delta by the factor gamma/alpha per step, up to a bounded error, so
+    this horizon sees every exit that matters for a size-n window, with
+    slack."""
     try:
         log_ratio = log(p.ratio.approx())
     except OverflowError:  # past the float range: from the exact quotient
@@ -742,25 +746,25 @@ def _surd_inclusion(a: BeattyPair, g: BeattyPair) -> Optional[int]:
 
 def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDecomposition:
     """Assign every x in [1, n] to exactly one chain segment or to the
-    residual set.  Chains headed up to n + C are scanned because early
-    anomalous chains may dip back below n; trajectory elements above n
-    are classified but not listed as covered."""
+    residual set, from tables on [1, n] and the heads above n of
+    ``_entry_heads``; trajectory elements above n are classified but
+    not listed as covered."""
     if n < 1:
         raise ValueError("window size must be >= 1")
     if horizon is None:
         horizon = default_horizon(p, n)
     elif horizon < 1:
         raise ValueError("horizon must be >= 1")
-    bound = n + p.chain_bound_int()
-    ctx = _ScanContext(p, bound)
+    entries = _entry_heads(p, n, horizon)
+    ctx = _ScanContext(p, n)
     free = np.frombuffer(ctx.sg, dtype=np.uint8)[1:] == 0  # x = index + 1
     in_sa = np.frombuffer(ctx.sa, dtype=np.uint8)[1:] == 1
-    heads = np.flatnonzero(in_sa & free) + 1
+    heads = np.concatenate([np.flatnonzero(in_sa & free) + 1, entries])
     w = ctx.walk_heads([heads], horizon, n)
     vis = np.diff(w.offsets)
     # a chain that left N leaves its visible elements to the residual
     keep = (w.cls != _RESIDUAL) & (vis > 0)
-    a1 = np.flatnonzero(free[:n] & ~in_sa[:n]) + 1
+    a1 = np.flatnonzero(free & ~in_sa) + 1
     ones = np.ones(a1.size, dtype=np.int64)
 
     chain_heads = np.concatenate([heads[keep], a1])
@@ -795,6 +799,34 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
         offsets=offsets,
         elements=elements,
     )
+
+
+def _entry_heads(p: ParamTuple, n: int, horizon: int) -> np.ndarray:
+    """The heads above n, in ascending order, of the chains that step
+    down into [1, n] within the horizon.  Such a chain enters at a member
+    floor(gamma*k + delta) <= n whose predecessor floor(alpha*k + beta)
+    is above n (one block of k), and y <- floor(alpha*g.member(y) + beta)
+    climbs it while y is in S(gamma, delta), through down-steps with
+    growing k < k_f: every lane stays below max(k_f, floor(alpha*k_f +
+    beta)), which must not pass LANE_BOUND."""
+    a, g = p.pairs
+    lo, hi = max(g.first_k, a.first_k_at(n + 1)), g.first_k_at(n + 1)
+    if lo >= hi:
+        return np.zeros(0, dtype=np.int64)
+    kf = _growth_start(a, g)
+    if max(kf, a.floor(kf)) > LANE_BOUND:
+        raise ValueError(
+            f"chains entering [1, {n}] step down from above the int64 lane "
+            f"bound 2^62; shifts this large are not supported")
+    y = a.floor_lanes(np.arange(lo, hi, dtype=np.int64))
+    heads = []
+    for _ in range(horizon):
+        k = g.member_lanes(y)
+        heads.append(y[k == 0])
+        y = a.floor_lanes(k[k > 0])
+        if not y.size:
+            break
+    return np.sort(np.concatenate(heads))
 
 
 # ---------------------------------------------------------------------------

@@ -133,20 +133,6 @@ class Rational(Real):
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Rational is immutable")
 
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def is_integer(self) -> bool:
-        return self.value.denominator == 1
-
-    def as_fraction(self) -> Fraction:
-        return self.value
-
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         return (self.value, self.value)
 
@@ -186,9 +172,6 @@ class QuadraticSurd(Real):
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticSurd is immutable")
-
-    def is_integer(self) -> bool:
-        return False
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         root = isqrt(self.d << (2 * bits))
@@ -262,9 +245,6 @@ class Interval(Real):
             return (self._lo, self._hi)
         lo, hi = self._fn(bits)
         return (max(lo, self._lo), min(hi, self._hi))
-
-    def is_integer(self) -> bool:
-        raise NotImplementedError("undecidable for interval representations")
 
     def floor(self, max_bits: int = INTERVAL_MAX_BITS) -> int:
         bits = max(self._bits, INTERVAL_START_BITS)
@@ -521,15 +501,6 @@ def compare(x: RealLike, y: RealLike) -> int:
     if isinstance(x, Rational) and isinstance(y, Rational):
         return (x.value > y.value) - (x.value < y.value)
     return sign(_add(x, _neg(y)))
-
-
-def is_integer(x: Real) -> bool:
-    """Exact tiers only; intervals are undecidable and raise."""
-    if isinstance(x, Rational):
-        return x.value.denominator == 1
-    if isinstance(x, QuadraticSurd):
-        return False
-    raise NotImplementedError("undecidable for interval representations")
 
 
 # ---------------------------------------------------------------------------

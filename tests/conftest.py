@@ -100,6 +100,24 @@ def first_k_at_reference(pair, x):
     return k
 
 
+def reference_chain_bound(p):
+    """C = (gamma*(1 + |beta|) + alpha*|delta|) / (gamma - alpha), exact.
+
+    f(y) lies in (F(y) - 1, F(y) + gamma/alpha) for the affine F(y) =
+    (gamma/alpha)*(y - beta) + delta, whose fixed point c = (gamma*beta -
+    alpha*delta)/(gamma - alpha) it moves away from by the factor
+    gamma/alpha.  Summing the errors over l steps gives the growth
+    sandwich (gamma/alpha)^l (x - C) < f^l(x) < (gamma/alpha)^l (x + C)
+    with C = |c| + gamma/(gamma - alpha), so every head whose chain
+    reaches [1, n] lies in [1, n + C].  The bound (1 + |beta| + |delta|)
+    * alpha/(gamma - alpha) that decompose once scanned to misses heads
+    when gamma*|beta| is large: (2, 1000, 5, -3/2) has the head 1170 with
+    f(1170) = 423."""
+    one = Rational(Fraction(1))
+    top = _add(_mul(p.gamma, _add(one, abs(p.beta))), _mul(p.alpha, abs(p.delta)))
+    return _div(top, _add(p.gamma, _neg(p.alpha)))
+
+
 def lane_guard_reference(p, bits):
     """floor((LANE_BOUND - |delta|)/gamma - |beta|) - 3 from bits-bit
     enclosures of gamma, beta and delta, rounded down: at or below the

@@ -33,7 +33,8 @@ from beattydim import (
     t_phi,
 )
 from beattydim.numerics import as_real, compare, rational, surd
-from conftest import REGION_TUPLES, integer_region_d, random_irreducible
+from conftest import (REGION_TUPLES, integer_region_d, random_irreducible,
+                      reference_chain_bound)
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -273,16 +274,14 @@ def test_criterion_10_structural_properties():
         for x0 in (1, 7, 50, 313):
             if member(x0, p.alpha, p.beta) is None:
                 continue
-            x = x0
+            x, c = x0, reference_chain_bound(p)
             from conftest import f_map
             for l in range(0, 21):
                 ratio_l = as_real(1)
                 for _ in range(l):
                     ratio_l = ratio_l * p.ratio
-                assert compare(ratio_l * (as_real(x0) - p.chain_bound),
-                               as_real(x)) < 0
-                assert compare(as_real(x),
-                               ratio_l * (as_real(x0) + p.chain_bound)) < 0
+                assert compare(ratio_l * (as_real(x0) - c), as_real(x)) < 0
+                assert compare(as_real(x), ratio_l * (as_real(x0) + c)) < 0
                 if member(x, p.alpha, p.beta) is None:
                     break
                 x = f_map(x, p)

@@ -26,8 +26,9 @@ from beattydim.chains import (
     finite_class,
     infinity_candidate,
 )
-from beattydim.numerics import Rational, rational, surd
-from conftest import REGION_TUPLES, NonPositiveImage, f_map
+from beattydim.numerics import Rational, ceil_value, rational, surd
+from conftest import (REGION_TUPLES, NonPositiveImage, f_map,
+                      reference_chain_bound)
 
 NOT_HEAD = ChainClass("not_head")
 
@@ -57,11 +58,12 @@ def certificate(p):
     return _certificate(*p.pairs)
 
 
-def scalar_decompose(p, n):
-    """Reference for decompose: one scalar walk per head, as
-    (chains, residual, counts), with no certificate."""
-    horizon = default_horizon(p, n)
-    bound = n + p.chain_bound_int()
+def scalar_decompose(p, n, horizon=None):
+    """Reference for decompose: one scalar walk per head of [1, n + C],
+    as (chains, residual, counts), with no certificate."""
+    if horizon is None:
+        horizon = default_horizon(p, n)
+    bound = n + ceil_value(reference_chain_bound(p))
     ctx = _ScanContext(p, bound)
     ctx.Y = None  # walk reads only Y: no chain is proved
     covered = bytearray(n + 1)
@@ -136,9 +138,9 @@ def assert_counts_match(p, lo, hi, horizon=None, probe=True):
     return got[3]
 
 
-def assert_matches_scalar(p, n):
-    chains, residual, counts = scalar_decompose(p, n)
-    dec = decompose(p, n)
+def assert_matches_scalar(p, n, horizon=None):
+    chains, residual, counts = scalar_decompose(p, n, horizon)
+    dec = decompose(p, n, horizon)
     assert dec.chains == chains
     assert dec.residual == residual
     assert list(dec.counts.items()) == list(counts.items())
@@ -466,9 +468,32 @@ def test_decompose_matches_scalar_reference(key):
     (("sqrt(2)", 0, "sqrt(3)", 0), 2000),  # fixed point 1 = f(1)
     (("sqrt(2)", "1/4", "sqrt(3)", "1/4"), 2000),
     (("3/2", 0, 3, -500), 5000),  # aborted chains in the residual
+    # shifted tuples: chains headed above n step down into [1, n] when
+    # beta - delta is large, and none do when delta - beta is
+    (("3/2", 0, 3, -50), 300),
+    (("3/2", 0, 3, -100000), 10),
+    (("3/2", 0, 3, -100000), 300),
+    (("3/2", 1000, 3, 0), 300),
+    ((2, 1000, 5, "-3/2"), 500),  # heads past n + alpha(1+|beta|+|delta|)/(gamma-alpha)
+    (("3/2", -50, 3, 0), 300),
+    (("3/2", 0, 3, 100000), 300),
+    (("sqrt(2)", 0, "2+sqrt(2)", -1000), 500),
 ])
 def test_decompose_matches_scalar_reference_on_anomalies(tup, n):
     assert_matches_scalar(ParamTuple(*tup), n)
+
+
+@pytest.mark.parametrize("tup,n", [
+    ((2, 1000, 5, "-3/2"), 500),
+    (("sqrt(2)", 0, "2+sqrt(2)", -1000), 500),
+    ((1, 0, "11/10", -10000), 100),
+])
+@pytest.mark.parametrize("horizon", [1, 2, 5])
+def test_decompose_finds_heads_above_n_within_the_horizon(tup, n, horizon):
+    # a chain whose head lies more than horizon steps above its entry
+    # into [1, n] shows nothing there; with these short horizons some
+    # entries have such heads
+    assert_matches_scalar(ParamTuple(*tup), n, horizon)
 
 
 GUARDS = [-1, 0, 5, 299, 300, 2000]

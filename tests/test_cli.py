@@ -1,5 +1,10 @@
 import json
+import os
+import pathlib
+import resource
+import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -65,6 +70,65 @@ def test_verify_fixed_point(capsys):
     rep = json.loads(out)
     assert rep["pass"] is True
     assert all(c["status"] == "PASS" for c in rep["checks"])
+
+
+def _cap_child():
+    # 2 GiB of address space: a table sized by the shifts fails at once
+    # with MemoryError instead of being allocated; 60 s of CPU ends a hang
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+
+def run_capped(*argv):
+    """``python -m beattydim.cli ARGV`` in a capped child; returns (exit
+    code, stdout, stderr, child CPU seconds, child peak RSS in KB), the
+    last two from the child's own rusage."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "beattydim.cli", *argv],
+                                stdout=out, stderr=err, env=env, cwd=root,
+                                preexec_fn=_cap_child)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return (proc.returncode, out.read().decode(), err.read().decode(),
+                usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
+
+
+SHIFTED_VERIFY = ["verify", "--alpha=3/2", "--gamma=3", "--matrix=11;10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--delta=-100000000000", "--n=10"],
+    ["--delta=100000000000", "--n=300"],
+    ["--beta=1000000000000", "--n=300"],
+])
+def test_verify_large_shift_scans_only_the_window(argv):
+    # chains headed above n are found from their entry points into
+    # [1, n], so no table or head scan grows with the shifts
+    code, out, err, cpu, _ = run_capped(*SHIFTED_VERIFY, *argv)
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+    assert cpu < 1.0
+
+
+def test_verify_peak_rss_does_not_grow_with_the_shift():
+    rss = [run_capped(*SHIFTED_VERIFY, f"--delta={d}", "--n=10")[4]
+           for d in (-10**5, -10**11)]
+    assert abs(rss[0] - rss[1]) < 5 * 1024, rss
+
+
+def test_verify_shift_past_the_lane_bound_is_invalid_input():
+    # the predecessors of the chains entering [1, 10] lie near 10^20
+    code, out, err, _, _ = run_capped(*SHIFTED_VERIFY, f"--delta=-{10**20}",
+                                      "--n=10")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: ") and "2^62" in err
+    assert "Traceback" not in err
 
 
 def test_verify_skips_product_form_for_chains_leaving_n(capsys):

@@ -3,12 +3,12 @@
 The parameters are drawn from the CLI grammar (integers, rationals,
 decimals, surd sums) and from malformed strings.  Every call must exit
 with a code in 0-3 -- argparse rejections included -- and never raise,
-within a time limit per example.  Shifts stay within |50| and windows
-within n <= 300: ``decompose`` still scans [1, n + C] with C growing
-with the shifts (ROADMAP item 3).  Decimals have at most two places:
-that scan and the horizon also grow as gamma - alpha shrinks, and more
-places bring alpha and gamma closer.  ``--out`` is left out, since it
-writes files.  All examples share one parser.
+within a time limit per example.  Shifts stay within |50|, except one
+draw in four within 10^12: ``decompose`` scans [1, n] only, and no
+table or walk grows with the shifts.  Windows stay within n <= 1000.
+Decimals have at most two places: the horizon grows as gamma - alpha
+shrinks, and more places bring alpha and gamma closer.  ``--out`` is
+left out, since it writes files.  All examples share one parser.
 """
 
 import json
@@ -49,6 +49,12 @@ def _real(lo, hi):
     ), st.sampled_from(MALFORMED))
 
 
+def _shift():
+    """A shift from _real within |50|, or, one draw in four, within 10^12."""
+    return st.integers(min_value=0, max_value=3).flatmap(
+        lambda i: _real(-10**12, 10**12) if i == 0 else _real(-50, 50))
+
+
 def _int(lo, hi, bad_lo):
     return _or(st.integers(min_value=lo, max_value=hi).map(str),
                st.one_of(st.integers(min_value=bad_lo, max_value=lo).map(str),
@@ -77,8 +83,8 @@ def argv(draw):
     command = draw(st.sampled_from(["classify", "densities", "dim", "verify"]))
     args = [command, f"--alpha={draw(_real(1, 5))}", f"--gamma={draw(_real(2, 20))}"]
     optional = {
-        "--beta": _real(-50, 50),
-        "--delta": _real(-50, 50),
+        "--beta": _shift(),
+        "--delta": _shift(),
         "--K": _int(1, 60, -2),
         "--format": _choice("json", "json", "csv", bad="xml"),
     }
@@ -87,7 +93,7 @@ def argv(draw):
     else:
         optional["--matrix"] = MATRIX
     if command != "classify":  # densities and dim default to n = 100000
-        args.append(f"--n={draw(_int(1, 300, -3))}")
+        args.append(f"--n={draw(_int(1, 1000, -3))}")
         optional["--horizon"] = _int(1, 80, -2)
     if command in ("densities", "dim"):
         optional["--mode"] = _choice("closed", "empirical", "both")
