@@ -16,7 +16,7 @@ from beattydim import (
     classify_region,
     closed_form_d,
     decompose,
-    derived_dij,
+    dij_row,
     empirical_densities,
     rational_d,
 )
@@ -76,10 +76,11 @@ print("=" * 72)
 print("4. The refined split d_(i,j)")
 print("=" * 72)
 
-d = derived_dij(rational_d(p), p)
+d = rational_d(p)
 print("how many of a class-i chain's elements land inside [1, n]:")
 for i in (2, 3):
-    row = ", ".join(f"d({i},{j}) = {d.dij[(i, j)]}" for j in range(1, i + 1))
+    row = ", ".join(f"d({i},{j}) = {v}"
+                    for j, v in enumerate(dij_row(p, i, d.entry(i)), start=1))
     print(f"  i={i}: {row}")
 print("each row telescopes exactly to d_i; the counting oracle in the test")
 print("suite confirms the split against measured A_(i,j) frequencies.")

@@ -27,7 +27,6 @@ from .chains import (
     HorizonTooSmall,
     decompose,
     default_horizon,
-    derived_dij,
     dij_row,
     empirical_densities,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "count_patterns",
     "decompose",
     "default_horizon",
-    "derived_dij",
     "dij_row",
     "dimension_report",
     "dims_coincide",

@@ -52,17 +52,20 @@ trajectory.  They sit at consecutive steps, as the pattern-count
 product form (``oracle.chain_product_count``) needs, so no walk checks.
 
 ``walk_heads`` is the one head-scan engine.  ``decompose`` passes every
-head at once and gets per-head arrays (class and the visible elements
-in CSR form), which it stores as chains in columns, with the refined
-counts d_{i,j} (exactly j of the i chain elements inside [1,n]) and the
-residual set.  Its tables cover [1, n] only: a chain headed above n
-reaches the window only by down-steps (h(k) < 0, so k < k_f of
-``_growth_start``), and ``_entry_heads`` climbs it from its entry.
+head at once, the A_1 singletons included (each leaves SA at step 0, so
+it comes back as class 1 with itself visible), and gets per-head arrays
+(class and the visible elements in CSR form); it compresses out the
+chains that left N and stores the rest as chains in columns, with the
+refined counts d_{i,j} (exactly j of the i chain elements inside
+[1,n]) and the residual set.  Its tables cover [1, n] only: a chain
+headed above n reaches the window only by down-steps (h(k) < 0, so k <
+k_f of ``_growth_start``), and ``_entry_heads`` climbs it from its
+entry.
 ``_window_counts`` streams a window's heads from the tables one slice
 of CHUNK positions at a time and keeps only class tallies, from which
-``empirical_densities`` estimates d_i; its horizon-doubling probe walks
-each head once to twice the horizon and reads the class at the horizon
-off that walk.
+``empirical_densities`` estimates d_i, every measured class in the
+vector's ``head``; its horizon-doubling probe walks each head once to
+twice the horizon and reads the class at the horizon off that walk.
 Membership tables are marked in place from chunked kernel floors, so
 windows of 10^6 are routine.
 """
@@ -203,52 +206,38 @@ class Empirical:
 
 @dataclass(frozen=True, slots=True)
 class DensityVector:
-    """(d_1 .. d_K, d_inf) with provenance.
+    """(d_1, d_2, ..., d_inf) with provenance, in one stored form.
 
     ``head`` holds the leading entries; past ``len(head)`` the entries
     follow the geometric law d_{i+1} = tail_ratio * d_i (zero without a
     ratio or with a head shorter than 2), in exact arithmetic for
     ``Fraction`` heads.  So a rational closed form stores (d_1, d_2)
-    whatever K is, and ``finite`` rebuilds d_1 .. d_K on each read.  The
-    law also extends closed-form vectors past K; empirical vectors
-    instead carry K explicit entries, the measured masses of classes
-    beyond K in ``beyond`` and a window-agreement ``diagnostic``.
-    Infinity-candidate mass is kept separate from finite tail mass
-    throughout.
+    whatever K is, and ``finite`` rebuilds d_1 .. d_K on each read.  An
+    empirical vector has no law: its head holds every measured class,
+    max(K, largest class) entries, and it carries a window-agreement
+    ``diagnostic`` over d_1 .. d_K and d_inf.  K is the length of the
+    reported ``finite`` part, not of the stored one.  Infinity-candidate
+    mass is kept separate from finite tail mass throughout.
     """
 
     head: tuple[Num, ...]
     d_inf: Num
     K: int
     provenance: object
-    dij: Optional[dict] = None
     tail_ratio: Optional[Num] = None
-    beyond: Optional[dict] = None  # {i: mass} for K < i (empirical)
     diagnostic: Optional[float] = None
-
-    def _float_run(self) -> list[float]:
-        """float(d_1) .. float(d_K), each rounded once from its exact
-        value.  An exact law steps an unreduced numerator and denominator
-        (int / int rounds correctly whatever their common factors), which
-        skips the gcds of every Fraction product."""
-        h, r = len(self.head), self.tail_ratio
-        if h >= self.K:
-            return [float(v) for v in self.head[:self.K]]
-        if h < 2 or not (isinstance(r, Fraction)
-                         and isinstance(self.head[-1], Fraction)):
-            return [float(v) for v in self.finite]
-        out = [float(v) for v in self.head]
-        num, den = self.head[-1].numerator, self.head[-1].denominator
-        for _ in range(self.K - h):
-            num *= r.numerator
-            den *= r.denominator
-            out.append(num / den)
-        return out
 
     @property
     def finite(self) -> tuple[Num, ...]:
         """d_1 .. d_K."""
         return tuple(self.entry(i) for i in range(1, self.K + 1))
+
+    @property
+    def beyond(self) -> Optional[dict]:
+        """{i: d_i} for the stored classes i > K with d_i != 0, or None."""
+        out = {i: v for i, v in enumerate(self.head[self.K:], start=self.K + 1)
+               if v}
+        return out or None
 
     def entry(self, i: int) -> Num:
         if i < 1:
@@ -256,8 +245,6 @@ class DensityVector:
         h = len(self.head)
         if i <= h:
             return self.head[i - 1]
-        if i > self.K and self.beyond:
-            return self.beyond.get(i, 0.0)
         if self.tail_ratio is not None and h >= 2:
             return self.head[-1] * self.tail_ratio ** (i - h)
         return 0 * self.head[0]
@@ -265,43 +252,41 @@ class DensityVector:
     def entry_float(self, i: int) -> float:
         return float(self.entry(i))
 
-    def suffix_float(self, i: int) -> float:
-        """sum of d_j over j > i (geometric extension / measured tail)."""
-        return self._suffix(i, self._float_run())
-
-    def _suffix(self, i: int, finite: list[float]) -> float:
-        total = 0.0
-        for j in range(i + 1, self.K + 1):
-            total += finite[j - 1]
-        if self.beyond:
-            total += sum(v for jj, v in self.beyond.items() if jj > max(i, self.K))
-        elif self.tail_ratio is not None and self.K >= 2:
-            rho = float(self.tail_ratio)
-            dk = finite[self.K - 1]
-            if dk > 0 and rho >= 1:
-                raise ValueError("geometric tail with ratio >= 1 is not summable")
-            if dk > 0 and rho > 0:
-                start = max(i, self.K)
-                total += dk * rho ** (start - self.K + 1) / (1.0 - rho)
-        return total
-
     def floats(self, N: int) -> tuple[list[float], list[float]]:
         """d_1 .. d_N and the suffix sums s_i = sum_{j>i} d_j for
         i = 1 .. N, as floats (list index i - 1): one read of the vector
-        for a series truncated at N."""
-        K = self.K
-        finite = self._float_run()
-        d = finite[:N]
-        if N > K:
-            if self.beyond:
-                d += [float(self.beyond.get(i, 0.0)) for i in range(K + 1, N + 1)]
-            elif self.tail_ratio is not None and K >= 2:
-                r = float(self.tail_ratio)
-                d += [d[K - 1] * r ** (i - K) for i in range(K + 1, N + 1)]
-            else:
-                d += [0.0] * (N - K)
+        for a series truncated at N.
+
+        Entries 1 .. L = max(K, len(head)) are each rounded once from
+        their exact values; an exact law steps an unreduced numerator and
+        denominator (int / int rounds correctly whatever their common
+        factors), which skips the gcds of every Fraction product.  Past
+        L the law extends them in floats, and its closed geometric sum
+        starts the suffix sums."""
+        h, r, last = len(self.head), self.tail_ratio, self.head[-1]
+        L = max(self.K, h)
+        run = [float(v) for v in self.head]
+        if h >= 2 and isinstance(r, Fraction) and isinstance(last, Fraction):
+            num, den = last.numerator, last.denominator
+            for _ in range(L - h):
+                num *= r.numerator
+                den *= r.denominator
+                run.append(num / den)
+        else:
+            run += [self.entry_float(i) for i in range(h + 1, L + 1)]
+        d = run[:N]
+        s = 0.0  # sum_{j>N} d_j
+        for v in run[N:]:
+            s += v
+        # the law past L: d_L * rho^(i - L), all zeros without one
+        rho, dl = ((float(r), run[-1]) if r is not None and L >= 2
+                   else (0.0, 0.0))
+        d += [dl * rho ** (i - L) for i in range(L + 1, N + 1)]
+        if dl > 0 and rho >= 1:
+            raise ValueError("geometric tail with ratio >= 1 is not summable")
+        if dl > 0 and rho > 0:
+            s += dl * rho ** (max(N, L) - L + 1) / (1.0 - rho)
         suffix = [0.0] * N
-        s = self._suffix(N, finite)
         for i in range(N - 1, -1, -1):
             suffix[i] = s
             s += d[i]
@@ -332,27 +317,6 @@ def dij_row(p: ParamTuple, i: int, d_i: Num) -> list:
     row = [d_i * (rho ** (j - 1) - rho ** j) for j in range(1, i)]
     row.append(d_i * rho ** (i - 1))
     return row
-
-
-def derived_dij(d: DensityVector, p: ParamTuple) -> DensityVector:
-    """Copy of d with the d_{i,j} table filled for 1 <= i <= K."""
-    table = {}
-    for i in range(1, d.K + 1):
-        di = d.entry(i)
-        if float(di) == 0.0:
-            continue
-        for j, v in enumerate(dij_row(p, i, di), start=1):
-            table[(i, j)] = v
-    return DensityVector(
-        head=d.head,
-        d_inf=d.d_inf,
-        K=d.K,
-        provenance=d.provenance,
-        dij=table,
-        tail_ratio=d.tail_ratio,
-        beyond=d.beyond,
-        diagnostic=d.diagnostic,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +438,15 @@ class _ScanContext:
     def walk_heads(self, heads: Iterable[np.ndarray], horizon: int,
                    cutoff: int) -> Union["_HeadWalks", "_HeadTally"]:
         """Follow the chains of a stream of heads (int64 arrays in head
-        order, each head in SA\\SG), one step of f per round for every
+        order, each head outside SG), one step of f per round for every
         live lane, through the vectorized kernel.  A lane is a column
         (head index, step j, iterate y), and whenever at most CHUNK // 2
         lanes are live the next arrays of the stream join them until more
         are, so rounds stay full and a window pays the tail of its
         longest chains once.  The steps, exits and visibility rules are
         those of ``walk``; a lane whose iterate passes the lane guard
-        resumes there at its step j.
+        resumes there at its step j.  A head outside SA ends at step 0,
+        as class 1.
 
         A lane ends as the column (head index, j, k): k = 0 when its
         step-j iterate left SA (class j + 1), k < 0 when the chain left
@@ -489,15 +454,14 @@ class _ScanContext:
         infinite.  With cutoff >= 1 the elements <= cutoff are visible,
         and the per-head arrays of the whole stream come back as
         ``_HeadWalks``.  With cutoff < 1 ended lanes are tallied, in
-        O(CHUNK + horizon) memory, into a ``_HeadTally``."""
+        O(CHUNK + longest step) memory, into a ``_HeadTally``."""
         track = cutoff >= 1
         if track:
             heads = list(heads)
             m = sum(h.size for h in heads)
             cls = np.zeros(m, dtype=np.int64)
-        else:
-            ends = np.zeros(horizon + 1, dtype=np.int64)
-            left = np.zeros(horizon + 1, dtype=np.int64)
+        else:  # grown to the largest step tallied, not to the horizon
+            ends = left = np.zeros(0, dtype=np.int64)
         seen_lanes = [np.zeros(0, dtype=np.int64)]
         seen_values = [np.zeros(0, dtype=np.int64)]
         ended: list[np.ndarray] = []  # end columns not yet tallied
@@ -520,7 +484,7 @@ class _ScanContext:
                 tally()
 
         def tally():
-            nonlocal pending
+            nonlocal pending, ends, left
             lanes, j, k = (ended[0] if len(ended) == 1
                            else np.concatenate(ended, axis=1))
             ended.clear()
@@ -530,9 +494,9 @@ class _ScanContext:
                 cls[lanes] = np.where(fin, j + 1,
                                       np.where(out, _RESIDUAL, _INFINITE))
                 return
-            ends[:] += np.bincount(j[fin], minlength=horizon + 1)
+            ends = _add_counts(ends, j[fin])
             if out.any():
-                left[:] += np.bincount(j[out], minlength=horizon + 1)
+                left = _add_counts(left, j[out])
 
         def resume(lane, j, y):
             # y is the step-j iterate, already seen; walk() takes over
@@ -610,6 +574,13 @@ class _ScanContext:
         return _HeadWalks(cls, offsets, elements)
 
 
+def _add_counts(acc: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """acc plus the bincount of steps, as long as the longer of the two."""
+    c = np.bincount(steps, minlength=acc.size)
+    c[:acc.size] += acc
+    return c
+
+
 class _HeadWalks(NamedTuple):
     """Per-head results of ``_ScanContext.walk_heads`` with cutoff >= 1."""
 
@@ -623,6 +594,7 @@ class _HeadTally(NamedTuple):
     """Class tallies of ``_ScanContext.walk_heads`` with cutoff < 1."""
 
     heads: int
+    # each as long as its largest step tallied plus one
     ends: np.ndarray  # at j: heads whose step-j iterate left SA (class j + 1)
     left: np.ndarray  # at j: heads whose chain left N at step j
 
@@ -748,7 +720,10 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
     """Assign every x in [1, n] to exactly one chain segment or to the
     residual set, from tables on [1, n] and the heads above n of
     ``_entry_heads``; trajectory elements above n are classified but
-    not listed as covered."""
+    not listed as covered.  Every x <= n outside S(gamma, delta) heads
+    a chain, so one ``walk_heads`` call over those and the entry heads,
+    already in head order, classifies every chain, the A_1 singletons
+    included."""
     if n < 1:
         raise ValueError("window size must be >= 1")
     if horizon is None:
@@ -757,27 +732,18 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
         raise ValueError("horizon must be >= 1")
     entries = _entry_heads(p, n, horizon)
     ctx = _ScanContext(p, n)
-    free = np.frombuffer(ctx.sg, dtype=np.uint8)[1:] == 0  # x = index + 1
-    in_sa = np.frombuffer(ctx.sa, dtype=np.uint8)[1:] == 1
-    heads = np.concatenate([np.flatnonzero(in_sa & free) + 1, entries])
+    # every x <= n outside SG heads a chain (an A_1 head leaves SA at
+    # step 0: class 1, itself visible), and the entry heads follow
+    free = np.flatnonzero(np.frombuffer(ctx.sg, dtype=np.uint8)[1:] == 0) + 1
+    heads = np.concatenate([free, entries])
     w = ctx.walk_heads([heads], horizon, n)
     vis = np.diff(w.offsets)
     # a chain that left N leaves its visible elements to the residual
     keep = (w.cls != _RESIDUAL) & (vis > 0)
-    a1 = np.flatnonzero(free & ~in_sa) + 1
-    ones = np.ones(a1.size, dtype=np.int64)
-
-    chain_heads = np.concatenate([heads[keep], a1])
-    order = np.argsort(chain_heads, kind="stable")
-    chain_heads = chain_heads[order]
-    classes = np.concatenate([w.cls[keep], ones])[order]
-    lengths = np.concatenate([vis[keep], ones])[order]
-    starts = np.concatenate(
-        [w.offsets[:-1][keep], w.elements.size + np.arange(a1.size)])[order]
-    offsets = np.zeros(order.size + 1, dtype=np.int64)
+    classes, lengths = w.cls[keep], vis[keep]
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-    elements = np.concatenate([w.elements, a1])[gather]
+    elements = w.elements[np.repeat(keep, vis)]
 
     covered = np.zeros(n + 1, dtype=bool)
     covered[elements] = True
@@ -794,7 +760,7 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
         residual=residual,
         counts=counts,
         horizon=horizon,
-        heads=chain_heads,
+        heads=heads[keep],
         classes=classes,
         offsets=offsets,
         elements=elements,
@@ -894,26 +860,23 @@ def empirical_densities(
             )
         per_window.append((lo, hi, a1, fin, cand))
 
-    lo, hi, a1, fin, cand = per_window[0]
-    width = hi - lo + 1
-
-    def vec(a1c, finc, candc, w):
-        ent = [0.0] * K
+    def vec(lo, hi, a1c, finc, candc):
+        # d_1 .. d_L, L = max(K, largest class), and d_inf
+        w = hi - lo + 1
+        ent = [0.0] * max([K, *finc])
         ent[0] = a1c / w
         for i, c in finc.items():
-            if 2 <= i <= K:
-                ent[i - 1] = c / w
-        beyond = {i: c / w for i, c in finc.items() if i > K}
-        return ent, candc / w, beyond
+            ent[i - 1] = c / w
+        return ent, candc / w
 
-    ent, dinf, beyond = vec(a1, fin, cand, width)
+    ent, dinf = vec(*per_window[0])
 
     diagnostic = None
     if len(per_window) >= 2:
-        l2, h2, a12, fin2, cand2 = per_window[1]
-        ent2, dinf2, _ = vec(a12, fin2, cand2, h2 - l2 + 1)
+        ent2, dinf2 = vec(*per_window[1])
         diagnostic = max(
-            max(abs(a - b) for a, b in zip(ent, ent2)), abs(dinf - dinf2)
+            max(abs(a - b) for a, b in zip(ent[:K], ent2[:K])),
+            abs(dinf - dinf2)
         )
 
     return DensityVector(
@@ -921,6 +884,5 @@ def empirical_densities(
         d_inf=dinf,
         K=K,
         provenance=Empirical(windows=tuple(wins), horizon=horizon),
-        beyond=beyond or None,
         diagnostic=diagnostic,
     )

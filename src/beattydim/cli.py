@@ -8,8 +8,9 @@ Subcommands:
 * ``verify``    -- cross-checks: graph oracle vs exhaustive enumeration,
                    chain-product consistency, partition of [1, n].
 
-Exit codes: 0 success, 1 verification check failed, 2 validation error,
-3 numeric failure (precision exhausted, non-convergence, unstable
+Exit codes: 0 success, 1 verification check failed, 2 validation error
+(including a window that needs more memory than is available), 3
+numeric failure (precision exhausted, non-convergence, unstable
 horizon, a dimension outside the float range).  Reports are byte-stable
 for a fixed invocation: keys are sorted and floats rounded to 12
 significant digits.
@@ -262,6 +263,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("invalid input: the window needs more memory than is available",
+              file=sys.stderr)
         return 2
 
 

@@ -323,7 +323,7 @@ def transfer_sums(A: BinaryMatrix, rho: float, N: int) -> list[float]:
 
 def _hausdorff_tail(d: DensityVector, N: int) -> float:
     """Bound sum_{i>N} d_i (i+1) via the geometric tail descriptor."""
-    if d.beyond is not None or d.tail_ratio is None:
+    if d.tail_ratio is None:
         return 0.0  # measured tails are summed in full
     rho = float(d.tail_ratio)
     dn = d.entry_float(N + 1)
@@ -346,10 +346,8 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     irreducible otherwise (the caller surfaces warnings)."""
     _validate_eps(eps)
     logm = math.log(A.m)
-    N = d.K
-    if d.beyond:
-        N = max(N, max(d.beyond))
-    elif d.tail_ratio is not None and float(d.tail_ratio) > 0.0:
+    N = max(d.K, len(d.head))
+    if d.tail_ratio is not None and float(d.tail_ratio) > 0.0:
         while _hausdorff_tail(d, N) > eps / 2 and N < 100_000:
             N += max(8, N // 8)
     tail = _hausdorff_tail(d, N)

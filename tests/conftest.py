@@ -179,6 +179,21 @@ def reference_minkowski_dim(A, d, p, eps=1e-10):
     return total, tail + 1e-13 * max(1, N)
 
 
+def reference_suffix(d, i):
+    """sum_{j>i} d_j from per-entry reads: the entries i+1 .. L, L =
+    max(K, len(head)), one ``entry_float`` at a time, then past L the
+    closed sum of the geometric law."""
+    L = max(d.K, len(d.head))
+    total = 0.0
+    for j in range(i + 1, L + 1):
+        total += d.entry_float(j)
+    if d.tail_ratio is not None and len(d.head) >= 2:
+        rho, dl = float(d.tail_ratio), d.entry_float(L)
+        if dl > 0 and rho > 0:
+            total += dl * rho ** (max(i, L) - L + 1) / (1.0 - rho)
+    return total
+
+
 def reference_transfer_sums(A, rho, N):
     """[T(2), ..., T(N)] by the step-at-a-time recursion g_1 = a^rho,
     g_k = (A g_{k-1})^rho, T(i) = sum(g_{i-1})."""

@@ -10,7 +10,6 @@ from beattydim import (
     ParamTuple,
     HorizonTooSmall,
     decompose,
-    derived_dij,
     dij_row,
     empirical_densities,
 )
@@ -28,7 +27,7 @@ from beattydim.chains import (
 )
 from beattydim.numerics import Rational, ceil_value, rational, surd
 from conftest import (REGION_TUPLES, NonPositiveImage, f_map,
-                      reference_chain_bound)
+                      reference_chain_bound, reference_suffix)
 
 NOT_HEAD = ChainClass("not_head")
 
@@ -390,16 +389,6 @@ def test_derived_dij_counting_oracle():
     assert dec.counts == small
 
 
-def test_derived_dij_attaches_table():
-    from beattydim import classify_region, closed_form_d
-
-    p = ParamTuple(2, 0, 3, 0)
-    d = closed_form_d(p, classify_region(p))
-    dd = derived_dij(d, p)
-    assert dd.dij[(1, 1)] == d.finite[0]
-    assert sum(dd.dij[(3, j)] for j in (1, 2, 3)) == d.finite[2]
-
-
 def test_empirical_matches_closed_small():
     from beattydim import classify_region, closed_form_d
 
@@ -431,6 +420,9 @@ def test_empirical_beyond_k_separated():
     d = empirical_densities(ParamTuple(2, 0, 3, 0), [(1, 50_000)], K=3)
     assert d.beyond, "classes beyond K should be tracked separately"
     assert all(i > 3 for i in d.beyond)
+    # one stored form: the head holds every measured class, K or more
+    assert len(d.head) == max(d.beyond) and len(d.finite) == 3
+    assert all(d.entry(i) == v for i, v in d.beyond.items())
     assert d.d_inf_float() < 1e-3  # no infinite chains in R10
 
 
@@ -441,7 +433,8 @@ def test_suffix_and_entry_extension():
     d = closed_form_d(p, classify_region(p), K=10)
     # entries continue geometrically past K: d_i = (g1-1)(a1-1)/(g1*A*a1^(i-1))
     assert d.entry(11) == Fraction(2, 3 * 2 * 2**10)
-    tail = d.suffix_float(10)
+    tail = d.floats(10)[1][-1]
+    assert tail == reference_suffix(d, 10)
     exact = sum(float(Fraction(2, 6 * 2 ** (i - 1))) for i in range(11, 200))
     assert abs(tail - exact) < 1e-12
 

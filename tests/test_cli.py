@@ -131,6 +131,30 @@ def test_verify_shift_past_the_lane_bound_is_invalid_input():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--alpha=2", "--gamma=3", "--matrix=11;10",
+     "--n=1000000000000"],
+    ["densities", "--alpha=2", "--gamma=3", "--mode=empirical",
+     "--n=1000000000000"],
+])
+def test_window_past_the_memory_cap_is_invalid_input(argv):
+    # the tables of [1, 10^12] do not fit under the child's 2 GiB cap:
+    # exit 2, not the code of a failed check
+    code, out, err, _, _ = run_capped(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: ") and "memory" in err
+    assert "Traceback" not in err
+
+
+def test_horizon_does_not_size_the_tallies():
+    # the class tallies grow with the longest chain, not with the horizon
+    argv = ["densities", "--alpha=2", "--gamma=3", "--mode=empirical",
+            "--n=100"]
+    code, out, err, _, _ = run_capped(*argv, "--horizon=1000000000000")
+    assert code == 0, err
+    assert out == run_capped(*argv)[1]
+
+
 def test_verify_skips_product_form_for_chains_leaving_n(capsys):
     # the chain 37 -> 25 -> 1 leaves N at f(1) = -47, so its elements are
     # residual yet constrained: the product form does not apply, and the

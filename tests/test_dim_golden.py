@@ -6,9 +6,13 @@ exact stdout.  The tuples are one per closed-form region (the
 ``REGION_TUPLES`` of conftest) plus two slow-tail tuples with
 alpha/gamma = 21/22 and 20/21, whose series run to hundreds of terms.
 Each tuple runs with a 2x2, a 3x3 and an 8x8 primitive matrix with
-unequal row sums, so both dimensions are evaluated and differ.  After
+unequal row sums, so both dimensions are evaluated and differ.  Two
+empirical cases cover the measured vector: an R6Open tuple at K = 3,
+whose classes past K feed both series, and an R4 tuple with the closed
+and empirical reports side by side.  After
 an intended change of output, rewrite a golden file with
-``PYTHONPATH=src python -m beattydim.cli dim ARGS > tests/golden/dim/NAME.out``.
+``PYTHONPATH=src python -m beattydim.cli dim ARGS > tests/golden/dim/NAME.out``,
+with ARGS those of ``CASES[NAME]``.
 """
 
 import pathlib
@@ -43,7 +47,16 @@ MATRICES = {
           "11110001;00011001;01000010;10011110",
 }
 
-CASES = {f"{t}_{m}": (TUPLES[t], MATRICES[m]) for t in TUPLES for m in MATRICES}
+# name -> the dim arguments
+CASES = {
+    f"{t}_{m}": [f"--alpha={a}", f"--beta={b}", f"--gamma={g}",
+                 f"--delta={d}", f"--matrix={MATRICES[m]}"]
+    for t, (a, b, g, d) in TUPLES.items() for m in MATRICES
+}
+CASES["emp_r6open_m3"] = ["--alpha=sqrt(2)", "--gamma=3/2*sqrt(2)", "--K=3",
+                          "--n=20000", f"--matrix={MATRICES['m3']}"]
+CASES["emp_r4_both_m2"] = ["--alpha=sqrt(2)", "--gamma=sqrt(3)", "--mode=both",
+                           "--K=5", "--n=50000", f"--matrix={MATRICES['m2']}"]
 
 
 def test_every_case_has_a_golden_file():
@@ -59,9 +72,6 @@ def test_tuples_match_region_tuples():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_dim_output_is_byte_stable(name, capsys):
-    (alpha, beta, gamma, delta), matrix = CASES[name]
-    argv = [f"--alpha={alpha}", f"--beta={beta}", f"--gamma={gamma}",
-            f"--delta={delta}", f"--matrix={matrix}"]
-    assert cli.main(["dim", *argv]) == 0
+    assert cli.main(["dim", *CASES[name]]) == 0
     out, _ = capsys.readouterr()
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

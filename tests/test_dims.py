@@ -26,7 +26,7 @@ from beattydim.chains import ClosedForm
 from beattydim.dims import _hausdorff_tail, _mink_tail, transfer_sums
 from conftest import (REGION_TUPLES, naive_power_sums, random_irreducible,
                       random_primitive, reference_minkowski_dim,
-                      reference_transfer_sums)
+                      reference_suffix, reference_transfer_sums)
 
 
 def plastic_root(tol=1e-13):
@@ -381,7 +381,8 @@ def reference_minkowski(A, d, p, eps=1e-10):
     dinf = d.d_inf_float()
     total, rp = 0.0, 1.0
     for i in range(1, N + 1):
-        w = rp * d.entry_float(i) + (rp - rp * rho) * (d.suffix_float(i) + dinf)
+        w = (rp * d.entry_float(i)
+             + (rp - rp * rho) * (reference_suffix(d, i) + dinf))
         if w:
             total += w * math.log(sums[i - 1]) / logm
         rp *= rho
@@ -427,8 +428,9 @@ def test_series_match_reference_loops_empirical_tail(rng):
 
 
 def test_density_floats_match_entry_reads():
-    # the one-pass read the series use, against per-term entry and
-    # suffix reads: closed-form, slow geometric and measured tails
+    # the one-pass read the series use, against per-term entry reads
+    # and the per-entry suffix reference: closed-form, slow geometric and
+    # measured tails
     ds = [closed_form_d(p, classify_region(p)) for p in REGION_TUPLES.values()]
     for args in (("21/20", 0, "11/10", 0), ("11/10", "1/3", "6/5", 0)):
         p = ParamTuple(*args)
@@ -441,7 +443,8 @@ def test_density_floats_match_entry_reads():
             assert len(dv) == len(suffix) == N
             for i in range(1, N + 1):
                 assert abs(dv[i - 1] - d.entry_float(i)) <= 1e-15, (d, i)
-                assert abs(suffix[i - 1] - d.suffix_float(i)) <= 1e-15, (d, i)
+                assert abs(suffix[i - 1] - reference_suffix(d, i)) <= 1e-15, (
+                    d, i)
 
 
 def test_transfer_sums_match_t_phi(rng):
