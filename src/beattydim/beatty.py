@@ -326,12 +326,7 @@ class BeattyPair:
         if B == 0 and F == 0:
             return lambda k: (A * k + E) // Z
         sf = _surd_floor_ints
-
-        def fast(k: int) -> int:
-            X, Y = A * k + E, B * k + F
-            return X // Z if Y == 0 else sf(X, Y, D, Z)
-
-        return fast
+        return lambda k: sf(A * k + E, B * k + F, D, Z)
 
     @cached_property
     def member(self) -> Callable[[int], int]:
@@ -364,21 +359,20 @@ class BeattyPair:
         Loops over k start or end here, so a large shift costs nothing:
         k >= (x - eta)/tau is the condition, so the answer is max(1,
         ceil((x - eta)/tau)).  With the inverse form that ceiling is one
-        ``_surd_floor_ints`` (an integer division for rational pairs),
-        the expression ``member`` evaluates.  Other pairs start from a
-        lower enclosure of the quotient, which carries the bits of its
-        magnitude on top of 64, so it is narrower than 1 even for shifts
-        near 10^30 times a surd.  Monotonicity of k -> floor(tau*k + eta)
-        lets the final steps settle the start exactly."""
+        exact ``_surd_floor_ints`` (an integer division for rational
+        pairs), the expression ``member`` evaluates.  Other pairs start
+        from a lower enclosure of the quotient, which carries the bits of
+        its magnitude on top of 64, so it is narrower than 1 even for
+        shifts near 10^30 times a surd; monotonicity of k -> floor(tau*k
+        + eta) lets a few steps settle the start exactly."""
         if self._inverse is not None:
             A1, B1, E1, F1, Z1, D1 = self._inverse
-            k = -_surd_floor_ints(-(A1 * x + E1), -(B1 * x + F1), D1, Z1)
-        else:
-            q = _div(_add(Rational(Fraction(x)), _neg(self.eta)), self.tau)
-            mag = max(map(abs, q.enclosure(16)))
-            lo, _ = q.enclosure(64 + int(mag).bit_length())
-            k = -((-lo.numerator) // lo.denominator)
-        k = max(1, k)
+            return max(1, -_surd_floor_ints(-(A1 * x + E1), -(B1 * x + F1),
+                                            D1, Z1))
+        q = _div(_add(Rational(Fraction(x)), _neg(self.eta)), self.tau)
+        mag = max(map(abs, q.enclosure(16)))
+        lo, _ = q.enclosure(64 + int(mag).bit_length())
+        k = max(1, -((-lo.numerator) // lo.denominator))
         floor = self.floor
         while floor(k) < x:
             k += 1

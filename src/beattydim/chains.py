@@ -76,7 +76,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, floor, inf, isfinite, lcm, log
+from math import ceil, inf, lcm, log
 from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
                     Union)
 
@@ -334,8 +334,9 @@ def default_horizon(p: ParamTuple, n: int) -> int:
     except OverflowError:  # past the float range: from the exact quotient
         q = p.ratio.enclosure(96)[0]
         log_ratio = log(q.numerator) - log(q.denominator)
-    if log_ratio <= 0.0:
-        raise ValueError("gamma/alpha must exceed 1")
+    if log_ratio <= 0.0:  # a ParamTuple has alpha < gamma exactly
+        raise FloatingPointError("gamma/alpha exceeds 1 but rounds to 1 "
+                                 "in float64, so no horizon is defined")
     return int(ceil(log(max(10 * n, 10)) / log_ratio)) + 8
 
 
@@ -344,36 +345,23 @@ def default_horizon(p: ParamTuple, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
-    """Byte membership table of the pair's S(tau, eta) on [1, bound], from
-    chunked kernel floors of k = k0, k0 + 1, ..., with k0 = first_k.  A
+    """Byte membership table of the pair's S(tau, eta) on [1, bound]: the
+    kernel floors of k in [first_k, first_k_at(bound + 1)), which are
+    exactly its members in [1, bound], in blocks of CHUNK lanes.  A
     first_k past the bound (a large negative shift) is folded into a
-    shifted pair, whose lane i holds k0 + i, so lanes stay small whatever
-    the shift."""
-    tau, k0 = pair.tau, pair.first_k
+    shifted pair, whose lane i holds first_k + i, so lanes stay small
+    whatever the shift."""
     table = bytearray(bound + 1)
     marks = np.frombuffer(table, dtype=np.uint8)  # marks in place
-    if pair.floor(k0) > bound:  # a large positive shift: no member
-        return table
-    t = tau.approx() if pair._floats is None else pair._floats[0]
-    if k0 > bound:
-        pair, k0 = BeattyPair(tau, _add(pair.eta, _mul(tau, Rational(k0)))), 0
-    floors = pair.floor_lanes
-    # k -> floor(tau*k + eta) steps by at least 1, so about bound/tau
-    # lanes land in [1, bound], and none floors above bound + tau*step;
-    # where that sum may leave int64 (tau of 2^59 or more), the lanes
-    # end at the first k past the bound
-    step = min(CHUNK, int(bound / t) + 2)
-    if bound + t * step > LANE_BOUND / 4:
-        lanes = np.arange(k0, pair.first_k_at(bound + 1), dtype=np.int64)
-        marks[floors(lanes)] = 1
-        return table
-    start = k0
-    while True:
-        v = floors(np.arange(start, start + step, dtype=np.int64))
-        marks[v[v <= bound]] = 1
-        if v[-1] > bound:
-            return table
-        start += step
+    k0, k1 = pair.first_k, pair.first_k_at(bound + 1)
+    if k1 > k0 > bound:
+        tau = pair.tau
+        pair = BeattyPair(tau, _add(pair.eta, _mul(tau, Rational(k0))))
+        k0, k1 = 0, k1 - k0
+    for start in range(k0, k1, CHUNK):
+        lanes = np.arange(start, min(start + CHUNK, k1), dtype=np.int64)
+        marks[pair.floor_lanes(lanes)] = 1
+    return table
 
 
 class _ScanContext:
@@ -601,24 +589,19 @@ class _HeadTally(NamedTuple):
 
 def _lane_guard(p: ParamTuple) -> int:
     """The largest iterate y that ``walk_heads`` keeps in the kernel: a
-    member y <= it has k <= y + |beta| + 1 (alpha >= 1), so every floor
-    of a step stays below LANE_BOUND.
+    member y <= it has an index k < LANE_BOUND whose floor
+    floor(gamma*k + delta) lies in (-LANE_BOUND, LANE_BOUND).
 
-    Any guard at or below floor((LANE_BOUND - |delta|)/gamma - |beta|) - 3
-    keeps that promise, and so does any guard below 1, which keeps no
-    iterate.  This one comes from the pairs' float enclosures, less twice
-    the bound 4u((LANE_BOUND + |delta|)/gamma + |beta|) on the rounding
-    of the float steps.  A value past the float range (2^1024) makes the
-    formula negative: then the guard is -3."""
+    With K = min(g.first_k_at(LANE_BOUND), LANE_BOUND) the guard is
+    min(floor(alpha*K + beta) - 1, LANE_BOUND), or 0 (no iterate) when
+    floor(gamma + delta) <= -LANE_BOUND.  Floors grow with k, so a member
+    y below floor(alpha*K + beta) has k < K, and floor(gamma*k + delta)
+    lies in [floor(gamma + delta), LANE_BOUND)."""
     a, g = p.pairs
-    if a._floats is None or g._floats is None:
-        return -3
-    e, ee = a._floats[2:]
-    tg, etg, eg, eeg = g._floats
-    b, d = abs(e) + ee, abs(eg) + eeg
-    y = (LANE_BOUND - d) / (tg + etg) - b
-    y -= 8.0 * _U * ((LANE_BOUND + d) / (tg + etg) + b) + 1.0
-    return floor(y) - 3 if isfinite(y) else -3
+    if g.floor(1) <= -LANE_BOUND:
+        return 0
+    K = min(g.first_k_at(LANE_BOUND), LANE_BOUND)
+    return min(a.floor(K) - 1, LANE_BOUND)
 
 
 def _certificate(a: BeattyPair, g: BeattyPair) -> Optional[int]:

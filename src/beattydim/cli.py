@@ -9,7 +9,7 @@ Subcommands:
                    chain-product consistency, partition of [1, n].
 
 Exit codes: 0 success, 1 verification check failed, 2 validation error
-(including a window that needs more memory than is available), 3
+(including a request that needs more memory than is available), 3
 numeric failure (precision exhausted, non-convergence, unstable
 horizon, a dimension outside the float range).  Reports are byte-stable
 for a fixed invocation: keys are sorted and floats rounded to 12
@@ -265,8 +265,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("invalid input: the window needs more memory than is available",
-              file=sys.stderr)
+        print("invalid input: the request needs more memory than is "
+              "available", file=sys.stderr)
         return 2
 
 

@@ -135,6 +135,8 @@ def _validate_eps(eps: float) -> None:
 _EPS = math.ulp(1.0)  # machine epsilon
 SOLVER_TOL = 1e-13  # certificate bound at which solve_t stops
 SOLVER_MAX_STEPS = 200  # solve_t raises NonConvergence past this
+_ROUNDS_TO_ONE = ("alpha/gamma is below 1 but rounds to 1 in float64, so "
+                  "the dimension series cannot be summed in floats")
 
 
 def _rho(p: ParamTuple) -> float:
@@ -162,8 +164,8 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     from some l on, is rejected where such a term has weight."""
     _validate_eps(eps)
     rho = _rho(p)  # 0 where gamma/alpha passes the float range
-    if not (0.0 <= rho < 1.0):
-        raise ValueError("alpha/gamma must lie in (0, 1)")
+    if not rho < 1.0:  # a ParamTuple has alpha < gamma exactly
+        raise FloatingPointError(_ROUNDS_TO_ONE)
     N = max(d.K, 8)
     while _mink_tail(N, rho) > eps / 2 and N < 200_000:
         N += max(8, N // 8)
@@ -227,9 +229,11 @@ def solve_t(A: BinaryMatrix, r) -> TSolverResult:
     log sum(t), taken from Phi(u) without leaving the float range;
     ``iterations`` counts the steps taken."""
     r = r if isinstance(r, Real) else Rational(Fraction(r))
-    rho = _reciprocal(r).approx() if r > 1 else 1.0  # may underflow to 0
-    if not rho < 1.0:
+    if not r > 1:
         raise ValueError("exponent gamma/alpha must exceed 1")
+    rho = _reciprocal(r).approx()  # may underflow to 0
+    if not rho < 1.0:
+        raise FloatingPointError(_ROUNDS_TO_ONE)
     if min(A.row_sums) == 0:
         raise ValueError("matrix has an empty row; no positive fixed point")
     A_np = np.array(A.rows, dtype=bool)

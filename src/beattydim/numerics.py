@@ -271,29 +271,13 @@ RealLike = Union[Real, int, Fraction]
 def _surd_floor_ints(x: int, y: int, d: int, z: int) -> int:
     """floor((x + y*sqrt(d)) / z) for integers x, y, z>0, square-free d>=2.
 
-    Exact: candidate from isqrt, then at most one adjustment step decided
-    by an integer-square comparison.  y*sqrt(d) is irrational for y != 0,
-    so ties cannot occur.
+    Exact: w = floor(y*sqrt(d)) comes from isqrt.  For y != 0, y*sqrt(d)
+    is irrational, so x + y*sqrt(d) lies strictly between the integers
+    x + w and x + w + 1, and no multiple of z lies strictly between
+    them: the floor is (x + w) // z (x // z for y = 0).
     """
-    if y == 0:
-        return x // z
-    if y > 0:
-        w = isqrt(y * y * d)
-    else:
-        w = -isqrt(y * y * d) - 1
-    n = (x + w) // z
-    # true value lies in [(x+w)/z, (x+w+1)/z); floor is n or n+1
-    while _surd_gt_int(x, y, d, z, n + 1):
-        n += 1
-    return n
-
-
-def _surd_gt_int(x: int, y: int, d: int, z: int, t: int) -> bool:
-    """Decide (x + y*sqrt(d))/z >= t exactly (equality impossible, y != 0)."""
-    s = t * z - x  # compare y*sqrt(d) vs s
-    if y > 0:
-        return s < 0 or y * y * d > s * s
-    return s < 0 and y * y * d < s * s
+    w = isqrt(y * y * d)
+    return (x + (w if y >= 0 else -w - 1)) // z
 
 
 def _surd_sign(a: Fraction, b: Fraction, d: int) -> int:
@@ -596,4 +580,4 @@ def parse_real(text: str) -> Real:
         else:
             value = Rational(sgn * _parse_unsigned_rational(term))
         total = _add(total, value)
-    return normalize(total)
+    return total  # every term is normal, and _add keeps it so

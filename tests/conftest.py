@@ -2,7 +2,7 @@ import math
 import pathlib
 import sys
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
 from beattydim.beatty import LANE_BOUND, BeattyPair, member  # noqa: E402
 from beattydim.dims import _mink_tail, _rho  # noqa: E402
 from beattydim.numerics import (  # noqa: E402
-    Rational, _add, _div, _mul, _neg, _reciprocal, floor_linear)
+    Rational, _add, _div, _mul, _neg, _reciprocal, ceil_value, floor_linear)
 
 
 def random_binary(rng, m):
@@ -118,14 +118,41 @@ def reference_chain_bound(p):
     return _div(top, _add(p.gamma, _neg(p.alpha)))
 
 
-def lane_guard_reference(p, bits):
-    """floor((LANE_BOUND - |delta|)/gamma - |beta|) - 3 from bits-bit
-    enclosures of gamma, beta and delta, rounded down: at or below the
-    exact value, and within 1 of it once the enclosures are narrow."""
-    g = p.gamma.enclosure(bits)[1]
-    b = max(map(abs, p.beta.enclosure(bits)))
-    d = max(map(abs, p.delta.enclosure(bits)))
-    return floor((LANE_BOUND - d) / g - b) - 3
+def _first_member_index(p, ys):
+    """The index of the first member of S(alpha, beta) among ys, or None."""
+    for y in ys:
+        if y >= 1 and (k := member(y, p.alpha, p.beta)) is not None:
+            return k
+    return None
+
+
+def assert_lane_guard_promise(p, guard):
+    """The promise of ``chains._lane_guard``, from scalar exact floors:
+    every member y <= guard of S(alpha, beta) has an index k < LANE_BOUND
+    whose floor(gamma*k + delta) lies in (-LANE_BOUND, LANE_BOUND).  Both
+    floors grow with k, so the first and the last such member decide it.
+    Unless the guard is capped at LANE_BOUND, or is 0 because floor(gamma
+    + delta) <= -LANE_BOUND, the first member above it breaks the promise.
+    Consecutive members lie at most ceil(alpha) apart, so each is found
+    within that many membership tests."""
+    gap = ceil_value(p.alpha)
+    y1 = floor_linear(p.alpha, 1, p.beta)
+    first = y1 if y1 >= 1 else next(
+        y for y in range(1, gap + 1) if member(y, p.alpha, p.beta))
+    if guard >= first:
+        lo = member(first, p.alpha, p.beta)
+        hi = _first_member_index(p, range(guard, guard - gap - 1, -1))
+        assert hi < LANE_BOUND
+        assert floor_linear(p.gamma, lo, p.delta) > -LANE_BOUND
+        assert floor_linear(p.gamma, hi, p.delta) < LANE_BOUND
+    if guard == LANE_BOUND or (
+            guard == 0
+            and floor_linear(p.gamma, 1, p.delta) <= -LANE_BOUND):
+        return
+    above = max(guard + 1, first)
+    k = _first_member_index(p, range(above, above + gap + 1))
+    assert not (k < LANE_BOUND and -LANE_BOUND
+                < floor_linear(p.gamma, k, p.delta) < LANE_BOUND)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from conftest import (
     NonPositiveImage,
     NotInDomain,
     f_map,
+    assert_lane_guard_promise,
     first_k_at_reference,
-    lane_guard_reference,
     reference_chain_bound,
     scalar_constraint_edges,
 )
@@ -373,6 +373,22 @@ def test_member_lanes_at_the_membership_boundary(case):
     assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
 
 
+@pytest.mark.parametrize("scale", [10**300, 10**400])
+def test_member_lanes_all_scalar_past_the_float_filter(scale):
+    # tau = scale*sqrt(2): at 10^300 the float error of tau is above 1/2,
+    # at 10^400 tau does not fit a float, so every lane takes the scalar
+    # member; eta = 5 - tau puts the member 5 (k = 1) in the lanes
+    tau = surd(0, scale, 2)
+    eta = surd(5, -scale, 2)
+    pair = BeattyPair(tau, eta)
+    floats = pair._floats
+    assert floats is None if scale > 10**308 else floats[1] > 0.5
+    xs = [*range(1, 200), LANE_BOUND - 1, LANE_BOUND, 2**63 - 1]
+    ref = [member(x, tau, eta) or 0 for x in xs]
+    assert ref[4] == 1 and sum(ref) == 1
+    assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
+
+
 # ---------------------------------------------------------------------------
 # the constants of a pair from its integer linear forms
 # ---------------------------------------------------------------------------
@@ -427,8 +443,8 @@ def test_first_k_at_from_the_inverse_form(case, x):
     floor, seen = pair.floor, []
     pair.__dict__["floor"] = lambda k: seen.append(k) or floor(k)
     assert pair.first_k_at(x) == want
-    # the ceiling is exact: the settle loop checks it once and steps no k
-    assert seen == [want]
+    # the ceiling is exact: no floor is taken to settle it
+    assert seen == []
 
 
 @pytest.mark.parametrize("tau,eta", [
@@ -503,10 +519,7 @@ def test_tuple_bounds_from_float_enclosures(p):
     k = _growth_start(*p.pairs)
     assert k >= 1
     assert compare((1 + p.beta - p.delta) / (p.gamma - p.alpha), k) <= 0
-    ref = lane_guard_reference(p, 256)
-    margin = 2.0 ** -40 * ((LANE_BOUND + abs(p.delta.approx()))
-                           / p.gamma.approx() + abs(p.beta.approx()))
-    assert ref - 8 - margin <= _lane_guard(p) <= ref
+    assert_lane_guard_promise(p, _lane_guard(p))
 
 
 @pytest.mark.parametrize("tup", [
@@ -515,7 +528,10 @@ def test_tuple_bounds_from_float_enclosures(p):
     (1, 0, "7/3", f"-{10**400}*sqrt(5)"),
 ])
 def test_chain_bound_and_lane_guard_past_the_float_range(tup):
-    # a value that does not fit a float: no iterate in the kernel, as
-    # the exact guard says
+    # a value that does not fit a float: the guard still comes from exact
+    # floors, and keeps no iterate or every one below 2^62 (no member of
+    # S(1, 10^400) lies below it)
     p = ParamTuple(*tup)
-    assert _lane_guard(p) < 1 and lane_guard_reference(p, 64) < 1
+    guard = _lane_guard(p)
+    assert guard in (0, LANE_BOUND)
+    assert_lane_guard_promise(p, guard)

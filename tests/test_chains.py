@@ -20,6 +20,7 @@ from beattydim.chains import (
     ChainClass,
     _ScanContext,
     _certificate,
+    _lane_guard,
     _window_counts,
     default_horizon,
     finite_class,
@@ -452,6 +453,20 @@ def test_csv_dump():
     assert len(lines) == 7  # header + one row per element of [1, 6]
 
 
+def test_csv_dump_lists_residual_rows():
+    # (3/2, 0, 3, -50): the chains that leave N at f(1) = -47 leave 33
+    # elements of [1, 300] residual; every x appears in exactly one row
+    dec = decompose(ParamTuple("3/2", 0, 3, -50), 300)
+    assert len(dec.residual) == 33
+    buf = io.StringIO()
+    dec.to_csv(buf)
+    rows = [l.split(",") for l in buf.getvalue().strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 301))
+    residual = [r for r in rows if r[1] == "residual"]
+    assert [int(r[0]) for r in residual] == list(dec.residual)
+    assert all(r[2:] == ["-1", "-1"] for r in residual)
+
+
 @pytest.mark.parametrize("key", sorted(REGION_TUPLES))
 def test_decompose_matches_scalar_reference(key):
     assert_matches_scalar(REGION_TUPLES[key], 10**5)
@@ -518,6 +533,14 @@ def test_walk_resumes_past_the_lane_guard(guard, chunk, monkeypatch):
     assert moved > 0
     with pytest.raises(HorizonTooSmall):
         empirical_densities(ParamTuple(2, 0, 3, 0), [(1, 2000)], horizon=2)
+
+
+def test_window_counts_with_the_guard_at_the_lane_bound():
+    # no member of S(1, 10^400) lies below 2^62, so the lane guard is
+    # capped there; the window counts still match the scalar reference
+    p = ParamTuple(1, f"{10**400}", 3, "sqrt(2)")
+    assert _lane_guard(p) == LANE_BOUND
+    assert_counts_match(p, 1, 3000)
 
 
 @pytest.mark.parametrize("key", sorted(REGION_TUPLES))

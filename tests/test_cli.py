@@ -238,6 +238,23 @@ def test_dim_nilpotent_matrix_is_invalid_input(capsys, matrix, start):
                    f"l >= {start}, so log_m |A^l| is undefined\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", f"--alpha={10**20}", f"--gamma={10**20 + 1}", "--matrix=11;10"],
+    ["densities", f"--alpha={10**20}", f"--gamma={10**20 + 1}",
+     "--mode=empirical", "--n=100"],
+    ["dim", "--alpha=sqrt(2)", f"--gamma=sqrt(2)+1/{10**20}",
+     "--matrix=11;10"],
+])
+def test_ratio_that_rounds_to_one_is_a_numeric_failure(capsys, argv):
+    # alpha < gamma holds exactly, but gamma/alpha rounds to 1 in float64:
+    # the input is valid, so this is a numeric failure (3), not exit 2
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: ") and "rounds to 1" in err
+    assert "Traceback" not in err
+
+
 def test_undecidable_order_is_invalid_input(capsys):
     # alpha = gamma written as two radicand sums: no enclosure separates
     # them, so the tuple is rejected as invalid (2), not as a numeric

@@ -144,6 +144,9 @@ def test_solve_t_accepts_the_exact_ratio():
     assert solve_t(GOLDEN_MEAN, 10**400).t == (1.0, 1.0)
     with pytest.raises(ValueError, match="must exceed 1"):
         solve_t(GOLDEN_MEAN, Fraction(1))
+    # above 1 exactly, but alpha/gamma rounds to 1 in float64
+    with pytest.raises(FloatingPointError, match="rounds to 1"):
+        solve_t(GOLDEN_MEAN, Fraction(10**20 + 1, 10**20))
 
 
 def test_t_phi_row_sum_power():

@@ -12,6 +12,7 @@ from beattydim.numerics import (
     Rational,
     _mul,
     _squarefree,
+    _surd_floor_ints,
     as_fraction,
     compare,
     floor_linear,
@@ -124,6 +125,44 @@ def test_floor_linear_bracket_surd(b, a, d, k):
     # exact bracket: n <= val < n + 1 decided by surd sign tests
     assert compare(rational(n), val) <= 0
     assert compare(val, rational(n + 1)) < 0
+
+
+def _surd_at_least(x, y, d, t):
+    """x + y*sqrt(d) >= t by integer squaring: y*sqrt(d) >= s = t - x."""
+    s = t - x
+    if y >= 0:
+        return s <= 0 or y * y * d >= s * s
+    return s < 0 and y * y * d <= s * s
+
+
+_DIGITS30 = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@given(x=_DIGITS30, y=_DIGITS30,
+       d=st.integers(min_value=2, max_value=10**6).filter(
+           lambda d: _squarefree(d)[0] == 1),
+       z=st.integers(min_value=1, max_value=10**30))
+@settings(max_examples=500, deadline=None)
+def test_surd_floor_ints_brackets_the_value(x, y, d, z):
+    # n*z <= x + y*sqrt(d) < (n + 1)*z, decided without isqrt
+    n = _surd_floor_ints(x, y, d, z)
+    assert _surd_at_least(x, y, d, n * z)
+    assert not _surd_at_least(x, y, d, (n + 1) * z)
+
+
+def test_parse_real_splits_each_radicand_once(monkeypatch):
+    # every term is normal when it is added, so the sum is not split again
+    import beattydim.numerics as numerics_mod
+
+    calls = []
+    split = numerics_mod._squarefree
+    monkeypatch.setattr(numerics_mod, "_squarefree",
+                        lambda d: calls.append(d) or split(d))
+    x = parse_real("1/3+2*sqrt(12)-sqrt(3)/5")
+    assert calls == [12, 3]
+    assert x == QuadraticSurd(Fraction(1, 3), Fraction(19, 5), 3)
+    assert parse_real("sqrt(999999999989)+2").b == 1
+    assert calls[2:] == [999999999989]
 
 
 def test_interval_floor():
