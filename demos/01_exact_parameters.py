@@ -4,18 +4,12 @@
 Every count in this package starts from floor(tau*k + eta).  A float
 evaluation of floor(3*sqrt(2)) is one rounding error away from being
 wrong, so parameters live in exact representations: rationals, quadratic
-surds a + b*sqrt(d), and (for other computable reals) adaptive-precision
-intervals that refuse to guess.
+surds a + b*sqrt(d), and sums of square roots of several radicands.
+Every sign and floor of them is decided exactly.
 """
 
-from fractions import Fraction
-from math import isqrt
-
 from beattydim import (
-    Interval,
     ParamTuple,
-    PrecisionExhausted,
-    beatty_values,
     floor_linear,
     frac,
     member,
@@ -23,6 +17,7 @@ from beattydim import (
     rational,
     surd,
 )
+from beattydim.beatty import BeattyPair
 
 print("=" * 72)
 print("1. Three representation tiers")
@@ -47,8 +42,16 @@ print("=" * 72)
 print("2. Beatty sequences and unique inversion")
 print("=" * 72)
 
-print(f"S(sqrt(2), 0) up to 20: {beatty_values(root2, 0, 20)}")
-print(f"S(3/2, 1/3)   up to 20: {beatty_values(half, rational(1, 3), 20)}")
+
+
+def values_up_to(tau, eta, limit):
+    """floor(tau*k + eta) for the k whose floor lands in [1, limit]."""
+    pair = BeattyPair(tau, eta)
+    return [pair.floor(k) for k in range(pair.first_k, pair.first_k_at(limit + 1))]
+
+
+print(f"S(sqrt(2), 0) up to 20: {values_up_to(root2, 0, 20)}")
+print(f"S(3/2, 1/3)   up to 20: {values_up_to(half, rational(1, 3), 20)}")
 print()
 print("Each value comes from exactly one k (the index maps are injective):")
 for x in (4, 5, 6):
@@ -56,30 +59,20 @@ for x in (4, 5, 6):
 
 print()
 print("=" * 72)
-print("3. The interval tier and its honest failure mode")
+print("3. Sums of square roots: the multi-radicand tier")
 print("=" * 72)
 
-
-def sqrt2_enclosure(bits):
-    r = isqrt(2 << (2 * bits))
-    return (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
-
-
-iv = Interval(sqrt2_enclosure)
-print(f"interval sqrt(2): {iv!r}")
-print(f"floor(3 * interval_sqrt2) = {floor_linear(iv, 3, 0)} (refined until decided)")
-
-
-def secretly_two(bits):
-    eps = Fraction(1, 1 << bits)
-    return (2 - eps, 2 + eps)
-
-
+s = parse_real("sqrt(2)+sqrt(3)")
+print(f"parsed    : {s!r}")
+print(f"floor((sqrt(2)+sqrt(3)) * 10^9) = {floor_linear(s, 10**9, 0)}")
+print(f"floor((sqrt(2)+sqrt(3)) * 10^30) = {floor_linear(s, 10**30, 0)}")
+print(f"(sqrt(2)+sqrt(3)) * (sqrt(3)-sqrt(2)) = {s * parse_real('sqrt(3)-sqrt(2)')!r}")
+print(f"1/(sqrt(2)+sqrt(3)) = {1 / s!r}")
+print("(coefficients are canonical, so a hidden integer is found exactly)")
 try:
-    Interval(secretly_two).floor(max_bits=1024)
-except PrecisionExhausted as exc:
-    print(f"hidden integer -> PrecisionExhausted: {exc}")
-print("(a value that straddles an integer at every precision needs an exact tier)")
+    ParamTuple("sqrt(2)+sqrt(3)", "sqrt(5)", "sqrt(7)+sqrt(11)", 0)
+except ValueError as exc:
+    print(f"radicand cap: {exc}")
 
 print()
 print("=" * 72)

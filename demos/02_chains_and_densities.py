@@ -16,7 +16,6 @@ from beattydim import (
     classify_region,
     closed_form_d,
     decompose,
-    dij_row,
     empirical_densities,
     rational_d,
 )
@@ -77,10 +76,13 @@ print("4. The refined split d_(i,j)")
 print("=" * 72)
 
 d = rational_d(p)
+rho = 1 / p.ratio.value  # alpha/gamma
 print("how many of a class-i chain's elements land inside [1, n]:")
 for i in (2, 3):
-    row = ", ".join(f"d({i},{j}) = {v}"
-                    for j, v in enumerate(dij_row(p, i, d.entry(i)), start=1))
+    # d(i,j) = d_i*(rho^(j-1) - rho^j) for j < i, and d(i,i) = d_i*rho^(i-1)
+    row = [d.entry(i) * (rho ** (j - 1) - rho ** j) for j in range(1, i)]
+    row.append(d.entry(i) * rho ** (i - 1))
+    row = ", ".join(f"d({i},{j}) = {v}" for j, v in enumerate(row, start=1))
     print(f"  i={i}: {row}")
 print("each row telescopes exactly to d_i; the counting oracle in the test")
 print("suite confirms the split against measured A_(i,j) frequencies.")

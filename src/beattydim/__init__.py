@@ -12,7 +12,6 @@ against independent brute-force pattern counting.
 
 from .beatty import (
     ParamTuple,
-    beatty_values,
     constraint_edges,
     member,
 )
@@ -27,7 +26,6 @@ from .chains import (
     HorizonTooSmall,
     decompose,
     default_horizon,
-    dij_row,
     empirical_densities,
 )
 from .dims import (
@@ -46,9 +44,8 @@ from .dims import (
 )
 from .matrix import GOLDEN_MEAN, BinaryMatrix
 from .numerics import (
-    Interval,
-    PrecisionExhausted,
     QuadraticSurd,
+    RadicalSum,
     Rational,
     Real,
     compare,
@@ -72,7 +69,6 @@ from .regions import (
     NoClosedForm,
     NotRational,
     RegionId,
-    UndecidableIndependence,
     classify_region,
     closed_form_d,
     g_density,
@@ -99,7 +95,6 @@ __all__ = [
     "Empirical",
     "GOLDEN_MEAN",
     "HorizonTooSmall",
-    "Interval",
     "InvalidDensity",
     "NoClosedForm",
     "NonConvergence",
@@ -107,15 +102,13 @@ __all__ = [
     "NotRational",
     "ParamTuple",
     "PatternCount",
-    "PrecisionExhausted",
     "ProductFormInapplicable",
     "QuadraticSurd",
+    "RadicalSum",
     "Rational",
     "Real",
     "RegionId",
     "TSolverResult",
-    "UndecidableIndependence",
-    "beatty_values",
     "chain_product_count",
     "classify_region",
     "closed_form_d",
@@ -124,7 +117,6 @@ __all__ = [
     "count_patterns",
     "decompose",
     "default_horizon",
-    "dij_row",
     "dimension_report",
     "dims_coincide",
     "empirical_densities",

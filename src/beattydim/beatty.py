@@ -28,12 +28,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import (
-    PrecisionExhausted,
     QuadraticSurd,
     Rational,
     Real,
     RealLike,
     _add,
+    _coeffs,
     _div,
     _mul,
     _neg,
@@ -42,10 +42,13 @@ from .numerics import (
     ceil_value,
     compare,
     floor_linear,
-    is_exact,
     normalize,
     parse_real,
 )
+
+# distinct square-free radicands per tuple: 2^RADICAND_CAP bounds the
+# terms of every value the tuple's arithmetic builds
+RADICAND_CAP = 4
 
 
 def _coerce(v) -> Real:
@@ -59,21 +62,24 @@ class ParamTuple:
     the two sequences' pairs (BeattyPair(alpha, beta), BeattyPair(gamma,
     delta)).  The pairs are built on first use and kept, so every layer
     that scans, walks or counts this tuple shares one exact setup of each
-    sequence; the tuple is otherwise immutable."""
+    sequence; the tuple is otherwise immutable.  Its four parameters may
+    use at most RADICAND_CAP distinct square-free radicands together."""
 
     __slots__ = ("alpha", "beta", "gamma", "delta", "ratio", "_pairs")
 
     def __init__(self, alpha, beta, gamma, delta):
         alpha, beta = _coerce(alpha), _coerce(beta)
         gamma, delta = _coerce(gamma), _coerce(delta)
-        try:
-            if compare(alpha, 1) < 0:
-                raise ValueError("alpha must satisfy alpha >= 1")
-            if compare(alpha, gamma) >= 0:
-                raise ValueError("parameters must satisfy alpha < gamma")
-        except PrecisionExhausted as exc:
-            # e.g. alpha = gamma written as two different radicand sums
-            raise ValueError(f"cannot decide 1 <= alpha < gamma: {exc}") from None
+        radicands = {r for v in (alpha, beta, gamma, delta)
+                     for r in _coeffs(v) if r > 1}
+        if len(radicands) > RADICAND_CAP:
+            raise ValueError(
+                f"the parameters use {len(radicands)} distinct square-free "
+                f"radicands; at most {RADICAND_CAP} are supported")
+        if compare(alpha, 1) < 0:
+            raise ValueError("alpha must satisfy alpha >= 1")
+        if compare(alpha, gamma) >= 0:
+            raise ValueError("parameters must satisfy alpha < gamma")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
@@ -94,10 +100,6 @@ class ParamTuple:
                      BeattyPair(self.gamma, self.delta))
             object.__setattr__(self, "_pairs", pairs)
             return pairs
-
-    def is_exact(self) -> bool:
-        return all(is_exact(v) for v in
-                   (self.alpha, self.beta, self.gamma, self.delta))
 
     def __repr__(self):
         return (f"ParamTuple({self.alpha!r}, {self.beta!r}, "
@@ -151,16 +153,6 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a.floor_lanes(k), g.floor_lanes(k)
 
 
-def beatty_values(tau: RealLike, eta: RealLike, limit: int) -> list[int]:
-    """All values floor(tau*k + eta) for k >= 1 that land in [1, limit]."""
-    pair = BeattyPair(tau, eta)
-    out, k = [], pair.first_k
-    while (v := pair.floor(k)) <= limit:
-        out.append(v)
-        k += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Beatty pairs
 #
@@ -173,7 +165,7 @@ def beatty_values(tau: RealLike, eta: RealLike, limit: int) -> list[int]:
 # The lane kernels take the same floors and memberships over a numpy
 # array of int64 lanes, in one guarded pass each.  Rational pairs use
 # int64 arithmetic where A*k + E (or Z*x - E) cannot overflow.  Every
-# other pair (surds, cross-field pairs, intervals) evaluates tau*k + eta,
+# other pair (surds, pairs with two or more radicands) evaluates tau*k + eta,
 # or the quotient (x - eta)/tau, in float64 next to an explicit per-lane
 # bound on its error, and keeps a lane only when the bound settles the
 # floor, or the ceiling and the membership test (the filter-then-exact
@@ -222,7 +214,7 @@ def _float_pair(x: Real) -> Optional[tuple[float, float]]:
     v is the float nearest the midpoint of a 96-bit enclosure [lo, hi] of
     x, and e rounds max(hi - v, v - lo) up.  The enclosure is held as
     integers lo_n/den and hi_n/den: a rational or surd (X + Y*sqrt(D))/Z
-    takes one isqrt of D * 2^192, and only an interval asks for its
+    takes one isqrt of D * 2^192, and only a RadicalSum asks for its
     enclosure.  int / int true division rounds correctly, so no Fraction
     arithmetic is done."""
     parts = _parts(x)
@@ -360,23 +352,14 @@ class BeattyPair:
         k >= (x - eta)/tau is the condition, so the answer is max(1,
         ceil((x - eta)/tau)).  With the inverse form that ceiling is one
         exact ``_surd_floor_ints`` (an integer division for rational
-        pairs), the expression ``member`` evaluates.  Other pairs start
-        from a lower enclosure of the quotient, which carries the bits of
-        its magnitude on top of 64, so it is narrower than 1 even for
-        shifts near 10^30 times a surd; monotonicity of k -> floor(tau*k
-        + eta) lets a few steps settle the start exactly."""
+        pairs), the expression ``member`` evaluates; other pairs take
+        the exact quotient's ceiling."""
         if self._inverse is not None:
             A1, B1, E1, F1, Z1, D1 = self._inverse
             return max(1, -_surd_floor_ints(-(A1 * x + E1), -(B1 * x + F1),
                                             D1, Z1))
-        q = _div(_add(Rational(Fraction(x)), _neg(self.eta)), self.tau)
-        mag = max(map(abs, q.enclosure(16)))
-        lo, _ = q.enclosure(64 + int(mag).bit_length())
-        k = max(1, -((-lo.numerator) // lo.denominator))
-        floor = self.floor
-        while floor(k) < x:
-            k += 1
-        return k
+        return max(1, ceil_value(
+            _div(_add(Rational(Fraction(x)), _neg(self.eta)), self.tau)))
 
     @cached_property
     def floor_lanes(self) -> Callable[[np.ndarray], np.ndarray]:

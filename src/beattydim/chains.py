@@ -18,7 +18,7 @@ elements).  Head classes:
 tuple's two pairs (``ParamTuple.pairs``), tables, and a certificate
 threshold Y (``_certificate``: from one period of kernel floors for
 rational alpha, from the exact relations gamma = m*alpha and delta =
-beta + j*alpha for surd alpha; never from ``regions``, whose closed
+beta + j*alpha for irrational alpha; never from ``regions``, whose closed
 forms stay an independent check).  A walk whose iterate reaches Y above
 the visible window is proved infinite and stops; without a certificate
 it runs to the horizon.
@@ -83,7 +83,7 @@ from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .beatty import LANE_BOUND, BeattyPair, ParamTuple, _U, _gap_floor
-from .numerics import QuadraticSurd, Rational, _add, _div, _mul, _neg
+from .numerics import Rational, _add, _div, _mul, _neg
 
 DEFAULT_K = 40
 CHUNK = 1 << 14  # lanes per table-marking call, positions per head slice
@@ -300,23 +300,6 @@ class DensityVector:
             len(self.head) < self.K and self.tail_ratio is not None) else ()
         return all(isinstance(v, Fraction)
                    for v in (*self.head, *law, self.d_inf))
-
-
-def dij_row(p: ParamTuple, i: int, d_i: Num) -> list:
-    """d_{i,j} for j = 1..i: the head density d_i split by how many chain
-    elements land in [1, n]: a factor (alpha/gamma)^{j-1} - (alpha/gamma)^j
-    for j < i and (alpha/gamma)^{i-1} for j = i (the window analysis of the
-    pattern-count product); the row telescopes to d_i exactly."""
-    if i == 1:
-        return [d_i]
-    if isinstance(p.ratio, Rational) and isinstance(d_i, Fraction):
-        rho: Num = Fraction(1) / p.ratio.value
-    else:
-        rho = 1.0 / float(p.ratio.approx())
-        d_i = float(d_i)
-    row = [d_i * (rho ** (j - 1) - rho ** j) for j in range(1, i)]
-    row.append(d_i * rho ** (i - 1))
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -671,26 +654,21 @@ def _growth_start(a: BeattyPair, g: BeattyPair) -> int:
 
 def _surd_inclusion(a: BeattyPair, g: BeattyPair) -> Optional[int]:
     """A bound y0 >= 1 with every y >= y0 in S(gamma, delta) inside
-    S(alpha, beta), for a quadratic surd alpha with gamma = m*alpha and
-    delta - beta = j*alpha (m >= 2 and j integers, decided exactly in the
-    field); or None.  Then floor(gamma*k + delta) = floor(alpha*(m*k + j)
-    + beta), a member of S(alpha, beta) whenever m*k + j >= 1, i.e. for k
-    >= k_j = max(1, ceil((1 - j)/m)); floors grow with k, so y0 =
-    floor(gamma*k_j + delta) bounds the members with k < k_j.  Pairs
-    outside one quadratic field (cross-field shifts, intervals) give
-    None."""
-    if not isinstance(a.tau, QuadraticSurd) or a.form is None or g.form is None:
+    S(alpha, beta), for an irrational alpha with gamma = m*alpha and
+    delta - beta = j*alpha, m >= 2 and j integers; or None.  Both
+    quotients are exact, so the relations are decided.  Then
+    floor(gamma*k + delta) = floor(alpha*(m*k + j) + beta), a member of
+    S(alpha, beta) whenever m*k + j >= 1, i.e. for k >= k_j = max(1,
+    ceil((1 - j)/m)); floors grow with k, so y0 = floor(gamma*k_j +
+    delta) bounds the members with k < k_j."""
+    m = _div(g.tau, a.tau)
+    if not (isinstance(m, Rational) and m.value.denominator == 1
+            and m.value >= 2):
         return None
-    # alpha = (A + B*sqrt(D))/Z with B != 0, beta = (E + F*sqrt(D))/Z, and
-    # likewise gamma and delta over Z2: compare the rational and the
-    # sqrt(D) parts of gamma = m*alpha and delta - beta = j*alpha
-    A, B, E, F, Z, D = a.form
-    A2, B2, E2, F2, Z2, D2 = g.form
-    m, rm = divmod(B2 * Z, B * Z2)
-    j, rj = divmod(F2 * Z - F * Z2, B * Z2)
-    if (D2 != D or rm or rj or m * A * Z2 != A2 * Z
-            or j * A * Z2 != E2 * Z - E * Z2):
+    j = _div(_add(g.eta, _neg(a.eta)), a.tau)
+    if not (isinstance(j, Rational) and j.value.denominator == 1):
         return None
+    m, j = m.value.numerator, j.value.numerator
     kj = max(1, -((j - 1) // m))
     return max(1, g.floor(kj))
 

@@ -8,12 +8,16 @@ Subcommands:
 * ``verify``    -- cross-checks: graph oracle vs exhaustive enumeration,
                    chain-product consistency, partition of [1, n].
 
+Parameters are exact (``numerics``): every sign and floor is decided,
+so no input fails for lack of precision.  A tuple may use at most four
+distinct square-free radicands (``beatty.RADICAND_CAP``).
+
 Exit codes: 0 success, 1 verification check failed, 2 validation error
-(including a request that needs more memory than is available), 3
-numeric failure (precision exhausted, non-convergence, unstable
-horizon, a dimension outside the float range).  Reports are byte-stable
-for a fixed invocation: keys are sorted and floats rounded to 12
-significant digits.
+(including more than four radicands, and a request that needs more
+memory than is available), 3 numeric failure (non-convergence, unstable
+horizon, a dimension outside the float range, gamma/alpha rounding to 1
+in float64).  Reports are byte-stable for a fixed invocation: keys are
+sorted and floats rounded to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .beatty import ParamTuple
 from .chains import DEFAULT_K, HorizonTooSmall, decompose, empirical_densities
 from .dims import NonConvergence, dimension_report
 from .matrix import BinaryMatrix
-from .numerics import PrecisionExhausted
 from .oracle import (
     CapExceeded,
     ProductFormInapplicable,
@@ -257,8 +260,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         raise AssertionError("unreachable")
-    except (PrecisionExhausted, NonConvergence, HorizonTooSmall,
-            FloatingPointError) as exc:
+    except (NonConvergence, HorizonTooSmall, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

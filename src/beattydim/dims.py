@@ -26,7 +26,8 @@ transition matrix A:
 
   The tuple sum collapses to a transfer recursion (``t_phi``): with
   g_1 = a^(1+e_1) (a the row-sum vector) and g_k = (A @ g_{k-1})^(1+e_k),
-  one has T(i) = sum(g_{i-1}).  Every ``dij_row`` makes the exponent
+  one has T(i) = sum(g_{i-1}).  The split d_{i,j} = d_i*(rho^(j-1) -
+  rho^j) for j < i and d_{i,i} = d_i*rho^(i-1) makes the exponent
   1 + e_k = rho for all i and k, so a single recursion g_k = (A g_{k-1})^rho
   gives every T(i) at once: O(N m^2) for the whole series.  The g_k
   fill the rows of one (N-1) x m array, and the T(i) are its row sums.
@@ -306,7 +307,7 @@ def t_phi(A: BinaryMatrix, i: int, dij_weights) -> float:
 def transfer_sums(A: BinaryMatrix, rho: float, N: int) -> list[float]:
     """[T(2), ..., T(N)] from one recursion g_1 = a^rho,
     g_k = (A g_{k-1})^rho, T(i) = sum(g_{i-1}): ``t_phi`` with every
-    exponent equal to rho = alpha/gamma, as every ``dij_row`` makes it.
+    exponent equal to rho = alpha/gamma, as the d_{i,j} split makes it.
     Row k - 1 of one preallocated array holds g_k, and one row-sum call
     reads every T(i)."""
     if min(A.row_sums) == 0:
@@ -349,6 +350,9 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     d_inf * residual / ln m.  Requires primitive A when d_inf > 0,
     irreducible otherwise (the caller surfaces warnings)."""
     _validate_eps(eps)
+    rho = _rho(p)
+    if not rho < 1.0:  # a ParamTuple has alpha < gamma exactly
+        raise FloatingPointError(_ROUNDS_TO_ONE)
     logm = math.log(A.m)
     N = max(d.K, len(d.head))
     if d.tail_ratio is not None and float(d.tail_ratio) > 0.0:
@@ -361,7 +365,7 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     terms = [(i, di) for i, di in enumerate(dv[1:], start=2) if di > 0.0]
     if terms:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            T = transfer_sums(A, _rho(p), terms[-1][0])
+            T = transfer_sums(A, rho, terms[-1][0])
         for i, di in terms:
             total += di * math.log(T[i - 2]) / logm
     if not math.isfinite(total):

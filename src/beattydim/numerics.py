@@ -1,45 +1,38 @@
-"""Exact and adaptive-precision real arithmetic with decidable floors.
+"""Exact real arithmetic with decidable signs and floors.
 
 Parameters of a Beatty multiple shift are arbitrary reals, but every
 downstream count hinges on evaluating floors like ``⌊τ·k + η⌋`` *exactly*.
-Three representation tiers make that possible:
+The parameter grammar yields sums of rational multiples of square roots,
+and three tiers hold every such sum exactly:
 
 * ``Rational`` -- a ``fractions.Fraction`` in lowest terms.
 * ``QuadraticSurd`` -- ``a + b·√d`` with rational a, b (b ≠ 0) and
   square-free d ≥ 2.  Floors and sign tests reduce to integer-square
-  comparisons, so they are exact.
-* ``Interval`` -- a deterministic enclosure ``[lo, hi]`` with a
-  precision-doubling refiner, for computable reals outside the exact
-  tiers.  Floors are resolved by refining until the enclosure pins the
-  integer part; failure past a precision cap raises
-  ``PrecisionExhausted`` (the value may *be* an integer, in which case
-  the caller must supply an exact representation).
+  comparisons.
+* ``RadicalSum`` -- ``c_1 + Σ c_r·√r`` over two or more square-free
+  radicands r ≥ 2, one ``Fraction`` c_r ≠ 0 each.  Square roots of
+  distinct square-free integers are linearly independent over Q
+  (Besicovitch, J. London Math. Soc. 1940), so the coefficients are
+  canonical: equality is a comparison of coefficients, and a
+  ``RadicalSum`` is never rational.  Sign and reciprocal split x = u +
+  v·√p over a factor p of the radicands and recurse toward Q; a floor
+  is an isqrt enclosure, settled by one exact sign test where an integer
+  lies inside it.
 
-Arithmetic stays in the exact tiers whenever the result is again
-rational or a single-radical surd; anything that would leave those
-fields (e.g. products mixing √2 and √3 non-trivially) degrades to an
-``Interval`` built from the operands' enclosures.  All values are
-immutable; refinement returns new objects.
+Arithmetic returns the smallest tier that holds the result, so values
+in one quadratic field keep their fast paths.  All values are immutable.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Callable, Tuple, Union
+from math import gcd, isqrt, lcm
+from typing import Union
 
-INTERVAL_START_BITS = 128
-INTERVAL_MAX_BITS = 8192
 RADICAND_MAX = 10**12  # parse_real splits radicands by trial division
 
-_EncFn = Callable[[int], Tuple[Fraction, Fraction]]
-
-
-class PrecisionExhausted(ArithmeticError):
-    """Interval refinement hit the precision cap while a floor or
-    comparison is still ambiguous.  Usually means the true value is (or
-    is suspiciously close to) an integer and needs an exact tier."""
+_ZERO = Fraction(0)
 
 
 def _squarefree(d: int) -> tuple[int, int]:
@@ -63,14 +56,14 @@ def _squarefree(d: int) -> tuple[int, int]:
 
 
 class Real:
-    """Common base; concrete tiers are Rational, QuadraticSurd, Interval."""
+    """Common base; concrete tiers are Rational, QuadraticSurd, RadicalSum."""
 
     __slots__ = ()
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         raise NotImplementedError
 
-    def floor(self, max_bits: int = INTERVAL_MAX_BITS) -> int:
+    def floor(self) -> int:
         raise NotImplementedError
 
     def approx(self) -> float:
@@ -136,7 +129,7 @@ class Rational(Real):
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         return (self.value, self.value)
 
-    def floor(self, max_bits: int = INTERVAL_MAX_BITS) -> int:
+    def floor(self) -> int:
         return self.value.numerator // self.value.denominator
 
     def approx(self) -> float:
@@ -181,7 +174,7 @@ class QuadraticSurd(Real):
             return (self.a + self.b * lo_r, self.a + self.b * hi_r)
         return (self.a + self.b * hi_r, self.a + self.b * lo_r)
 
-    def floor(self, max_bits: int = INTERVAL_MAX_BITS) -> int:
+    def floor(self) -> int:
         z = self.a.denominator * self.b.denominator // gcd(
             self.a.denominator, self.b.denominator
         )
@@ -203,66 +196,70 @@ class QuadraticSurd(Real):
         return f"QuadraticSurd({self.a} + {self.b}*sqrt({self.d}))"
 
 
-class Interval(Real):
-    """Deterministic enclosure with a precision-doubling refiner.
+class RadicalSum(Real):
+    """Value sum c_r*sqrt(r) over square-free r, held as ``terms``: the
+    (r, c_r) pairs with c_r != 0 in increasing r, r = 1 for the rational
+    part, and at least two radicands r >= 2.  Build it with
+    ``_from_coeffs``, which returns a smaller tier where one holds the
+    value."""
 
-    ``fn(bits)`` must return a (lo, hi) Fraction pair enclosing the true
-    value, with width -> 0 as bits grows.  Enclosures are intersected
-    with the best one already known, so refinement is monotone.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("_fn", "_lo", "_hi", "_bits")
-
-    def __init__(self, fn: _EncFn, bits: int = INTERVAL_START_BITS,
-                 known: tuple[Fraction, Fraction] | None = None):
-        lo, hi = fn(bits)
-        if known is not None:
-            lo, hi = max(lo, known[0]), min(hi, known[1])
-        if lo > hi:
-            raise ValueError("refiner produced inconsistent enclosures")
-        object.__setattr__(self, "_fn", fn)
-        object.__setattr__(self, "_lo", Fraction(lo))
-        object.__setattr__(self, "_hi", Fraction(hi))
-        object.__setattr__(self, "_bits", bits)
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...]):
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
-        raise AttributeError("Interval is immutable")
+        raise AttributeError("RadicalSum is immutable")
 
-    @property
-    def lo(self) -> Fraction:
-        return self._lo
-
-    @property
-    def hi(self) -> Fraction:
-        return self._hi
-
-    def refine(self, bits: int) -> "Interval":
-        """New interval refined to `bits`; always a sub-interval of self."""
-        return Interval(self._fn, bits, known=(self._lo, self._hi))
+    def _bounds(self, bits: int) -> tuple[int, int, int]:
+        """(s, w, den) with s/den < x < (s + w)/den and w/den = sum over
+        r >= 2 of |c_r|/2^bits: one isqrt of r*4^bits per radicand, over
+        the common denominator z of the coefficients, den = z*2^bits."""
+        z = lcm(*(c.denominator for _, c in self.terms))
+        s = w = 0
+        for r, c in self.terms:
+            X = c.numerator * (z // c.denominator)
+            if r == 1:
+                s += X << bits
+                continue
+            root = isqrt(r << (2 * bits))  # root < 2^bits*sqrt(r) < root + 1
+            s += X * root if X > 0 else X * (root + 1)
+            w += abs(X)
+        return s, w, z << bits
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        if bits <= self._bits:
-            return (self._lo, self._hi)
-        lo, hi = self._fn(bits)
-        return (max(lo, self._lo), min(hi, self._hi))
+        s, w, den = self._bounds(bits)
+        return (Fraction(s, den), Fraction(s + w, den))
 
-    def floor(self, max_bits: int = INTERVAL_MAX_BITS) -> int:
-        bits = max(self._bits, INTERVAL_START_BITS)
-        while True:
-            lo, hi = self.enclosure(bits)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi or lo == hi:
-                return flo
-            if bits >= max_bits:
-                raise PrecisionExhausted(
-                    f"floor still ambiguous at {bits} bits: enclosure "
-                    f"[{float(lo)}, {float(hi)}] straddles an integer"
-                )
-            bits = min(2 * bits, max_bits)
+    def floor(self) -> int:
+        """The integer part from an enclosure narrower than 2^-32: each
+        |c_r| is below 2^(e + 1), e the largest numerator-minus-denominator
+        bit length, and their sum below 2^(e + 1 + L) for L the bit length
+        of the term count.  Where an integer n lies inside it, the exact
+        sign of x - n decides: x is irrational, so it is never n."""
+        e = max(c.numerator.bit_length() - c.denominator.bit_length()
+                for r, c in self.terms if r > 1)
+        s, w, den = self._bounds(
+            max(0, e + 33 + len(self.terms).bit_length()))
+        lo, hi = s // den, (s + w) // den
+        if lo == hi or compare(self, hi) < 0:
+            return lo
+        return hi
+
+    def __eq__(self, other):
+        if isinstance(other, RadicalSum):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction, Rational, QuadraticSurd)):
+            return False
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.terms)
 
     def __repr__(self):
-        return f"Interval([{float(self._lo)}, {float(self._hi)}] @{self._bits}b)"
+        body = " + ".join(f"{c}" if r == 1 else f"{c}*sqrt({r})"
+                          for r, c in self.terms)
+        return f"RadicalSum({body})"
 
 
 RealLike = Union[Real, int, Fraction]
@@ -335,14 +332,44 @@ def as_real(x: RealLike) -> Real:
     raise TypeError(f"cannot interpret {x!r} as a real parameter")
 
 
-def is_exact(x: Real) -> bool:
-    return isinstance(x, (Rational, QuadraticSurd))
-
-
 def as_fraction(x: Real) -> Fraction:
     if isinstance(x, Rational):
         return x.value
     raise ValueError(f"{x!r} is not rational")
+
+
+def _coeffs(x: Real) -> dict[int, Fraction]:
+    """{r: c_r} with x = sum c_r*sqrt(r), r = 1 for the rational part."""
+    if isinstance(x, Rational):
+        return {1: x.value}
+    if isinstance(x, QuadraticSurd):
+        return {1: x.a, x.d: x.b}
+    return dict(x.terms)
+
+
+def _from_coeffs(c: dict[int, Fraction]) -> Real:
+    """sum c[r]*sqrt(r) over square-free r in the smallest tier."""
+    roots = sorted(r for r, v in c.items() if r > 1 and v)
+    a = c.get(1, _ZERO)
+    if not roots:
+        return Rational(a)
+    if len(roots) == 1:
+        return QuadraticSurd(a, c[roots[0]], roots[0])
+    return RadicalSum(((1, a),) * (a != 0) + tuple((r, c[r]) for r in roots))
+
+
+def _split_factor(x: RadicalSum) -> int:
+    """A p >= 2 that divides or is coprime to each radicand of x, so
+    that x = u + v*sqrt(p) with no radicand of u or v divisible by p.
+    p is the gcd of one radicand with each later one that shares a
+    factor with it; each step keeps a divisor of the last p, so p ends
+    up as a prime would, without factoring any radicand."""
+    p = 0
+    for r, _ in x.terms:
+        g = gcd(p, r)
+        if g > 1:
+            p = g
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +385,10 @@ def _add(x: Real, y: Real) -> Real:
         return QuadraticSurd(x.a + y.value, x.b, x.d)
     if isinstance(x, QuadraticSurd) and isinstance(y, QuadraticSurd) and x.d == y.d:
         return _in_field(x.a + y.a, x.b + y.b, x.d)
-
-    def fn(bits):
-        lx, hx = x.enclosure(bits + 2)
-        ly, hy = y.enclosure(bits + 2)
-        return (lx + ly, hx + hy)
-
-    return Interval(fn)
+    c = _coeffs(x)
+    for r, v in _coeffs(y).items():
+        c[r] = c.get(r, _ZERO) + v
+    return _from_coeffs(c)
 
 
 def _neg(x: Real) -> Real:
@@ -372,12 +396,7 @@ def _neg(x: Real) -> Real:
         return Rational(-x.value)
     if isinstance(x, QuadraticSurd):
         return QuadraticSurd(-x.a, -x.b, x.d)
-
-    def fn(bits):
-        lo, hi = x.enclosure(bits)
-        return (-hi, -lo)
-
-    return Interval(fn)
+    return RadicalSum(tuple((r, -c) for r, c in x.terms))
 
 
 def _abs(x: Real) -> Real:
@@ -403,19 +422,15 @@ def _mul(x: Real, y: Real) -> Real:
             g = gcd(x.d, y.d)
             return QuadraticSurd(Fraction(0), x.b * y.b * g,
                                  (x.d // g) * (y.d // g))
-
-    def fn(bits):
-        coarse_x = x.enclosure(16)
-        coarse_y = y.enclosure(16)
-        mag = max(1, abs(coarse_x[0]), abs(coarse_x[1]),
-                  abs(coarse_y[0]), abs(coarse_y[1]))
-        slack = int(mag).bit_length() + 4
-        lx, hx = x.enclosure(bits + slack)
-        ly, hy = y.enclosure(bits + slack)
-        prods = (lx * ly, lx * hy, hx * ly, hx * hy)
-        return (min(prods), max(prods))
-
-    return Interval(fn)
+    # sqrt(r1)*sqrt(r2) = g*sqrt((r1/g)*(r2/g)), g = gcd(r1, r2)
+    c: dict[int, Fraction] = {}
+    cy = _coeffs(y).items()
+    for r1, v1 in _coeffs(x).items():
+        for r2, v2 in cy:
+            g = gcd(r1, r2)
+            r = (r1 // g) * (r2 // g)
+            c[r] = c.get(r, _ZERO) + v1 * v2 * g
+    return _from_coeffs(c)
 
 
 def _reciprocal(x: Real) -> Real:
@@ -426,20 +441,11 @@ def _reciprocal(x: Real) -> Real:
     if isinstance(x, QuadraticSurd):
         norm = x.a * x.a - x.b * x.b * x.d  # nonzero: x irrational
         return _in_field(x.a / norm, -x.b / norm, x.d)
-
-    def fn(bits):
-        bb = max(bits, INTERVAL_START_BITS)
-        while True:
-            lo, hi = x.enclosure(bb)
-            if lo > 0 or hi < 0:
-                return (min(1 / lo, 1 / hi), max(1 / lo, 1 / hi))
-            if bb >= INTERVAL_MAX_BITS:
-                raise PrecisionExhausted(
-                    "reciprocal of an enclosure straddling zero"
-                )
-            bb = min(2 * bb, INTERVAL_MAX_BITS)
-
-    return Interval(fn)
+    # x = u + v*sqrt(p): 1/x = (u - v*sqrt(p)) / (u^2 - p*v^2), whose
+    # denominator has no radicand divisible by p and is not 0
+    p = _split_factor(x)
+    conj = RadicalSum(tuple((r, -c if r % p == 0 else c) for r, c in x.terms))
+    return _mul(conj, _reciprocal(_mul(x, conj)))
 
 
 def _div(x: Real, y: Real) -> Real:
@@ -451,36 +457,27 @@ def _div(x: Real, y: Real) -> Real:
 # ---------------------------------------------------------------------------
 
 def sign(x: Real) -> int:
-    """Exact for the exact tiers; adaptive with PrecisionExhausted for
-    intervals that keep straddling zero."""
+    """-1, 0 or 1, exactly.  A RadicalSum x = u + v*sqrt(p)
+    (``_split_factor``) has v != 0: its sign is that of u where u and v
+    agree or u = 0, and otherwise that of u times the sign of u^2 -
+    p*v^2.  u, v and u^2 - p*v^2 have fewer radicand factors than x, so
+    the recursion ends in the exact tiers."""
     if isinstance(x, Rational):
         v = x.value
         return (v > 0) - (v < 0)
     if isinstance(x, QuadraticSurd):
         return _surd_sign(x.a, x.b, x.d)
-    bits = INTERVAL_START_BITS
-    while True:
-        lo, hi = x.enclosure(bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if lo == hi:  # exactly zero
-            return 0
-        if bits >= INTERVAL_MAX_BITS:
-            raise PrecisionExhausted(
-                f"sign still ambiguous at {bits} bits"
-            )
-        bits = min(2 * bits, INTERVAL_MAX_BITS)
+    p = _split_factor(x)
+    u = _from_coeffs({r: c for r, c in x.terms if r % p})
+    v = _from_coeffs({r // p: c for r, c in x.terms if r % p == 0})
+    su, sv = sign(u), sign(v)
+    if su == 0 or su == sv:
+        return su or sv
+    return su * sign(_add(_mul(u, u), _mul(Rational(Fraction(-p)), _mul(v, v))))
 
 
 def compare(x: RealLike, y: RealLike) -> int:
-    """-1, 0, or 1: the sign of x - y.  Exact whenever both operands live
-    in one quadratic field; cross-field and interval comparisons refine
-    the difference adaptively (surds of distinct square-free radicands
-    are never equal, so they separate; two genuinely equal values that
-    are not syntactically comparable raise PrecisionExhausted at the
-    cap)."""
+    """-1, 0, or 1: the sign of x - y, exactly."""
     x, y = as_real(x), as_real(y)
     if isinstance(x, Rational) and isinstance(y, Rational):
         return (x.value > y.value) - (x.value < y.value)
@@ -496,7 +493,7 @@ def ceil_value(x: RealLike) -> int:
 
 
 def floor_linear(tau: RealLike, k: int, eta: RealLike) -> int:
-    """⌊τ·k + η⌋, exact for exact tiers, adaptive for intervals."""
+    """⌊τ·k + η⌋, exactly."""
     tau, eta = as_real(tau), as_real(eta)
     return _add(_mul(tau, Rational(Fraction(k))), eta).floor()
 

@@ -27,8 +27,9 @@ must match exactly.
 
 For quadratic surds Q-linear independence of {1, 1/alpha, 1/gamma} is
 decided exactly: distinct square-free radicands are always independent,
-a shared radicand always dependent.  Interval-only parameters make
-rationality and independence undecidable, so they classify as Unknown.
+a shared radicand always dependent.  A tuple with a parameter of two or
+more radicands (a ``RadicalSum``) classifies as Unknown: the regions
+are stated for rational and single-radicand parameters.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from typing import Optional
 from .beatty import BeattyPair, ParamTuple
 from .chains import DEFAULT_K, ClosedForm, DensityVector
 from .numerics import (
-    PrecisionExhausted,
     QuadraticSurd,
+    RadicalSum,
     Rational,
     Real,
     RealLike,
@@ -64,10 +65,6 @@ class NoClosedForm(ValueError):
 
 class NotRational(ValueError):
     """Residue-cover densities need rational alpha and gamma."""
-
-
-class UndecidableIndependence(ValueError):
-    """Q-independence cannot be decided from interval enclosures."""
 
 
 _ZERO = Fraction(0)
@@ -156,11 +153,7 @@ def rational_d(p: ParamTuple, K: int = DEFAULT_K) -> DensityVector:
 # ---------------------------------------------------------------------------
 
 def _is_integral(x: Real) -> bool:
-    if isinstance(x, Rational):
-        return x.value.denominator == 1
-    if isinstance(x, QuadraticSurd):
-        return False
-    return False  # interval: cannot confirm
+    return isinstance(x, Rational) and x.value.denominator == 1
 
 
 def q_independent(alpha: Real, gamma: Real) -> bool:
@@ -169,15 +162,14 @@ def q_independent(alpha: Real, gamma: Real) -> bool:
     Exactly decidable in the exact tiers: a rational member makes the set
     dependent outright; two quadratic surds are independent iff their
     square-free radicands differ (a shared radicand always admits a
-    nontrivial rational relation, distinct ones never do).  Interval
-    representations raise UndecidableIndependence."""
+    nontrivial rational relation, distinct ones never do).  A value of
+    two or more radicands raises ValueError."""
+    if isinstance(alpha, RadicalSum) or isinstance(gamma, RadicalSum):
+        raise ValueError("Q-independence is decided for rational and "
+                         "single-radicand values only")
     if isinstance(alpha, Rational) or isinstance(gamma, Rational):
         return False
-    if isinstance(alpha, QuadraticSurd) and isinstance(gamma, QuadraticSurd):
-        return alpha.d != gamma.d
-    raise UndecidableIndependence(
-        "Q-independence cannot be decided from interval enclosures"
-    )
+    return alpha.d != gamma.d
 
 
 def _condition_i(p: ParamTuple) -> Optional[tuple[int, int]]:
@@ -211,14 +203,11 @@ def _condition_ii(p: ParamTuple) -> Optional[tuple[int, int]]:
         return None
     mn = p.ratio.value
     m, n = mn.numerator, mn.denominator
-    try:
-        m_over_a = _mul(Rational(Fraction(m)), _reciprocal(p.alpha))
-        u = frac(_mul(Rational(Fraction(m)), _div(_add(p.beta, _neg(p.delta)), p.alpha)))
-        upper = _add(Rational(Fraction(1)), _neg(m_over_a))
-        if compare(u, m_over_a) >= 0 and compare(upper, u) >= 0:
-            return (n, m)
-    except PrecisionExhausted:
-        return None
+    m_over_a = _mul(Rational(Fraction(m)), _reciprocal(p.alpha))
+    u = frac(_mul(Rational(Fraction(m)), _div(_add(p.beta, _neg(p.delta)), p.alpha)))
+    upper = _add(Rational(Fraction(1)), _neg(m_over_a))
+    if compare(u, m_over_a) >= 0 and compare(upper, u) >= 0:
+        return (n, m)
     return None
 
 
@@ -227,16 +216,17 @@ def _condition_ii(p: ParamTuple) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def classify_region(p: ParamTuple) -> RegionId:
-    """Decision tree over the exactness, rationality, and independence of
-    the parameters.  Total: every exact tuple receives a region (possibly
-    R6Open); interval-valued tuples classify as Unknown."""
-    if not p.is_exact():
+    """Decision tree over the rationality and independence of the
+    parameters.  Total: every tuple receives a region (possibly R6Open);
+    a tuple with a parameter of two or more radicands is Unknown."""
+    al, be, gm, de = p.alpha, p.beta, p.gamma, p.delta
+    if any(isinstance(v, RadicalSum) for v in (al, be, gm, de)):
         return RegionId(
             "Unknown",
-            "interval-valued parameters: rationality and Q-linear "
-            "independence are undecidable from enclosures",
+            "a parameter is a sum of square roots of two or more distinct "
+            "radicands: the regions cover rational and single-radicand "
+            "parameters only",
         )
-    al, be, gm, de = p.alpha, p.beta, p.gamma, p.delta
 
     all_int = all(
         isinstance(v, Rational) and v.value.denominator == 1

@@ -2,7 +2,7 @@ import math
 import pathlib
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -15,7 +15,8 @@ from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
 from beattydim.beatty import LANE_BOUND, BeattyPair, member  # noqa: E402
 from beattydim.dims import _mink_tail, _rho  # noqa: E402
 from beattydim.numerics import (  # noqa: E402
-    Rational, _add, _div, _mul, _neg, _reciprocal, ceil_value, floor_linear)
+    QuadraticSurd, Rational, _add, _div, _mul, _neg, _reciprocal, ceil_value,
+    floor_linear)
 
 
 def random_binary(rng, m):
@@ -45,6 +46,85 @@ def rng():
 
 
 # ---------------------------------------------------------------------------
+# isqrt-enclosure references for signs and floors
+#
+# A value is read off its tier's fields as terms c*sqrt(r), square-free
+# r, and bracketed by isqrt at a precision that doubles until the bracket
+# decides: no sign, floor or arithmetic of ``numerics`` takes part.  Like
+# terms are collected first; a sum left with an irrational term is
+# irrational (Besicovitch), never an integer, so every refinement ends.
+# ---------------------------------------------------------------------------
+
+def value_terms(x):
+    """[(c, r)] with x = sum c*sqrt(r), from the fields of x's tier."""
+    if isinstance(x, Rational):
+        return [(x.value, 1)]
+    if isinstance(x, QuadraticSurd):
+        return [(x.a, 1), (x.b, x.d)]
+    return [(c, r) for r, c in x.terms]
+
+
+def terms_enclosure(terms, bits):
+    """(lo, hi) around sum c*sqrt(r) from isqrt(r*4^bits); exact terms
+    (r a square) add no width."""
+    lo = hi = Fraction(0)
+    for c, r in terms:
+        root = isqrt(r << (2 * bits))
+        r_lo = Fraction(root, 1 << bits)
+        r_hi = r_lo if root * root == r << (2 * bits) else \
+            Fraction(root + 1, 1 << bits)
+        lo += min(c * r_lo, c * r_hi)
+        hi += max(c * r_lo, c * r_hi)
+    return lo, hi
+
+
+def _collected(terms):
+    out = {}
+    for c, r in terms:
+        out[r] = out.get(r, 0) + c
+    return [(c, r) for r, c in out.items() if c]
+
+
+def reference_sign(terms):
+    terms = _collected(terms)
+    bits = 64
+    while True:
+        lo, hi = terms_enclosure(terms, bits)
+        if lo > 0 or hi < 0 or lo == hi:
+            return (lo > 0) - (hi < 0)
+        bits *= 2
+
+
+def reference_floor(terms):
+    terms = _collected(terms)
+    bits = 64
+    while True:
+        lo, hi = terms_enclosure(terms, bits)
+        if math.floor(lo) == math.floor(hi):
+            return math.floor(lo)
+        bits *= 2
+
+
+def reference_floor_linear(tau, k, eta):
+    """floor(tau*k + eta) by the enclosure reference."""
+    return reference_floor([(c * k, r) for c, r in value_terms(tau)]
+                           + value_terms(eta))
+
+
+def reference_member(x, tau, eta):
+    """The k >= 1 with floor(tau*k + eta) = x, or None, for tau >= 1: the
+    reference floors of the k next to (x - eta)/tau, whose 128-bit
+    enclosure quotient is within 1 of it."""
+    t_lo, t_hi = terms_enclosure(value_terms(tau), 128)
+    e_lo, _ = terms_enclosure(value_terms(eta), 128)
+    k0 = math.floor((x - e_lo) / t_lo)
+    for k in range(max(1, k0 - 2), k0 + 3):
+        if reference_floor_linear(tau, k, eta) == x:
+            return k
+    return None
+
+
+# ---------------------------------------------------------------------------
 # scalar references for the chain map and the constraint edges
 # ---------------------------------------------------------------------------
 
@@ -70,20 +150,58 @@ def f_map(x, p):
     return y
 
 
-def scalar_constraint_edges(p, n):
+def scalar_constraint_edges(p, n, floor_linear_at=None):
     """constraint_edges(p, n) by one scalar exact floor per k and
     sequence: k from max(first_k) while floor(gamma*k + delta) <= n,
-    keeping the pairs whose first coordinate is <= n as well."""
+    keeping the pairs whose first coordinate is <= n as well.  The
+    floors are the pairs' scalar ones, or floor_linear_at(tau, k, eta);
+    then the start is checked with it too."""
     if n < 1:
         raise ValueError("window size must be >= 1")
     a, g = BeattyPair(p.alpha, p.beta), BeattyPair(p.gamma, p.delta)
+    fa, fg = a.floor, g.floor
+    if floor_linear_at is not None:
+        def fa(k):
+            return floor_linear_at(p.alpha, k, p.beta)
+
+        def fg(k):
+            return floor_linear_at(p.gamma, k, p.delta)
     edges, k = [], max(a.first_k, g.first_k)
-    while (v := g.floor(k)) <= n:
-        u = a.floor(k)
+    assert k == 1 or min(fa(k - 1), fg(k - 1)) < 1 <= min(fa(k), fg(k))
+    while (v := fg(k)) <= n:
+        u = fa(k)
         if u <= n:
             edges.append((u, v))
         k += 1
     return edges
+
+
+def beatty_values(tau, eta, limit):
+    """All values floor(tau*k + eta) for k >= 1 that land in [1, limit],
+    by the pair's scalar floor from its first_k."""
+    pair = BeattyPair(tau, eta)
+    out, k = [], pair.first_k
+    while (v := pair.floor(k)) <= limit:
+        out.append(v)
+        k += 1
+    return out
+
+
+def dij_row(p, i, d_i):
+    """d_{i,j} for j = 1..i: the head density d_i split by how many chain
+    elements land in [1, n]: a factor (alpha/gamma)^{j-1} - (alpha/gamma)^j
+    for j < i and (alpha/gamma)^{i-1} for j = i (the window analysis of the
+    pattern-count product); the row telescopes to d_i exactly."""
+    if i == 1:
+        return [d_i]
+    if isinstance(p.ratio, Rational) and isinstance(d_i, Fraction):
+        rho = Fraction(1) / p.ratio.value
+    else:
+        rho = 1.0 / float(p.ratio.approx())
+        d_i = float(d_i)
+    row = [d_i * (rho ** (j - 1) - rho ** j) for j in range(1, i)]
+    row.append(d_i * rho ** (i - 1))
+    return row
 
 
 def first_k_at_reference(pair, x):

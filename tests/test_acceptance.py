@@ -19,7 +19,6 @@ from beattydim import (
     closed_form_d,
     count_patterns,
     decompose,
-    dij_row,
     empirical_densities,
     exhaustive_count,
     finite_scale_logcount,
@@ -33,8 +32,8 @@ from beattydim import (
     t_phi,
 )
 from beattydim.numerics import as_real, compare, rational, surd
-from conftest import (REGION_TUPLES, integer_region_d, random_irreducible,
-                      reference_chain_bound)
+from conftest import (REGION_TUPLES, dij_row, integer_region_d,
+                      random_irreducible, reference_chain_bound)
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from beattydim import (
     ParamTuple,
-    beatty_values,
     constraint_edges,
     floor_linear,
     member,
@@ -15,8 +14,8 @@ from beattydim import (
 from beattydim.beatty import LANE_BOUND, BeattyPair, _float_pair, _linear_form
 from beattydim.chains import _growth_start, _lane_guard
 from beattydim.numerics import (
-    Interval,
     QuadraticSurd,
+    RadicalSum,
     Rational,
     as_fraction,
     as_real,
@@ -29,8 +28,11 @@ from conftest import (
     NotInDomain,
     f_map,
     assert_lane_guard_promise,
+    beatty_values,
     first_k_at_reference,
     reference_chain_bound,
+    reference_floor_linear,
+    reference_member,
     scalar_constraint_edges,
 )
 
@@ -180,7 +182,7 @@ def _kernel_case(draw):
     """(tau, eta, ks): a parameter pair of every kind the kernel takes,
     with lanes that include exact-integer values of tau*k + eta and k on
     both sides of the int64 guard of the rational path."""
-    kind = draw(st.sampled_from(["rational", "surd", "cross", "interval"]))
+    kind = draw(st.sampled_from(["rational", "surd", "cross", "multi"]))
     shift = draw(st.sampled_from([0, -300, -10**11]))  # large negative shifts
     d = draw(st.sampled_from([2, 3, 5, 7]))
     b = draw(st.fractions(min_value=Fraction(1, 8), max_value=3,
@@ -205,10 +207,10 @@ def _kernel_case(draw):
         d2 = draw(st.sampled_from([x for x in (2, 3, 5, 7, 11) if x != d]))
         tau, eta = surd(1, b, d), surd(ea, b / 3, d2)
     else:
-        # a non-integer rational shift keeps every value away from the
-        # integers, where interval floors are undecidable
-        tau = Interval(surd(1, b, d).enclosure)
-        eta = rational(Fraction(2 * ea + 1, 2))
+        # tau of two radicands, tau*m + eta = m + ea exactly
+        d2 = draw(st.sampled_from([x for x in (2, 3, 5, 7, 11) if x != d]))
+        tau = surd(1, b, d) + surd(0, b / 5, d2)
+        eta = rational(m + ea) - tau * m
     ks += draw(st.lists(st.integers(min_value=-2**40, max_value=2**40),
                         max_size=20))
     ks += [2**52, 2**53 + 1, -(2**55)]  # past the float filter
@@ -218,13 +220,14 @@ def _kernel_case(draw):
 @st.composite
 def _edge_case(draw):
     """(p, n): alpha rational, a surd with shifts from its own field or
-    another one, or an interval, and shifts of size up to 10^6 or 10^30.
+    another one, or a sum of two radicands, and shifts of size up to 10^6
+    or 10^30.
     Shifts place edges near k = K (about that size).  For exact tuples
     they may put alpha*k + beta and gamma*k + delta exactly on integers
     in [1, n] at one k = K + j, an edge where only the kernel's error
     bound keeps the floors exact."""
     kind = draw(st.sampled_from(["rational", "surd", "surd", "cross",
-                                 "interval"]))
+                                 "multi"]))
     exact = kind in ("rational", "surd")
     n = draw(st.integers(min_value=1, max_value=3000 if exact else 300))
     d = draw(st.sampled_from([2, 3, 5, 7]))
@@ -237,8 +240,9 @@ def _edge_case(draw):
         alpha = surd(1, b, d)
     gamma = alpha + draw(st.fractions(min_value=Fraction(1, 5), max_value=4,
                                       max_denominator=7))
-    if kind == "interval":
-        alpha, gamma = Interval(alpha.enclosure), Interval(gamma.enclosure)
+    if kind == "multi":
+        d2 = draw(st.sampled_from([x for x in (2, 3, 5, 7, 11) if x != d]))
+        alpha, gamma = (v + surd(0, b / 5, d2) for v in (alpha, gamma))
     size = draw(st.sampled_from([0, 10**6, 10**30]))
     K = size + draw(st.integers(min_value=0, max_value=n))
     j = draw(st.integers(min_value=0, max_value=n))
@@ -267,6 +271,8 @@ def test_constraint_edges_match_scalar_reference(case):
     p, n = case
     edges = constraint_edges(p, n)
     assert edges == scalar_constraint_edges(p, n)
+    if isinstance(p.alpha, RadicalSum):
+        assert edges == scalar_constraint_edges(p, n, reference_floor_linear)
     assert all(type(x) is int for e in edges for x in e)
 
 
@@ -297,12 +303,22 @@ def test_kernel_floors_exact_integer_values(b, d):
                                     for k in (m - 1, m, m + 1)], (ea, m)
 
 
+def _references(tau):
+    """(floor, member) the kernels are checked against: the generic exact
+    operations, and for a RadicalSum tau, whose pairs take those
+    operations themselves, the isqrt-enclosure references."""
+    if isinstance(tau, RadicalSum):
+        return reference_floor_linear, reference_member
+    return floor_linear, member
+
+
 @given(case=_kernel_case())
 @settings(max_examples=120, deadline=None)
 def test_kernel_matches_scalar_floors_and_membership(case):
     tau, eta, ks = case
     pair = BeattyPair(tau, eta)
-    want = {v: floor_linear(tau, v, eta) for v in ks}
+    ref_floor, ref_member = _references(tau)
+    want = {v: ref_floor(tau, v, eta) for v in ks}
     # every scalar walk step is pair.member, then pair.floor
     assert [pair.floor(v) for v in ks] == [want[v] for v in ks]
     k = pair.first_k
@@ -313,7 +329,7 @@ def test_kernel_matches_scalar_floors_and_membership(case):
     assert floors.tolist() == [want[v] for v in ks]
     xs = sorted({int(v) + dv for v in floors for dv in (-1, 0, 1)
                  if 1 <= int(v) + dv < LANE_BOUND} | set(range(1, 40)))
-    ref = [member(v, tau, eta) or 0 for v in xs]
+    ref = [ref_member(v, tau, eta) or 0 for v in xs]
     assert [pair.member(v) for v in xs] == ref
     assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
 
@@ -321,13 +337,14 @@ def test_kernel_matches_scalar_floors_and_membership(case):
 @st.composite
 def _membership_boundary_case(draw):
     """(tau, eta, xs): a pair and lanes x right at the membership
-    boundary.  For surd and interval pairs tau*m + eta lands exactly on
-    (or 2^-30 above) an integer X, so x = X - 1 has its candidate k = m
-    with k - (x + 1 - eta)/tau at (or next to) 0, which only the error
+    boundary.  For surd pairs and pairs with a tau of two radicands,
+    tau*m + eta lands exactly on (or 2^-30 above) an integer X, so x =
+    X - 1 has its candidate k = m with k - (x + 1 - eta)/tau at (or next
+    to) 0, which only the error
     bound of the one-pass test decides; cross-field pairs come 2^-30
     close in the same way.  Rational pairs put x next to the int64 guard
     of their exact path."""
-    kind = draw(st.sampled_from(["rational", "surd", "cross", "interval"]))
+    kind = draw(st.sampled_from(["rational", "surd", "cross", "multi"]))
     d = draw(st.sampled_from([2, 3, 5, 7]))
     b = draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(5, 7),
                               Fraction(9, 4)]))
@@ -352,10 +369,12 @@ def _membership_boundary_case(draw):
     if kind == "cross":
         d2 = draw(st.sampled_from([x for x in (2, 3, 5, 7) if x != d]))
         eta = surd(ea, -b * m, d) + surd(0, Fraction(1, 2**30), d2)
-    elif kind == "interval":
-        # the interval floors settle on refinement: no value is an integer
-        tau = Interval(tau.enclosure)
-        eta = eta + tiny
+    elif kind == "multi":
+        d2 = draw(st.sampled_from([x for x in (2, 3, 5, 7) if x != d]))
+        tau = tau + surd(0, b / 5, d2)
+        eta = rational(m + ea) - tau * m
+        if draw(st.booleans()):
+            eta = eta + tiny
     elif draw(st.booleans()):
         eta = eta + tiny
     X = m + ea
@@ -368,7 +387,8 @@ def test_member_lanes_at_the_membership_boundary(case):
     tau, eta, xs = case
     xs = sorted({x for x in xs if 1 <= x < 2**63})
     pair = BeattyPair(tau, eta)
-    ref = [member(x, tau, eta) or 0 for x in xs]
+    ref_member = _references(tau)[1]
+    ref = [ref_member(x, tau, eta) or 0 for x in xs]
     assert [pair.member(x) for x in xs] == ref
     assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
 
@@ -461,7 +481,7 @@ def test_first_k_at_takes_no_enclosure_on_exact_pairs(tau, eta, monkeypatch):
     def refuse(self, bits):
         raise AssertionError("an enclosure was asked for")
 
-    for cls in (Rational, QuadraticSurd, Interval):
+    for cls in (Rational, QuadraticSurd, RadicalSum):
         monkeypatch.setattr(cls, "enclosure", refuse)
     assert [pair.first_k_at(x) for x in xs] == want
 

@@ -10,7 +10,6 @@ from beattydim import (
     ParamTuple,
     HorizonTooSmall,
     decompose,
-    dij_row,
     empirical_densities,
 )
 from beattydim.beatty import LANE_BOUND, BeattyPair, member
@@ -27,8 +26,10 @@ from beattydim.chains import (
     infinity_candidate,
 )
 from beattydim.numerics import Rational, ceil_value, rational, surd
-from conftest import (REGION_TUPLES, NonPositiveImage, f_map,
-                      reference_chain_bound, reference_suffix)
+from conftest import (REGION_TUPLES, NonPositiveImage, beatty_values,
+                      dij_row, f_map, reference_chain_bound,
+                      reference_floor_linear, reference_member,
+                      reference_suffix)
 
 NOT_HEAD = ChainClass("not_head")
 
@@ -303,34 +304,55 @@ def test_decreasing_chains_are_strictly_monotone(tup):
     assert any(len(rec) >= 3 and rec[1] > rec[0] for rec in chains)
 
 
-def test_interval_parameters_scan_like_their_exact_values():
-    # an interval secretly holding sqrt(2) must decompose exactly like the
-    # surd: every floor resolves by refinement along the way
-    from fractions import Fraction
-    from math import isqrt
+def reference_class(x, p, horizon):
+    """(class, trajectory) of the head x by the isqrt-enclosure reference
+    floors and memberships, or (None, ()) when x is not a head; the walk
+    stops after horizon steps.  The trajectory must stay positive."""
+    if reference_member(x, p.gamma, p.delta) is not None:
+        return None, ()
+    rec = [x]
+    for j in range(horizon + 1):
+        k = reference_member(rec[-1], p.alpha, p.beta)
+        if k is None:
+            return (finite_class(j + 1) if j else A1), tuple(rec)
+        if j == horizon:
+            return infinity_candidate(horizon), tuple(rec)
+        rec.append(reference_floor_linear(p.gamma, k, p.delta))
+        assert rec[-1] >= 1
 
-    from beattydim.numerics import Interval
 
-    def enc(d):
-        def fn(bits):
-            r = isqrt(d << (2 * bits))
-            return (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
-        return fn
-
-    p_iv = ParamTuple(Interval(enc(2)), 0, Interval(enc(3)), 0)
-    p_ex = ParamTuple("sqrt(2)", 0, "sqrt(3)", 0)
-    d_iv = empirical_densities(p_iv, [(1, 800)])
-    d_ex = empirical_densities(p_ex, [(1, 800)])
-    assert d_iv.finite == d_ex.finite and d_iv.d_inf == d_ex.d_inf
-    dec_iv = decompose(p_iv, 60)
-    dec_ex = decompose(p_ex, 60)
-    assert [(c.head, c.elements) for c in dec_iv.chains] == [
-        (c.head, c.elements) for c in dec_ex.chains
-    ]
+def test_multi_radicand_parameters_scan_like_the_enclosure_reference():
+    # parameters of two radicands take the generic exact operations in
+    # every scan layer: head by head, the decomposition and the window
+    # scan must agree with walks on the isqrt-enclosure reference
+    p = ParamTuple("sqrt(2)+sqrt(3)/8", "1/5", "sqrt(3)+sqrt(5)/8", "1/3")
+    n = 400
+    H = default_horizon(p, n)
+    dec = decompose(p, n, H)
+    by_head = {c.head: c for c in dec.chains}
+    counts, cand = {}, 0
+    for x in range(1, n + 1):
+        cls, rec = reference_class(x, p, H)
+        if cls is None:
+            assert x not in by_head
+            continue
+        assert by_head[x].cls == cls, x
+        assert by_head[x].elements == tuple(y for y in rec if y <= n), x
+        cls, _ = reference_class(x, p, 2 * H)  # the scan's probe
+        if cls.tag == "infinity":
+            cand += 1
+        else:
+            counts[cls.label()] = counts.get(cls.label(), 0) + 1
+    assert set(by_head) <= set(range(1, n + 1))
+    d = empirical_densities(p, [(1, n)], horizon=H)
+    assert d.d_inf == cand / n
+    assert d.finite[0] == counts.pop("A1", 0) / n
+    assert {i: c / n for i, c in counts.items()} == {
+        finite_class(i).label(): v for i, v in enumerate(d.finite, start=1)
+        if v and i > 1}
 
 
 def test_bitset_matches_beatty_values():
-    from beattydim import beatty_values
     from beattydim.chains import _mark_bitset
     from beattydim.numerics import rational, surd
 

@@ -244,6 +244,8 @@ def test_dim_nilpotent_matrix_is_invalid_input(capsys, matrix, start):
      "--mode=empirical", "--n=100"],
     ["dim", "--alpha=sqrt(2)", f"--gamma=sqrt(2)+1/{10**20}",
      "--matrix=11;10"],
+    ["dim", f"--alpha={10**20}", f"--gamma={10**20 + 1}", "--matrix=11;10",
+     "--which=hausdorff"],
 ])
 def test_ratio_that_rounds_to_one_is_a_numeric_failure(capsys, argv):
     # alpha < gamma holds exactly, but gamma/alpha rounds to 1 in float64:
@@ -256,12 +258,48 @@ def test_ratio_that_rounds_to_one_is_a_numeric_failure(capsys, argv):
 
 
 def test_undecidable_order_is_invalid_input(capsys):
-    # alpha = gamma written as two radicand sums: no enclosure separates
-    # them, so the tuple is rejected as invalid (2), not as a numeric
-    # failure (3)
+    # alpha = gamma written as two radicand sums: the exact comparison
+    # finds them equal, so alpha < gamma fails (2)
     assert main(["classify", "--alpha", "sqrt(2)+sqrt(3)",
                  "--gamma", "sqrt(3)+sqrt(2)"]) == 2
-    assert "cannot decide" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "invalid input: parameters must satisfy alpha < gamma\n"
+
+
+def test_more_than_four_radicands_is_invalid_input(capsys):
+    t0 = time.perf_counter()
+    code = main(["classify", "--alpha", "sqrt(2)+sqrt(3)", "--beta",
+                 "sqrt(5)", "--gamma", "sqrt(7)+sqrt(11)"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid input: the parameters use 5 distinct square-free radicands; "
+        "at most 4 are supported\n")
+    # four radicands (sqrt(8) is 2*sqrt(2)) are accepted
+    code, out = run_cli(capsys, "classify", "--alpha", "sqrt(2)+sqrt(3)",
+                        "--beta", "sqrt(5)-sqrt(8)", "--gamma",
+                        "sqrt(7)+sqrt(3)")
+    assert code == 0 and json.loads(out)["region"] == "Unknown"
+
+
+def test_multi_radicand_inclusion_scans_fast(capsys):
+    # gamma = 2*alpha exactly, with alpha of two radicands: the inclusion
+    # certificate proves every chain of length 2 or more infinite, so
+    # d = (1 - 1/alpha, 0, ...) and d_inf = 1/alpha - 1/gamma
+    n = 20000
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "densities", "--alpha", "sqrt(2)+sqrt(3)",
+                        "--gamma", "2*sqrt(2)+2*sqrt(3)", "--mode",
+                        "empirical", "--n", str(n))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    rep = json.loads(out)
+    alpha = 2**0.5 + 3**0.5
+    tol = 2 / n**0.5
+    assert rep["region"] == "Unknown"
+    assert abs(rep["d"]["finite"][0] - (1 - 1 / alpha)) < tol
+    assert all(v == 0 for v in rep["d"]["finite"][1:])
+    assert abs(rep["d"]["d_inf"] - (1 / alpha - 1 / (2 * alpha))) < tol
 
 
 def test_classify_large_rational_numerators(capsys):

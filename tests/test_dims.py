@@ -14,7 +14,6 @@ from beattydim import (
     classify_region,
     closed_form_d,
     dimension_report,
-    dij_row,
     dims_coincide,
     hausdorff_dim,
     minkowski_dim,
@@ -24,9 +23,10 @@ from beattydim import (
 from beattydim import empirical_densities
 from beattydim.chains import ClosedForm
 from beattydim.dims import _hausdorff_tail, _mink_tail, transfer_sums
-from conftest import (REGION_TUPLES, naive_power_sums, random_irreducible,
-                      random_primitive, reference_minkowski_dim,
-                      reference_suffix, reference_transfer_sums)
+from conftest import (REGION_TUPLES, dij_row, naive_power_sums,
+                      random_irreducible, random_primitive,
+                      reference_minkowski_dim, reference_suffix,
+                      reference_transfer_sums)
 
 
 def plastic_root(tol=1e-13):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattydim.numerics import (
-    Interval,
-    PrecisionExhausted,
     QuadraticSurd,
+    RadicalSum,
     Rational,
+    _add,
     _mul,
+    _reciprocal,
     _squarefree,
     _surd_floor_ints,
     as_fraction,
@@ -23,6 +25,8 @@ from beattydim.numerics import (
     sign,
     surd,
 )
+from conftest import (reference_floor, reference_sign, terms_enclosure,
+                      value_terms)
 
 
 def test_floor_linear_examples():
@@ -166,39 +170,45 @@ def test_parse_real_splits_each_radicand_once(monkeypatch):
 
 
 def test_interval_floor():
-    from math import isqrt
-
-    def sqrt2(bits):
-        r = isqrt(2 << (2 * bits))
-        return (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
-
-    iv = Interval(sqrt2)
-    assert floor_linear(iv, 3, rational(0)) == 4
-    assert iv.floor() == 1
+    # a RadicalSum floors from one isqrt enclosure interval, settled by an
+    # exact sign test where an integer lies inside it
+    x = parse_real("sqrt(2)+sqrt(3)")
+    assert isinstance(x, RadicalSum)
+    assert x.floor() == 3
+    assert floor_linear(x, 10**9, rational(0)) == 3146264369
+    for k in (1, 7, 10**6, 10**30):
+        assert floor_linear(x, k, 0) == reference_floor(
+            [(c * k, r) for c, r in value_terms(x)])
+    # y - t within 2^-200 of 0, t the 2^-200 grid points next to y: the
+    # floor's enclosure straddles 0, and the exact sign test settles it
+    y = x * 10**40
+    lo, _ = terms_enclosure(value_terms(y), 512)
+    below = math.floor(lo * 2**200)
+    assert (y - rational(below, 2**200)).floor() == 0
+    assert (y - rational(below + 1, 2**200)).floor() == -1
+    assert (rational(below + 1, 2**200) - y).floor() == 0
 
 
 def test_interval_refinement_monotone():
-    from math import isqrt
+    # the enclosure intervals of a RadicalSum nest and narrow as the
+    # precision grows, and meet the reference's
+    x = parse_real("1/3+2*sqrt(5)-sqrt(7)/9+sqrt(30)")
+    lo, hi = x.enclosure(64)
+    flo, fhi = x.enclosure(256)
+    assert lo <= flo <= fhi <= hi
+    assert fhi - flo < (hi - lo) / 2**150
+    rlo, rhi = terms_enclosure(value_terms(x), 256)
+    assert rlo <= fhi and flo <= rhi
 
-    def sqrt3(bits):
-        r = isqrt(3 << (2 * bits))
-        return (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
 
-    iv = Interval(sqrt3, bits=64)
-    finer = iv.refine(256)
-    assert iv.lo <= finer.lo <= finer.hi <= iv.hi
-    assert finer.hi - finer.lo < iv.hi - iv.lo
-
-
-def test_precision_exhausted_on_hidden_integer():
-    # an interval that is secretly exactly 2 can never resolve floor(x)
-    def two(bits):
-        eps = Fraction(1, 1 << bits)
-        return (2 - eps, 2 + eps)
-
-    iv = Interval(two)
-    with pytest.raises(PrecisionExhausted):
-        iv.floor(max_bits=2048)
+def test_hidden_integer_floors_exactly():
+    # values that are integers in disguise collapse to Rational, and a
+    # RadicalSum is never an integer, so no floor is undecidable
+    x = parse_real("sqrt(2)+sqrt(3)")
+    assert _mul(x, x) - surd(0, 2, 6) == rational(5)
+    assert (x - parse_real("sqrt(3)+sqrt(2)")).floor() == 0
+    assert _mul(x, parse_real("sqrt(3)-sqrt(2)")) == rational(1)
+    assert (x * _reciprocal(x)).floor() == 1
 
 
 def test_compare_cross_field():
@@ -222,8 +232,49 @@ def test_arithmetic_field_closure():
     recip = 1 / surd(1, 1, 2)  # (sqrt(2)-1) after rationalizing
     assert (recip.a, recip.b, recip.d) == (-1, 1, 2)
     mixed = surd(1, 1, 2) * surd(1, 1, 3)  # leaves quadratic fields
-    assert isinstance(mixed, Interval)
+    assert isinstance(mixed, RadicalSum)
+    assert mixed.terms == ((1, 1), (2, 1), (3, 1), (6, 1))
     lo, hi = mixed.enclosure(128)
     expect = (1 + 2**0.5) * (1 + 3**0.5)
     assert hi - lo < Fraction(1, 2**100)
     assert abs(float((lo + hi) / 2) - expect) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the RadicalSum tier against the isqrt-enclosure reference
+# ---------------------------------------------------------------------------
+
+_SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 30, 35, 42, 105,
+               10007 * 10009]
+
+
+@st.composite
+def _radical_sum(draw):
+    """A value with 2 to 4 radicands, or one within 2^-64 of an integer:
+    x - t + n for t the 2^-64 grid point just below or just above x."""
+    radicands = draw(st.lists(st.sampled_from(_SQUAREFREE), min_size=2,
+                              max_size=4, unique=True))
+    coef = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+    x = rational(draw(coef))
+    for r in radicands:
+        x = x + surd(0, draw(coef.filter(bool)), r)
+    if draw(st.booleans()):
+        lo, _ = terms_enclosure(value_terms(x), 128)
+        t = Fraction(math.floor(lo * 2**64) + draw(st.integers(0, 1)), 2**64)
+        x = x - rational(t) + draw(st.integers(-10**6, 10**6))
+    return x
+
+
+@given(x=_radical_sum(), y=_radical_sum())
+@settings(max_examples=150, deadline=None)
+def test_radical_sums_against_the_enclosure_reference(x, y):
+    tx = value_terms(x)
+    assert sign(x) == reference_sign(tx)
+    assert x.floor() == reference_floor(tx)
+    n = reference_floor(tx)
+    assert sign(x - n) == reference_sign(tx + [(-n, 1)]) == 1
+    assert compare(x, y) == reference_sign(tx + [(-c, r) for c, r in
+                                                 value_terms(y)])
+    if isinstance(x, RadicalSum):
+        assert _mul(x, _reciprocal(x)) == rational(1)
+        assert _add(x, -x) == rational(0)

@@ -22,11 +22,11 @@ from beattydim import (
     region_report,
     residue_set,
 )
-from beattydim.numerics import (QuadraticSurd, Rational, _add, _div, _mul,
-                                as_real, compare, rational, surd)
+from beattydim.numerics import (QuadraticSurd, _add, _div, _mul, as_real,
+                                compare, parse_real, rational, surd)
 from beattydim.regions import _condition_i
 from conftest import (REGION_TUPLES, integer_region_d, pairwise_rational_d,
-                      reference_condition_i)
+                      reference_condition_i, reference_floor, value_terms)
 
 
 def test_residue_set_examples():
@@ -48,15 +48,15 @@ def test_residue_set_size_invariant(rng):
 
 
 def residue_set_reference(a, b, beta):
-    """residue_set with one generic exact addition and floor per residue."""
-    beta = as_real(beta)
-    return frozenset(_add(beta, Rational(Fraction(b * h, a))).floor() % b
+    """residue_set with one isqrt-enclosure reference floor per residue."""
+    terms = value_terms(as_real(beta))
+    return frozenset(reference_floor(terms + [(Fraction(b * h, a), 1)]) % b
                      for h in range(a))
 
 
 def test_residue_set_matches_generic_floors():
     # rational shifts take integer floors, surd shifts one isqrt each,
-    # and a shift outside the field the generic interval path
+    # and a shift of two radicands the generic exact path
     rng = random.Random(20261018)
     checked = 0
     while checked < 60:
@@ -221,37 +221,30 @@ def test_condition_i_witness_past_a_search_bound():
 
 
 def test_q_independent():
-    from math import isqrt
-
-    from beattydim import UndecidableIndependence, q_independent
-    from beattydim.numerics import Interval
+    from beattydim import q_independent
 
     assert q_independent(surd(0, 1, 2), surd(0, 1, 3))
     assert q_independent(surd(1, 2, 5), surd(0, 1, 7))
     assert not q_independent(surd(0, 1, 2), surd(2, 1, 2))  # shared radicand
     assert not q_independent(rational(3, 2), surd(0, 1, 2))  # rational member
 
-    def enc(bits):
-        r = isqrt(2 << (2 * bits))
-        return (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
-
-    with pytest.raises(UndecidableIndependence):
-        q_independent(Interval(enc), Interval(enc))
+    # two radicands: the independence test covers single fields only
+    two = parse_real("sqrt(2)+sqrt(3)")
+    with pytest.raises(ValueError):
+        q_independent(two, two)
 
 
-def test_classify_interval_unknown():
-    from math import isqrt
-
-    from beattydim.numerics import Interval
-
-    def enc(d):
-        def fn(bits):
-            r = isqrt(d << (2 * bits))
-            return (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
-        return fn
-
-    p = ParamTuple(Interval(enc(2)), 0, Interval(enc(3)), 0)
-    assert classify_region(p).id == "Unknown"
+def test_classify_multi_radicand_unknown():
+    # any parameter of two or more radicands keeps the tuple Unknown
+    for tup in [
+        ("sqrt(2)+sqrt(3)", 0, "sqrt(5)+sqrt(7)", 0),
+        ("sqrt(2)+sqrt(3)", 0, "2*sqrt(2)+2*sqrt(3)", 0),  # gamma = 2*alpha
+        (1, 0, "sqrt(2)+sqrt(3)", 0),
+        ("sqrt(2)", "sqrt(3)+sqrt(5)", "sqrt(3)", 0),  # a two-radicand shift
+    ]:
+        r = classify_region(ParamTuple(*tup))
+        assert r.id == "Unknown", tup
+        assert "two or more distinct radicands" in r.certificate
 
 
 @given(
