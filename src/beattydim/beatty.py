@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import lcm
 from typing import Callable, Optional
 
 import numpy as np
 
 from .numerics import (
-    QuadraticSurd,
     Rational,
     Real,
     RealLike,
@@ -37,6 +36,7 @@ from .numerics import (
     _div,
     _mul,
     _neg,
+    _reciprocal,
     _surd_floor_ints,
     as_real,
     ceil_value,
@@ -158,9 +158,12 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
 #
 # An exact pair (tau, eta) within one quadratic field has the linear form
 #     tau*k + eta = ((A*k + E) + (B*k + F) * sqrt(D)) / Z
-# with integer A, B, E, F, Z > 0, and so has its inverse x -> (x - eta)/tau.
-# Scalar floors then cost one isqrt (none when B = F = 0), which is what
-# makes 10^6-element scans affordable.
+# with integer A, B, E, F, Z > 0: the coefficients of tau and eta
+# (``numerics._coeffs``) over their common denominator.  Its inverse
+# x -> x*(1/tau) - eta/tau is the linear form of the exact values 1/tau
+# and -eta/tau, in the same field.  Scalar floors then cost one isqrt
+# (none when B = F = 0), which is what makes 10^6-element scans
+# affordable.
 #
 # The lane kernels take the same floors and memberships over a numpy
 # array of int64 lanes, in one guarded pass each.  Rational pairs use
@@ -169,7 +172,8 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
 # or the quotient (x - eta)/tau, in float64 next to an explicit per-lane
 # bound on its error, and keeps a lane only when the bound settles the
 # floor, or the ceiling and the membership test (the filter-then-exact
-# pattern of Shewchuk's robust predicates).  Lanes that fail either
+# pattern of Shewchuk's robust predicates).  The floats and their error
+# bounds come from the values' ``_bounds``.  Lanes that fail either
 # guard take the scalar closures, so no result depends on a float
 # rounding decision.  Callers keep the results inside int64.
 # ---------------------------------------------------------------------------
@@ -179,58 +183,28 @@ _U = 2.0 ** -53  # unit roundoff of float64
 _SLACK = 2.0 ** -40  # absolute floor of every float error bound
 
 
-def _parts(x: Real) -> Optional[tuple[Fraction, Fraction, int]]:
-    if isinstance(x, Rational):
-        return (x.value, Fraction(0), 0)
-    if isinstance(x, QuadraticSurd):
-        return (x.a, x.b, x.d)
-    return None
-
-
 def _linear_form(tau: Real, eta: Real):
     """Integer linear form of k -> tau*k + eta, or None if the two values
     do not live in a common quadratic field."""
-    pt, pe = _parts(tau), _parts(eta)
-    if pt is None or pe is None:
+    ct, ce = _coeffs(tau), _coeffs(eta)
+    roots = {r for r in (*ct, *ce) if r > 1}
+    if len(roots) > 1:
         return None
-    (ta, tb, td), (ea, eb, ed) = pt, pe
-    if td and ed and td != ed:
-        return None
-    d = td or ed
-    dens = [ta.denominator, tb.denominator, ea.denominator, eb.denominator]
-    z = 1
-    for q in dens:
-        z = z * q // gcd(z, q)
-    A = ta.numerator * (z // ta.denominator)
-    B = tb.numerator * (z // tb.denominator)
-    E = ea.numerator * (z // ea.denominator)
-    F = eb.numerator * (z // eb.denominator)
-    return (A, B, E, F, z, d)
+    d = roots.pop() if roots else 0
+    c = [m.get(r, 0) for m in (ct, ce) for r in (1, d)]  # A, B, E, F over z
+    z = lcm(*(v.denominator for v in c))
+    return (*(v.numerator * (z // v.denominator) for v in c), z, d)
 
 
 def _float_pair(x: Real) -> Optional[tuple[float, float]]:
     """(v, e) with |x - v| <= e; None if the value does not fit a float.
 
-    v is the float nearest the midpoint of a 96-bit enclosure [lo, hi] of
-    x, and e rounds max(hi - v, v - lo) up.  The enclosure is held as
-    integers lo_n/den and hi_n/den: a rational or surd (X + Y*sqrt(D))/Z
-    takes one isqrt of D * 2^192, and only a RadicalSum asks for its
-    enclosure.  int / int true division rounds correctly, so no Fraction
-    arithmetic is done."""
-    parts = _parts(x)
-    if parts is not None:  # x = a + b*sqrt(d), b = d = 0 for a rational
-        a, b, d = parts
-        z = lcm(a.denominator, b.denominator)
-        X = a.numerator * (z // a.denominator) << 96
-        Y = b.numerator * (z // b.denominator)
-        r = isqrt(d << 192)  # r <= 2^96 sqrt(d) < r + 1
-        lo_n, hi_n = sorted((X + Y * r, X + Y * (r + 1)))
-        den = z << 96
-    else:
-        lo, hi = x.enclosure(96)
-        den = lo.denominator * hi.denominator
-        lo_n = lo.numerator * hi.denominator
-        hi_n = hi.numerator * lo.denominator
+    v is the float nearest the midpoint of x's 96-bit ``_bounds`` [lo,
+    hi] (that is, ``x.approx()``), and e rounds max(hi - v, v - lo) up.
+    The bounds are integers over one denominator, and int / int true
+    division rounds correctly, so no Fraction arithmetic is done."""
+    lo_n, w, den = x._bounds(96)
+    hi_n = lo_n + w
     try:
         v = (lo_n + hi_n) / (2 * den)
     except OverflowError:
@@ -239,20 +213,6 @@ def _float_pair(x: Real) -> Optional[tuple[float, float]]:
     gap = max(hi_n * vd - vn * den, vn * den - lo_n * vd)
     # the division rounds to nearest; the factor rounds the bound up
     return v, gap / (den * vd) * (1 + 2.0 ** -50) + 2.0 ** -1074
-
-
-def _gap_floor(a: BeattyPair, g: BeattyPair) -> float:
-    """A positive float at or below gamma - alpha for the pairs a of
-    S(alpha, beta) and g of S(gamma, delta), from their float
-    enclosures, or 0.0 where a value does not fit a float or the gap is
-    not clearly positive.  The three roundings of the difference are at
-    most 4u times the sum s of its operands' magnitudes."""
-    if a._floats is None or g._floats is None:
-        return 0.0
-    t, et = a._floats[:2]
-    tg, etg = g._floats[:2]
-    gap = (tg - etg) - (t + et) - 8.0 * _U * (tg + etg + t + et)
-    return gap if gap > 0.0 else 0.0
 
 
 def _scalar_lanes(out: np.ndarray, bad: np.ndarray, lanes: np.ndarray,
@@ -272,11 +232,12 @@ class BeattyPair:
     for the floors).
 
     The linear form is computed here.  The rest is built on first use
-    and kept, in integer arithmetic on the form: the inverse form, the
-    float enclosures, the scalar closures ``floor`` and ``member`` (x ->
-    its k, or 0), the int64 lane kernels ``floor_lanes`` and
-    ``member_lanes``, and ``first_k``.  Outside a common quadratic field
-    every closure takes the generic exact operations.  The sequences of
+    and kept: the exact 1/tau, the inverse form, the floats of tau and
+    eta with their error bounds, the scalar closures ``floor`` and
+    ``member`` (x -> its k, or 0), the int64 lane kernels
+    ``floor_lanes`` and ``member_lanes``, and ``first_k``.  Outside a
+    common quadratic field every closure takes the generic exact
+    operations, with the one 1/tau.  The sequences of
     a tuple take their pairs from ``ParamTuple.pairs``, so this setup
     runs once per sequence."""
 
@@ -285,21 +246,18 @@ class BeattyPair:
         self.form = _linear_form(self.tau, self.eta)
 
     @cached_property
-    def _inverse(self):
-        """Linear form of x -> (x - eta)/tau, or None without a forward
-        form (the inverse then leaves the field as well).
+    def _inv_tau(self) -> Real:
+        """The exact 1/tau, taken once per pair."""
+        return _reciprocal(self.tau)
 
-        With P = Z*x - E, (x - eta)/tau = (P - F*sqrt(D))/(A + B*sqrt(D))
-        = ((A*P + B*F*D) - (B*P + A*F)*sqrt(D)) / (A^2 - B^2*D), in
-        integers; dividing out the common factor and the sign gives the
-        form _linear_form builds from the reduced coefficients."""
+    @cached_property
+    def _inverse(self):
+        """Linear form of x -> x*(1/tau) - eta/tau, or None without a
+        forward form (the inverse then leaves the field as well)."""
         if self.form is None:
             return None
-        A, B, E, F, Z, D = self.form
-        form = (A * Z, -B * Z, B * F * D - A * E, B * E - A * F,
-                A * A - B * B * D)
-        c = gcd(*form) * (1 if form[4] > 0 else -1)
-        return (*(v // c for v in form), D)
+        inv = self._inv_tau
+        return _linear_form(inv, _neg(_mul(self.eta, inv)))
 
     @cached_property
     def _floats(self) -> Optional[tuple[float, float, float, float]]:
@@ -327,9 +285,15 @@ class BeattyPair:
         x is a member iff k = ceil((x - eta)/tau) satisfies k >= 1 and
         floor(tau*k + eta) = x; both reduce to flat integer expressions in
         the common-field case (scans call this millions of times)."""
-        tau, eta, floor = self.tau, self.eta, self.floor
+        floor = self.floor
         if self._inverse is None:
-            return lambda x: member(x, tau, eta) or 0
+            k_at = self._k_at
+
+            def generic(x: int) -> int:
+                k = k_at(x)
+                return k if k >= 1 and floor(k) == x else 0
+
+            return generic
         A1, B1, E1, F1, Z1, D1 = self._inverse
         sf = _surd_floor_ints
 
@@ -350,16 +314,19 @@ class BeattyPair:
 
         Loops over k start or end here, so a large shift costs nothing:
         k >= (x - eta)/tau is the condition, so the answer is max(1,
-        ceil((x - eta)/tau)).  With the inverse form that ceiling is one
-        exact ``_surd_floor_ints`` (an integer division for rational
-        pairs), the expression ``member`` evaluates; other pairs take
-        the exact quotient's ceiling."""
+        ``_k_at(x)``)."""
+        return max(1, self._k_at(x))
+
+    def _k_at(self, x: int) -> int:
+        """ceil((x - eta)/tau), exactly.  With the inverse form it is one
+        ``_surd_floor_ints`` (an integer division for rational pairs),
+        the expression ``member`` evaluates; other pairs take the
+        ceiling of (x - eta)*(1/tau)."""
         if self._inverse is not None:
             A1, B1, E1, F1, Z1, D1 = self._inverse
-            return max(1, -_surd_floor_ints(-(A1 * x + E1), -(B1 * x + F1),
-                                            D1, Z1))
-        return max(1, ceil_value(
-            _div(_add(Rational(Fraction(x)), _neg(self.eta)), self.tau)))
+            return -_surd_floor_ints(-(A1 * x + E1), -(B1 * x + F1), D1, Z1)
+        return ceil_value(
+            _mul(_add(Rational(Fraction(x)), _neg(self.eta)), self._inv_tau))
 
     @cached_property
     def floor_lanes(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -82,8 +82,8 @@ from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from .beatty import LANE_BOUND, BeattyPair, ParamTuple, _U, _gap_floor
-from .numerics import Rational, _add, _div, _mul, _neg
+from .beatty import LANE_BOUND, BeattyPair, ParamTuple
+from .numerics import Rational, _add, _common_bounds, _div, _mul, _neg
 
 DEFAULT_K = 40
 CHUNK = 1 << 14  # lanes per table-marking call, positions per head slice
@@ -349,7 +349,8 @@ def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
 
 class _ScanContext:
     """Per-tuple scan state, built once per tuple: the tuple's pairs a
-    and g, their membership tables on [1, bound], the lane guard of
+    and g, the membership table of S(gamma, delta) on [1, bound] (and
+    that of S(alpha, beta) on first use), the lane guard of
     ``walk_heads``, and the certificate threshold Y (None without one).
     A walk stops as proved infinite at an iterate y >= Y above the
     cutoff: every later iterate is larger and in S(alpha, beta)."""
@@ -357,10 +358,16 @@ class _ScanContext:
     def __init__(self, p: ParamTuple, bound: int):
         self.p = p
         self.a, self.g = p.pairs
+        self.bound = bound
         self.sg = _mark_bitset(self.g, bound)
-        self.sa = _mark_bitset(self.a, bound)
         self.guard = _lane_guard(p)
         self.Y = _certificate(self.a, self.g)
+
+    @cached_property
+    def sa(self) -> bytearray:
+        """The S(alpha, beta) table on [1, bound], built on first use:
+        ``decompose`` reads only ``sg``."""
+        return _mark_bitset(self.a, self.bound)
 
     def _stop(self, cutoff: int):
         """The least iterate that ends a walk as proved infinite."""
@@ -632,24 +639,21 @@ def _certificate(a: BeattyPair, g: BeattyPair) -> Optional[int]:
 
 
 def _growth_start(a: BeattyPair, g: BeattyPair) -> int:
-    """An integer k_f >= max(1, (1 + beta - delta)/(gamma - alpha)): f(y)
-    > y for every member y = floor(alpha*k + beta) with k >= k_f.  From
-    the float enclosures over ``_gap_floor``, the numerator's four terms
-    raised by 8u times their magnitude sum; from 64-bit enclosures where
-    ``_gap_floor`` declines."""
-    gap = _gap_floor(a, g)
-    if gap > 0.0:
-        e, ee = a._floats[2:]
-        eg, eeg = g._floats[2:]
-        top = 1.0 + e - eg + (ee + eeg)
-        top += 8.0 * _U * (1.0 + abs(e) + abs(eg) + ee + eeg)
-        q = top / gap * (1.0 + 4.0 * _U)
-        if q < 2.0 ** 62:
-            return max(1, ceil(q))
-    gap = _div(_add(_add(Rational(Fraction(1)), a.eta), _neg(g.eta)),
-               _add(g.tau, _neg(a.tau)))
-    hi = gap.enclosure(64)[1]
-    return max(1, -(-hi.numerator // hi.denominator))
+    """An integer k_f >= max(1, ceil((1 + beta - delta)/(gamma - alpha))),
+    equal to it on a rational tuple: f(y) > y for every member y =
+    floor(alpha*k + beta) with k >= k_f.  One exact integer ceiling from
+    the four parameters' ``_bounds`` over one denominator den: den*(1 +
+    beta - delta) is at most den + sb + wb - sd, and den*(gamma - alpha)
+    at least sg - sa - wa, with the bit count doubled from 64 until that
+    lower bound is positive (gamma > alpha, so it ends)."""
+    bits = 64
+    while True:
+        ((sa, wa), (sb, wb), (sg, _), (sd, _)), den = _common_bounds(
+            (a.tau, a.eta, g.tau, g.eta), bits)
+        low = sg - sa - wa
+        if low > 0:
+            return max(1, -(-(den + sb + wb - sd) // low))
+        bits *= 2
 
 
 def _surd_inclusion(a: BeattyPair, g: BeattyPair) -> Optional[int]:

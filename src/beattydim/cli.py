@@ -86,16 +86,24 @@ def _density_csv(payload) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _add_param_flags(sp, need_matrix: bool) -> None:
+def _add_param_flags(sp, matrix: bool, tables: bool) -> None:
+    """The flags every subcommand reads: the tuple and --out, then the
+    matrix where one is required, and --format and --K where density
+    tables are reported."""
     sp.add_argument("--alpha", required=True, help="e.g. 2, 7/2, 2.5, 1+2*sqrt(5)/3")
     sp.add_argument("--beta", default="0")
     sp.add_argument("--gamma", required=True)
     sp.add_argument("--delta", default="0")
-    sp.add_argument("--matrix", required=need_matrix,
-                    help='rows of 0/1 chars separated by ";", e.g. "11;10"')
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="write the report to PATH")
-    sp.add_argument("--K", type=int, default=DEFAULT_K)
+    if matrix:
+        sp.add_argument(
+            "--matrix", required=True,
+            help='rows of 0/1 chars separated by ";", e.g. "11;10"')
+    if tables:
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--K", type=int, default=DEFAULT_K)
+    else:
+        sp.set_defaults(format="json")
 
 
 @functools.cache
@@ -109,17 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classify", help="region and closed-form densities")
-    _add_param_flags(sp, need_matrix=False)
+    _add_param_flags(sp, matrix=False, tables=True)
 
     sp = sub.add_parser("densities", help="closed-form / empirical densities")
-    _add_param_flags(sp, need_matrix=False)
+    _add_param_flags(sp, matrix=False, tables=True)
     sp.add_argument("--mode", choices=("closed", "empirical", "both"),
                     default="closed")
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--horizon", type=int, default=None)
 
     sp = sub.add_parser("dim", help="dimension report")
-    _add_param_flags(sp, need_matrix=True)
+    _add_param_flags(sp, matrix=True, tables=True)
     sp.add_argument("--mode", choices=("closed", "empirical", "both"),
                     default="closed")
     sp.add_argument("--which", choices=("hausdorff", "minkowski", "both"),
@@ -129,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=1e-10)
 
     sp = sub.add_parser("verify", help="oracle cross-checks")
-    _add_param_flags(sp, need_matrix=True)
+    _add_param_flags(sp, matrix=True, tables=False)
     sp.add_argument("--n", type=int, default=20)
     sp.add_argument("--horizon", type=int, default=None)
 

@@ -19,6 +19,13 @@ and three tiers hold every such sum exactly:
   is an isqrt enclosure, settled by one exact sign test where an integer
   lies inside it.
 
+Every tier has one integer enclosure, ``_bounds(bits)``: (s, w, den)
+with s/den <= x <= (s + w)/den.  ``Real._bounds`` takes one isqrt per
+radicand over the common denominator of the coefficients, for the two
+irrational tiers; a ``Rational`` is its own bound, w = 0.
+``enclosure``, ``approx`` and ``_common_bounds`` (several values over
+one denominator) read it, so no other code re-derives an enclosure.
+
 Arithmetic returns the smallest tier that holds the result, so values
 in one quadratic field keep their fast paths.  All values are immutable.
 """
@@ -56,19 +63,45 @@ def _squarefree(d: int) -> tuple[int, int]:
 
 
 class Real:
-    """Common base; concrete tiers are Rational, QuadraticSurd, RadicalSum."""
+    """Common base; concrete tiers are Rational, QuadraticSurd, RadicalSum.
+    Each is a sum c_1 + Σ c_r·√r of its ``_coeffs``, enclosed by
+    ``_bounds``."""
 
     __slots__ = ()
 
+    def _bounds(self, bits: int) -> tuple[int, int, int]:
+        """(s, w, den) with s/den <= x <= (s + w)/den and w/den = sum over
+        r >= 2 of |c_r|/2^bits: one isqrt of r*4^bits per radicand, over
+        the common denominator z of the coefficients, den = z*2^bits.
+        Both bounds are strict, x being irrational on the two tiers that
+        use this; ``Rational._bounds`` is exact, w = 0."""
+        c = _coeffs(self)
+        z = lcm(*(v.denominator for v in c.values()))
+        s = w = 0
+        for r, v in c.items():
+            X = v.numerator * (z // v.denominator)
+            if r == 1:
+                s += X << bits
+                continue
+            root = isqrt(r << (2 * bits))  # root < 2^bits*sqrt(r) < root + 1
+            s += X * root if X > 0 else X * (root + 1)
+            w += abs(X)
+        return s, w, z << bits
+
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        raise NotImplementedError
+        """(lo, hi) with lo <= x <= hi, from ``_bounds(bits)``."""
+        s, w, den = self._bounds(bits)
+        return (Fraction(s, den), Fraction(s + w, den))
 
     def floor(self) -> int:
         raise NotImplementedError
 
     def approx(self) -> float:
-        lo, hi = self.enclosure(96)
-        return float((lo + hi) / 2)
+        """The float nearest the midpoint of the 96-bit ``_bounds``
+        (int / int division rounds correctly); OverflowError past the
+        float range."""
+        s, w, den = self._bounds(96)
+        return (2 * s + w) / (2 * den)
 
     def __float__(self) -> float:
         return self.approx()
@@ -126,14 +159,11 @@ class Rational(Real):
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Rational is immutable")
 
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        return (self.value, self.value)
+    def _bounds(self, bits: int) -> tuple[int, int, int]:
+        return (self.value.numerator, 0, self.value.denominator)  # exact
 
     def floor(self) -> int:
         return self.value.numerator // self.value.denominator
-
-    def approx(self) -> float:
-        return float(self.value)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,14 +195,6 @@ class QuadraticSurd(Real):
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticSurd is immutable")
-
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        root = isqrt(self.d << (2 * bits))
-        lo_r = Fraction(root, 1 << bits)
-        hi_r = Fraction(root + 1, 1 << bits)
-        if self.b >= 0:
-            return (self.a + self.b * lo_r, self.a + self.b * hi_r)
-        return (self.a + self.b * hi_r, self.a + self.b * lo_r)
 
     def floor(self) -> int:
         z = self.a.denominator * self.b.denominator // gcd(
@@ -210,26 +232,6 @@ class RadicalSum(Real):
 
     def __setattr__(self, *a):
         raise AttributeError("RadicalSum is immutable")
-
-    def _bounds(self, bits: int) -> tuple[int, int, int]:
-        """(s, w, den) with s/den < x < (s + w)/den and w/den = sum over
-        r >= 2 of |c_r|/2^bits: one isqrt of r*4^bits per radicand, over
-        the common denominator z of the coefficients, den = z*2^bits."""
-        z = lcm(*(c.denominator for _, c in self.terms))
-        s = w = 0
-        for r, c in self.terms:
-            X = c.numerator * (z // c.denominator)
-            if r == 1:
-                s += X << bits
-                continue
-            root = isqrt(r << (2 * bits))  # root < 2^bits*sqrt(r) < root + 1
-            s += X * root if X > 0 else X * (root + 1)
-            w += abs(X)
-        return s, w, z << bits
-
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        s, w, den = self._bounds(bits)
-        return (Fraction(s, den), Fraction(s + w, den))
 
     def floor(self) -> int:
         """The integer part from an enclosure narrower than 2^-32: each
@@ -345,6 +347,14 @@ def _coeffs(x: Real) -> dict[int, Fraction]:
     if isinstance(x, QuadraticSurd):
         return {1: x.a, x.d: x.b}
     return dict(x.terms)
+
+
+def _common_bounds(xs, bits: int) -> tuple[list[tuple[int, int]], int]:
+    """([(s, w), ...], den): each x's ``_bounds(bits)`` over one common
+    denominator, s/den <= x <= (s + w)/den."""
+    bounds = [x._bounds(bits) for x in xs]
+    den = lcm(*(d for _, _, d in bounds))
+    return [(s * (den // d), w * (den // d)) for s, w, d in bounds], den
 
 
 def _from_coeffs(c: dict[int, Fraction]) -> Real:

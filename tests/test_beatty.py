@@ -1,8 +1,9 @@
+import timeit
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beattydim import (
@@ -12,6 +13,8 @@ from beattydim import (
     member,
 )
 from beattydim.beatty import LANE_BOUND, BeattyPair, _float_pair, _linear_form
+from beattydim import beatty as beatty_mod
+from beattydim import numerics as numerics_mod
 from beattydim.chains import _growth_start, _lane_guard
 from beattydim.numerics import (
     QuadraticSurd,
@@ -19,7 +22,9 @@ from beattydim.numerics import (
     Rational,
     as_fraction,
     as_real,
+    ceil_value,
     compare,
+    parse_real,
     rational,
     surd,
 )
@@ -34,6 +39,8 @@ from conftest import (
     reference_floor_linear,
     reference_member,
     scalar_constraint_edges,
+    terms_enclosure,
+    value_terms,
 )
 
 
@@ -483,12 +490,13 @@ def test_first_k_at_takes_no_enclosure_on_exact_pairs(tau, eta, monkeypatch):
 
     for cls in (Rational, QuadraticSurd, RadicalSum):
         monkeypatch.setattr(cls, "enclosure", refuse)
+        monkeypatch.setattr(cls, "_bounds", refuse)
     assert [pair.first_k_at(x) for x in xs] == want
 
 
 def _float_pair_from_enclosure(x):
-    """(v, e) from the Fractions of the 96-bit enclosure."""
-    lo, hi = x.enclosure(96)
+    """(v, e) from the Fractions of the reference's 96-bit enclosure."""
+    lo, hi = terms_enclosure(value_terms(x), 96)
     v = float((lo + hi) / 2)
     fv = Fraction(v)
     return v, float(max(hi - fv, fv - lo)) * (1 + 2.0 ** -50) + 2.0 ** -1074
@@ -496,8 +504,11 @@ def _float_pair_from_enclosure(x):
 
 @st.composite
 def _exact_value(draw):
-    d = draw(st.sampled_from([2, 3, 5, 7, 10]))
-    x = draw(_exact_shift(d))
+    """A rational, a surd or a sum over two or three radicands, scaled
+    down by up to 10^40."""
+    ds = draw(st.lists(st.sampled_from([2, 3, 5, 7, 10]), min_size=1,
+                       max_size=3, unique=True))
+    x = sum((draw(_exact_shift(d)) for d in ds), rational(0))
     scale = draw(st.sampled_from([1, 1, Fraction(1, 10**9),
                                   Fraction(1, 10**40)]))
     return x * rational(scale)
@@ -509,8 +520,37 @@ def test_float_pair_encloses_the_value(x):
     v, e = _float_pair(x)
     lo, hi = x.enclosure(256)
     assert Fraction(v) - Fraction(e) <= lo and hi <= Fraction(v) + Fraction(e)
-    # the integers give the bits the Fractions of the enclosure gave
+    # the integer bounds give the bits the Fraction midpoint gives, on
+    # every tier, and approx() is that midpoint's float
     assert (v, e) == _float_pair_from_enclosure(x)
+    assert x.approx() == v
+
+
+def test_generic_member_takes_one_reciprocal(monkeypatch):
+    # a pair outside one quadratic field divides by tau once, not per
+    # call; a reciprocal's own recursion counts as part of it
+    calls, depth, recip = [], [0], numerics_mod._reciprocal
+
+    def counted(x):
+        if not depth[0]:
+            calls.append(x)
+        depth[0] += 1
+        try:
+            return recip(x)
+        finally:
+            depth[0] -= 1
+
+    for mod in (beatty_mod, numerics_mod):
+        monkeypatch.setattr(mod, "_reciprocal", counted)
+    for tau, eta in [("sqrt(2)+sqrt(3)", 0), ("1+sqrt(2)", "1/3+sqrt(5)")]:
+        pair = BeattyPair(parse_real(tau), parse_real(str(eta)))
+        assert pair.form is None
+        calls.clear()
+        got = [pair.member(x) for x in range(1, 201)]
+        assert len(calls) <= 1
+        assert pair.first_k_at(10**12) >= 1 and len(calls) <= 1
+        assert got == [reference_member(x, pair.tau, pair.eta) or 0
+                       for x in range(1, 201)]
 
 
 def test_float_pair_past_the_float_range():
@@ -535,11 +575,51 @@ def _exact_tuple(draw):
 
 @given(p=_exact_tuple())
 @settings(max_examples=200, deadline=None)
-def test_tuple_bounds_from_float_enclosures(p):
+def test_growth_start_and_lane_guard_on_exact_tuples(p):
     k = _growth_start(*p.pairs)
     assert k >= 1
     assert compare((1 + p.beta - p.delta) / (p.gamma - p.alpha), k) <= 0
     assert_lane_guard_promise(p, _lane_guard(p))
+
+
+_RATIONAL = st.fractions(min_value=-10**6, max_value=10**6,
+                         max_denominator=10**6)
+
+
+@given(alpha=st.fractions(min_value=1, max_value=50, max_denominator=10**4),
+       step=st.fractions(min_value=Fraction(1, 10**9), max_value=50,
+                         max_denominator=10**9),
+       beta=_RATIONAL, delta=_RATIONAL)
+@example(alpha=2, step=1, beta=0, delta=0)
+@example(alpha=3, step=2, beta=1, delta=0)
+@example(alpha=1, step=1, beta=0, delta=0)
+@example(alpha=Fraction(3, 2), step=Fraction(3, 2), beta=0, delta=-50)
+@example(alpha=1, step=1, beta=5, delta=0)
+@example(alpha=2, step=Fraction(1, 4), beta=Fraction(1, 3), delta=-10**30)
+@settings(max_examples=200, deadline=None)
+def test_growth_start_is_the_exact_ceiling_on_rational_tuples(
+        alpha, step, beta, delta):
+    alpha, step, beta, delta = map(Fraction, (alpha, step, beta, delta))
+    q = (1 + beta - delta) / step
+    p = ParamTuple(alpha, beta, alpha + step, delta)
+    assert _growth_start(*p.pairs) == max(1, -(-q.numerator // q.denominator))
+
+
+@pytest.mark.parametrize("tup", [
+    (1, 0, f"{10**400}*sqrt(2)", 0),
+    (1, 0, f"1+sqrt(2)/{10**30}", 0),
+])
+def test_growth_start_is_fast_at_extreme_gaps(tup):
+    # gamma - alpha past the float range, and below 2^-99
+    p = ParamTuple(*tup)
+    a, g = p.pairs
+    k = _growth_start(a, g)
+    assert k >= 1
+    assert compare((1 + p.beta - p.delta) / (p.gamma - p.alpha), k) <= 0
+    assert k < 2 * max(1, ceil_value((1 + p.beta - p.delta)
+                                     / (p.gamma - p.alpha)))
+    assert min(timeit.repeat(lambda: _growth_start(a, g), number=1,
+                             repeat=5)) < 1e-3
 
 
 @pytest.mark.parametrize("tup", [

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -668,3 +669,33 @@ def test_reused_parser_matches_fresh_calls(capsys, sequence, codes):
     assert [code for code, _ in fresh] == codes
     build_parser.cache_clear()
     assert [_call(capsys, argv) for argv in sequence] == fresh
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "2", "--gamma", "3", "--matrix", "nonsense"],
+    ["densities", "--alpha", "2", "--gamma", "3", "--matrix", "11;10"],
+    [*VERIFY, "--K", "5"],
+    [*VERIFY, "--format", "json"],
+    [*VERIFY, "--format", "csv"],
+], ids=["classify-matrix", "densities-matrix", "verify-K", "verify-format",
+        "verify-csv"])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    # argparse rejects them before any check runs: exit 2, no report
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def _flag_count():
+    """Option flags over all subcommands, --help left out."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sum(bool(a.option_strings) and a.dest != "help"
+               for sp in sub.choices.values() for a in sp._actions)
+
+
+def test_cli_flag_count():
+    assert _flag_count() == 38

@@ -82,16 +82,18 @@ def _choice(*good, bad="x"):
 def argv(draw):
     command = draw(st.sampled_from(["classify", "densities", "dim", "verify"]))
     args = [command, f"--alpha={draw(_real(1, 5))}", f"--gamma={draw(_real(2, 20))}"]
-    optional = {
-        "--beta": _shift(),
-        "--delta": _shift(),
-        "--K": _int(1, 60, -2),
-        "--format": _choice("json", "json", "csv", bad="xml"),
-    }
+    optional = {"--beta": _shift(), "--delta": _shift()}
+    # flags a subcommand does not read are rejected inputs
+    rejected = ["--bogus", "extra", "--n"]
     if command in ("dim", "verify"):
         args.append(f"--matrix={draw(MATRIX)}")
     else:
-        optional["--matrix"] = MATRIX
+        rejected.append("--matrix=11;10")
+    if command == "verify":
+        rejected += ["--K=5", "--format=json"]
+    else:
+        optional["--K"] = _int(1, 60, -2)
+        optional["--format"] = _choice("json", "json", "csv", bad="xml")
     if command != "classify":  # densities and dim default to n = 100000
         args.append(f"--n={draw(_int(1, 1000, -3))}")
         optional["--horizon"] = _int(1, 80, -2)
@@ -104,7 +106,7 @@ def argv(draw):
         if draw(st.booleans()):
             args.append(f"{flag}={draw(values)}")
     if draw(st.integers(min_value=0, max_value=15)) == 8:  # argparse rejects
-        args.append(draw(st.sampled_from(["--bogus", "extra", "--n"])))
+        args.append(draw(st.sampled_from(rejected)))
     return args
 
 
