@@ -281,15 +281,14 @@ class DensityVector:
         # the law past L: d_L * rho^(i - L), all zeros without one
         rho, dl = ((float(r), run[-1]) if r is not None and L >= 2
                    else (0.0, 0.0))
-        d += [dl * rho ** (i - L) for i in range(L + 1, N + 1)]
+        # float_power is C pow, as rho ** k is
+        d += (dl * np.float_power(rho, np.arange(1, N - L + 1))).tolist()
         if dl > 0 and rho >= 1:
             raise ValueError("geometric tail with ratio >= 1 is not summable")
         if dl > 0 and rho > 0:
             s += dl * rho ** (max(N, L) - L + 1) / (1.0 - rho)
-        suffix = [0.0] * N
-        for i in range(N - 1, -1, -1):
-            suffix[i] = s
-            s += d[i]
+        # suffix[i] = s + d[N-1] + ... + d[i+1], added in that order
+        suffix = np.cumsum([s, *d[:0:-1]])[::-1].tolist() if N else []
         return d, suffix
 
     def d_inf_float(self) -> float:

@@ -6,12 +6,18 @@ transition matrix A:
 * Minkowski: sum over i of
       [ rho^{i-1} d_i + (rho^{i-1} - rho^i)(sum_{j>i} d_j + d_inf) ]
       * log_m |A^{i-1}|,
-  with rho = alpha/gamma; truncated with a rigorous geometric tail bound
-  (log_m |A^{i-1}| <= i + 1 and the bracket <= 2 rho^{i-1}).  The
+  with rho = alpha/gamma; truncated at N with a rigorous geometric tail
+  bound (log_m |A^{i-1}| <= i + 1 and the bracket <= 2 rho^{i-1}).  The
   weights are one array expression over the cumulative products
-  rho^{i-1}, the logs are taken of the exact sums ``power_sums(N)``
-  where a weight is nonzero, and the terms are added left to right, so
-  every float step is the one of the term-by-term loop.
+  rho^{i-1}.  log|A^l| comes from the float power iteration of
+  ``BinaryMatrix.log_power_sums``, which carries its scale as a power of
+  two, so no big integer is built.  Once A^l 1 > 0, its
+  Collatz-Wielandt ratios bound every later increment of log|A^l|, and
+  the terms past l lie in one closed form in the suffix sums of the
+  weights and of l times the weights.  The series stops at the first l
+  where that bracket is narrower than ``BRACKET_TOL``, and its
+  half-width joins ``err``.  A periodic or reducible A, or a bracket
+  held up by float rounding, runs to N.
 
 * Hausdorff: d_1 + sum_{i>=2} d_i log_m T(i) + d_inf log_m sum_i t_i,
   where t is the unique positive solution of t_i^{gamma/alpha} =
@@ -29,8 +35,14 @@ transition matrix A:
   one has T(i) = sum(g_{i-1}).  The split d_{i,j} = d_i*(rho^(j-1) -
   rho^j) for j < i and d_{i,i} = d_i*rho^(i-1) makes the exponent
   1 + e_k = rho for all i and k, so a single recursion g_k = (A g_{k-1})^rho
-  gives every T(i) at once: O(N m^2) for the whole series.  The g_k
-  fill the rows of one (N-1) x m array, and the T(i) are its row sums.
+  gives every T(i) at once: O(N m^2) for the whole series.  The
+  recursion stops early, in the same way as the Minkowski series: with
+  u_k = log g_k it is u_k = Phi(u_{k-1}) for the map Phi below, so the
+  spread of u_{k+1} - u_k bounds every later increment of log T(i),
+  contracted by rho per step.  The terms past k then lie in one closed
+  form, and the series stops once that bracket is narrower than
+  ``BRACKET_TOL`` (``_transfer_series``).  T(i) can then pass the float
+  range only where the bracket does not close first.
 
   The fixed point t (``solve_t``) is found by Newton's method on
   u = log t with a certificate: Phi(u) = rho log(A e^u) is a
@@ -136,6 +148,10 @@ def _validate_eps(eps: float) -> None:
 _EPS = math.ulp(1.0)  # machine epsilon
 SOLVER_TOL = 1e-13  # certificate bound at which solve_t stops
 SOLVER_MAX_STEPS = 200  # solve_t raises NonConvergence past this
+# a series stops once a proven bracket of its remaining terms is less
+# than this wide on each side; the half-width enters ``err``, and 0
+# turns the brackets off
+BRACKET_TOL = 1e-13
 _ROUNDS_TO_ONE = ("alpha/gamma is below 1 but rounds to 1 in float64, so "
                   "the dimension series cannot be summed in floats")
 
@@ -157,12 +173,26 @@ def _mink_tail(N: int, rho: float) -> float:
     return 2.0 * rho**N * ((N * q + rho) / (q * q) + 2.0 / q)
 
 
+def _suffix_sums(a: np.ndarray) -> np.ndarray:
+    """out[k] = sum(a[k:]), summed from the end."""
+    return np.cumsum(a[::-1])[::-1]
+
+
 def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
                   eps: float = 1e-10) -> DimValue:
-    """Truncated series with reported bound = geometric tail + float slack.
+    """Truncated series with reported bound = geometric tail + float
+    slack + the half-width of the bracket that closed it.
 
-    A term with weight 0 takes no log; a nilpotent A, whose |A^l| vanish
-    from some l on, is rejected where such a term has weight."""
+    The terms are summed block by block until the Collatz-Wielandt
+    bracket of ``log_power_sums`` closes the rest: past l, log|A^l'| lies in
+    log|A^l| + (l' - l)[log a, log b], so the rest is
+    W_l log|A^l| + G_l (log a + log b)/2 within G_l (log b - log a)/2,
+    with W_l = sum_{l'>l} w_l' and G_l = sum_{l'>l} (l' - l) w_l'
+    (weights are non-negative).  That stops the series once
+    G_l (log b - log a) / (2 ln m) < ``BRACKET_TOL``; without a bracket
+    (v with a zero entry, a periodic A, the float floor) every term
+    up to N is summed.  A nilpotent A, whose |A^l| vanish from some l
+    on, is rejected where such a term has weight."""
     _validate_eps(eps)
     rho = _rho(p)  # 0 where gamma/alpha passes the float range
     if not rho < 1.0:  # a ParamTuple has alpha < gamma exactly
@@ -179,18 +209,34 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     rp = np.full(N, rho)
     rp[0] = 1.0
     rp = np.cumprod(rp)  # rho^{i-1}, in the order of repeated rp *= rho
-    weights = (rp * dv + (rp - rp * rho) * (suffix + dinf)).tolist()
-    sums = A.power_sums(N)
-    if not sums[-1]:  # A is nilpotent: |A^l| = 0 from some l on
-        zero = sums.index(0)
-        if any(weights[zero:]):
-            raise ValueError(f"matrix is nilpotent: |A^l| = 0 for l >= {zero}, "
-                             "so log_m |A^l| is undefined")
-    total = 0.0
-    for w, s in zip(weights, sums):
-        if w:
-            total += w * (math.log(s) / logm)
-    return DimValue(total, tail + 1e-13 * max(1, N))
+    w = rp * dv + (rp - rp * rho) * (suffix + dinf)
+    W = np.append(_suffix_sums(w)[1:], 0.0)  # W[l] = sum_{l'>l} w_l'
+    G = _suffix_sums(W)  # G[l] = sum_{j>=l} W[j] = sum_{l'>l} (l'-l) w_l'
+    total = half = 0.0
+    l = 0  # the first l of the block
+    for log_s, lo, hi in A.log_power_sums():
+        log_s, lo, hi = log_s[:N - l], lo[:N - l], hi[:N - l]
+        n = len(log_s)
+        if log_s[-1] == -math.inf:  # A is nilpotent: |A^l| = 0 from z on
+            z = l + int(np.argmax(log_s == -math.inf))
+            if w[z:].any():
+                raise ValueError(f"matrix is nilpotent: |A^l| = 0 for l >= {z}, "
+                                 "so log_m |A^l| is undefined")
+            total += float(np.dot(w[l:z], log_s[:z - l])) / logm
+            break
+        width = G[l:l + n] * (hi - lo) / (2.0 * logm)  # nan without bracket
+        closed = width < BRACKET_TOL
+        if closed.any():
+            c = int(np.argmax(closed))
+            rest = W[l + c] * log_s[c] + G[l + c] * (lo[c] + hi[c]) / 2.0
+            total += float(np.dot(w[l:l + c + 1], log_s[:c + 1]) + rest) / logm
+            half = float(width[c])
+            break
+        total += float(np.dot(w[l:l + n], log_s)) / logm
+        l += n
+        if l == N:
+            break
+    return DimValue(total, tail + 1e-13 * max(1, N) + half)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +350,26 @@ def t_phi(A: BinaryMatrix, i: int, dij_weights) -> float:
     return float(np.sum(g))
 
 
+def _transfer_rows(A_np: np.ndarray, rho: float, g: np.ndarray,
+                   n: int) -> np.ndarray:
+    """The n rows g_{k+1}, ..., g_{k+n} after g = g_k of the one transfer
+    recursion g_j = (A g_{j-1})^rho."""
+    G = np.empty((n, len(g)))
+    for j in range(n):
+        g = G[j] = (A_np @ g) ** rho
+    return G
+
+
 def transfer_sums(A: BinaryMatrix, rho: float, N: int) -> list[float]:
-    """[T(2), ..., T(N)] from one recursion g_1 = a^rho,
-    g_k = (A g_{k-1})^rho, T(i) = sum(g_{i-1}): ``t_phi`` with every
-    exponent equal to rho = alpha/gamma, as the d_{i,j} split makes it.
-    Row k - 1 of one preallocated array holds g_k, and one row-sum call
-    reads every T(i)."""
+    """[T(2), ..., T(N)] with T(i) = sum(g_{i-1}) from g_0 = 1 in
+    ``_transfer_rows``: ``t_phi`` with every exponent equal to
+    rho = alpha/gamma, as the d_{i,j} split makes it."""
     if min(A.row_sums) == 0:
         raise ValueError("matrix has an empty row")
     if N < 2:
         return []
     A_np = np.array(A.rows, dtype=float)
-    G = np.empty((N - 1, A.m))
-    G[0] = np.array(A.row_sums, dtype=float) ** rho
-    for k in range(1, N - 1):
-        G[k] = (A_np @ G[k - 1]) ** rho
-    return G.sum(axis=1).tolist()
+    return _transfer_rows(A_np, rho, np.ones(A.m), N - 1).sum(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +388,58 @@ def _hausdorff_tail(d: DensityVector, N: int) -> float:
         raise InvalidDensity("geometric tail with ratio >= 1 is not summable")
     q = 1.0 - rho
     return dn * ((N + 2) / q + rho / (q * q))
+
+
+def _transfer_series(A: BinaryMatrix, rho: float, dv: list[float],
+                     logm: float) -> tuple[float, float]:
+    """(sum_{i=2}^{n} d_i log_m T(i), half-width of the closing bracket)
+    for dv = [d_1, ..., d_n]; classes with d_i <= 0 are left out.
+
+    With u_k = log g_k (u_0 = 0), u_{k+1} = Phi(u_k) for the map Phi(u)
+    = rho log(A e^u) of ``_log_map``: Phi preserves order and
+    Phi(u + c) = Phi(u) + rho c, so Delta_k = u_{k+1} - u_k in
+    [lo, hi] entrywise gives Delta_{k+j} in rho^j [lo, hi].  Then
+    log T(i) = logsumexp(u_{i-1}) lies in
+    log T(k+1) + [lo, hi] (1 - rho^(i-1-k)) / (1 - rho) for i > k + 1,
+    and the remaining terms are D_k log T(k+1) + F_k (lo + hi)/2 within
+    F_k (hi - lo)/2, with D_k = sum_{i>k+1} d_i and F_k = sum_{t>=0}
+    rho^t D_{k+t} <= min(D_k / (1 - rho), sum_{j>=k} D_j).  The
+    recursion runs in blocks of rows, 32 and then twice as many each
+    time, and stops at the first k where that bound times
+    (hi - lo) / (2 ln m) is below ``BRACKET_TOL``.  A T(i) past the
+    float range ends it with an infinite sum."""
+    if min(A.row_sums) == 0:
+        raise ValueError("matrix has an empty row")
+    n = len(dv)
+    d = np.maximum(np.array(dv), 0.0)
+    d[0] = 0.0
+    D = np.append(_suffix_sums(d)[1:], 0.0)  # D[k] = sum(d[k+1:])
+    F_bound = np.minimum(D / (1.0 - rho), _suffix_sums(D))
+    A_np = np.array(A.rows, dtype=float)
+    g, u, log_T = np.ones(A.m), np.zeros(A.m), logm  # g_0, u_0, log T(1)
+    total, k, size = 0.0, 0, 32
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by caller
+        while k < n - 1:
+            G = _transfer_rows(A_np, rho, g, min(size, n - 1 - k))  # g_{k+1} ..
+            U = np.log(G)
+            delta = np.diff(U, axis=0, prepend=u[None])  # Delta_k ..
+            lo, hi = delta.min(axis=1), delta.max(axis=1)
+            logs = np.log(G.sum(axis=1))  # log T(k+2) ..
+            closed = F_bound[k:k + len(G)] * (hi - lo) < 2.0 * logm * BRACKET_TOL
+            if closed.any():
+                c = int(np.argmax(closed))
+                j = k + c
+                F = np.dot(np.float_power(rho, np.arange(n - j)), D[j:])
+                prev = logs[c - 1] if c else log_T  # log T(j+1)
+                rest = D[j] * prev + F * (lo[c] + hi[c]) / 2.0
+                total += float(np.dot(d[k + 1:j + 1], logs[:c]) + rest) / logm
+                return total, float(F * (hi[c] - lo[c])) / (2.0 * logm)
+            total += float(np.dot(d[k + 1:k + 1 + len(G)], logs)) / logm
+            k, size = k + len(G), 2 * size
+            g, u, log_T = G[-1], U[-1], logs[-1]
+            if log_T == math.inf:
+                break
+    return total, 0.0
 
 
 def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
@@ -361,19 +463,17 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     tail = _hausdorff_tail(d, N)
     dv, _ = d.floats(N)
     _validate_density(d, dv)
-    total = dv[0]
-    terms = [(i, di) for i, di in enumerate(dv[1:], start=2) if di > 0.0]
-    if terms:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            T = transfer_sums(A, rho, terms[-1][0])
-        for i, di in terms:
-            total += di * math.log(T[i - 2]) / logm
+    total, half = dv[0], 0.0
+    last = next((i for i in range(len(dv), 1, -1) if dv[i - 1] > 0.0), 0)
+    if last:
+        series, half = _transfer_series(A, rho, dv[:last], logm)
+        total += series
     if not math.isfinite(total):
         raise FloatingPointError(
             "Hausdorff series left the float range: the transfer sums T(i) "
             "overflow")
     dinf = d.d_inf_float()
-    err = tail + 1e-12
+    err = tail + 1e-12 + half
     if dinf > 0.0:
         sol = solve_t(A, p.ratio)
         total += dinf * sol.log_total / logm

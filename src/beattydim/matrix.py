@@ -1,20 +1,32 @@
-"""Binary transition matrices with exact big-integer power sums.
+"""Binary transition matrices: power sums, exact and in log scale.
 
-The dimension series consume |A^l| (sum of all entries of the l-th
-power) for consecutive l.  They come from the vector recursion
-u_0 = 1, u_l = A u_{l-1}, so |A^l| = sum(u_l): each step is big-integer
-additions along the ones of A.  The sums are memoized as one list
-|A^0|, |A^1|, ... next to the last u, with no lock (see
-``power_sums``).  Structural predicates (irreducible, primitive, equal
-row sums) run on numpy boolean matrices; no floating-point spectral
-machinery is involved anywhere.
+|A^l| is the sum of all entries of the l-th power.  The exact sums come
+from the vector recursion u_0 = 1, u_l = A u_{l-1}, so |A^l| = sum(u_l):
+each step is big-integer additions along the ones of A.  They are
+memoized as one list |A^0|, |A^1|, ... next to the last u, with no lock
+(see ``power_sums``); the oracles and the tests read them.
+
+The Minkowski series reads log|A^l| instead, from the same recursion in
+floats (``log_power_sums``): u_l is kept as 2^e v with the power of two
+split off exactly, so no float leaves its range.  With each log comes
+the Collatz-Wielandt bracket of every later growth factor: once v > 0,
+min_i and max_i of (A v)_i / v_i bound |A^(l'+1)| / |A^l'| for all
+l' >= l (Seneta, Non-negative Matrices and Markov Chains, 1981).
+Structural predicates (irreducible, primitive, equal row sums) run on
+numpy boolean matrices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+import sys
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+
+_LN2 = math.log(2.0)
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 def _mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple:
@@ -92,6 +104,42 @@ class BinaryMatrix:
             if len(sums) > len(self._memo[0]):
                 object.__setattr__(self, "_memo", (sums, u))
         return sums[:N]
+
+    def log_power_sums(self) -> Iterator[
+            tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """log|A^l| and its Collatz-Wielandt bracket for l = 0, 1, 2, ...
+        without end, in blocks of consecutive l, 32 of them and twice as
+        many in each later block.
+
+        Each block is three arrays over its l: log|A^l| (-inf where
+        |A^l| = 0), log a_l and log b_l, with a_l = min_i (A v)_i / v_i
+        and b_l = max_i (A v)_i / v_i for v = A^l 1, or nan where v has
+        an entry below the smallest normal float or A v a zero entry.
+        From a v <= A v <= b v and A >= 0 follows a A^j v <= A^(j+1) v
+        <= b A^j v for every j, so log|A^(l'+1)| - log|A^l'| lies in
+        [log a_l, log b_l] for all l' >= l.  Each l costs one float
+        matrix-vector product; between blocks the power of two of the
+        largest entry is split off, exactly for normal entries, and a
+        block is short enough that no product overflows."""
+        A = np.array(self.rows, dtype=float)
+        # the largest entry grows at most by the largest row sum per step
+        cap = 1000 // max(1, max(self.row_sums)).bit_length()
+        v, e, n = np.ones(self.m), 0, 32  # A^l 1 = 2^e v
+        while True:
+            V = np.empty((min(n, cap) + 1, self.m))
+            V[0] = v
+            for j in range(len(V) - 1):
+                V[j + 1] = A @ V[j]
+            V, X = V[:-1], V[1:]  # X = A V
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_s = e * _LN2 + np.log(V.sum(axis=1))
+                R = X / V
+            ok = (V.min(axis=1) >= _TINY) & (X.min(axis=1) > 0.0)
+            lo = np.log(R.min(axis=1), out=np.full(len(V), np.nan), where=ok)
+            hi = np.log(R.max(axis=1), out=np.full(len(V), np.nan), where=ok)
+            yield log_s, lo, hi
+            k = math.frexp(float(X[-1].max()))[1]
+            v, e, n = X[-1] * 2.0 ** -k, e + k, 2 * n
 
     def power_sum(self, l: int) -> int:
         """|A^l| as an exact big integer, l >= 0: a read of

@@ -13,7 +13,6 @@ if str(SRC) not in sys.path:
 
 from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
 from beattydim.beatty import LANE_BOUND, BeattyPair, member  # noqa: E402
-from beattydim.dims import _mink_tail, _rho  # noqa: E402
 from beattydim.numerics import (  # noqa: E402
     QuadraticSurd, Rational, _add, _div, _mul, _neg, _reciprocal, ceil_value,
     floor_linear)
@@ -301,27 +300,36 @@ def recursion_power_sums(A, N):
     return out
 
 
-def reference_minkowski_dim(A, d, p, eps=1e-10):
-    """The scalar minkowski_dim loop: rho^{i-1} by repeated products, one
-    weight and one log per term, summed left to right.  The array
-    version must agree to the last bit."""
-    rho = _rho(p)
-    N = max(d.K, 8)
-    while _mink_tail(N, rho) > eps / 2 and N < 200_000:
-        N += max(8, N // 8)
-    tail = _mink_tail(N, rho)
-    sums = recursion_power_sums(A, N)
-    logm = math.log(A.m)
-    dinf = d.d_inf_float()
-    dv, suffix = d.floats(N)
-    total = 0.0
-    rp = 1.0  # rho^{i-1}
-    for i in range(1, N + 1):
-        w = rp * dv[i - 1] + (rp - rp * rho) * (suffix[i - 1] + dinf)
-        if w:
-            total += w * (math.log(sums[i - 1]) / logm)
-        rp *= rho
-    return total, tail + 1e-13 * max(1, N)
+def reference_floats(d, N):
+    """``DensityVector.floats`` as a scalar loop: the entries past L =
+    max(K, len(head)) one power at a time, the suffix sums one addition
+    at a time from the end.  The array version must agree to the last
+    bit."""
+    h, r, last = len(d.head), d.tail_ratio, d.head[-1]
+    L = max(d.K, h)
+    run = [float(v) for v in d.head]
+    if h >= 2 and isinstance(r, Fraction) and isinstance(last, Fraction):
+        num, den = last.numerator, last.denominator
+        for _ in range(L - h):
+            num *= r.numerator
+            den *= r.denominator
+            run.append(num / den)
+    else:
+        run += [d.entry_float(i) for i in range(h + 1, L + 1)]
+    dv = run[:N]
+    s = 0.0
+    for v in run[N:]:
+        s += v
+    rho, dl = ((float(r), run[-1]) if r is not None and L >= 2
+               else (0.0, 0.0))
+    dv += [dl * rho ** (i - L) for i in range(L + 1, N + 1)]
+    if dl > 0 and rho > 0:
+        s += dl * rho ** (max(N, L) - L + 1) / (1.0 - rho)
+    suffix = [0.0] * N
+    for i in range(N - 1, -1, -1):
+        suffix[i] = s
+        s += dv[i]
+    return dv, suffix
 
 
 def reference_suffix(d, i):

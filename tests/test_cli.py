@@ -577,13 +577,27 @@ def test_removed_flags_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_dim_overflowing_transfer_sums_is_a_numeric_failure(capsys):
-    # alpha/gamma = 0.998 with an 8x8 primitive matrix: the transfer sums
-    # T(i) pass the float range, and the report would read NaN
-    code = main(["dim", "--alpha", "501/500", "--gamma", "251/250",
+NEAR_ONE_ARGV = ["dim", "--alpha", "501/500", "--gamma", "251/250",
                  "--matrix", "10011111;11011000;11110101;10110101;"
                              "11111110;10110101;10101010;11000111",
-                 "--which", "hausdorff"])
+                 "--which", "hausdorff"]
+
+
+def test_dim_near_one_closes_before_the_transfer_sums_overflow(capsys):
+    # alpha/gamma = 501/502 with an 8x8 primitive matrix: the bracket of
+    # the remaining terms closes long before T(i) passes the float range;
+    # 0.8023567432684916 is the full series summed in log space
+    assert main(NEAR_ONE_ARGV) == 0
+    dim_h = json.loads(capsys.readouterr().out)["dim_H"]
+    assert abs(dim_h["value"] - 0.8023567432684916) <= dim_h["err"]
+
+
+def test_dim_overflowing_transfer_sums_is_a_numeric_failure(capsys,
+                                                            monkeypatch):
+    # without the bracket the recursion runs to its full N, the transfer
+    # sums T(i) pass the float range, and the report would read NaN
+    monkeypatch.setattr(dims, "BRACKET_TOL", 0.0)
+    code = main(NEAR_ONE_ARGV)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -3,6 +3,7 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from beattydim import (
@@ -22,11 +23,20 @@ from beattydim import (
 )
 from beattydim import empirical_densities
 from beattydim.chains import ClosedForm
-from beattydim.dims import _hausdorff_tail, _mink_tail, transfer_sums
+from beattydim.dims import (_hausdorff_tail, _log_map, _mink_tail, _rho,
+                            transfer_sums)
 from conftest import (REGION_TUPLES, dij_row, naive_power_sums,
                       random_irreducible, random_primitive,
-                      reference_minkowski_dim, reference_suffix,
-                      reference_transfer_sums)
+                      recursion_power_sums, reference_floats,
+                      reference_suffix, reference_transfer_sums)
+
+
+# alpha/gamma = 21/22 and 11/12 with geometric d_i tails
+SLOW_TAILS = [("21/20", 0, "11/10", 0), ("11/10", "1/3", "6/5", 0)]
+
+# a primitive matrix with unequal row sums
+MATRIX_8 = ("10011111;11011000;11110101;10110101;"
+            "11111110;10110101;10101010;11000111")
 
 
 def plastic_root(tol=1e-13):
@@ -194,16 +204,19 @@ def test_hausdorff_full_shift_is_one():
 
 
 def test_full_shift_slow_ratio():
-    # ratio gamma/alpha = 9/8: the series needs hundreds of terms and the
+    # ratio gamma/alpha = 9/8: the series needs hundreds of terms, and at
+    # 1 + sqrt(2)/10000 Minkowski runs to its 200,000-term cap; the
     # weight identity must still hold to the reported bound
-    p = ParamTuple("4/3", 0, "3/2", 0)
-    d = closed_form_d(p, classify_region(p))
-    for m in (2, 3):
-        J = BinaryMatrix.all_ones(m)
-        got = minkowski_dim(J, d, p)
-        assert abs(got.value - 1.0) < 1e-9
-        got_h = hausdorff_dim(J, d, p)
-        assert abs(got_h.value - 1.0) < 1e-9
+    for args, ms in ((("4/3", 0, "3/2", 0), (2, 3)),
+                     ((1, 0, "1+sqrt(2)/10000", 0), (16,))):
+        p = ParamTuple(*args)
+        d = closed_form_d(p, classify_region(p))
+        for m in ms:
+            J = BinaryMatrix.all_ones(m)
+            got = minkowski_dim(J, d, p)
+            assert abs(got.value - 1.0) < 1e-9, (args, m)
+            got_h = hausdorff_dim(J, d, p)
+            assert abs(got_h.value - 1.0) < 1e-9, (args, m)
 
 
 def test_minkowski_kps_series():
@@ -393,12 +406,13 @@ def reference_minkowski(A, d, p, eps=1e-10):
 
 
 def _assert_series_match(A, d, p, label):
-    h = hausdorff_dim(A, d, p).value
-    m = minkowski_dim(A, d, p)
-    assert abs(h - reference_hausdorff(A, d, p)) <= 1e-12, (label, "H")
-    assert abs(m.value - reference_minkowski(A, d, p)) <= 1e-12, (label, "M")
-    # and to the last bit against the scalar loop the array steps replace
-    assert (m.value, m.err) == reference_minkowski_dim(A, d, p), (label, "M=")
+    # the series stop where a bracket closes their rest; the full-N
+    # references lie within 1e-12 and within the reported err
+    h, m = hausdorff_dim(A, d, p), minkowski_dim(A, d, p)
+    gap_h = abs(h.value - reference_hausdorff(A, d, p))
+    gap_m = abs(m.value - reference_minkowski(A, d, p))
+    assert gap_h <= min(1e-12, h.err), (label, "H")
+    assert gap_m <= min(1e-12, m.err), (label, "M")
 
 
 @pytest.mark.parametrize("m", [2, 3, 8, 16])
@@ -409,8 +423,7 @@ def test_series_match_reference_loops(rng, m):
         _assert_series_match(A, d, p, (key, m))
 
 
-@pytest.mark.parametrize("args", [("21/20", 0, "11/10", 0),
-                                  ("11/10", "1/3", "6/5", 0)])
+@pytest.mark.parametrize("args", SLOW_TAILS)
 def test_series_match_reference_loops_slow_tail(rng, args):
     p = ParamTuple(*args)
     d = closed_form_d(p, classify_region(p))
@@ -434,13 +447,7 @@ def test_density_floats_match_entry_reads():
     # the one-pass read the series use, against per-term entry reads
     # and the per-entry suffix reference: closed-form, slow geometric and
     # measured tails
-    ds = [closed_form_d(p, classify_region(p)) for p in REGION_TUPLES.values()]
-    for args in (("21/20", 0, "11/10", 0), ("11/10", "1/3", "6/5", 0)):
-        p = ParamTuple(*args)
-        ds.append(closed_form_d(p, classify_region(p)))
-    p = ParamTuple("sqrt(2)", 0, "3/2*sqrt(2)", 0)
-    ds.append(empirical_densities(p, [(1, 20_000)], K=3))
-    for d in ds:
+    for d in _float_read_cases():
         for N in (1, d.K, d.K + 1, 3 * d.K + 50):
             dv, suffix = d.floats(N)
             assert len(dv) == len(suffix) == N
@@ -448,6 +455,86 @@ def test_density_floats_match_entry_reads():
                 assert abs(dv[i - 1] - d.entry_float(i)) <= 1e-15, (d, i)
                 assert abs(suffix[i - 1] - reference_suffix(d, i)) <= 1e-15, (
                     d, i)
+
+
+def _float_read_cases():
+    """Closed forms of every region, both slow geometric tails and a
+    measured R6Open vector."""
+    ds = [closed_form_d(p, classify_region(p)) for p in REGION_TUPLES.values()]
+    for args in SLOW_TAILS:
+        p = ParamTuple(*args)
+        ds.append(closed_form_d(p, classify_region(p)))
+    p = ParamTuple("sqrt(2)", 0, "3/2*sqrt(2)", 0)
+    ds.append(empirical_densities(p, [(1, 20_000)], K=3))
+    return ds
+
+
+def test_density_floats_match_scalar_loop():
+    # the array power and the cumulative sum take the float steps of the
+    # loop they replaced, up to the 200,000-term cap of the series
+    for d in _float_read_cases():
+        for N in (1, d.K, d.K + 1, 3 * d.K + 50, 200_000):
+            assert d.floats(N) == reference_floats(d, N), (d, N)
+
+
+def full_minkowski(A, d, p, eps=1e-10):
+    """The Minkowski series summed term by term to its full N, with the
+    logs of the exact |A^l| of the scalar vector recursion: O(m^2) big
+    integer additions per term, not the O(m^3) products of
+    ``naive_power_sums``."""
+    rho = _rho(p)
+    N = max(d.K, 8)
+    while _mink_tail(N, rho) > eps / 2 and N < 200_000:
+        N += max(8, N // 8)
+    s = recursion_power_sums(A, N)
+    logm, dinf = math.log(A.m), d.d_inf_float()
+    dv, suffix = d.floats(N)
+    total, rp = 0.0, 1.0
+    for i in range(1, N + 1):
+        w = rp * dv[i - 1] + (rp - rp * rho) * (suffix[i - 1] + dinf)
+        if w:
+            total += w * math.log(s[i - 1]) / logm
+        rp *= rho
+    return total
+
+
+def log_space_hausdorff(A, d, p, eps=1e-10):
+    """The Hausdorff series summed term by term to its full N through
+    u_k = Phi(u_{k-1}) of ``_log_map`` from u_0 = 0, with
+    log T(i) = logsumexp(u_{i-1}): no float leaves its range."""
+    rho = _rho(p)
+    N = max(d.K, len(d.head))
+    if d.tail_ratio is not None and float(d.tail_ratio) > 0.0:
+        while _hausdorff_tail(d, N) > eps / 2 and N < 100_000:
+            N += max(8, N // 8)
+    dv, _ = d.floats(N)
+    logm = math.log(A.m)
+    A_np = np.array(A.rows, dtype=bool)
+    u = np.zeros(A.m)
+    total = dv[0]
+    for i in range(2, N + 1):
+        u, _ = _log_map(A_np, rho, u)
+        if dv[i - 1] > 0.0:
+            top = float(np.max(u))
+            lse = top + math.log(float(np.sum(np.exp(u - top))))
+            total += dv[i - 1] * lse / logm
+    if d.d_inf_float() > 0.0:
+        total += d.d_inf_float() * solve_t(A, p.ratio).log_total / logm
+    return total
+
+
+def test_series_within_err_of_full_references_near_one():
+    # alpha/gamma = 501/502: 22,261 Minkowski terms, and transfer sums
+    # that would overflow a float long before the Hausdorff N
+    A = BinaryMatrix.from_string(MATRIX_8)
+    p = ParamTuple("501/500", 0, "251/250", 0)
+    d = closed_form_d(p, classify_region(p))
+    m, h = minkowski_dim(A, d, p), hausdorff_dim(A, d, p)
+    ref_m = full_minkowski(A, d, p)
+    ref_h = log_space_hausdorff(A, d, p)
+    assert abs(m.value - ref_m) <= m.err
+    assert abs(h.value - ref_h) <= h.err
+    assert abs(ref_h - 0.8023567432684916) <= 1e-13
 
 
 def test_transfer_sums_match_t_phi(rng):

@@ -1,6 +1,7 @@
 import random
 import time
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +25,8 @@ from beattydim import (
 )
 from beattydim.numerics import (QuadraticSurd, _add, _div, _mul, as_real,
                                 compare, parse_real, rational, surd)
-from beattydim.regions import _condition_i
+from beattydim import regions
+from beattydim.regions import _condition_i, digits
 from conftest import (REGION_TUPLES, integer_region_d, pairwise_rational_d,
                       reference_condition_i, reference_floor, value_terms)
 
@@ -443,3 +445,47 @@ def test_region_report_payload():
     assert rep["d"]["d_inf"] == "1/4"
     rep = region_report(ParamTuple("sqrt(2)", 0, "3*sqrt(2)", 0))
     assert rep["region"] == "R6Open" and rep["d"] is None
+
+
+# ---------------------------------------------------------------------------
+# regions.digits
+# ---------------------------------------------------------------------------
+
+def _from_digit_string(s):
+    """The integer with decimal digits s, put together by halves:
+    x = hi * 10^len(lo) + lo, so that no step parses or prints more than
+    a 1000-digit piece."""
+    if len(s) <= 1000:
+        return int(s)
+    h = len(s) // 2
+    return _from_digit_string(s[:h]) * 10 ** (len(s) - h) + \
+        _from_digit_string(s[h:])
+
+
+def test_digits_match_decimal_around_the_limits():
+    # the 4300-digit int-to-str limit and the bit count where the split
+    # takes over, in both directions, with the sign
+    rng = random.Random(5)
+    bits = [b + j for b in (4300 * 3322 // 1000, regions._DIRECT_BITS)
+            for j in range(-3, 4)]
+    bits += [1, 64, 1024, 1025, 2 * regions._DIRECT_BITS + 1, 200_000]
+    for b in bits:
+        for x in (rng.getrandbits(b) | 1 << (b - 1), (1 << b) - 1, 1 << b):
+            assert digits(x) == str(Decimal(x)), b
+            assert digits(-x) == str(Decimal(-x)), b
+    assert digits(0) == "0"
+    for n in (4299, 4300, 4301):
+        assert digits(10 ** n) == "1" + "0" * n
+        assert digits(10 ** n - 1) == "9" * n
+
+
+def test_digits_of_a_million_digit_count():
+    # str(Decimal(x)) alone takes about 20 s here; the reference is the
+    # digit string the integer was built from
+    rng = random.Random(6)
+    s = str(rng.randint(1, 9)) + "".join(
+        rng.choice("0123456789") for _ in range(10 ** 6 - 1))
+    x = _from_digit_string(s)
+    start = time.perf_counter()
+    assert digits(x) == s
+    assert time.perf_counter() - start < 10
