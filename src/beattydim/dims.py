@@ -12,12 +12,13 @@ transition matrix A:
   rho^{i-1}.  log|A^l| comes from the float power iteration of
   ``BinaryMatrix.log_power_sums``, which carries its scale as a power of
   two, so no big integer is built.  Once A^l 1 > 0, its
-  Collatz-Wielandt ratios bound every later increment of log|A^l|, and
-  the terms past l lie in one closed form in the suffix sums of the
-  weights and of l times the weights.  The series stops at the first l
-  where that bracket is narrower than ``BRACKET_TOL``, and its
-  half-width joins ``err``.  A periodic or reducible A, or a bracket
-  held up by float rounding, runs to N.
+  Collatz-Wielandt ratios, widened by their rounding, bound every later
+  increment of log|A^l|, and the terms past l lie in one closed form in
+  the suffix sums of the weights and of l times the weights
+  (``_bracketed_sum``).  The series stops at the first l where that
+  bracket is narrower than ``BRACKET_TOL``, and its half-width joins
+  ``err``.  A periodic or reducible A, or a bracket held up by float
+  rounding, runs to N.
 
 * Hausdorff: d_1 + sum_{i>=2} d_i log_m T(i) + d_inf log_m sum_i t_i,
   where t is the unique positive solution of t_i^{gamma/alpha} =
@@ -38,11 +39,12 @@ transition matrix A:
   gives every T(i) at once: O(N m^2) for the whole series.  The
   recursion stops early, in the same way as the Minkowski series: with
   u_k = log g_k it is u_k = Phi(u_{k-1}) for the map Phi below, so the
-  spread of u_{k+1} - u_k bounds every later increment of log T(i),
-  contracted by rho per step.  The terms past k then lie in one closed
-  form, and the series stops once that bracket is narrower than
-  ``BRACKET_TOL`` (``_transfer_series``).  T(i) can then pass the float
-  range only where the bracket does not close first.
+  spread of u_{k+1} - u_k, widened by its rounding, bounds every later
+  increment of log T(i), contracted by rho per step
+  (``_transfer_blocks``).  The terms past k then lie in one closed form,
+  and the series stops once that bracket is narrower than
+  ``BRACKET_TOL`` (``_bracketed_sum``, as for Minkowski).  T(i) can then
+  pass the float range only where the bracket does not close first.
 
   The fixed point t (``solve_t``) is found by Newton's method on
   u = log t with a certificate: Phi(u) = rho log(A e^u) is a
@@ -65,7 +67,7 @@ import numpy as np
 
 from .beatty import ParamTuple
 from .chains import DEFAULT_K, DensityVector, empirical_densities
-from .matrix import BinaryMatrix
+from .matrix import BinaryMatrix, block_sizes
 from .numerics import Rational, Real, _reciprocal
 from .regions import RegionId, classify_region, closed_form_d, density_payload
 
@@ -178,21 +180,63 @@ def _suffix_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1]
 
 
+def _discounted_suffix_sums(a: np.ndarray, q: float) -> np.ndarray:
+    """out[k] = sum_{j>=k} q^(j-k) a[j], by recursive doubling: after
+    the pass with shift s, out[k] sums the window a[k:k+2s]."""
+    out = a.copy()
+    s = 1
+    while s < len(out):
+        out[:-s] += q ** s * out[s:]
+        s *= 2
+    return out
+
+
+def _bracketed_sum(blocks, w: np.ndarray, q: float,
+                   tol: float) -> tuple[float, float]:
+    """(S, h) with sum_j w_j x_j in [S - h, S + h], for weights w_j >= 0
+    and the x_j of ``blocks``, which yields arrays (x, lo, hi) over
+    consecutive j, len(w) in all.
+
+    [lo_j, hi_j] bounds every later increment x_{i+1} - x_i, i >= j,
+    after a contraction by q^(i-j), or is nan where no bound is known.
+    Then the terms past j are W_j x_j + C_j [lo_j, hi_j], with
+    W_j = sum_{i>j} w_i and C_j = sum_{t>=0} q^t W_{j+t}, and the sum
+    stops at the first j where C_j (hi_j - lo_j) / 2 < tol, with that
+    half-width as h.  Without such a j every term is summed and h = 0;
+    a term past the float range ends the sum with a non-finite S."""
+    W = np.append(_suffix_sums(w)[1:], 0.0)
+    C = _discounted_suffix_sums(W, q)
+    total, j = 0.0, 0
+    for x, lo, hi in blocks:
+        n = len(x)
+        width = C[j:j + n] * (hi - lo) / 2.0  # nan without a bracket
+        closed = width < tol
+        if closed.any():
+            c = int(np.argmax(closed))
+            rest = W[j + c] * x[c] + C[j + c] * (lo[c] + hi[c]) / 2.0
+            total += float(np.dot(w[j:j + c + 1], x[:c + 1]) + rest)
+            return total, float(width[c])
+        total += float(np.dot(w[j:j + n], x))
+        j += n
+        if not math.isfinite(total):
+            break
+    return total, 0.0
+
+
 def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
                   eps: float = 1e-10) -> DimValue:
     """Truncated series with reported bound = geometric tail + float
     slack + the half-width of the bracket that closed it.
 
     The terms are summed block by block until the Collatz-Wielandt
-    bracket of ``log_power_sums`` closes the rest: past l, log|A^l'| lies in
-    log|A^l| + (l' - l)[log a, log b], so the rest is
-    W_l log|A^l| + G_l (log a + log b)/2 within G_l (log b - log a)/2,
-    with W_l = sum_{l'>l} w_l' and G_l = sum_{l'>l} (l' - l) w_l'
-    (weights are non-negative).  That stops the series once
-    G_l (log b - log a) / (2 ln m) < ``BRACKET_TOL``; without a bracket
-    (v with a zero entry, a periodic A, the float floor) every term
-    up to N is summed.  A nilpotent A, whose |A^l| vanish from some l
-    on, is rejected where such a term has weight."""
+    bracket of ``log_power_sums`` closes the rest: past l, log|A^l'|
+    lies in log|A^l| + (l' - l)[log a, log b], which is
+    ``_bracketed_sum`` with q = 1.  That stops the series once
+    G_l (log b - log a) / (2 ln m) < ``BRACKET_TOL``, with
+    G_l = sum_{l'>l} (l' - l) w_l'; without a bracket (v with a zero
+    entry, a periodic A, the float floor) every term up to N is summed.
+    A nilpotent A, whose |A^l| vanish from some l on, is rejected where
+    such a term has weight."""
     _validate_eps(eps)
     rho = _rho(p)  # 0 where gamma/alpha passes the float range
     if not rho < 1.0:  # a ParamTuple has alpha < gamma exactly
@@ -210,33 +254,14 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     rp[0] = 1.0
     rp = np.cumprod(rp)  # rho^{i-1}, in the order of repeated rp *= rho
     w = rp * dv + (rp - rp * rho) * (suffix + dinf)
-    W = np.append(_suffix_sums(w)[1:], 0.0)  # W[l] = sum_{l'>l} w_l'
-    G = _suffix_sums(W)  # G[l] = sum_{j>=l} W[j] = sum_{l'>l} (l'-l) w_l'
-    total = half = 0.0
-    l = 0  # the first l of the block
-    for log_s, lo, hi in A.log_power_sums():
-        log_s, lo, hi = log_s[:N - l], lo[:N - l], hi[:N - l]
-        n = len(log_s)
-        if log_s[-1] == -math.inf:  # A is nilpotent: |A^l| = 0 from z on
-            z = l + int(np.argmax(log_s == -math.inf))
-            if w[z:].any():
-                raise ValueError(f"matrix is nilpotent: |A^l| = 0 for l >= {z}, "
-                                 "so log_m |A^l| is undefined")
-            total += float(np.dot(w[l:z], log_s[:z - l])) / logm
-            break
-        width = G[l:l + n] * (hi - lo) / (2.0 * logm)  # nan without bracket
-        closed = width < BRACKET_TOL
-        if closed.any():
-            c = int(np.argmax(closed))
-            rest = W[l + c] * log_s[c] + G[l + c] * (lo[c] + hi[c]) / 2.0
-            total += float(np.dot(w[l:l + c + 1], log_s[:c + 1]) + rest) / logm
-            half = float(width[c])
-            break
-        total += float(np.dot(w[l:l + n], log_s)) / logm
-        l += n
-        if l == N:
-            break
-    return DimValue(total, tail + 1e-13 * max(1, N) + half)
+    n = int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0  # no term past
+    total, half = _bracketed_sum(A.log_power_sums(n), w[:n], 1.0,
+                                 BRACKET_TOL * logm)
+    if not math.isfinite(total):  # log|A^l| = -inf where w_l > 0
+        z = A.power_sums(A.m + 1).index(0)
+        raise ValueError(f"matrix is nilpotent: |A^l| = 0 for l >= {z}, "
+                         "so log_m |A^l| is undefined")
+    return DimValue(total / logm, tail + 1e-13 * max(1, N) + half / logm)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +348,8 @@ def t_phi(A: BinaryMatrix, i: int, dij_weights) -> float:
 
     dij_weights is the row (d_{i,1}, ..., d_{i,i}); exponents use the
     suffix sums S_k = sum_{l=0}^{k} d_{i,i-l}.  This is the general
-    reference; ``hausdorff_dim`` reads every T(i) off ``transfer_sums``."""
+    reference; ``hausdorff_dim`` reads every T(i) off ``_transfer_rows``,
+    the recursion with every exponent equal to alpha/gamma."""
     if i < 2:
         raise ValueError("chain transfer sums start at i = 2")
     row = [float(v) for v in dij_weights]
@@ -390,56 +416,32 @@ def _hausdorff_tail(d: DensityVector, N: int) -> float:
     return dn * ((N + 2) / q + rho / (q * q))
 
 
-def _transfer_series(A: BinaryMatrix, rho: float, dv: list[float],
-                     logm: float) -> tuple[float, float]:
-    """(sum_{i=2}^{n} d_i log_m T(i), half-width of the closing bracket)
-    for dv = [d_1, ..., d_n]; classes with d_i <= 0 are left out.
+def _transfer_blocks(A: BinaryMatrix, rho: float, n: int):
+    """log T(j+1) = log sum(g_j) for j = 0, ..., n-1 (g_0 = 1), in the
+    blocks of ``block_sizes``, each with the bracket of Delta_j =
+    u_{j+1} - u_j for u_j = log g_j, for ``_bracketed_sum``.
 
-    With u_k = log g_k (u_0 = 0), u_{k+1} = Phi(u_k) for the map Phi(u)
-    = rho log(A e^u) of ``_log_map``: Phi preserves order and
-    Phi(u + c) = Phi(u) + rho c, so Delta_k = u_{k+1} - u_k in
-    [lo, hi] entrywise gives Delta_{k+j} in rho^j [lo, hi].  Then
-    log T(i) = logsumexp(u_{i-1}) lies in
-    log T(k+1) + [lo, hi] (1 - rho^(i-1-k)) / (1 - rho) for i > k + 1,
-    and the remaining terms are D_k log T(k+1) + F_k (lo + hi)/2 within
-    F_k (hi - lo)/2, with D_k = sum_{i>k+1} d_i and F_k = sum_{t>=0}
-    rho^t D_{k+t} <= min(D_k / (1 - rho), sum_{j>=k} D_j).  The
-    recursion runs in blocks of rows, 32 and then twice as many each
-    time, and stops at the first k where that bound times
-    (hi - lo) / (2 ln m) is below ``BRACKET_TOL``.  A T(i) past the
-    float range ends it with an infinite sum."""
-    if min(A.row_sums) == 0:
-        raise ValueError("matrix has an empty row")
-    n = len(dv)
-    d = np.maximum(np.array(dv), 0.0)
-    d[0] = 0.0
-    D = np.append(_suffix_sums(d)[1:], 0.0)  # D[k] = sum(d[k+1:])
-    F_bound = np.minimum(D / (1.0 - rho), _suffix_sums(D))
+    u_{j+1} = Phi(u_j) for the map Phi(u) = rho log(A e^u) of
+    ``_log_map``: Phi preserves order and Phi(u + c) = Phi(u) + rho c,
+    so Delta_j in [lo, hi] entrywise gives Delta_{j+t} in rho^t [lo, hi],
+    and log T(i+1) - log T(i) = lse(u_i) - lse(u_{i-1}) lies in
+    rho^(i-1-j) [lo, hi] for i > j.  Delta_j is read as log(g_{j+1}/g_j),
+    widened by the rounding of the m-term product A g_j, of the power,
+    the quotient and the log, so the bracket holds for the exact step
+    from the float g_j.  A g_j past the float range reads inf, and its
+    bracket nan."""
     A_np = np.array(A.rows, dtype=float)
-    g, u, log_T = np.ones(A.m), np.zeros(A.m), logm  # g_0, u_0, log T(1)
-    total, k, size = 0.0, 0, 32
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by caller
-        while k < n - 1:
-            G = _transfer_rows(A_np, rho, g, min(size, n - 1 - k))  # g_{k+1} ..
-            U = np.log(G)
-            delta = np.diff(U, axis=0, prepend=u[None])  # Delta_k ..
+    g = np.ones(A.m)
+    for size in block_sizes(n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = _transfer_rows(A_np, rho, g, size)  # g_{k+1}, ..., g_{k+size}
+            P = np.vstack([g, G[:-1]])  # g_k, ..., g_{k+size-1}
+            delta = np.log(G / P)
             lo, hi = delta.min(axis=1), delta.max(axis=1)
-            logs = np.log(G.sum(axis=1))  # log T(k+2) ..
-            closed = F_bound[k:k + len(G)] * (hi - lo) < 2.0 * logm * BRACKET_TOL
-            if closed.any():
-                c = int(np.argmax(closed))
-                j = k + c
-                F = np.dot(np.float_power(rho, np.arange(n - j)), D[j:])
-                prev = logs[c - 1] if c else log_T  # log T(j+1)
-                rest = D[j] * prev + F * (lo[c] + hi[c]) / 2.0
-                total += float(np.dot(d[k + 1:j + 1], logs[:c]) + rest) / logm
-                return total, float(F * (hi[c] - lo[c])) / (2.0 * logm)
-            total += float(np.dot(d[k + 1:k + 1 + len(G)], logs)) / logm
-            k, size = k + len(G), 2 * size
-            g, u, log_T = G[-1], U[-1], logs[-1]
-            if log_T == math.inf:
-                break
-    return total, 0.0
+            r = _EPS * (A.m + 3 + 4 * np.maximum(abs(lo), abs(hi)))
+            log_T = np.log(P.sum(axis=1))
+        yield log_T, lo - r, hi + r
+        g = G[-1]
 
 
 def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
@@ -465,9 +467,15 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     _validate_density(d, dv)
     total, half = dv[0], 0.0
     last = next((i for i in range(len(dv), 1, -1) if dv[i - 1] > 0.0), 0)
-    if last:
-        series, half = _transfer_series(A, rho, dv[:last], logm)
-        total += series
+    if last:  # w_j = d_{j+1} weighs log T(j+1); d_1 takes no log
+        if min(A.row_sums) == 0:
+            raise ValueError("matrix has an empty row")
+        w = np.maximum(np.array(dv[:last]), 0.0)
+        w[0] = 0.0
+        series, half = _bracketed_sum(_transfer_blocks(A, rho, last), w, rho,
+                                      BRACKET_TOL * logm)
+        total += series / logm
+        half /= logm
     if not math.isfinite(total):
         raise FloatingPointError(
             "Hausdorff series left the float range: the transfer sums T(i) "

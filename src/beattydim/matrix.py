@@ -11,7 +11,8 @@ floats (``log_power_sums``): u_l is kept as 2^e v with the power of two
 split off exactly, so no float leaves its range.  With each log comes
 the Collatz-Wielandt bracket of every later growth factor: once v > 0,
 min_i and max_i of (A v)_i / v_i bound |A^(l'+1)| / |A^l'| for all
-l' >= l (Seneta, Non-negative Matrices and Markov Chains, 1981).
+l' >= l (Seneta, Non-negative Matrices and Markov Chains, 1981),
+widened by their rounding.
 Structural predicates (irreducible, primitive, equal row sums) run on
 numpy boolean matrices.
 """
@@ -27,6 +28,19 @@ import numpy as np
 
 _LN2 = math.log(2.0)
 _TINY = sys.float_info.min  # the smallest normal float
+_EPS = sys.float_info.epsilon
+
+
+def block_sizes(n: int, cap: int | None = None) -> Iterator[int]:
+    """Row counts of the blocks in which the float recursions of the
+    dimension series run, n rows in all: 32, then twice as many each
+    time, at most cap at once.  A series that stops early has paid for
+    at most twice the rows it read."""
+    size, done = 32, 0
+    while done < n:
+        k = min(size, n - done) if cap is None else min(size, cap, n - done)
+        yield k
+        done, size = done + k, 2 * size
 
 
 def _mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple:
@@ -105,41 +119,45 @@ class BinaryMatrix:
                 object.__setattr__(self, "_memo", (sums, u))
         return sums[:N]
 
-    def log_power_sums(self) -> Iterator[
+    def log_power_sums(self, n: int) -> Iterator[
             tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """log|A^l| and its Collatz-Wielandt bracket for l = 0, 1, 2, ...
-        without end, in blocks of consecutive l, 32 of them and twice as
-        many in each later block.
+        """log|A^l| and its Collatz-Wielandt bracket for l = 0, ..., n-1,
+        in the blocks of consecutive l that ``block_sizes`` lays out.
 
         Each block is three arrays over its l: log|A^l| (-inf where
         |A^l| = 0), log a_l and log b_l, with a_l = min_i (A v)_i / v_i
-        and b_l = max_i (A v)_i / v_i for v = A^l 1, or nan where v has
-        an entry below the smallest normal float or A v a zero entry.
-        From a v <= A v <= b v and A >= 0 follows a A^j v <= A^(j+1) v
-        <= b A^j v for every j, so log|A^(l'+1)| - log|A^l'| lies in
-        [log a_l, log b_l] for all l' >= l.  Each l costs one float
+        and b_l = max_i (A v)_i / v_i for the float iterate v of A^l 1,
+        or nan where v has an entry below the smallest normal float or
+        A v a zero entry.  From a v <= A v <= b v and A >= 0 follows
+        a A^j v <= A^(j+1) v <= b A^j v for every j, so each later step
+        of the recursion from v grows the sum by a factor in [a_l, b_l]:
+        log|A^(l'+1)| - log|A^l'| lies in [log a_l, log b_l] for all
+        l' >= l, up to the rounding of v itself.  The two logs are widened by the rounding of the m-term
+        product A v, of the quotient and of the log, so the bracket holds
+        for the exact a_l and b_l of the iterate.  Each l costs one float
         matrix-vector product; between blocks the power of two of the
         largest entry is split off, exactly for normal entries, and a
         block is short enough that no product overflows."""
         A = np.array(self.rows, dtype=float)
         # the largest entry grows at most by the largest row sum per step
         cap = 1000 // max(1, max(self.row_sums)).bit_length()
-        v, e, n = np.ones(self.m), 0, 32  # A^l 1 = 2^e v
-        while True:
-            V = np.empty((min(n, cap) + 1, self.m))
+        v, e = np.ones(self.m), 0  # A^l 1 = 2^e v
+        for size in block_sizes(n, cap):
+            V = np.empty((size + 1, self.m))
             V[0] = v
-            for j in range(len(V) - 1):
+            for j in range(size):
                 V[j + 1] = A @ V[j]
             V, X = V[:-1], V[1:]  # X = A V
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_s = e * _LN2 + np.log(V.sum(axis=1))
                 R = X / V
             ok = (V.min(axis=1) >= _TINY) & (X.min(axis=1) > 0.0)
-            lo = np.log(R.min(axis=1), out=np.full(len(V), np.nan), where=ok)
-            hi = np.log(R.max(axis=1), out=np.full(len(V), np.nan), where=ok)
-            yield log_s, lo, hi
+            lo = np.log(R.min(axis=1), out=np.full(size, np.nan), where=ok)
+            hi = np.log(R.max(axis=1), out=np.full(size, np.nan), where=ok)
+            r = _EPS * (self.m + 2 + 4 * np.maximum(abs(lo), abs(hi)))
+            yield log_s, lo - r, hi + r
             k = math.frexp(float(X[-1].max()))[1]
-            v, e, n = X[-1] * 2.0 ** -k, e + k, 2 * n
+            v, e = X[-1] * 2.0 ** -k, e + k
 
     def power_sum(self, l: int) -> int:
         """|A^l| as an exact big integer, l >= 0: a read of

@@ -361,31 +361,28 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
 # report payload
 # ---------------------------------------------------------------------------
 
-_DIRECT_BITS = 1 << 15  # below this many bits, str(Decimal(count))
 _LEAF_BITS = 1024  # the pieces the split leaves to Decimal(int)
+# exact Decimal arithmetic: any rounding would raise
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 def digits(count: int) -> str:
     """Decimal digits of an integer; unlike str(int), not capped at
     Python's int-to-str digit limit.
 
-    Decimal(int) takes time quadratic in the digits.  Past
-    ``_DIRECT_BITS`` bits the count is split by bits, x = hi 2^h + lo
-    with h half its bit length, and the halves are put together in exact
-    Decimal arithmetic, whose products are sub-quadratic; the powers
-    2^h are shared between the branches."""
+    Decimal(int) takes time quadratic in the digits, so it only converts
+    pieces of at most ``_LEAF_BITS`` bits.  A longer count is split by
+    bits, x = hi 2^h + lo with h half its bit length, and the halves are
+    put together in exact Decimal arithmetic, whose products are
+    sub-quadratic; the powers 2^h are shared between the branches."""
     if count < 0:
         return "-" + digits(-count)
-    if count.bit_length() < _DIRECT_BITS:
-        return str(Decimal(count))
-    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                  traps=[Inexact])
     powers: dict[int, Decimal] = {}
 
     def two_to(w: int) -> Decimal:
         if w not in powers:
             powers[w] = (Decimal(1 << w) if w <= _LEAF_BITS else
-                         ctx.multiply(two_to(w // 2), two_to(w - w // 2)))
+                         _EXACT.multiply(two_to(w // 2), two_to(w - w // 2)))
         return powers[w]
 
     def convert(x: int, w: int) -> Decimal:  # x < 2^w
@@ -393,8 +390,8 @@ def digits(count: int) -> str:
             return Decimal(x)
         h = w // 2
         hi = x >> h
-        return ctx.add(ctx.multiply(convert(hi, w - h), two_to(h)),
-                       convert(x - (hi << h), h))
+        return _EXACT.add(_EXACT.multiply(convert(hi, w - h), two_to(h)),
+                          convert(x - (hi << h), h))
 
     return str(convert(count, count.bit_length()))
 

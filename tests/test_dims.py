@@ -23,8 +23,9 @@ from beattydim import (
 )
 from beattydim import empirical_densities
 from beattydim.chains import ClosedForm
-from beattydim.dims import (_hausdorff_tail, _log_map, _mink_tail, _rho,
-                            transfer_sums)
+from beattydim import dims
+from beattydim.dims import (_bracketed_sum as bracketed_sum, _hausdorff_tail,
+                            _log_map, _mink_tail, _rho, transfer_sums)
 from conftest import (REGION_TUPLES, dij_row, naive_power_sums,
                       random_irreducible, random_primitive,
                       recursion_power_sums, reference_floats,
@@ -535,6 +536,45 @@ def test_series_within_err_of_full_references_near_one():
     assert abs(m.value - ref_m) <= m.err
     assert abs(h.value - ref_h) <= h.err
     assert abs(ref_h - 0.8023567432684916) <= 1e-13
+
+
+def _closing_half_widths(monkeypatch, A, d, p):
+    """The half-widths of the brackets that close the Minkowski and the
+    Hausdorff series, in natural log."""
+    seen = []
+
+    def spy(*args):
+        seen.append(bracketed_sum(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(dims, "_bracketed_sum", spy)
+    minkowski_dim(A, d, p)
+    hausdorff_dim(A, d, p)
+    monkeypatch.undo()
+    return [half for _, half in seen]
+
+
+def test_brackets_keep_their_rounding(monkeypatch):
+    # near alpha/gamma = 1 the float increments of log g_k agree to a few
+    # ulps within 30 steps, and with equal row sums both float spreads
+    # are exactly 0 from the start: the closing brackets still have the
+    # width of their rounding, and it enters err
+    p = ParamTuple("501/500", 0, "251/250", 0)
+    d = closed_form_d(p, classify_region(p))
+    A = BinaryMatrix.from_string(MATRIX_8)
+    for half in _closing_half_widths(monkeypatch, A, d, p):
+        assert 0.0 < half < dims.BRACKET_TOL * math.log(8)
+    J = BinaryMatrix.all_ones(3)
+    for q in (p, REGION_TUPLES["R10"]):
+        dq = closed_form_d(q, classify_region(q))
+        for half in _closing_half_widths(monkeypatch, J, dq, q):
+            assert 0.0 < half < dims.BRACKET_TOL * math.log(3)
+        # with the brackets off the same series run to N without them
+        m, h = minkowski_dim(J, dq, q), hausdorff_dim(J, dq, q)
+        monkeypatch.setattr(dims, "BRACKET_TOL", 0.0)
+        assert minkowski_dim(J, dq, q).err < m.err
+        assert hausdorff_dim(J, dq, q).err < h.err
+        monkeypatch.undo()
 
 
 def test_transfer_sums_match_t_phi(rng):

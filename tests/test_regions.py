@@ -463,12 +463,12 @@ def _from_digit_string(s):
 
 
 def test_digits_match_decimal_around_the_limits():
-    # the 4300-digit int-to-str limit and the bit count where the split
-    # takes over, in both directions, with the sign
+    # the 4300-digit int-to-str limit and the leaf size of the split,
+    # in both directions, with the sign
     rng = random.Random(5)
-    bits = [b + j for b in (4300 * 3322 // 1000, regions._DIRECT_BITS)
-            for j in range(-3, 4)]
-    bits += [1, 64, 1024, 1025, 2 * regions._DIRECT_BITS + 1, 200_000]
+    bits = [b + j for b in (4300 * 3322 // 1000, regions._LEAF_BITS,
+                            2 * regions._LEAF_BITS) for j in range(-3, 4)]
+    bits += [1, 64, 1 << 15, 200_000]
     for b in bits:
         for x in (rng.getrandbits(b) | 1 << (b - 1), (1 << b) - 1, 1 << b):
             assert digits(x) == str(Decimal(x)), b
