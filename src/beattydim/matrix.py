@@ -31,14 +31,14 @@ _TINY = sys.float_info.min  # the smallest normal float
 _EPS = sys.float_info.epsilon
 
 
-def block_sizes(n: int, cap: int | None = None) -> Iterator[int]:
+def block_sizes(n: int, cap: float = math.inf) -> Iterator[int]:
     """Row counts of the blocks in which the float recursions of the
     dimension series run, n rows in all: 32, then twice as many each
-    time, at most cap at once.  A series that stops early has paid for
-    at most twice the rows it read."""
+    time, at most cap at once.  A series that stops early has computed
+    at most 32 rows or twice the rows it read, whichever is more."""
     size, done = 32, 0
     while done < n:
-        k = min(size, n - done) if cap is None else min(size, cap, n - done)
+        k = min(size, cap, n - done)
         yield k
         done, size = done + k, 2 * size
 

@@ -1,12 +1,16 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattydim import GOLDEN_MEAN, BinaryMatrix
-from conftest import (naive_power_sums, random_binary,
+from beattydim.matrix import block_sizes
+from conftest import (naive_power_sums, random_binary, random_primitive,
                       reference_is_irreducible, reference_is_primitive)
 
 
@@ -90,6 +94,34 @@ def test_submultiplicative(rng):
         for l1 in range(7):
             for l2 in range(7):
                 assert A.power_sum(l1 + l2) <= A.power_sum(l1) * A.power_sum(l2)
+
+
+def test_block_sizes():
+    assert list(block_sizes(0)) == []
+    assert list(block_sizes(100)) == [32, 64, 4]
+    assert list(block_sizes(300, 100)) == [32, 64, 100, 100, 4]
+
+
+def test_log_power_sums_match_exact_sums_and_brackets(rng):
+    # log|A^l| against the exact sums, in the blocks of block_sizes (the
+    # 16x16 all-ones matrix caps them at 200 rows), and each bracket
+    # holds every later increment
+    n = 400
+    for A in (GOLDEN_MEAN, BinaryMatrix.all_ones(16), random_primitive(rng, 3),
+              random_primitive(rng, 8)):
+        cap = 1000 // max(A.row_sums).bit_length()
+        blocks = list(A.log_power_sums(n))
+        assert [len(b[0]) for b in blocks] == list(block_sizes(n, cap))
+        log_s, lo, hi = (np.concatenate(a) for a in zip(*blocks))
+        exact = np.array([math.log(s) for s in A.power_sums(n + 1)])
+        assert np.abs(log_s - exact[:n]).max() <= 1e-12 * n
+        step = np.diff(exact)
+        later_min = np.minimum.accumulate(step[::-1])[::-1]
+        later_max = np.maximum.accumulate(step[::-1])[::-1]
+        ok = ~np.isnan(lo)
+        assert ok[-1]
+        assert (later_min[ok] >= lo[ok] - 1e-11).all()
+        assert (later_max[ok] <= hi[ok] + 1e-11).all()
 
 
 def test_is_irreducible():
