@@ -146,9 +146,7 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     k0 = max(a.first_k, g.first_k)
     count = max(0, min(a.first_k_at(n + 1), g.first_k_at(n + 1)) - k0)
     if k0 > count:  # shifted pairs: lane i holds k = k0 + i
-        a, g = (BeattyPair(q.tau, _add(q.eta, _mul(q.tau, Rational(k0))))
-                for q in (a, g))
-        k0 = 0
+        a, g, k0 = a.shifted(k0), g.shifted(k0), 0
     k = np.arange(k0, k0 + count, dtype=np.int64)
     return a.floor_lanes(k), g.floor_lanes(k)
 
@@ -235,15 +233,28 @@ class BeattyPair:
     and kept: the exact 1/tau, the inverse form, the floats of tau and
     eta with their error bounds, the scalar closures ``floor`` and
     ``member`` (x -> its k, or 0), the int64 lane kernels
-    ``floor_lanes`` and ``member_lanes``, and ``first_k``.  Outside a
-    common quadratic field every closure takes the generic exact
-    operations, with the one 1/tau.  The sequences of
-    a tuple take their pairs from ``ParamTuple.pairs``, so this setup
-    runs once per sequence."""
+    ``floor_lanes`` and ``member_lanes``, ``first_k``, and the
+    ``shifted`` pairs.  Outside a common quadratic field every closure
+    takes the generic exact operations, with the one 1/tau.  The
+    sequences of a tuple take their pairs from ``ParamTuple.pairs``, so
+    this setup runs once per sequence."""
 
     def __init__(self, tau: RealLike, eta: RealLike):
         self.tau, self.eta = as_real(tau), as_real(eta)
         self.form = _linear_form(self.tau, self.eta)
+
+    def shifted(self, k0: int) -> BeattyPair:
+        """The pair of k -> floor(tau*(k0 + k) + eta), built once per k0
+        and kept: lanes that start at a large k0 stay small."""
+        shifts = self._shifts
+        if k0 not in shifts:
+            shifts[k0] = BeattyPair(
+                self.tau, _add(self.eta, _mul(self.tau, Rational(k0))))
+        return shifts[k0]
+
+    @cached_property
+    def _shifts(self) -> dict[int, BeattyPair]:
+        return {}
 
     @cached_property
     def _inv_tau(self) -> Real:

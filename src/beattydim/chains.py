@@ -30,11 +30,13 @@ and g the ``beatty.BeattyPair`` of S(alpha, beta) and S(gamma, delta).
 the pairs' scalar closures, from a head or resuming a walk at its step
 j; it returns the chain's end (kind, value, last iterate) and collects
 the visible elements on request.  ``_ScanContext.walk_heads`` is a
-refilling lane stream: each round steps every live lane, each at its
-own step, through one guarded pass of each lane kernel, and whenever at
-most CHUNK // 2 lanes are live it draws heads from its stream until
-more are; an iterate past the kernel's int64 guard resumes in ``walk``
-at its step.
+refilling lane stream: each round steps every live lane through one
+guarded pass of each lane kernel, and whenever at most CHUNK // 2 lanes
+are live it draws heads from its stream until more are.  The lanes
+drawn in one round form a cohort that shares its step j, so a lane is
+one int64 iterate.  An iterate past the kernel's int64 guard resumes in
+``walk`` at its step, and so do the last FINISH lanes of an exhausted
+stream on pairs with integer forms.
 
 Chains are strictly monotone.  Let g(k) = floor(gamma*k + delta) -
 floor(alpha*k + beta) and h(k) = (gamma - alpha)*k + delta - beta.  Then
@@ -76,6 +78,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import repeat
 from math import ceil, inf, lcm, log
 from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
                     Union)
@@ -83,10 +86,17 @@ from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .beatty import LANE_BOUND, BeattyPair, ParamTuple
-from .numerics import Rational, _add, _common_bounds, _div, _mul, _neg
+from .numerics import Rational, _add, _common_bounds, _div, _neg
 
 DEFAULT_K = 40
 CHUNK = 1 << 14  # lanes per table-marking call, positions per head slice
+# An exhausted head stream finishes its last FINISH live lanes in the
+# scalar ``walk``.  On the perfbench scan catalog (2-core Xeon, Python
+# 3.11, numpy 2.4) a vector round over at most 64 lanes costs 38-47 us,
+# and one scalar step (member, then floor) 0.9-1.1 us on rational and
+# one-field surd pairs; so one scalar step of 32 lanes costs no more
+# than one round.
+FINISH = 32
 STABILITY_TOL = 1e-3  # candidate share a doubled horizon may move
 _PERIOD_CAP = 1 << 16  # longest membership period a certificate checks
 
@@ -96,6 +106,7 @@ Num = Union[Fraction, float]
 # class codes of the per-head arrays; finite classes use their index i
 _INFINITE = 0
 _RESIDUAL = -1  # the trajectory left the positive integers
+_FINITE = 1  # a walk_heads end code: the step-j iterate left SA, class j + 1
 
 
 class HorizonTooSmall(RuntimeError):
@@ -337,9 +348,7 @@ def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
     marks = np.frombuffer(table, dtype=np.uint8)  # marks in place
     k0, k1 = pair.first_k, pair.first_k_at(bound + 1)
     if k1 > k0 > bound:
-        tau = pair.tau
-        pair = BeattyPair(tau, _add(pair.eta, _mul(tau, Rational(k0))))
-        k0, k1 = 0, k1 - k0
+        pair, k0, k1 = pair.shifted(k0), 0, k1 - k0
     for start in range(k0, k1, CHUNK):
         lanes = np.arange(start, min(start + CHUNK, k1), dtype=np.int64)
         marks[pair.floor_lanes(lanes)] = 1
@@ -416,146 +425,206 @@ class _ScanContext:
                    cutoff: int) -> Union["_HeadWalks", "_HeadTally"]:
         """Follow the chains of a stream of heads (int64 arrays in head
         order, each head outside SG), one step of f per round for every
-        live lane, through the vectorized kernel.  A lane is a column
-        (head index, step j, iterate y), and whenever at most CHUNK // 2
-        lanes are live the next arrays of the stream join them until more
-        are, so rounds stay full and a window pays the tail of its
-        longest chains once.  The steps, exits and visibility rules are
-        those of ``walk``; a lane whose iterate passes the lane guard
-        resumes there at its step j.  A head outside SA ends at step 0,
-        as class 1.
+        live lane, through the vectorized kernel.  Lanes live in step
+        cohorts (``_Cohorts``): whenever at most CHUNK // 2 lanes are
+        live, the next arrays of the stream join them as one cohort at
+        step 0 until more are, so rounds stay full and a window pays the
+        tail of its longest chains once.  The steps, exits and visibility
+        rules are those of ``walk``.  A lane resumes there at its step j
+        when its iterate passes the lane guard, and so do the last FINISH
+        lanes of an exhausted stream when both pairs' scalar closures are
+        integer forms.  A head outside SA ends at step 0, as class 1.
 
-        A lane ends as the column (head index, j, k): k = 0 when its
-        step-j iterate left SA (class j + 1), k < 0 when the chain left
-        N at step j, k > 0 for an infinity candidate or a chain proved
-        infinite.  With cutoff >= 1 the elements <= cutoff are visible,
-        and the per-head arrays of the whole stream come back as
-        ``_HeadWalks``.  With cutoff < 1 ended lanes are tallied, in
-        O(CHUNK + longest step) memory, into a ``_HeadTally``."""
-        track = cutoff >= 1
-        if track:
+        With cutoff >= 1 the elements <= cutoff are visible, and the
+        per-head arrays of the whole stream come back as ``_HeadWalks``.
+        With cutoff < 1 ended lanes are tallied by step, in O(CHUNK +
+        longest step) memory, into a ``_HeadTally``."""
+        if cutoff >= 1:
             heads = list(heads)
-            m = sum(h.size for h in heads)
-            cls = np.zeros(m, dtype=np.int64)
-        else:  # grown to the largest step tallied, not to the horizon
-            ends = left = np.zeros(0, dtype=np.int64)
-        seen_lanes = [np.zeros(0, dtype=np.int64)]
-        seen_values = [np.zeros(0, dtype=np.int64)]
-        ended: list[np.ndarray] = []  # end columns not yet tallied
-        pending = 0
-
-        def see(lanes, y):
-            if not track:
-                return
-            s = y <= cutoff
-            seen_lanes.append(lanes[s])
-            seen_values.append(y[s])
-
-        def end(cols):
-            # end columns wait until CHUNK // 4 of them are tallied at
-            # once, so rounds with few lanes pay no tally of their own
-            nonlocal pending
-            ended.append(cols)
-            pending += cols.shape[1]
-            if pending >= CHUNK // 4:
-                tally()
-
-        def tally():
-            nonlocal pending, ends, left
-            lanes, j, k = (ended[0] if len(ended) == 1
-                           else np.concatenate(ended, axis=1))
-            ended.clear()
-            pending = 0
-            out, fin = k < 0, k == 0
-            if track:
-                cls[lanes] = np.where(fin, j + 1,
-                                      np.where(out, _RESIDUAL, _INFINITE))
-                return
-            ends = _add_counts(ends, j[fin])
-            if out.any():
-                left = _add_counts(left, j[out])
-
-        def resume(lane, j, y):
-            # y is the step-j iterate, already seen; walk() takes over
-            # from it and sees it again.  Returns the lane's end column.
-            rec: Optional[list[int]] = [] if track else None
-            kind, val, _ = self.walk(y, horizon, cutoff, rec, j)
-            if track:
-                if y <= cutoff:
-                    del rec[0]
-                seen_lanes.append(np.full(len(rec), lane, dtype=np.int64))
-                seen_values.append(np.array(rec, dtype=np.int64))
-            if kind == "finite":
-                return lane, val - 1, 0
-            return (lane, val, -1) if kind == "residual" else (lane, j, 1)
-
+            live = _Cohorts(cutoff, sum(h.size for h in heads))
+        else:
+            live = _Cohorts(cutoff)
         stop = self._stop(cutoff)
+        if stop > LANE_BOUND:  # past every lane
+            stop = inf
+        member, floor = self.a.member_lanes, self.g.floor_lanes
+        finish = (FINISH if self.a._inverse is not None
+                  and self.g.form is not None else -1)
+
+        def resume(lanes):
+            # each (head index, j, y): y is the step-j iterate, already
+            # seen; walk() takes over from it and sees it again
+            for lane, j, y in lanes:
+                rec: Optional[list[int]] = [] if cutoff >= 1 else None
+                kind, val, _ = self.walk(y, horizon, cutoff, rec, j)
+                if rec:
+                    live.seen(lane, rec[1:] if y <= cutoff else rec)
+                if kind == "finite":
+                    live.record(lane, val - 1, _FINITE)
+                elif kind == "residual":
+                    live.record(lane, val, _RESIDUAL)
+
         batches = iter(heads)
-        drawn = 0
-
-        def draw(live):
-            # live, joined at step 0 by the lanes of the stream's next
-            # heads until more than CHUNK // 2 lanes are live
-            nonlocal drawn
-            parts, size = [live], live.shape[1]
-            for h in batches:
-                new = np.zeros((3, h.size), dtype=np.int64)
-                new[0] = np.arange(drawn, drawn + h.size)
-                new[2] = h
-                drawn += h.size
-                see(new[0], h)
-                parts.append(new)
-                size += h.size
-                if size > CHUNK // 2:
-                    break
-            return np.concatenate(parts, axis=1)
-
-        live = np.zeros((3, 0), dtype=np.int64)  # rows: head index, j, y
+        more = True
         while True:
-            if live.shape[1] <= CHUNK // 2:
-                live = draw(live)
-            if not live.shape[1]:
+            if more and live.y.size <= CHUNK // 2:
+                parts, size, more = [], live.y.size, False
+                for h in batches:
+                    parts.append(h)
+                    size += h.size
+                    if size > CHUNK // 2:
+                        more = True
+                        break
+                if parts:
+                    live.draw(parts)
+            if not more and live.y.size <= finish:
+                resume(live.columns())
                 break
-            far = live[2] > self.guard
-            if far.any():
-                end(np.array([resume(*c) for c in live[:, far].T.tolist()],
-                             dtype=np.int64).T)
-                live = live.compress(~far, axis=1)
-            # out of SA (k = 0), at the horizon, or proved infinite
-            out = live[1] >= horizon
-            if stop <= LANE_BOUND:
-                out |= live[2] >= stop
-            live[2] = self.a.member_lanes(live[2])
-            out |= live[2] == 0
-            gone, live = (live.compress(out, axis=1),
-                          live.compress(~out, axis=1))
-            end(gone)
-            live[1] += 1
-            live[2] = self.g.floor_lanes(live[2])
-            out = live[2] < 1
-            if out.any():  # left N at step j
-                gone, live = (live.compress(out, axis=1),
-                              live.compress(~out, axis=1))
-                gone[2] = -1
-                end(gone)
-            see(live[0], live[2])
-        if ended:
-            tally()
+            if not live.y.size:  # a draw that leaves more heads fills lanes
+                break
+            top = live.y.max()
+            if top > self.guard:
+                far = live.y > self.guard
+                resume(live.columns(far))
+                live.end(far, _INFINITE)  # recorded by resume
+            if top >= stop:  # proved infinite
+                live.end(live.y >= stop, _INFINITE)
+            if not live.y.size:
+                continue
+            live.y = member(live.y)
+            live.end(live.y == 0, _FINITE)  # left SA at step j: class j + 1
+            if live.steps.size and live.steps[0] >= horizon:
+                live.end_oldest()  # at the horizon: infinity candidates
+            live.steps += 1
+            live.y = floor(live.y)
+            if live.y.size and live.y.min() < 1:
+                live.end(live.y < 1, _RESIDUAL)  # left N at step j
+            live.see()
+        return live.result()
 
-        if not track:
-            return _HeadTally(drawn, ends, left)
-        lanes = np.concatenate(seen_lanes)
+
+
+class _Cohorts:
+    """The live lanes of one ``_ScanContext.walk_heads`` call, and what
+    its ended lanes leave behind.
+
+    The lanes drawn in one round form a cohort and share their step j,
+    so a lane is one int64 iterate in ``y`` (and one head index in
+    ``heads`` when elements are tracked), cohort by cohort, oldest
+    first; ``sizes`` and ``steps`` hold one entry per cohort, at
+    strictly descending steps.  Ended lanes are recorded per cohort:
+    with tracking as their heads' class codes (j + 1 for _FINITE,
+    _RESIDUAL, and _INFINITE by default), otherwise in a tally by step
+    j, one row per end code, widened by doubling as the oldest step
+    grows and cut to the largest step tallied plus one in ``result``."""
+
+    def __init__(self, cutoff: int, heads: Optional[int] = None):
+        empty = np.zeros(0, dtype=np.int64)
+        self.y = self.sizes = self.steps = empty
+        self.cutoff, self.drawn = cutoff, 0
+        self.heads: Optional[np.ndarray] = None
+        if heads is None:
+            self.tally = np.zeros((2, 64), dtype=np.int64)  # ends, left
+        else:
+            self.heads = empty
+            self.cls = np.zeros(heads, dtype=np.int64)
+            self.seen_heads, self.seen_values = [empty], [empty]
+
+    def draw(self, parts: list[np.ndarray]) -> None:
+        """Add the heads of parts as one cohort at step 0."""
+        new = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if not new.size:
+            return
+        self.y = np.concatenate([self.y, new])
+        self.sizes = np.append(self.sizes, new.size)
+        self.steps = np.append(self.steps, 0)
+        if self.heads is not None:
+            lanes = np.arange(self.drawn, self.drawn + new.size)
+            self.heads = np.concatenate([self.heads, lanes])
+            self._see(lanes, new)
+        self.drawn += new.size
+
+    def columns(self, mask: Optional[np.ndarray] = None) -> Iterator:
+        """(head index or None, step j, iterate y) of every lane, or of
+        the lanes in mask."""
+        j, y, heads = np.repeat(self.steps, self.sizes), self.y, self.heads
+        if mask is not None:
+            j, y = j[mask], y[mask]
+            heads = None if heads is None else heads[mask]
+        return zip(repeat(None) if heads is None else heads.tolist(),
+                   j.tolist(), y.tolist())
+
+    def end(self, gone: np.ndarray, code: int) -> None:
+        """Remove the lanes in gone, recording each as code at its step."""
+        counts = np.add.reduceat(gone, np.cumsum(self.sizes) - self.sizes,
+                                 dtype=np.int64)
+        if code != _INFINITE:
+            if self.heads is None:
+                self._widen(int(self.steps[0]))
+                self.tally[int(code == _RESIDUAL), self.steps] += counts
+            else:
+                self.cls[self.heads[gone]] = (
+                    np.repeat(self.steps + 1, counts) if code == _FINITE
+                    else _RESIDUAL)
+        keep = ~gone
+        self.y = self.y[keep]
+        if self.heads is not None:
+            self.heads = self.heads[keep]
+        self.sizes = self.sizes - counts
+        if not self.sizes.all():
+            some = self.sizes > 0
+            self.sizes, self.steps = self.sizes[some], self.steps[some]
+
+    def end_oldest(self) -> None:
+        """Remove the oldest cohort, recording nothing."""
+        size = int(self.sizes[0])
+        self.y = self.y[size:]
+        if self.heads is not None:
+            self.heads = self.heads[size:]
+        self.sizes, self.steps = self.sizes[1:], self.steps[1:]
+
+    def record(self, lane: Optional[int], j: int, code: int) -> None:
+        """Record one lane that ended in ``walk`` as code at step j."""
+        if self.heads is None:
+            self._widen(j)
+            self.tally[int(code == _RESIDUAL), j] += 1
+        else:
+            self.cls[lane] = j + 1 if code == _FINITE else _RESIDUAL
+
+    def _widen(self, j: int) -> None:
+        width = self.tally.shape[1]
+        if j >= width:
+            wider = np.zeros((2, max(j + 1, 2 * width)), dtype=np.int64)
+            wider[:, :width] = self.tally
+            self.tally = wider
+
+    def see(self) -> None:
+        """Note the live iterates <= cutoff, with tracking."""
+        if self.heads is not None:
+            self._see(self.heads, self.y)
+
+    def _see(self, heads: np.ndarray, y: np.ndarray) -> None:
+        s = y <= self.cutoff
+        self.seen_heads.append(heads[s])
+        self.seen_values.append(y[s])
+
+    def seen(self, lane: int, values: list[int]) -> None:
+        """Note one lane's elements from ``walk``."""
+        self.seen_heads.append(np.full(len(values), lane, dtype=np.int64))
+        self.seen_values.append(np.array(values, dtype=np.int64))
+
+    def result(self) -> Union["_HeadWalks", "_HeadTally"]:
+        if self.heads is None:
+            ends, left = (row[:np.flatnonzero(row)[-1] + 1] if row.any()
+                          else row[:0] for row in self.tally)
+            return _HeadTally(self.drawn, ends, left)
+        m = self.cls.size
+        lanes = np.concatenate(self.seen_heads)
         offsets = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(lanes, minlength=m), out=offsets[1:])
-        elements = np.concatenate(seen_values)[np.argsort(lanes, kind="stable")]
-        return _HeadWalks(cls, offsets, elements)
-
-
-def _add_counts(acc: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """acc plus the bincount of steps, as long as the longer of the two."""
-    c = np.bincount(steps, minlength=acc.size)
-    c[:acc.size] += acc
-    return c
+        elements = np.concatenate(self.seen_values)[
+            np.argsort(lanes, kind="stable")]
+        return _HeadWalks(self.cls, offsets, elements)
 
 
 class _HeadWalks(NamedTuple):

@@ -386,18 +386,6 @@ def _transfer_rows(A_np: np.ndarray, rho: float, g: np.ndarray,
     return G
 
 
-def transfer_sums(A: BinaryMatrix, rho: float, N: int) -> list[float]:
-    """[T(2), ..., T(N)] with T(i) = sum(g_{i-1}) from g_0 = 1 in
-    ``_transfer_rows``: ``t_phi`` with every exponent equal to
-    rho = alpha/gamma, as the d_{i,j} split makes it."""
-    if min(A.row_sums) == 0:
-        raise ValueError("matrix has an empty row")
-    if N < 2:
-        return []
-    A_np = np.array(A.rows, dtype=float)
-    return _transfer_rows(A_np, rho, np.ones(A.m), N - 1).sum(axis=1).tolist()
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff
 # ---------------------------------------------------------------------------

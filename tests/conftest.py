@@ -13,6 +13,7 @@ if str(SRC) not in sys.path:
 
 from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
 from beattydim.beatty import LANE_BOUND, BeattyPair, member  # noqa: E402
+from beattydim.dims import _transfer_rows  # noqa: E402
 from beattydim.numerics import (  # noqa: E402
     QuadraticSurd, Rational, _add, _div, _mul, _neg, _reciprocal, ceil_value,
     floor_linear)
@@ -345,6 +346,15 @@ def reference_suffix(d, i):
         if dl > 0 and rho > 0:
             total += dl * rho ** (max(i, L) - L + 1) / (1.0 - rho)
     return total
+
+
+def transfer_sums(A, rho, N):
+    """[T(2), ..., T(N)] with T(i) = sum(g_{i-1}) from g_0 = 1, read off
+    ``dims._transfer_rows``, the recursion ``hausdorff_dim`` runs."""
+    if N < 2:
+        return []
+    A_np = np.array(A.rows, dtype=float)
+    return _transfer_rows(A_np, rho, np.ones(A.m), N - 1).sum(axis=1).tolist()
 
 
 def reference_transfer_sums(A, rho, N):

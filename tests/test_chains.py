@@ -557,6 +557,65 @@ def test_walk_resumes_past_the_lane_guard(guard, chunk, monkeypatch):
         empirical_densities(ParamTuple(2, 0, 3, 0), [(1, 2000)], horizon=2)
 
 
+@pytest.mark.parametrize("finish", ["none", "above-chunk"])
+@pytest.mark.parametrize("tup,guard,chunk", [
+    pytest.param(("3/2", 0, 3, -50), None, None, id="leaves-N"),
+    pytest.param((2, 0, 3, 0), None, None, id="certificate"),
+    pytest.param(("3/2", 0, 3, 0), None, None, id="R2-dinf"),
+    pytest.param(("3/2", 0, 3, 0), 40, None, id="R2-guard"),
+    pytest.param(("3/2", 0, 3, -50), 5, 7, id="leaves-N-guard-chunk7"),
+    pytest.param(("sqrt(2)", 0, "sqrt(3)", 0), None, 7, id="R4-chunk7"),
+    pytest.param((2, 0, 3, 0), None, 7, id="certificate-chunk7"),
+    pytest.param(("sqrt(2)", "sqrt(3)", "sqrt(5)", 0), None, None,
+                 id="generic"),
+])
+def test_scalar_finish_matches_scalar_reference(tup, guard, chunk, finish,
+                                                monkeypatch):
+    # the last live lanes of an exhausted stream finish in the scalar
+    # walk at their steps: with no finish every lane takes vector rounds
+    # to its end, and with a finish above CHUNK every lane left after the
+    # stream's last draw finishes in walk.  With 7-position slices the
+    # live cohorts sit at different steps when the oldest meets horizon
+    # 2 or 3; a guard of 5 or 40 resumes lanes before the finish.
+    import beattydim.chains as chains_mod
+
+    if chunk is not None:
+        monkeypatch.setattr(chains_mod, "CHUNK", chunk)
+    if guard is not None:
+        monkeypatch.setattr(chains_mod, "_lane_guard", lambda p: guard)
+    monkeypatch.setattr(chains_mod, "FINISH",
+                        0 if finish == "none" else chains_mod.CHUNK + 1)
+    p = ParamTuple(*tup)
+    assert_matches_scalar(p, 300)
+    for horizon in (2, 3, None):
+        assert_counts_match(p, 1, 300, horizon)
+
+
+@pytest.mark.parametrize("tup,finishes", [
+    (("3/2", 0, 3, 0), True),
+    (("sqrt(2)", 0, "sqrt(3)", 0), True),
+    (("sqrt(2)", "sqrt(3)", "sqrt(5)", 0), False),
+])
+def test_scalar_finish_only_for_integer_forms(tup, finishes, monkeypatch):
+    # a generic pair's scalar member costs tens of microseconds, so its
+    # lanes keep the vector rounds to the end
+    import beattydim.chains as chains_mod
+
+    monkeypatch.setattr(chains_mod, "FINISH", chains_mod.CHUNK + 1)
+    walked = []
+    walk = _ScanContext.walk
+
+    def counted(self, *args):
+        walked.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(_ScanContext, "walk", counted)
+    p = ParamTuple(*tup)
+    empirical_densities(p, [(1, 300)])
+    decompose(p, 300)
+    assert bool(walked) == finishes
+
+
 def test_window_counts_with_the_guard_at_the_lane_bound():
     # no member of S(1, 10^400) lies below 2^62, so the lane guard is
     # capped there; the window counts still match the scalar reference
@@ -929,3 +988,27 @@ def test_one_pair_per_sequence(monkeypatch, capsys):
     empirical_densities(ParamTuple("sqrt(2)", "1/3", "2*sqrt(2)", "5/6"),
                         [(1, 5000), (1, 2500)])
     assert len(built) == 2
+
+
+def test_one_shifted_pair_per_sequence_and_start(monkeypatch, capsys):
+    # delta = -10^6 puts the first k of S(gamma, delta) far past n, so the
+    # S(gamma, delta) table and the constraint edges take shifted pairs;
+    # both share the one built per (pair, k0): the tuple's two pairs and
+    # the two shifted to the edges' first k
+    from beattydim.cli import main
+
+    argv = ["verify", "--alpha=sqrt(2)", "--gamma=2+sqrt(2)",
+            "--delta=-1000000", "--matrix=11;10", "--n=18"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    built = []
+    init = BeattyPair.__init__
+
+    def counted(self, tau, eta):
+        built.append((tau, eta))
+        init(self, tau, eta)
+
+    monkeypatch.setattr(BeattyPair, "__init__", counted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert len(built) == 4

@@ -25,11 +25,12 @@ from beattydim import empirical_densities
 from beattydim.chains import ClosedForm
 from beattydim import dims
 from beattydim.dims import (_bracketed_sum as bracketed_sum, _hausdorff_tail,
-                            _log_map, _mink_tail, _rho, transfer_sums)
+                            _log_map, _mink_tail, _rho)
 from conftest import (REGION_TUPLES, dij_row, naive_power_sums,
                       random_irreducible, random_primitive,
                       recursion_power_sums, reference_floats,
-                      reference_suffix, reference_transfer_sums)
+                      reference_suffix, reference_transfer_sums,
+                      transfer_sums)
 
 
 # alpha/gamma = 21/22 and 11/12 with geometric d_i tails
@@ -628,8 +629,6 @@ def test_hausdorff_empty_row():
                          provenance=ClosedForm("R7"))
     with pytest.raises(ValueError, match="matrix has an empty row"):
         hausdorff_dim(A, late, p)
-    with pytest.raises(ValueError, match="matrix has an empty row"):
-        transfer_sums(A, 0.5, 3)
     # d_1 alone needs no transfer sum; d_inf alone needs the fixed point
     first = DensityVector(head=(1, 0), d_inf=0, K=2,
                           provenance=ClosedForm("R7"))
