@@ -458,7 +458,9 @@ class _ScanContext:
                 rec: Optional[list[int]] = [] if cutoff >= 1 else None
                 kind, val, _ = self.walk(y, horizon, cutoff, rec, j)
                 if rec:
-                    live.seen(lane, rec[1:] if y <= cutoff else rec)
+                    rec = rec[1:] if y <= cutoff else rec
+                    live.see(np.full(len(rec), lane),
+                             np.array(rec, dtype=np.int64))
                 if kind == "finite":
                     live.record(lane, val - 1, _FINITE)
                 elif kind == "residual":
@@ -503,7 +505,6 @@ class _ScanContext:
         return live.result()
 
 
-
 class _Cohorts:
     """The live lanes of one ``_ScanContext.walk_heads`` call, and what
     its ended lanes leave behind.
@@ -541,7 +542,7 @@ class _Cohorts:
         if self.heads is not None:
             lanes = np.arange(self.drawn, self.drawn + new.size)
             self.heads = np.concatenate([self.heads, lanes])
-            self._see(lanes, new)
+            self.see(lanes, new)
         self.drawn += new.size
 
     def columns(self, mask: Optional[np.ndarray] = None) -> Iterator:
@@ -598,20 +599,17 @@ class _Cohorts:
             wider[:, :width] = self.tally
             self.tally = wider
 
-    def see(self) -> None:
-        """Note the live iterates <= cutoff, with tracking."""
-        if self.heads is not None:
-            self._see(self.heads, self.y)
-
-    def _see(self, heads: np.ndarray, y: np.ndarray) -> None:
+    def see(self, heads: Optional[np.ndarray] = None,
+            y: Optional[np.ndarray] = None) -> None:
+        """With tracking, note the iterates <= cutoff of the live lanes,
+        or the given iterates of the given heads."""
+        if self.heads is None:
+            return
+        if heads is None:
+            heads, y = self.heads, self.y
         s = y <= self.cutoff
         self.seen_heads.append(heads[s])
         self.seen_values.append(y[s])
-
-    def seen(self, lane: int, values: list[int]) -> None:
-        """Note one lane's elements from ``walk``."""
-        self.seen_heads.append(np.full(len(values), lane, dtype=np.int64))
-        self.seen_values.append(np.array(values, dtype=np.int64))
 
     def result(self) -> Union["_HeadWalks", "_HeadTally"]:
         if self.heads is None:
