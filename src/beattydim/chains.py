@@ -519,16 +519,18 @@ class _Cohorts:
     j, one row per end code, widened by doubling as the oldest step
     grows and cut to the largest step tallied plus one in ``result``."""
 
-    def __init__(self, cutoff: int, heads: Optional[int] = None):
+    def __init__(self, cutoff: int, tracked: Optional[int] = None):
+        """Tracked is the number of heads whose elements are tracked,
+        or None for a tally."""
         empty = np.zeros(0, dtype=np.int64)
         self.y = self.sizes = self.steps = empty
         self.cutoff, self.drawn = cutoff, 0
         self.heads: Optional[np.ndarray] = None
-        if heads is None:
+        if tracked is None:
             self.tally = np.zeros((2, 64), dtype=np.int64)  # ends, left
         else:
             self.heads = empty
-            self.cls = np.zeros(heads, dtype=np.int64)
+            self.cls = np.zeros(tracked, dtype=np.int64)
             self.seen_heads, self.seen_values = [empty], [empty]
 
     def draw(self, parts: list[np.ndarray]) -> None:
