@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional
 
 import numpy as np
@@ -158,8 +158,9 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
 #     tau*k + eta = ((A*k + E) + (B*k + F) * sqrt(D)) / Z
 # with integer A, B, E, F, Z > 0: the coefficients of tau and eta
 # (``numerics._coeffs``) over their common denominator.  Its inverse
-# x -> x*(1/tau) - eta/tau is the linear form of the exact values 1/tau
-# and -eta/tau, in the same field.  Scalar floors then cost one isqrt
+# x -> x*(1/tau) - eta/tau is a linear form in the same field, taken
+# from this one in integers (``BeattyPair._inverse``).  Scalar floors
+# then cost one isqrt
 # (none when B = F = 0), which is what makes 10^6-element scans
 # affordable.
 #
@@ -230,14 +231,15 @@ class BeattyPair:
     for the floors).
 
     The linear form is computed here.  The rest is built on first use
-    and kept: the exact 1/tau, the inverse form, the floats of tau and
-    eta with their error bounds, the scalar closures ``floor`` and
-    ``member`` (x -> its k, or 0), the int64 lane kernels
+    and kept: the inverse form (from the linear form, in integers), the
+    floats of tau and eta with their error bounds, the scalar closures
+    ``floor`` and ``member`` (x -> its k, or 0), the int64 lane kernels
     ``floor_lanes`` and ``member_lanes``, ``first_k``, and the
-    ``shifted`` pairs.  Outside a common quadratic field every closure
-    takes the generic exact operations, with the one 1/tau.  The
-    sequences of a tuple take their pairs from ``ParamTuple.pairs``, so
-    this setup runs once per sequence."""
+    ``shifted`` pairs.  Only a pair without a linear form (outside a
+    common quadratic field) takes the exact 1/tau, once; its closures
+    take the generic exact operations.  The sequences of a tuple take
+    their pairs from ``ParamTuple.pairs``, so this setup runs once per
+    sequence."""
 
     def __init__(self, tau: RealLike, eta: RealLike):
         self.tau, self.eta = as_real(tau), as_real(eta)
@@ -258,17 +260,33 @@ class BeattyPair:
 
     @cached_property
     def _inv_tau(self) -> Real:
-        """The exact 1/tau, taken once per pair."""
+        """The exact 1/tau, taken once per pair without a linear form."""
         return _reciprocal(self.tau)
 
     @cached_property
     def _inverse(self):
         """Linear form of x -> x*(1/tau) - eta/tau, or None without a
-        forward form (the inverse then leaves the field as well)."""
+        forward form (the inverse then leaves the field as well).
+
+        From the forward form in integers: a rational tau = A/Z gives
+        (Z*x - E - F*sqrt(D))/A; otherwise numerator and denominator are
+        multiplied by the conjugate A - B*sqrt(D), over the norm A^2 -
+        B^2*D.  The signs are flipped to a positive denominator and one
+        gcd reduces the form, so it equals ``_linear_form`` of the exact
+        values 1/tau and -eta/tau."""
         if self.form is None:
             return None
-        inv = self._inv_tau
-        return _linear_form(inv, _neg(_mul(self.eta, inv)))
+        A, B, E, F, Z, D = self.form
+        if B == 0:
+            inv = (Z, 0, -E, -F, A)
+        else:
+            inv = (Z * A, -Z * B, F * B * D - E * A, E * B - F * A,
+                   A * A - B * B * D)
+            g = gcd(*inv)
+            inv = tuple(v // g for v in inv)
+        if inv[4] < 0:
+            inv = tuple(-v for v in inv)
+        return (*inv, D)
 
     @cached_property
     def _floats(self) -> Optional[tuple[float, float, float, float]]:

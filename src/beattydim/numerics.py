@@ -8,7 +8,10 @@ and three tiers hold every such sum exactly:
 * ``Rational`` -- a ``fractions.Fraction`` in lowest terms.
 * ``QuadraticSurd`` -- ``a + b·√d`` with rational a, b (b ≠ 0) and
   square-free d ≥ 2.  Floors and sign tests reduce to integer-square
-  comparisons.
+  comparisons.  Signs, reciprocals and same-field products are taken
+  on the integer numerators p + q·√d of a, b over one denominator z
+  (the sign from p² against q²·d, 1/x = z·(p − q·√d)/(p² − q²·d)), so
+  each result builds its ``Fraction``s once.
 * ``RadicalSum`` -- ``c_1 + Σ c_r·√r`` over two or more square-free
   radicands r ≥ 2, one ``Fraction`` c_r ≠ 0 each.  Square roots of
   distinct square-free integers are linearly independent over Q
@@ -154,7 +157,9 @@ class Rational(Real):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", Fraction(value))
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        object.__setattr__(self, "value", value)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Rational is immutable")
@@ -279,17 +284,22 @@ def _surd_floor_ints(x: int, y: int, d: int, z: int) -> int:
     return (x + (w if y >= 0 else -w - 1)) // z
 
 
+def _over_one_den(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(p, q, z) with a = p/z, b = q/z and z = a.den*b.den > 0: the
+    surd tier takes its signs, products and reciprocals on these."""
+    return (a.numerator * b.denominator, b.numerator * a.denominator,
+            a.denominator * b.denominator)
+
+
 def _surd_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b*sqrt(d) with b != 0 (never zero)."""
-    if a == 0:
-        return 1 if b > 0 else -1
-    if b > 0:
-        if a > 0:
-            return 1
-        return 1 if b * b * d > a * a else -1
-    if a < 0:
-        return -1
-    return 1 if a * a > b * b * d else -1
+    """Sign of a + b*sqrt(d) with b != 0 (never zero): the sign of p +
+    q*sqrt(d) over ``_over_one_den``.  Where p and q differ in sign, p^2
+    against q^2*d decides."""
+    p, q, _ = _over_one_den(a, b)
+    sp, sq = (p > 0) - (p < 0), 1 if q > 0 else -1
+    if sp == 0 or sp == sq:
+        return sp or sq
+    return sp if p * p > q * q * d else -sp
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +432,13 @@ def _mul(x: Real, y: Real) -> Real:
     if isinstance(x, QuadraticSurd) and isinstance(y, Rational):
         return _in_field(x.a * y.value, x.b * y.value, x.d)
     if isinstance(x, QuadraticSurd) and isinstance(y, QuadraticSurd):
-        if x.d == y.d:
-            return _in_field(
-                x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d
-            )
+        if x.d == y.d:  # over the product of the two denominators
+            d = x.d
+            p1, q1, z1 = _over_one_den(x.a, x.b)
+            p2, q2, z2 = _over_one_den(y.a, y.b)
+            z = z1 * z2
+            return _in_field(Fraction(p1 * p2 + q1 * q2 * d, z),
+                             Fraction(p1 * q2 + q1 * p2, z), d)
         if x.a == 0 and y.a == 0:
             # b1*sqrt(d1) * b2*sqrt(d2) = b1*b2*g*sqrt((d1/g)*(d2/g)) with
             # g = gcd(d1, d2): coprime square-free factors, neither 1
@@ -449,8 +462,12 @@ def _reciprocal(x: Real) -> Real:
             raise ZeroDivisionError("division by exact zero")
         return Rational(1 / x.value)
     if isinstance(x, QuadraticSurd):
-        norm = x.a * x.a - x.b * x.b * x.d  # nonzero: x irrational
-        return _in_field(x.a / norm, -x.b / norm, x.d)
+        # x = (p + q*sqrt(d))/z, so 1/x = z*(p - q*sqrt(d))/(p^2 - q^2*d),
+        # a nonzero norm: x is irrational
+        p, q, z = _over_one_den(x.a, x.b)
+        norm = p * p - q * q * x.d
+        return QuadraticSurd(Fraction(z * p, norm), Fraction(-z * q, norm),
+                             x.d)
     # x = u + v*sqrt(p): 1/x = (u - v*sqrt(p)) / (u^2 - p*v^2), whose
     # denominator has no radicand divisible by p and is not 0
     p = _split_factor(x)
@@ -564,11 +581,16 @@ def parse_real(text: str) -> Real:
     literals ("2.5", exact), and surd expressions of the form
     rational ± rational·sqrt(int), e.g. "1+2*sqrt(5)/3" or "sqrt(2)",
     with every radicand in [1, RADICAND_MAX].
+
+    The terms collect into one coefficient per square-free radicand
+    (each radicand is split once), and the value is built from them once.
     """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty parameter")
-    total: Real = Rational(Fraction(0))
+    if _RAT_RE.match(s):
+        return Rational(_parse_unsigned_rational(s))
+    c: dict[int, Fraction] = {}
     for sgn, term in _split_signed_terms(s):
         if not term:
             raise ValueError(f"dangling sign in {text!r}")
@@ -583,8 +605,11 @@ def parse_real(text: str) -> Real:
             if not 1 <= radicand <= RADICAND_MAX:
                 raise ValueError(
                     f"radicand in {text!r} must lie in [1, {RADICAND_MAX}]")
-            value = surd(0, sgn * coef, radicand)
+            if not coef:
+                continue
+            root, radicand = _squarefree(radicand)
+            coef *= root
         else:
-            value = Rational(sgn * _parse_unsigned_rational(term))
-        total = _add(total, value)
-    return total  # every term is normal, and _add keeps it so
+            coef, radicand = _parse_unsigned_rational(term), 1
+        c[radicand] = c.get(radicand, _ZERO) + (coef if sgn > 0 else -coef)
+    return _from_coeffs(c)

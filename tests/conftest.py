@@ -12,11 +12,13 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from beattydim import BinaryMatrix, ParamTuple  # noqa: E402
-from beattydim.beatty import LANE_BOUND, BeattyPair, member  # noqa: E402
+from beattydim.beatty import (  # noqa: E402
+    LANE_BOUND, BeattyPair, _linear_form, member)
 from beattydim.dims import _transfer_rows  # noqa: E402
 from beattydim.numerics import (  # noqa: E402
-    QuadraticSurd, Rational, _add, _div, _mul, _neg, _reciprocal, ceil_value,
-    floor_linear)
+    RADICAND_MAX, _SQRT_RE, QuadraticSurd, Rational, _add, _div, _in_field,
+    _mul, _neg, _parse_unsigned_rational, _reciprocal, _split_signed_terms,
+    ceil_value, floor_linear, surd)
 
 
 def random_binary(rng, m):
@@ -122,6 +124,81 @@ def reference_member(x, tau, eta):
         if reference_floor_linear(tau, k, eta) == x:
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer set-up of a tuple
+#
+# ``numerics`` takes surd signs, reciprocals and same-field products, and
+# ``BeattyPair`` its inverse form, on integer numerators; ``parse_real``
+# collects one coefficient per radicand.  These are the term-by-term
+# Fraction formulas they replace, which the tests check them against.
+# ---------------------------------------------------------------------------
+
+def fraction_surd_sign(a, b, d):
+    """Sign of a + b*sqrt(d), b != 0, from Fraction squares."""
+    if a == 0:
+        return 1 if b > 0 else -1
+    if b > 0:
+        if a > 0:
+            return 1
+        return 1 if b * b * d > a * a else -1
+    if a < 0:
+        return -1
+    return 1 if a * a > b * b * d else -1
+
+
+def fraction_reciprocal(x):
+    """1/x for a Rational or QuadraticSurd x != 0, over the Fraction norm
+    a^2 - b^2*d."""
+    if isinstance(x, Rational):
+        return Rational(1 / x.value)
+    norm = x.a * x.a - x.b * x.b * x.d
+    return _in_field(x.a / norm, -x.b / norm, x.d)
+
+
+def fraction_surd_product(x, y):
+    """x*y for QuadraticSurds of one radicand d, from Fraction products."""
+    return _in_field(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
+
+
+def fraction_inverse_form(pair):
+    """The linear form of x -> x*(1/tau) - eta/tau from the exact values
+    1/tau and -eta/tau, each coefficient a Fraction; None without a
+    forward form."""
+    if pair.form is None:
+        return None
+    inv = fraction_reciprocal(pair.tau)
+    return _linear_form(inv, _neg(_mul(pair.eta, inv)))
+
+
+def fraction_parse_real(text):
+    """``parse_real`` one term at a time: every term a normal value,
+    ``_add``ed onto a running sum."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty parameter")
+    total = Rational(Fraction(0))
+    for sgn, term in _split_signed_terms(s):
+        if not term:
+            raise ValueError(f"dangling sign in {text!r}")
+        m = _SQRT_RE.match(term)
+        if m:
+            coef = (_parse_unsigned_rational(m.group(1)) if m.group(1)
+                    else Fraction(1))
+            if m.group(3):
+                if int(m.group(3)) == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
+                coef /= int(m.group(3))
+            radicand = int(m.group(2))
+            if not 1 <= radicand <= RADICAND_MAX:
+                raise ValueError(
+                    f"radicand in {text!r} must lie in [1, {RADICAND_MAX}]")
+            value = surd(0, sgn * coef, radicand)
+        else:
+            value = Rational(sgn * _parse_unsigned_rational(term))
+        total = _add(total, value)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from conftest import (
     assert_lane_guard_promise,
     beatty_values,
     first_k_at_reference,
+    fraction_inverse_form,
     reference_chain_bound,
     reference_floor_linear,
     reference_member,
@@ -551,6 +552,57 @@ def test_generic_member_takes_one_reciprocal(monkeypatch):
         assert pair.first_k_at(10**12) >= 1 and len(calls) <= 1
         assert got == [reference_member(x, pair.tau, pair.eta) or 0
                        for x in range(1, 201)]
+
+
+@st.composite
+def _wide_pair(draw):
+    """(tau, eta) of ``_exact_pair``, or with tau != 0 of either sign whose
+    coefficients reach 10^30 over denominators up to 10^30."""
+    d = draw(st.sampled_from([2, 3, 5, 7, 10]))
+    if draw(st.booleans()):
+        tau = draw(_exact_tau(d))
+    else:
+        big = st.integers(-10**30, 10**30)
+        den = st.integers(1, 10**30)
+        a, b = (Fraction(draw(big), draw(den)) for _ in range(2))
+        tau = rational(a or 1) if draw(st.booleans()) else surd(a, b or 1, d)
+    return tau, draw(_exact_shift(d))
+
+
+@given(case=_wide_pair())
+@settings(max_examples=300, deadline=None)
+def test_inverse_form_matches_the_fraction_formula(case):
+    pair = BeattyPair(*case)
+    assert pair._inverse == fraction_inverse_form(pair)
+
+
+@pytest.mark.parametrize("tau,etas", [
+    ("7/3", ["1/3", "sqrt(3)-5/2"]),
+    ("sqrt(2)", ["-4/7", "1/2-3*sqrt(2)"]),
+    ("1/2+sqrt(5)/2", ["10", "sqrt(5)/3"]),
+])
+def test_one_field_pairs_take_no_reciprocal(tau, etas, monkeypatch):
+    # the inverse form comes from the forward form in integers, so a pair
+    # in one field never divides by tau, not even once
+    calls, recip = [], numerics_mod._reciprocal
+
+    def counted(x):
+        calls.append(x)
+        return recip(x)
+
+    for mod in (beatty_mod, numerics_mod):
+        monkeypatch.setattr(mod, "_reciprocal", counted)
+    for eta in etas:
+        pair = BeattyPair(parse_real(tau), parse_real(eta))
+        calls.clear()
+        assert pair.form is not None and pair._inverse is not None
+        got = [pair.member(x) for x in range(1, 101)]
+        starts = [pair.first_k_at(x) for x in (1, 50, 10**12)]
+        assert calls == []
+        assert got == [reference_member(x, pair.tau, pair.eta) or 0
+                       for x in range(1, 101)]
+        assert starts == [first_k_at_reference(pair, x)
+                          for x in (1, 50, 10**12)]
 
 
 def test_float_pair_past_the_float_range():

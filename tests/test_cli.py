@@ -267,6 +267,24 @@ def test_undecidable_order_is_invalid_input(capsys):
     assert err == "invalid input: parameters must satisfy alpha < gamma\n"
 
 
+@pytest.mark.parametrize("alpha,gamma,code", [
+    ("1+sqrt(2)", "sqrt(2)+1", 2),  # alpha = gamma in one field
+    ("sqrt(2)-2/5", "3", 0),  # alpha - 1 = sqrt(2) - 7/5, terms of either sign
+    # a gap of about 7e-12 in either order
+    ("sqrt(2)", "141421356238/100000000000", 0),
+    ("141421356238/100000000000", "sqrt(2)", 2),
+])
+def test_order_checks_near_ties(capsys, alpha, gamma, code):
+    # the exact sign tests of alpha >= 1 and alpha < gamma decide each
+    # case (alpha = 1 itself is accepted in test_dim_kps)
+    assert main(["classify", f"--alpha={alpha}", f"--gamma={gamma}"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err == "invalid input: parameters must satisfy alpha < gamma\n"
+    else:
+        assert json.loads(out)["region"] and err == ""
+
+
 def test_more_than_four_radicands_is_invalid_input(capsys):
     t0 = time.perf_counter()
     code = main(["classify", "--alpha", "sqrt(2)+sqrt(3)", "--beta",

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from beattydim.numerics import (
     _reciprocal,
     _squarefree,
     _surd_floor_ints,
+    _surd_sign,
     as_fraction,
     compare,
     floor_linear,
@@ -25,8 +27,9 @@ from beattydim.numerics import (
     sign,
     surd,
 )
-from conftest import (reference_floor, reference_sign, terms_enclosure,
-                      value_terms)
+from conftest import (fraction_reciprocal, fraction_surd_product,
+                      fraction_surd_sign, reference_floor, reference_sign,
+                      terms_enclosure, value_terms)
 
 
 def test_floor_linear_examples():
@@ -154,8 +157,57 @@ def test_surd_floor_ints_brackets_the_value(x, y, d, z):
     assert not _surd_at_least(x, y, d, (n + 1) * z)
 
 
+@st.composite
+def _wide_fraction(draw, nonzero=False):
+    """A Fraction with numerator up to 10^30 in size, over a denominator
+    up to 60 or up to 10^30."""
+    num = st.integers(-10**30, 10**30)
+    num = draw(num.filter(bool) if nonzero else num)
+    return Fraction(num, draw(st.one_of(st.integers(1, 60),
+                                        st.integers(1, 10**30))))
+
+
+@st.composite
+def _surd_parts(draw):
+    """(a, b, d) with b != 0 and square-free d: a drawn freely, or within a
+    few units of -b*sqrt(d) over a denominator up to 10^30 (a near tie,
+    where the squares decide)."""
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 11, 999999999989]))
+    b = draw(_wide_fraction(nonzero=True))
+    if draw(st.booleans()):
+        return draw(_wide_fraction()), b, d
+    den = draw(st.integers(1, 10**30))
+    root = isqrt(b.numerator ** 2 * d * den ** 2 // b.denominator ** 2)
+    near = root + draw(st.integers(-2, 2))
+    return Fraction(-near if b > 0 else near, den), b, d
+
+
+@given(parts=_surd_parts())
+@settings(max_examples=300, deadline=None)
+def test_surd_sign_matches_the_fraction_formula(parts):
+    assert _surd_sign(*parts) == fraction_surd_sign(*parts)
+
+
+@given(parts=_surd_parts())
+@settings(max_examples=300, deadline=None)
+def test_surd_reciprocal_matches_the_fraction_formula(parts):
+    x = QuadraticSurd(*parts)
+    got = _reciprocal(x)
+    assert type(got) is QuadraticSurd and got == fraction_reciprocal(x)
+
+
+@given(x=_surd_parts(), y=_surd_parts())
+@settings(max_examples=300, deadline=None)
+def test_surd_product_matches_the_fraction_formula(x, y):
+    x, y = QuadraticSurd(*x), QuadraticSurd(y[0], y[1], x[2])
+    got, want = _mul(x, y), fraction_surd_product(x, y)
+    assert type(got) is type(want) and got == want
+    assert _mul(x, _reciprocal(x)) == rational(1)
+
+
 def test_parse_real_splits_each_radicand_once(monkeypatch):
-    # every term is normal when it is added, so the sum is not split again
+    # each radicand term is split once, and the collected sum is not
+    # split again
     import beattydim.numerics as numerics_mod
 
     calls = []

@@ -8,7 +8,8 @@ meets the reference enclosure computed here from the drawn parts (exact
 rationals, and every square root bracketed by ``isqrt`` at 128 bits), or
 raises ValueError; nothing else is raised.  A grammar string parses
 exactly when its denominators are non-zero and its radicands lie in
-[1, RADICAND_MAX].
+[1, RADICAND_MAX].  On both kinds of string, ``parse_real`` returns what
+the term-by-term Fraction sum returns, or raises its error.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattydim.numerics import RADICAND_MAX, parse_real
+from conftest import fraction_parse_real
 
 REF_BITS = 128
 
@@ -75,6 +77,9 @@ def _expression(draw):
     return text, parts
 
 
+_ARBITRARY = st.text(alphabet="0123456789+-*/.() sqrtx", max_size=30)
+
+
 def _reference(parts):
     """(lo, hi, scale): an enclosure of sum coef * sqrt(radicand) from
     isqrt brackets, and 1 + sum |coef| * sqrt(radicand) over the
@@ -113,7 +118,7 @@ def test_grammar_strings_parse_to_their_value(expr):
     assert hi - lo <= scale / 2**95, (text, float(hi - lo))
 
 
-@given(st.text(alphabet="0123456789+-*/.() sqrtx", max_size=30))
+@given(_ARBITRARY)
 @settings(max_examples=300, deadline=None)
 def test_arbitrary_text_raises_only_value_error(text):
     try:
@@ -122,3 +127,18 @@ def test_arbitrary_text_raises_only_value_error(text):
         return
     lo, hi = x.enclosure(96)
     assert lo <= hi
+
+
+def _outcome(parse, text):
+    """(type, value) of parse(text), or ("ValueError", message)."""
+    try:
+        x = parse(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return type(x), x
+
+
+@given(st.one_of(_expression().map(lambda e: e[0]), _ARBITRARY))
+@settings(max_examples=300, deadline=None)
+def test_parse_real_matches_the_term_by_term_sum(text):
+    assert _outcome(parse_real, text) == _outcome(fraction_parse_real, text)
