@@ -32,7 +32,6 @@ from .numerics import (
     Real,
     RealLike,
     _add,
-    _coeffs,
     _div,
     _mul,
     _neg,
@@ -42,7 +41,6 @@ from .numerics import (
     ceil_value,
     compare,
     floor_linear,
-    normalize,
     parse_real,
 )
 
@@ -54,7 +52,7 @@ RADICAND_CAP = 4
 def _coerce(v) -> Real:
     if isinstance(v, str):
         return parse_real(v)
-    return normalize(as_real(v))
+    return as_real(v)
 
 
 class ParamTuple:
@@ -71,7 +69,7 @@ class ParamTuple:
         alpha, beta = _coerce(alpha), _coerce(beta)
         gamma, delta = _coerce(gamma), _coerce(delta)
         radicands = {r for v in (alpha, beta, gamma, delta)
-                     for r in _coeffs(v) if r > 1}
+                     for r in v._nums if r > 1}
         if len(radicands) > RADICAND_CAP:
             raise ValueError(
                 f"the parameters use {len(radicands)} distinct square-free "
@@ -156,11 +154,11 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
 #
 # An exact pair (tau, eta) within one quadratic field has the linear form
 #     tau*k + eta = ((A*k + E) + (B*k + F) * sqrt(D)) / Z
-# with integer A, B, E, F, Z > 0: the coefficients of tau and eta
-# (``numerics._coeffs``) over their common denominator.  Its inverse
-# x -> x*(1/tau) - eta/tau is a linear form in the same field, taken
-# from this one in integers (``BeattyPair._inverse``).  Scalar floors
-# then cost one isqrt
+# with integer A, B, E, F, Z > 0: the integer numerators of tau and eta
+# (each value's ``_nums`` over its ``_den``, see ``numerics``) brought
+# to the lcm Z of the two denominators.  Its inverse x -> x*(1/tau) -
+# eta/tau is a linear form in the same field, taken from this one in
+# integers (``BeattyPair._inverse``).  Scalar floors then cost one isqrt
 # (none when B = F = 0), which is what makes 10^6-element scans
 # affordable.
 #
@@ -185,14 +183,15 @@ _SLACK = 2.0 ** -40  # absolute floor of every float error bound
 def _linear_form(tau: Real, eta: Real):
     """Integer linear form of k -> tau*k + eta, or None if the two values
     do not live in a common quadratic field."""
-    ct, ce = _coeffs(tau), _coeffs(eta)
+    ct, ce = tau._nums, eta._nums
     roots = {r for r in (*ct, *ce) if r > 1}
     if len(roots) > 1:
         return None
     d = roots.pop() if roots else 0
-    c = [m.get(r, 0) for m in (ct, ce) for r in (1, d)]  # A, B, E, F over z
-    z = lcm(*(v.denominator for v in c))
-    return (*(v.numerator * (z // v.denominator) for v in c), z, d)
+    z = lcm(tau._den, eta._den)
+    mt, me = z // tau._den, z // eta._den
+    return (ct.get(1, 0) * mt, ct.get(d, 0) * mt,
+            ce.get(1, 0) * me, ce.get(d, 0) * me, z, d)
 
 
 def _float_pair(x: Real) -> Optional[tuple[float, float]]:

@@ -3,34 +3,36 @@
 Parameters of a Beatty multiple shift are arbitrary reals, but every
 downstream count hinges on evaluating floors like ``⌊τ·k + η⌋`` *exactly*.
 The parameter grammar yields sums of rational multiples of square roots,
-and three tiers hold every such sum exactly:
+and one form holds every such sum exactly: an integer numerator n_r per
+square-free radicand r (r = 1 for the rational part) over one positive
+denominator z,
 
-* ``Rational`` -- a ``fractions.Fraction`` in lowest terms.
-* ``QuadraticSurd`` -- ``a + b·√d`` with rational a, b (b ≠ 0) and
-  square-free d ≥ 2.  Floors and sign tests reduce to integer-square
-  comparisons.  Signs, reciprocals and same-field products are taken
-  on the integer numerators p + q·√d of a, b over one denominator z
-  (the sign from p² against q²·d, 1/x = z·(p − q·√d)/(p² − q²·d)), so
-  each result builds its ``Fraction``s once.
-* ``RadicalSum`` -- ``c_1 + Σ c_r·√r`` over two or more square-free
-  radicands r ≥ 2, one ``Fraction`` c_r ≠ 0 each.  Square roots of
-  distinct square-free integers are linearly independent over Q
-  (Besicovitch, J. London Math. Soc. 1940), so the coefficients are
-  canonical: equality is a comparison of coefficients, and a
-  ``RadicalSum`` is never rational.  Sign and reciprocal split x = u +
-  v·√p over a factor p of the radicands and recurse toward Q; a floor
-  is an isqrt enclosure, settled by one exact sign test where an integer
-  lies inside it.
+    x = (Σ n_r·√r) / z,   no n_r zero,   gcd(z, n_r, ...) = 1.
 
-Every tier has one integer enclosure, ``_bounds(bits)``: (s, w, den)
-with s/den <= x <= (s + w)/den.  ``Real._bounds`` takes one isqrt per
-radicand over the common denominator of the coefficients, for the two
-irrational tiers; a ``Rational`` is its own bound, w = 0.
-``enclosure``, ``approx`` and ``_common_bounds`` (several values over
-one denominator) read it, so no other code re-derives an enclosure.
+Square roots of distinct square-free integers are linearly independent
+over Q (Besicovitch, J. London Math. Soc. 1940), so the form is
+canonical: every value is reduced by one gcd when it is built
+(``_make``), and equality and hashing compare numerators and
+denominator.  ``_make`` picks the class by the number of radicands
+r >= 2: none gives a ``Rational``, which keeps its value as a
+``fractions.Fraction``; one gives a ``QuadraticSurd`` a + b·√d, read
+through the views ``a``, ``b``, ``d``; two or more give a
+``RadicalSum``, read through ``terms``.  The classes differ only in
+these views and in ``__repr__``: the arithmetic is written once, on the
+numerators.
 
-Arithmetic returns the smallest tier that holds the result, so values
-in one quadratic field keep their fast paths.  All values are immutable.
+A sign splits x = u + v·√p over a factor p of the radicands and
+recurses on u, v and u² − p·v², in integers; for one radicand that is
+the test of p² against q²·d for p + q·√d.  A reciprocal multiplies by
+the conjugate u − v·√p on the same split.  A floor takes one isqrt per
+term, settled by one exact sign test where an integer lies inside the
+enclosure (never for one radicand).
+
+Every value has one integer enclosure, ``_bounds(bits)``: (s, w, den)
+with s/den <= x <= (s + w)/den, one isqrt per radicand, w = 0 for a
+rational.  ``enclosure``, ``approx`` and ``_common_bounds`` (several
+values over one denominator) read it, so no other code re-derives an
+enclosure.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -66,30 +68,28 @@ def _squarefree(d: int) -> tuple[int, int]:
 
 
 class Real:
-    """Common base; concrete tiers are Rational, QuadraticSurd, RadicalSum.
-    Each is a sum c_1 + Σ c_r·√r of its ``_coeffs``, enclosed by
-    ``_bounds``."""
+    """Common base of Rational, QuadraticSurd and RadicalSum: the value
+    (Σ n_r·√r)/z of ``_nums`` = {r: n_r}, in increasing r, over ``_den``
+    = z, in the canonical form of the module docstring."""
 
     __slots__ = ()
 
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def _bounds(self, bits: int) -> tuple[int, int, int]:
         """(s, w, den) with s/den <= x <= (s + w)/den and w/den = sum over
-        r >= 2 of |c_r|/2^bits: one isqrt of r*4^bits per radicand, over
-        the common denominator z of the coefficients, den = z*2^bits.
-        Both bounds are strict, x being irrational on the two tiers that
-        use this; ``Rational._bounds`` is exact, w = 0."""
-        c = _coeffs(self)
-        z = lcm(*(v.denominator for v in c.values()))
+        r >= 2 of |n_r|/(z*2^bits): one isqrt of r*4^bits per radicand,
+        den = z*2^bits.  Both bounds are strict where x is irrational."""
         s = w = 0
-        for r, v in c.items():
-            X = v.numerator * (z // v.denominator)
+        for r, n in self._nums.items():
             if r == 1:
-                s += X << bits
+                s += n << bits
                 continue
             root = isqrt(r << (2 * bits))  # root < 2^bits*sqrt(r) < root + 1
-            s += X * root if X > 0 else X * (root + 1)
-            w += abs(X)
-        return s, w, z << bits
+            s += n * root if n > 0 else n * (root + 1)
+            w += abs(n)
+        return s, w, self._den << bits
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """(lo, hi) with lo <= x <= hi, from ``_bounds(bits)``."""
@@ -97,7 +97,7 @@ class Real:
         return (Fraction(s, den), Fraction(s + w, den))
 
     def floor(self) -> int:
-        raise NotImplementedError
+        return _floor(self._nums, self._den)
 
     def approx(self) -> float:
         """The float nearest the midpoint of the 96-bit ``_bounds``
@@ -109,7 +109,17 @@ class Real:
     def __float__(self) -> float:
         return self.approx()
 
-    # arithmetic (delegates to module dispatch; accepts ints/Fractions)
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Rational(other)
+        elif not isinstance(other, Real):
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
+
+    def __hash__(self):
+        return hash((tuple(self._nums.items()), self._den))
+
+    # arithmetic (delegates to the module functions; accepts ints/Fractions)
     def __add__(self, other):
         return _add(self, as_real(other))
 
@@ -154,6 +164,10 @@ class Real:
 
 
 class Rational(Real):
+    """A rational value, kept as the Fraction ``value``: its numerator
+    over its denominator is the canonical form, and it hashes as that
+    Fraction, to which (and to an equal int) it compares equal."""
+
     __slots__ = ("value",)
 
     def __init__(self, value):
@@ -161,23 +175,14 @@ class Rational(Real):
             value = Fraction(value)
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Rational is immutable")
+    @property
+    def _nums(self) -> dict[int, int]:
+        n = self.value.numerator
+        return {1: n} if n else {}
 
-    def _bounds(self, bits: int) -> tuple[int, int, int]:
-        return (self.value.numerator, 0, self.value.denominator)  # exact
-
-    def floor(self) -> int:
-        return self.value.numerator // self.value.denominator
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        if isinstance(other, Rational):
-            return self.value == other.value
-        if isinstance(other, QuadraticSurd):
-            return False  # surds are normalized to have b != 0, hence irrational
-        return NotImplemented
+    @property
+    def _den(self) -> int:
+        return self.value.denominator
 
     def __hash__(self):
         return hash(self.value)
@@ -187,81 +192,47 @@ class Rational(Real):
 
 
 class QuadraticSurd(Real):
-    """Value a + b*sqrt(d); d square-free >= 2, b != 0 after normalization."""
+    """Value a + b*sqrt(d) with one square-free radicand d >= 2 and
+    b != 0.  ``QuadraticSurd(a, b, d)`` is ``surd(a, b, d)``, which
+    returns a Rational for b = 0 or a square d."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, a: Fraction, b: Fraction, d: int):
-        # callers go through surd() or pass a square-free d; this constructor
-        # trusts normalized input
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+    def __new__(cls, a, b, d: int):
+        return surd(a, b, d)
 
-    def __setattr__(self, *a):
-        raise AttributeError("QuadraticSurd is immutable")
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._nums.get(1, 0), self._den)
 
-    def floor(self) -> int:
-        z = self.a.denominator * self.b.denominator // gcd(
-            self.a.denominator, self.b.denominator
-        )
-        x = self.a.numerator * (z // self.a.denominator)
-        y = self.b.numerator * (z // self.b.denominator)
-        return _surd_floor_ints(x, y, self.d, z)
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._nums[self.d], self._den)
 
-    def __eq__(self, other):
-        if isinstance(other, QuadraticSurd):
-            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
-        if isinstance(other, (int, Fraction, Rational)):
-            return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
+    @property
+    def d(self) -> int:
+        return next(reversed(self._nums))
 
     def __repr__(self):
         return f"QuadraticSurd({self.a} + {self.b}*sqrt({self.d}))"
 
 
 class RadicalSum(Real):
-    """Value sum c_r*sqrt(r) over square-free r, held as ``terms``: the
-    (r, c_r) pairs with c_r != 0 in increasing r, r = 1 for the rational
-    part, and at least two radicands r >= 2.  Build it with
-    ``_from_coeffs``, which returns a smaller tier where one holds the
-    value."""
+    """Value sum c_r*sqrt(r) over two or more square-free radicands
+    r >= 2, read through ``terms``: the (r, c_r) pairs with c_r != 0 in
+    increasing r, r = 1 for the rational part.  ``RadicalSum(terms)``
+    sums ``surd(0, c, r)`` over the pairs, so it returns a smaller class
+    where one holds the value."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, terms: tuple[tuple[int, Fraction], ...]):
-        object.__setattr__(self, "terms", terms)
+    def __new__(cls, terms):
+        return sum((surd(0, c, r) for r, c in terms), Rational(_ZERO))
 
-    def __setattr__(self, *a):
-        raise AttributeError("RadicalSum is immutable")
-
-    def floor(self) -> int:
-        """The integer part from an enclosure narrower than 2^-32: each
-        |c_r| is below 2^(e + 1), e the largest numerator-minus-denominator
-        bit length, and their sum below 2^(e + 1 + L) for L the bit length
-        of the term count.  Where an integer n lies inside it, the exact
-        sign of x - n decides: x is irrational, so it is never n."""
-        e = max(c.numerator.bit_length() - c.denominator.bit_length()
-                for r, c in self.terms if r > 1)
-        s, w, den = self._bounds(
-            max(0, e + 33 + len(self.terms).bit_length()))
-        lo, hi = s // den, (s + w) // den
-        if lo == hi or compare(self, hi) < 0:
-            return lo
-        return hi
-
-    def __eq__(self, other):
-        if isinstance(other, RadicalSum):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction, Rational, QuadraticSurd)):
-            return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.terms)
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        z = self._den
+        return tuple((r, Fraction(n, z)) for r, n in self._nums.items())
 
     def __repr__(self):
         body = " + ".join(f"{c}" if r == 1 else f"{c}*sqrt({r})"
@@ -284,56 +255,50 @@ def _surd_floor_ints(x: int, y: int, d: int, z: int) -> int:
     return (x + (w if y >= 0 else -w - 1)) // z
 
 
-def _over_one_den(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """(p, q, z) with a = p/z, b = q/z and z = a.den*b.den > 0: the
-    surd tier takes its signs, products and reciprocals on these."""
-    return (a.numerator * b.denominator, b.numerator * a.denominator,
-            a.denominator * b.denominator)
-
-
-def _surd_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b*sqrt(d) with b != 0 (never zero): the sign of p +
-    q*sqrt(d) over ``_over_one_den``.  Where p and q differ in sign, p^2
-    against q^2*d decides."""
-    p, q, _ = _over_one_den(a, b)
-    sp, sq = (p > 0) - (p < 0), 1 if q > 0 else -1
-    if sp == 0 or sp == sq:
-        return sp or sq
-    return sp if p * p > q * q * d else -sp
-
-
 # ---------------------------------------------------------------------------
-# constructors and normalization
+# constructors
 # ---------------------------------------------------------------------------
+
+def _make(c: dict[int, int], z: int) -> Real:
+    """The value (Σ c[r]·√r)/z, for square-free r, no zero c[r] and
+    z != 0, in the canonical form: radicands in increasing order,
+    numerators and denominator divided by their gcd and signed so that
+    the denominator is positive.  The class follows from the number of
+    radicands r >= 2; a ``Fraction`` reduces a rational value itself."""
+    k = len(c) - (1 in c)
+    if not k:
+        return Rational(Fraction(c.get(1, 0), z))
+    g = gcd(z, *c.values())
+    if z < 0:
+        g = -g
+    x = object.__new__(QuadraticSurd if k == 1 else RadicalSum)
+    object.__setattr__(x, "_nums", {r: c[r] // g for r in sorted(c)})
+    object.__setattr__(x, "_den", z // g)
+    return x
+
+
+def _from_fractions(c: dict[int, Fraction]) -> Real:
+    """sum c[r]*sqrt(r) over square-free r, over the lcm of the
+    denominators."""
+    z = lcm(*(v.denominator for v in c.values()))
+    return _make({r: v.numerator * (z // v.denominator)
+                  for r, v in c.items() if v}, z)
+
 
 def rational(num, den=1) -> Rational:
     return Rational(Fraction(num, den))
 
 
 def surd(a, b, d: int) -> Real:
-    """Normalized a + b*sqrt(d): square factors pulled out of d, b = 0 or
-    perfect-square d collapse to Rational.  Idempotent."""
+    """a + b*sqrt(d), square factors pulled out of d; b = 0 or a
+    perfect-square d give a Rational."""
     a, b = Fraction(a), Fraction(b)
     if b == 0:
         return Rational(a)
     s, d0 = _squarefree(d)
     if d0 == 1:
         return Rational(a + b * s)
-    return QuadraticSurd(a, b * s, d0)
-
-
-def _in_field(a: Fraction, b: Fraction, d: int) -> Real:
-    """a + b*sqrt(d) for a square-free d >= 2: ``surd`` without the
-    re-split of d."""
-    return QuadraticSurd(a, b, d) if b else Rational(a)
-
-
-def normalize(x: RealLike) -> Real:
-    """Canonical form; normalizing twice equals normalizing once."""
-    x = as_real(x)
-    if isinstance(x, QuadraticSurd):
-        return surd(x.a, x.b, x.d)
-    return x
+    return _from_fractions({1: a, d0: b * s})
 
 
 def as_real(x: RealLike) -> Real:
@@ -350,15 +315,6 @@ def as_fraction(x: Real) -> Fraction:
     raise ValueError(f"{x!r} is not rational")
 
 
-def _coeffs(x: Real) -> dict[int, Fraction]:
-    """{r: c_r} with x = sum c_r*sqrt(r), r = 1 for the rational part."""
-    if isinstance(x, Rational):
-        return {1: x.value}
-    if isinstance(x, QuadraticSurd):
-        return {1: x.a, x.d: x.b}
-    return dict(x.terms)
-
-
 def _common_bounds(xs, bits: int) -> tuple[list[tuple[int, int]], int]:
     """([(s, w), ...], den): each x's ``_bounds(bits)`` over one common
     denominator, s/den <= x <= (s + w)/den."""
@@ -367,56 +323,138 @@ def _common_bounds(xs, bits: int) -> tuple[list[tuple[int, int]], int]:
     return [(s * (den // d), w * (den // d)) for s, w, d in bounds], den
 
 
-def _from_coeffs(c: dict[int, Fraction]) -> Real:
-    """sum c[r]*sqrt(r) over square-free r in the smallest tier."""
-    roots = sorted(r for r, v in c.items() if r > 1 and v)
-    a = c.get(1, _ZERO)
-    if not roots:
-        return Rational(a)
-    if len(roots) == 1:
-        return QuadraticSurd(a, c[roots[0]], roots[0])
-    return RadicalSum(((1, a),) * (a != 0) + tuple((r, c[r]) for r in roots))
+# ---------------------------------------------------------------------------
+# arithmetic on the numerators
+#
+# The helpers below take and return numerator dicts {r: n} without zero
+# entries (only ``_floor`` may set the rational one to 0); only ``_make``
+# reduces them to a value.
+# ---------------------------------------------------------------------------
+
+def _combine(x: Real, y: Real, a: int, b: int) -> tuple[dict[int, int], int]:
+    """The numerators and denominator of a*x + b*y, over x.den * y.den."""
+    xz, yz = x._den, y._den
+    c = {r: a * n * yz for r, n in x._nums.items()}
+    for r, n in y._nums.items():
+        c[r] = c.get(r, 0) + b * n * xz
+    if 0 in c.values():
+        c = {r: n for r, n in c.items() if n}
+    return c, xz * yz
 
 
-def _split_factor(x: RadicalSum) -> int:
-    """A p >= 2 that divides or is coprime to each radicand of x, so
-    that x = u + v*sqrt(p) with no radicand of u or v divisible by p.
-    p is the gcd of one radicand with each later one that shares a
-    factor with it; each step keeps a divisor of the last p, so p ends
-    up as a prime would, without factoring any radicand."""
+def _product(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """The numerators of (Σ x[r]·√r)(Σ y[r]·√r), with sqrt(r1)*sqrt(r2) =
+    g*sqrt((r1/g)*(r2/g)) for g = gcd(r1, r2)."""
+    c: dict[int, int] = {}
+    for r1, n1 in x.items():
+        for r2, n2 in y.items():
+            g = gcd(r1, r2)
+            r = (r1 // g) * (r2 // g)
+            c[r] = c.get(r, 0) + n1 * n2 * g
+    return {r: n for r, n in c.items() if n}
+
+
+def _split_factor(c: dict[int, int]) -> int:
+    """A p >= 2 that divides or is coprime to each radicand of c (which
+    has two or more), so that Σ c[r]·√r = u + v*sqrt(p) with no radicand
+    of u or v divisible by p.  p is the gcd of one radicand
+    with each later one that shares a factor with it; each step keeps a
+    divisor of the last p, so p ends up as a prime would, without
+    factoring any radicand."""
     p = 0
-    for r, _ in x.terms:
+    for r in c:
         g = gcd(p, r)
         if g > 1:
             p = g
     return p
 
 
-# ---------------------------------------------------------------------------
-# arithmetic dispatch
-# ---------------------------------------------------------------------------
+def _sign(c: dict[int, int]) -> int:
+    """Sign of Σ c[r]·√r, exactly.  With p from ``_split_factor`` the sum
+    is u + v*sqrt(p), v != 0: its sign is that of u where u and v agree
+    or u = 0, and otherwise that of u times the sign of u^2 - p*v^2.
+    u, v and u^2 - p*v^2 have fewer radicand factors, so the recursion
+    ends at one radicand, u + v*sqrt(d) with integers u and v, where the
+    same rule compares u^2 with v^2*d."""
+    k = len(c) - (1 in c)
+    if k > 1:
+        p = _split_factor(c)
+        u = {r: n for r, n in c.items() if r % p}
+        v = {r // p: n for r, n in c.items() if not r % p}
+        su, sv = _sign(u), _sign(v)
+        if su == 0 or su == sv:
+            return su or sv
+        norm = _product(u, u)
+        for r, n in _product(v, v).items():
+            norm[r] = norm.get(r, 0) - p * n
+        return su * _sign({r: n for r, n in norm.items() if n})
+    u = c.get(1, 0)
+    su = (u > 0) - (u < 0)
+    if k == 0:
+        return su
+    d = max(c)
+    v = c[d]
+    sv = 1 if v > 0 else -1
+    if su == 0 or su == sv:
+        return su or sv
+    return su if u * u > v * v * d else -su
+
+
+def _inverse(c: dict[int, int]) -> tuple[dict[int, int], int]:
+    """(w, z) with 1/(Σ c[r]·√r) = (Σ w[r]·√r)/z.  With Σ c[r]·√r = u +
+    v*sqrt(p) (``_split_factor``), 1/x = (u - v*sqrt(p)) / (u^2 -
+    p*v^2), whose denominator has fewer radicand factors and is not 0;
+    the recursion ends at one radicand, (u - v*sqrt(d))/(u^2 - v^2*d)
+    with integers u and v."""
+    k = len(c) - (1 in c)
+    if k > 1:
+        p = _split_factor(c)
+        conj = {r: -n if r % p == 0 else n for r, n in c.items()}
+        w, z = _inverse(_product(c, conj))
+        return _product(conj, w), z
+    u = c.get(1, 0)
+    if not k:
+        if not u:
+            raise ZeroDivisionError("division by exact zero")
+        return {1: 1}, u
+    d = max(c)
+    v = c[d]
+    return {r: -n if r == d else n for r, n in c.items()}, u * u - v * v * d
+
+
+def _floor(c: dict[int, int], z: int) -> int:
+    """floor((Σ c[r]·√r)/z) for z > 0.  Each of the k terms with r >= 2
+    lies strictly between the integers f and f + 1 for f =
+    floor(c[r]*sqrt(r)*2^bits) from one isqrt, so (Σ c[r]·√r)*2^bits
+    lies strictly between s and s + k.  For k <= 1, at bits = 0, no
+    multiple of z lies strictly inside and the floor is s // z.  For
+    k >= 2, bits narrows the enclosure below 2^-32; where an integer m
+    lies inside it, the exact sign of x - m decides (x is irrational,
+    never m)."""
+    k = len(c) - (1 in c)
+    bits = max(0, 33 + k.bit_length() - z.bit_length()) if k > 1 else 0
+    s = 0
+    for r, n in c.items():
+        if r == 1:
+            s += n << bits
+            continue
+        f = isqrt((n * n * r) << (2 * bits))
+        s += f if n > 0 else -f - 1
+    den = z << bits
+    lo, hi = s // den, (s + max(k - 1, 0)) // den
+    if lo == hi:
+        return lo
+    c = dict(c)
+    c[1] = c.get(1, 0) - hi * z
+    return lo if _sign(c) < 0 else hi
+
 
 def _add(x: Real, y: Real) -> Real:
-    if isinstance(x, Rational) and isinstance(y, Rational):
-        return Rational(x.value + y.value)
-    if isinstance(x, Rational) and isinstance(y, QuadraticSurd):
-        return QuadraticSurd(y.a + x.value, y.b, y.d)
-    if isinstance(x, QuadraticSurd) and isinstance(y, Rational):
-        return QuadraticSurd(x.a + y.value, x.b, x.d)
-    if isinstance(x, QuadraticSurd) and isinstance(y, QuadraticSurd) and x.d == y.d:
-        return _in_field(x.a + y.a, x.b + y.b, x.d)
-    c = _coeffs(x)
-    for r, v in _coeffs(y).items():
-        c[r] = c.get(r, _ZERO) + v
-    return _from_coeffs(c)
+    return _make(*_combine(x, y, 1, 1))
 
 
 def _neg(x: Real) -> Real:
-    if isinstance(x, Rational):
-        return Rational(-x.value)
-    if isinstance(x, QuadraticSurd):
-        return QuadraticSurd(-x.a, -x.b, x.d)
-    return RadicalSum(tuple((r, -c) for r, c in x.terms))
+    return _make({r: -n for r, n in x._nums.items()}, x._den)
 
 
 def _abs(x: Real) -> Real:
@@ -425,54 +463,13 @@ def _abs(x: Real) -> Real:
 
 
 def _mul(x: Real, y: Real) -> Real:
-    if isinstance(x, Rational) and isinstance(y, Rational):
-        return Rational(x.value * y.value)
-    if isinstance(x, Rational) and isinstance(y, QuadraticSurd):
-        return _in_field(x.value * y.a, x.value * y.b, y.d)
-    if isinstance(x, QuadraticSurd) and isinstance(y, Rational):
-        return _in_field(x.a * y.value, x.b * y.value, x.d)
-    if isinstance(x, QuadraticSurd) and isinstance(y, QuadraticSurd):
-        if x.d == y.d:  # over the product of the two denominators
-            d = x.d
-            p1, q1, z1 = _over_one_den(x.a, x.b)
-            p2, q2, z2 = _over_one_den(y.a, y.b)
-            z = z1 * z2
-            return _in_field(Fraction(p1 * p2 + q1 * q2 * d, z),
-                             Fraction(p1 * q2 + q1 * p2, z), d)
-        if x.a == 0 and y.a == 0:
-            # b1*sqrt(d1) * b2*sqrt(d2) = b1*b2*g*sqrt((d1/g)*(d2/g)) with
-            # g = gcd(d1, d2): coprime square-free factors, neither 1
-            g = gcd(x.d, y.d)
-            return QuadraticSurd(Fraction(0), x.b * y.b * g,
-                                 (x.d // g) * (y.d // g))
-    # sqrt(r1)*sqrt(r2) = g*sqrt((r1/g)*(r2/g)), g = gcd(r1, r2)
-    c: dict[int, Fraction] = {}
-    cy = _coeffs(y).items()
-    for r1, v1 in _coeffs(x).items():
-        for r2, v2 in cy:
-            g = gcd(r1, r2)
-            r = (r1 // g) * (r2 // g)
-            c[r] = c.get(r, _ZERO) + v1 * v2 * g
-    return _from_coeffs(c)
+    return _make(_product(x._nums, y._nums), x._den * y._den)
 
 
 def _reciprocal(x: Real) -> Real:
-    if isinstance(x, Rational):
-        if x.value == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return Rational(1 / x.value)
-    if isinstance(x, QuadraticSurd):
-        # x = (p + q*sqrt(d))/z, so 1/x = z*(p - q*sqrt(d))/(p^2 - q^2*d),
-        # a nonzero norm: x is irrational
-        p, q, z = _over_one_den(x.a, x.b)
-        norm = p * p - q * q * x.d
-        return QuadraticSurd(Fraction(z * p, norm), Fraction(-z * q, norm),
-                             x.d)
-    # x = u + v*sqrt(p): 1/x = (u - v*sqrt(p)) / (u^2 - p*v^2), whose
-    # denominator has no radicand divisible by p and is not 0
-    p = _split_factor(x)
-    conj = RadicalSum(tuple((r, -c if r % p == 0 else c) for r, c in x.terms))
-    return _mul(conj, _reciprocal(_mul(x, conj)))
+    w, z = _inverse(x._nums)
+    xz = x._den
+    return _make({r: n * xz for r, n in w.items()}, z)
 
 
 def _div(x: Real, y: Real) -> Real:
@@ -484,31 +481,13 @@ def _div(x: Real, y: Real) -> Real:
 # ---------------------------------------------------------------------------
 
 def sign(x: Real) -> int:
-    """-1, 0 or 1, exactly.  A RadicalSum x = u + v*sqrt(p)
-    (``_split_factor``) has v != 0: its sign is that of u where u and v
-    agree or u = 0, and otherwise that of u times the sign of u^2 -
-    p*v^2.  u, v and u^2 - p*v^2 have fewer radicand factors than x, so
-    the recursion ends in the exact tiers."""
-    if isinstance(x, Rational):
-        v = x.value
-        return (v > 0) - (v < 0)
-    if isinstance(x, QuadraticSurd):
-        return _surd_sign(x.a, x.b, x.d)
-    p = _split_factor(x)
-    u = _from_coeffs({r: c for r, c in x.terms if r % p})
-    v = _from_coeffs({r // p: c for r, c in x.terms if r % p == 0})
-    su, sv = sign(u), sign(v)
-    if su == 0 or su == sv:
-        return su or sv
-    return su * sign(_add(_mul(u, u), _mul(Rational(Fraction(-p)), _mul(v, v))))
+    """-1, 0 or 1, exactly (``_sign`` of the numerators)."""
+    return _sign(x._nums)
 
 
 def compare(x: RealLike, y: RealLike) -> int:
     """-1, 0, or 1: the sign of x - y, exactly."""
-    x, y = as_real(x), as_real(y)
-    if isinstance(x, Rational) and isinstance(y, Rational):
-        return (x.value > y.value) - (x.value < y.value)
-    return sign(_add(x, _neg(y)))
+    return _sign(_combine(as_real(x), as_real(y), 1, -1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +495,18 @@ def compare(x: RealLike, y: RealLike) -> int:
 # ---------------------------------------------------------------------------
 
 def ceil_value(x: RealLike) -> int:
-    return -as_real(_neg(as_real(x))).floor()
+    return -_neg(as_real(x)).floor()
 
 
 def floor_linear(tau: RealLike, k: int, eta: RealLike) -> int:
     """⌊τ·k + η⌋, exactly."""
-    tau, eta = as_real(tau), as_real(eta)
-    return _add(_mul(tau, Rational(Fraction(k))), eta).floor()
+    return _floor(*_combine(as_real(tau), as_real(eta), k, 1))
 
 
 def frac(x: RealLike) -> Real:
     """x - ⌊x⌋ in the same representation family, in [0, 1)."""
     x = as_real(x)
-    n = x.floor()
-    return _add(x, Rational(Fraction(-n)))
+    return _add(x, Rational(Fraction(-x.floor())))
 
 
 # ---------------------------------------------------------------------------
@@ -612,4 +589,4 @@ def parse_real(text: str) -> Real:
         else:
             coef, radicand = _parse_unsigned_rational(term), 1
         c[radicand] = c.get(radicand, _ZERO) + (coef if sgn > 0 else -coef)
-    return _from_coeffs(c)
+    return _from_fractions(c)

@@ -159,11 +159,11 @@ def _is_integral(x: Real) -> bool:
 def q_independent(alpha: Real, gamma: Real) -> bool:
     """Is {1, 1/alpha, 1/gamma} linearly independent over Q?
 
-    Exactly decidable in the exact tiers: a rational member makes the set
-    dependent outright; two quadratic surds are independent iff their
-    square-free radicands differ (a shared radicand always admits a
-    nontrivial rational relation, distinct ones never do).  A value of
-    two or more radicands raises ValueError."""
+    Exactly decidable for values of at most one radicand: a rational
+    member makes the set dependent outright; two quadratic surds are
+    independent iff their square-free radicands differ (a shared
+    radicand always admits a nontrivial rational relation, distinct ones
+    never do).  A value of two or more radicands raises ValueError."""
     if isinstance(alpha, RadicalSum) or isinstance(gamma, RadicalSum):
         raise ValueError("Q-independence is decided for rational and "
                          "single-radicand values only")

@@ -16,9 +16,9 @@ from beattydim.beatty import (  # noqa: E402
     LANE_BOUND, BeattyPair, _linear_form, member)
 from beattydim.dims import _transfer_rows  # noqa: E402
 from beattydim.numerics import (  # noqa: E402
-    RADICAND_MAX, _SQRT_RE, QuadraticSurd, Rational, _add, _div, _in_field,
-    _mul, _neg, _parse_unsigned_rational, _reciprocal, _split_signed_terms,
-    ceil_value, floor_linear, surd)
+    RADICAND_MAX, _SQRT_RE, QuadraticSurd, Rational, _add, _div, _mul, _neg,
+    _parse_unsigned_rational, _reciprocal, _split_signed_terms, ceil_value,
+    floor_linear, surd)
 
 
 def random_binary(rng, m):
@@ -154,12 +154,12 @@ def fraction_reciprocal(x):
     if isinstance(x, Rational):
         return Rational(1 / x.value)
     norm = x.a * x.a - x.b * x.b * x.d
-    return _in_field(x.a / norm, -x.b / norm, x.d)
+    return surd(x.a / norm, -x.b / norm, x.d)
 
 
 def fraction_surd_product(x, y):
     """x*y for QuadraticSurds of one radicand d, from Fraction products."""
-    return _in_field(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
+    return surd(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
 
 
 def fraction_inverse_form(pair):
@@ -169,7 +169,7 @@ def fraction_inverse_form(pair):
     if pair.form is None:
         return None
     inv = fraction_reciprocal(pair.tau)
-    return _linear_form(inv, _neg(_mul(pair.eta, inv)))
+    return _linear_form(inv, -(pair.eta * inv))
 
 
 def fraction_parse_real(text):

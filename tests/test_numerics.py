@@ -11,17 +11,14 @@ from beattydim.numerics import (
     QuadraticSurd,
     RadicalSum,
     Rational,
-    _add,
     _mul,
     _reciprocal,
     _squarefree,
     _surd_floor_ints,
-    _surd_sign,
     as_fraction,
     compare,
     floor_linear,
     frac,
-    normalize,
     parse_real,
     rational,
     sign,
@@ -93,9 +90,24 @@ def test_surd_product_matches_the_split_radicand():
     d=st.integers(min_value=2, max_value=60),
 )
 @settings(deadline=None)
-def test_normalize_idempotent(a, b, d):
+def test_surd_is_canonical_when_built(a, b, d):
+    # no value needs a normalizing step: surd() of a value's own views
+    # gives it back, and the public class constructor is surd()
     x = surd(a, b, d)
-    assert normalize(x) == normalize(normalize(x))
+    assert QuadraticSurd(a, b, d) == x
+    if isinstance(x, QuadraticSurd):
+        y = surd(x.a, x.b, x.d)
+        assert y == x and hash(y) == hash(x)
+
+
+def test_public_surd_constructor_is_canonical():
+    # b = 0 is rational, and sqrt(8) is 2*sqrt(2)
+    x = QuadraticSurd(Fraction(1), Fraction(0), 2)
+    assert x == Rational(1) and type(x) is Rational
+    assert sign(x - 1) == 0
+    assert QuadraticSurd(0, 1, 8) == QuadraticSurd(0, 2, 2)
+    assert hash(QuadraticSurd(0, 1, 8)) == hash(QuadraticSurd(0, 2, 2))
+    assert RadicalSum(((1, 2), (4, 1), (8, 1))) == surd(4, 2, 2)
 
 
 @given(
@@ -185,24 +197,24 @@ def _surd_parts(draw):
 @given(parts=_surd_parts())
 @settings(max_examples=300, deadline=None)
 def test_surd_sign_matches_the_fraction_formula(parts):
-    assert _surd_sign(*parts) == fraction_surd_sign(*parts)
+    assert sign(surd(*parts)) == fraction_surd_sign(*parts)
 
 
 @given(parts=_surd_parts())
 @settings(max_examples=300, deadline=None)
 def test_surd_reciprocal_matches_the_fraction_formula(parts):
-    x = QuadraticSurd(*parts)
-    got = _reciprocal(x)
+    x = surd(*parts)
+    got = 1 / x
     assert type(got) is QuadraticSurd and got == fraction_reciprocal(x)
 
 
 @given(x=_surd_parts(), y=_surd_parts())
 @settings(max_examples=300, deadline=None)
 def test_surd_product_matches_the_fraction_formula(x, y):
-    x, y = QuadraticSurd(*x), QuadraticSurd(y[0], y[1], x[2])
-    got, want = _mul(x, y), fraction_surd_product(x, y)
+    x, y = surd(*x), surd(y[0], y[1], x[2])
+    got, want = x * y, fraction_surd_product(x, y)
     assert type(got) is type(want) and got == want
-    assert _mul(x, _reciprocal(x)) == rational(1)
+    assert x * (1 / x) == rational(1)
 
 
 def test_parse_real_splits_each_radicand_once(monkeypatch):
@@ -210,13 +222,14 @@ def test_parse_real_splits_each_radicand_once(monkeypatch):
     # split again
     import beattydim.numerics as numerics_mod
 
+    want = surd(Fraction(1, 3), Fraction(19, 5), 3)
     calls = []
     split = numerics_mod._squarefree
     monkeypatch.setattr(numerics_mod, "_squarefree",
                         lambda d: calls.append(d) or split(d))
     x = parse_real("1/3+2*sqrt(12)-sqrt(3)/5")
     assert calls == [12, 3]
-    assert x == QuadraticSurd(Fraction(1, 3), Fraction(19, 5), 3)
+    assert x == want
     assert parse_real("sqrt(999999999989)+2").b == 1
     assert calls[2:] == [999999999989]
 
@@ -328,5 +341,29 @@ def test_radical_sums_against_the_enclosure_reference(x, y):
     assert compare(x, y) == reference_sign(tx + [(-c, r) for c, r in
                                                  value_terms(y)])
     if isinstance(x, RadicalSum):
-        assert _mul(x, _reciprocal(x)) == rational(1)
-        assert _add(x, -x) == rational(0)
+        assert x * (1 / x) == rational(1)
+        assert x + (-x) == rational(0)
+
+
+@st.composite
+def _value(draw):
+    """A rational, or a sum over one to three square-free radicands."""
+    radicands = draw(st.lists(st.sampled_from(_SQUAREFREE[:8]), max_size=3,
+                              unique=True))
+    coef = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+    x = rational(draw(coef))
+    for r in radicands:
+        x = x + surd(0, draw(coef.filter(bool)), r)
+    return x
+
+
+@given(x=_value(), y=_value())
+@settings(max_examples=200, deadline=None)
+def test_values_are_canonical_over_zero_to_three_radicands(x, y):
+    # one form per value: a round trip through other values lands on an
+    # equal value with an equal hash
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x) and type(back) is type(x)
+    if sign(x):
+        one = x * (1 / x)
+        assert one == 1 and hash(one) == hash(1)
