@@ -15,12 +15,12 @@ with integer-only closures and int64 lane kernels for its floors and
 memberships: million-scale window scans cannot afford generic object
 arithmetic per element.  For rational parameters everything reduces to
 integer ceil/floor divisions; for quadratic surds to one or two
-integer-square-root comparisons.
+integer-square-root comparisons; for sums over more radicands to one
+integer square root per radicand.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Optional
@@ -28,14 +28,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import (
-    Rational,
     Real,
     RealLike,
-    _add,
-    _div,
-    _mul,
-    _neg,
-    _reciprocal,
+    _floor,
+    _inverse,
+    _product,
     _surd_floor_ints,
     as_real,
     ceil_value,
@@ -82,7 +79,7 @@ class ParamTuple:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "ratio", _div(gamma, alpha))
+        object.__setattr__(self, "ratio", gamma / alpha)
 
     def __setattr__(self, *a):
         raise AttributeError("ParamTuple is immutable")
@@ -118,7 +115,7 @@ def member(x: int, tau: RealLike, eta: RealLike) -> Optional[int]:
     if x < 1:
         raise ValueError("membership is asked for positive integers only")
     tau, eta = as_real(tau), as_real(eta)
-    k = ceil_value(_div(_add(Rational(Fraction(x)), _neg(eta)), tau))
+    k = ceil_value((x - eta) / tau)
     if k >= 1 and floor_linear(tau, k, eta) == x:
         return k
     return None
@@ -152,27 +149,28 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Beatty pairs
 #
-# An exact pair (tau, eta) within one quadratic field has the linear form
-#     tau*k + eta = ((A*k + E) + (B*k + F) * sqrt(D)) / Z
-# with integer A, B, E, F, Z > 0: the integer numerators of tau and eta
-# (each value's ``_nums`` over its ``_den``, see ``numerics``) brought
-# to the lcm Z of the two denominators.  Its inverse x -> x*(1/tau) -
-# eta/tau is a linear form in the same field, taken from this one in
-# integers (``BeattyPair._inverse``).  Scalar floors then cost one isqrt
-# (none when B = F = 0), which is what makes 10^6-element scans
-# affordable.
+# Every exact pair (tau, eta) has the linear form (T, H, Z) with
+#     tau*k + eta = (Σ (T[r]*k + H[r])·√r) / Z,
+# the integer numerators of tau and eta per square-free radicand r (r = 1
+# for the rational part; each value's ``_nums``, see ``numerics``) over
+# the lcm Z of their denominators.  Its inverse x -> x*(1/tau) - eta/tau
+# is a form of the same kind, taken from this one in integers.  A scalar
+# floor of a form is one integer division without radicands, one isqrt
+# with one, and one isqrt per radicand with more (and an exact sign where
+# an integer lies in the enclosure): 10^6-element scans stay affordable.
 #
 # The lane kernels take the same floors and memberships over a numpy
-# array of int64 lanes, in one guarded pass each.  Rational pairs use
-# int64 arithmetic where A*k + E (or Z*x - E) cannot overflow.  Every
-# other pair (surds, pairs with two or more radicands) evaluates tau*k + eta,
-# or the quotient (x - eta)/tau, in float64 next to an explicit per-lane
-# bound on its error, and keeps a lane only when the bound settles the
-# floor, or the ceiling and the membership test (the filter-then-exact
-# pattern of Shewchuk's robust predicates).  The floats and their error
-# bounds come from the values' ``_bounds``.  Lanes that fail either
-# guard take the scalar closures, so no result depends on a float
-# rounding decision.  Callers keep the results inside int64.
+# array of int64 lanes, in one guarded pass each.  Rational pairs,
+# tau*k + eta = (A*k + E)/Z, use int64 arithmetic where A*k + E (or
+# Z*x - E) cannot overflow.  Every other pair (surds, pairs with two or
+# more radicands) evaluates tau*k + eta, or the quotient (x - eta)/tau,
+# in float64 next to an explicit per-lane bound on its error, and keeps
+# a lane only when the bound settles the floor, or the ceiling and the
+# membership test (the filter-then-exact pattern of Shewchuk's robust
+# predicates).  The floats and their error bounds come from the values'
+# ``_bounds``.  Lanes that fail either guard take the scalar closures,
+# so no result depends on a float rounding decision.  Callers keep the
+# results inside int64.
 # ---------------------------------------------------------------------------
 
 LANE_BOUND = 1 << 62  # |A*k + E| stays below this on the int64 path
@@ -181,17 +179,37 @@ _SLACK = 2.0 ** -40  # absolute floor of every float error bound
 
 
 def _linear_form(tau: Real, eta: Real):
-    """Integer linear form of k -> tau*k + eta, or None if the two values
-    do not live in a common quadratic field."""
-    ct, ce = tau._nums, eta._nums
-    roots = {r for r in (*ct, *ce) if r > 1}
-    if len(roots) > 1:
-        return None
-    d = roots.pop() if roots else 0
+    """The linear form (T, H, Z) of k -> tau*k + eta: the numerators of
+    tau and eta over the lcm Z of their denominators."""
     z = lcm(tau._den, eta._den)
     mt, me = z // tau._den, z // eta._den
-    return (ct.get(1, 0) * mt, ct.get(d, 0) * mt,
-            ce.get(1, 0) * me, ce.get(d, 0) * me, z, d)
+    return ({r: n * mt for r, n in tau._nums.items()},
+            {r: n * me for r, n in eta._nums.items()}, z)
+
+
+def _radicands(form) -> list[int]:
+    """The radicands r >= 2 of a form, in increasing order."""
+    T, H, _ = form
+    return sorted({*T, *H} - {1})
+
+
+def _floor_fn(form, roots: list[int]) -> Callable[[int], int]:
+    """k -> floor((Σ (T[r]*k + H[r])·√r) / Z) for the form (T, H, Z)
+    with the radicands ``roots``: one integer division without
+    radicands, one ``_surd_floor_ints`` with one, ``numerics._floor``
+    with more."""
+    T, H, Z = form
+    A, E = T.get(1, 0), H.get(1, 0)
+    if not roots:
+        return lambda k: (A * k + E) // Z
+    if len(roots) == 1:
+        D = roots[0]
+        B, F = T.get(D, 0), H.get(D, 0)
+        sf = _surd_floor_ints
+        return lambda k: sf(A * k + E, B * k + F, D, Z)
+    terms = [(r, T.get(r, 0), H.get(r, 0)) for r in (1, *roots)]
+    return lambda k: _floor(
+        {r: v for r, t, h in terms if (v := t * k + h)}, Z)
 
 
 def _float_pair(x: Real) -> Optional[tuple[float, float]]:
@@ -229,28 +247,27 @@ class BeattyPair:
     its inverse x -> k on the sequence, for tau >= 1 (tau > 0 suffices
     for the floors).
 
-    The linear form is computed here.  The rest is built on first use
-    and kept: the inverse form (from the linear form, in integers), the
-    floats of tau and eta with their error bounds, the scalar closures
+    The linear form and its radicands (``radicands``, increasing) are
+    computed here.  The rest is built on first use and kept: the
+    inverse form (from the linear form, in integers), the floats of tau
+    and eta with their error bounds, the scalar closures
     ``floor`` and ``member`` (x -> its k, or 0), the int64 lane kernels
     ``floor_lanes`` and ``member_lanes``, ``first_k``, and the
-    ``shifted`` pairs.  Only a pair without a linear form (outside a
-    common quadratic field) takes the exact 1/tau, once; its closures
-    take the generic exact operations.  The sequences of a tuple take
-    their pairs from ``ParamTuple.pairs``, so this setup runs once per
-    sequence."""
+    ``shifted`` pairs.  Every closure reads a form, so no pair takes an
+    exact 1/tau.  The sequences of a tuple take their pairs from
+    ``ParamTuple.pairs``, so this setup runs once per sequence."""
 
     def __init__(self, tau: RealLike, eta: RealLike):
         self.tau, self.eta = as_real(tau), as_real(eta)
         self.form = _linear_form(self.tau, self.eta)
+        self.radicands = _radicands(self.form)
 
     def shifted(self, k0: int) -> BeattyPair:
         """The pair of k -> floor(tau*(k0 + k) + eta), built once per k0
         and kept: lanes that start at a large k0 stay small."""
         shifts = self._shifts
         if k0 not in shifts:
-            shifts[k0] = BeattyPair(
-                self.tau, _add(self.eta, _mul(self.tau, Rational(k0))))
+            shifts[k0] = BeattyPair(self.tau, self.eta + self.tau * k0)
         return shifts[k0]
 
     @cached_property
@@ -258,34 +275,22 @@ class BeattyPair:
         return {}
 
     @cached_property
-    def _inv_tau(self) -> Real:
-        """The exact 1/tau, taken once per pair without a linear form."""
-        return _reciprocal(self.tau)
-
-    @cached_property
     def _inverse(self):
-        """Linear form of x -> x*(1/tau) - eta/tau, or None without a
-        forward form (the inverse then leaves the field as well).
+        """Linear form of x -> x*(1/tau) - eta/tau.
 
-        From the forward form in integers: a rational tau = A/Z gives
-        (Z*x - E - F*sqrt(D))/A; otherwise numerator and denominator are
-        multiplied by the conjugate A - B*sqrt(D), over the norm A^2 -
-        B^2*D.  The signs are flipped to a positive denominator and one
-        gcd reduces the form, so it equals ``_linear_form`` of the exact
+        From the forward form (T, H, Z) in integers: with 1/(Σ T[r]·√r)
+        = (Σ w[r]·√r)/z (``numerics._inverse``), (x - eta)/tau = (Z*x -
+        Σ H[r]·√r)(Σ w[r]·√r)/z.  One gcd reduces the form over a
+        positive denominator, so it equals ``_linear_form`` of the exact
         values 1/tau and -eta/tau."""
-        if self.form is None:
-            return None
-        A, B, E, F, Z, D = self.form
-        if B == 0:
-            inv = (Z, 0, -E, -F, A)
-        else:
-            inv = (Z * A, -Z * B, F * B * D - E * A, E * B - F * A,
-                   A * A - B * B * D)
-            g = gcd(*inv)
-            inv = tuple(v // g for v in inv)
-        if inv[4] < 0:
-            inv = tuple(-v for v in inv)
-        return (*inv, D)
+        T, H, Z = self.form
+        w, z = _inverse(T)
+        h = _product(H, w)
+        g = gcd(z, Z * gcd(*w.values()), *h.values())
+        if z < 0:
+            g = -g
+        return ({r: Z * n // g for r, n in w.items()},
+                {r: -n // g for r, n in h.items()}, z // g)
 
     @cached_property
     def _floats(self) -> Optional[tuple[float, float, float, float]]:
@@ -296,33 +301,25 @@ class BeattyPair:
 
     @cached_property
     def floor(self) -> Callable[[int], int]:
-        """k -> floor(tau*k + eta)."""
-        tau, eta = self.tau, self.eta
-        if self.form is None:
-            return lambda k: floor_linear(tau, k, eta)
-        A, B, E, F, Z, D = self.form
-        if B == 0 and F == 0:
-            return lambda k: (A * k + E) // Z
-        sf = _surd_floor_ints
-        return lambda k: sf(A * k + E, B * k + F, D, Z)
+        """k -> floor(tau*k + eta), from the forward form."""
+        return _floor_fn(self.form, self.radicands)
 
     @cached_property
     def member(self) -> Callable[[int], int]:
         """x -> the k >= 1 with floor(tau*k + eta) = x, or 0, for x >= 1.
 
         x is a member iff k = ceil((x - eta)/tau) satisfies k >= 1 and
-        floor(tau*k + eta) = x; both reduce to flat integer expressions in
-        the common-field case (scans call this millions of times)."""
-        floor = self.floor
-        if self._inverse is None:
+        floor(tau*k + eta) = x; with at most one radicand the ceiling is
+        one flat integer expression, inlined here (scans call this
+        millions of times), and ``_k_at`` otherwise."""
+        floor, roots = self.floor, self.radicands
+        if len(roots) > 1:
             k_at = self._k_at
-
-            def generic(x: int) -> int:
-                k = k_at(x)
-                return k if k >= 1 and floor(k) == x else 0
-
-            return generic
-        A1, B1, E1, F1, Z1, D1 = self._inverse
+            return lambda x: k if (k := k_at(x)) >= 1 and floor(k) == x else 0
+        T1, H1, Z1 = self._inverse  # no radicand but the pair's
+        D1 = roots[0] if roots else 0
+        A1, B1 = T1.get(1, 0), T1.get(D1, 0)
+        E1, F1 = H1.get(1, 0), H1.get(D1, 0)
         sf = _surd_floor_ints
 
         def fast(x: int) -> int:
@@ -345,24 +342,23 @@ class BeattyPair:
         ``_k_at(x)``)."""
         return max(1, self._k_at(x))
 
-    def _k_at(self, x: int) -> int:
-        """ceil((x - eta)/tau), exactly.  With the inverse form it is one
-        ``_surd_floor_ints`` (an integer division for rational pairs),
-        the expression ``member`` evaluates; other pairs take the
-        ceiling of (x - eta)*(1/tau)."""
-        if self._inverse is not None:
-            A1, B1, E1, F1, Z1, D1 = self._inverse
-            return -_surd_floor_ints(-(A1 * x + E1), -(B1 * x + F1), D1, Z1)
-        return ceil_value(
-            _mul(_add(Rational(Fraction(x)), _neg(self.eta)), self._inv_tau))
+    @cached_property
+    def _k_at(self) -> Callable[[int], int]:
+        """x -> ceil((x - eta)/tau), exactly: minus the floor of the
+        negated inverse form, so no floor of the pair is taken."""
+        T1, H1, Z1 = self._inverse
+        form = ({r: -n for r, n in T1.items()},
+                {r: -n for r, n in H1.items()}, Z1)
+        neg = _floor_fn(form, _radicands(form))
+        return lambda x: -neg(x)
 
     @cached_property
     def floor_lanes(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized exact k -> floor(tau*k + eta) over int64 lanes."""
         scalar = self.floor
-        form = self.form
-        if form is not None and form[1] == form[3] == 0:
-            A, _, E, _, Z, _ = form
+        T, H, Z = self.form
+        if not self.radicands:
+            A, E = T[1], H.get(1, 0)
             if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
                 kmax = (LANE_BOUND - abs(E)) // A
 
@@ -411,9 +407,9 @@ class BeattyPair:
         error bound and a bound on the error of 1/tau must settle the
         ceiling and the sign of k - (x + 1 - eta)/tau.  Lanes that fail a
         guard take the scalar ``member``."""
-        form = self.form
-        if form is not None and form[1] == form[3] == 0:
-            A, _, E, _, Z, _ = form
+        T, H, Z = self.form
+        if not self.radicands:
+            A, E = T[1], H.get(1, 0)
             if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
                 xmax = (LANE_BOUND - abs(E)) // Z
 

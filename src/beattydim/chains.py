@@ -36,7 +36,7 @@ are live it draws heads from its stream until more are.  The lanes
 drawn in one round form a cohort that shares its step j, so a lane is
 one int64 iterate.  An iterate past the kernel's int64 guard resumes in
 ``walk`` at its step, and so do the last FINISH lanes of an exhausted
-stream on pairs with integer forms.
+stream on pairs whose forms have at most one radicand.
 
 Chains are strictly monotone.  Let g(k) = floor(gamma*k + delta) -
 floor(alpha*k + beta) and h(k) = (gamma - alpha)*k + delta - beta.  Then
@@ -95,7 +95,7 @@ CHUNK = 1 << 14  # lanes per table-marking call, positions per head slice
 # 3.11, numpy 2.4) a vector round over at most 64 lanes costs 38-47 us,
 # and one scalar step (member, then floor) 0.9-1.1 us on rational and
 # one-field surd pairs; so one scalar step of 32 lanes costs no more
-# than one round.
+# than one round, but 7-12 us on a pair over two or more radicands.
 FINISH = 32
 STABILITY_TOL = 1e-3  # candidate share a doubled horizon may move
 _PERIOD_CAP = 1 << 16  # longest membership period a certificate checks
@@ -432,8 +432,8 @@ class _ScanContext:
         tail of its longest chains once.  The steps, exits and visibility
         rules are those of ``walk``.  A lane resumes there at its step j
         when its iterate passes the lane guard, and so do the last FINISH
-        lanes of an exhausted stream when both pairs' scalar closures are
-        integer forms.  A head outside SA ends at step 0, as class 1.
+        lanes of an exhausted stream when both pairs' forms have at most
+        one radicand.  A head outside SA ends at step 0, as class 1.
 
         With cutoff >= 1 the elements <= cutoff are visible, and the
         per-head arrays of the whole stream come back as ``_HeadWalks``.
@@ -448,8 +448,8 @@ class _ScanContext:
         if stop > LANE_BOUND:  # past every lane
             stop = inf
         member, floor = self.a.member_lanes, self.g.floor_lanes
-        finish = (FINISH if self.a._inverse is not None
-                  and self.g.form is not None else -1)
+        finish = (FINISH if len(self.a.radicands) <= 1
+                  and len(self.g.radicands) <= 1 else -1)
 
         def resume(lanes):
             # each (head index, j, y): y is the step-j iterate, already

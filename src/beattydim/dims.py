@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -300,7 +299,7 @@ def solve_t(A: BinaryMatrix, r) -> TSolverResult:
     m-term row sums, log and the returned exp.  ``log_total`` is
     log sum(t), taken from Phi(u) without leaving the float range;
     ``iterations`` counts the steps taken."""
-    r = r if isinstance(r, Real) else Rational(Fraction(r))
+    r = r if isinstance(r, Real) else Rational(r)
     if not r > 1:
         raise ValueError("exponent gamma/alpha must exceed 1")
     rho = _reciprocal(r).approx()  # may underflow to 0

@@ -13,13 +13,13 @@ Square roots of distinct square-free integers are linearly independent
 over Q (Besicovitch, J. London Math. Soc. 1940), so the form is
 canonical: every value is reduced by one gcd when it is built
 (``_make``), and equality and hashing compare numerators and
-denominator.  ``_make`` picks the class by the number of radicands
-r >= 2: none gives a ``Rational``, which keeps its value as a
-``fractions.Fraction``; one gives a ``QuadraticSurd`` a + b·√d, read
-through the views ``a``, ``b``, ``d``; two or more give a
-``RadicalSum``, read through ``terms``.  The classes differ only in
-these views and in ``__repr__``: the arithmetic is written once, on the
-numerators.
+denominator.  ``_make`` builds every value and picks the class by the
+number of radicands r >= 2: none gives a ``Rational``, read through the
+``fractions.Fraction`` view ``value``; one gives a ``QuadraticSurd``
+a + b·√d, read through the views ``a``, ``b``, ``d``; two or more give
+a ``RadicalSum``, read through ``terms``.  The classes differ only in
+these views, in ``__repr__`` and in a rational's hash (that of its
+Fraction): the arithmetic is written once, on the numerators.
 
 A sign splits x = u + v·√p over a factor p of the radicands and
 recurses on u, v and u² − p·v², in integers; for one radicand that is
@@ -43,9 +43,6 @@ from math import gcd, isqrt, lcm
 from typing import Union
 
 RADICAND_MAX = 10**12  # parse_real splits radicands by trial division
-
-_ZERO = Fraction(0)
-
 
 def _squarefree(d: int) -> tuple[int, int]:
     """Split d = s**2 * d0 with d0 square-free; returns (s, d0)."""
@@ -72,7 +69,7 @@ class Real:
     (Σ n_r·√r)/z of ``_nums`` = {r: n_r}, in increasing r, over ``_den``
     = z, in the canonical form of the module docstring."""
 
-    __slots__ = ()
+    __slots__ = ("_nums", "_den")
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -164,25 +161,24 @@ class Real:
 
 
 class Rational(Real):
-    """A rational value, kept as the Fraction ``value``: its numerator
-    over its denominator is the canonical form, and it hashes as that
-    Fraction, to which (and to an equal int) it compares equal."""
+    """A rational value n/z, ``_nums`` = {1: n} ({} for 0) over ``_den`` =
+    z, read through the Fraction ``value``.  It hashes as that Fraction,
+    to which (and to an equal int) it compares equal.  ``Rational(v)``
+    takes an int, or anything ``Fraction(v)`` takes."""
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
-    def __init__(self, value):
+    def __new__(cls, value):
+        if type(value) is int:
+            return _make({1: value} if value else {}, 1)
         if type(value) is not Fraction:
             value = Fraction(value)
-        object.__setattr__(self, "value", value)
+        n = value.numerator
+        return _make({1: n} if n else {}, value.denominator)
 
     @property
-    def _nums(self) -> dict[int, int]:
-        n = self.value.numerator
-        return {1: n} if n else {}
-
-    @property
-    def _den(self) -> int:
-        return self.value.denominator
+    def value(self) -> Fraction:
+        return Fraction(self._nums.get(1, 0), self._den)
 
     def __hash__(self):
         return hash(self.value)
@@ -196,7 +192,7 @@ class QuadraticSurd(Real):
     b != 0.  ``QuadraticSurd(a, b, d)`` is ``surd(a, b, d)``, which
     returns a Rational for b = 0 or a square d."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ()
 
     def __new__(cls, a, b, d: int):
         return surd(a, b, d)
@@ -224,10 +220,10 @@ class RadicalSum(Real):
     sums ``surd(0, c, r)`` over the pairs, so it returns a smaller class
     where one holds the value."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ()
 
     def __new__(cls, terms):
-        return sum((surd(0, c, r) for r, c in terms), Rational(_ZERO))
+        return sum((surd(0, c, r) for r, c in terms), Rational(0))
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -264,25 +260,18 @@ def _make(c: dict[int, int], z: int) -> Real:
     z != 0, in the canonical form: radicands in increasing order,
     numerators and denominator divided by their gcd and signed so that
     the denominator is positive.  The class follows from the number of
-    radicands r >= 2; a ``Fraction`` reduces a rational value itself."""
+    radicands r >= 2: none, one, or two and more."""
     k = len(c) - (1 in c)
-    if not k:
-        return Rational(Fraction(c.get(1, 0), z))
     g = gcd(z, *c.values())
     if z < 0:
         g = -g
-    x = object.__new__(QuadraticSurd if k == 1 else RadicalSum)
-    object.__setattr__(x, "_nums", {r: c[r] // g for r in sorted(c)})
-    object.__setattr__(x, "_den", z // g)
+    if g != 1 or k:  # else c = {1: n} or {} over z is canonical as given
+        c, z = {r: c[r] // g for r in sorted(c)}, z // g
+    x = object.__new__(
+        RadicalSum if k > 1 else QuadraticSurd if k else Rational)
+    object.__setattr__(x, "_nums", c)
+    object.__setattr__(x, "_den", z)
     return x
-
-
-def _from_fractions(c: dict[int, Fraction]) -> Real:
-    """sum c[r]*sqrt(r) over square-free r, over the lcm of the
-    denominators."""
-    z = lcm(*(v.denominator for v in c.values()))
-    return _make({r: v.numerator * (z // v.denominator)
-                  for r, v in c.items() if v}, z)
 
 
 def rational(num, den=1) -> Rational:
@@ -296,16 +285,17 @@ def surd(a, b, d: int) -> Real:
     if b == 0:
         return Rational(a)
     s, d0 = _squarefree(d)
+    b *= s
     if d0 == 1:
-        return Rational(a + b * s)
-    return _from_fractions({1: a, d0: b * s})
+        return Rational(a + b)
+    return _add(Rational(a), _make({d0: b.numerator}, b.denominator))
 
 
 def as_real(x: RealLike) -> Real:
     if isinstance(x, Real):
         return x
     if isinstance(x, (int, Fraction)):
-        return Rational(Fraction(x))
+        return Rational(x)
     raise TypeError(f"cannot interpret {x!r} as a real parameter")
 
 
@@ -351,7 +341,9 @@ def _product(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
             g = gcd(r1, r2)
             r = (r1 // g) * (r2 // g)
             c[r] = c.get(r, 0) + n1 * n2 * g
-    return {r: n for r, n in c.items() if n}
+    if 0 in c.values():
+        c = {r: n for r, n in c.items() if n}
+    return c
 
 
 def _split_factor(c: dict[int, int]) -> int:
@@ -506,7 +498,7 @@ def floor_linear(tau: RealLike, k: int, eta: RealLike) -> int:
 def frac(x: RealLike) -> Real:
     """x - ⌊x⌋ in the same representation family, in [0, 1)."""
     x = as_real(x)
-    return _add(x, Rational(Fraction(-x.floor())))
+    return _add(x, Rational(-x.floor()))
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +512,17 @@ _SQRT_RE = re.compile(
 )
 
 
-def _parse_unsigned_rational(text: str) -> Fraction:
+def _parse_unsigned_rational(text: str) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an unsigned number literal."""
     m = _RAT_RE.match(text)
     if m:
         den = int(m.group(2)) if m.group(2) else 1
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(m.group(1)), den)
+        return int(m.group(1)), den
     if _DEC_RE.match(text):
-        return Fraction(text)
+        whole, _, digits = text.partition(".")
+        return int(whole + digits), 10 ** len(digits)
     raise ValueError(f"cannot parse number {text!r}")
 
 
@@ -559,34 +553,40 @@ def parse_real(text: str) -> Real:
     rational ± rational·sqrt(int), e.g. "1+2*sqrt(5)/3" or "sqrt(2)",
     with every radicand in [1, RADICAND_MAX].
 
-    The terms collect into one coefficient per square-free radicand
-    (each radicand is split once), and the value is built from them once.
+    The terms collect into one integer numerator per square-free
+    radicand over their common denominator (each radicand is split
+    once), and the value is built from them once.
     """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty parameter")
     if _RAT_RE.match(s):
-        return Rational(_parse_unsigned_rational(s))
-    c: dict[int, Fraction] = {}
+        n, z = _parse_unsigned_rational(s)
+        return _make({1: n} if n else {}, z)
+    c: dict[int, int] = {}  # the sum so far is (Σ c[r]·√r)/z
+    z = 1
     for sgn, term in _split_signed_terms(s):
         if not term:
             raise ValueError(f"dangling sign in {text!r}")
         m = _SQRT_RE.match(term)
         if m:
-            coef = _parse_unsigned_rational(m.group(1)) if m.group(1) else Fraction(1)
+            p, q = (_parse_unsigned_rational(m.group(1)) if m.group(1)
+                    else (1, 1))
             if m.group(3):
                 if int(m.group(3)) == 0:
                     raise ValueError(f"zero denominator in {text!r}")
-                coef /= int(m.group(3))
+                q *= int(m.group(3))
             radicand = int(m.group(2))
             if not 1 <= radicand <= RADICAND_MAX:
                 raise ValueError(
                     f"radicand in {text!r} must lie in [1, {RADICAND_MAX}]")
-            if not coef:
+            if not p:
                 continue
             root, radicand = _squarefree(radicand)
-            coef *= root
+            p *= root
         else:
-            coef, radicand = _parse_unsigned_rational(term), 1
-        c[radicand] = c.get(radicand, _ZERO) + (coef if sgn > 0 else -coef)
-    return _from_fractions(c)
+            (p, q), radicand = _parse_unsigned_rational(term), 1
+        c = {r: n * q for r, n in c.items()}
+        c[radicand] = c.get(radicand, 0) + sgn * p * z
+        z *= q
+    return _make({r: n for r, n in c.items() if n}, z)

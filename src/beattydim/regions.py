@@ -203,9 +203,9 @@ def _condition_ii(p: ParamTuple) -> Optional[tuple[int, int]]:
         return None
     mn = p.ratio.value
     m, n = mn.numerator, mn.denominator
-    m_over_a = _mul(Rational(Fraction(m)), _reciprocal(p.alpha))
-    u = frac(_mul(Rational(Fraction(m)), _div(_add(p.beta, _neg(p.delta)), p.alpha)))
-    upper = _add(Rational(Fraction(1)), _neg(m_over_a))
+    m_over_a = _mul(Rational(m), _reciprocal(p.alpha))
+    u = frac(_mul(Rational(m), _div(_add(p.beta, _neg(p.delta)), p.alpha)))
+    upper = _add(Rational(1), _neg(m_over_a))
     if compare(u, m_over_a) >= 0 and compare(upper, u) >= 0:
         return (n, m)
     return None
@@ -332,7 +332,7 @@ def closed_form_d(p: ParamTuple, r: RegionId, K: int = DEFAULT_K) -> DensityVect
         # exact cancellation is common here (complementary pairs have
         # 1/alpha + 1/gamma = 1 exactly), so evaluate in the surd field
         inv_a, inv_g = _reciprocal(p.alpha), _reciprocal(p.gamma)
-        d1 = _add(Rational(Fraction(1)), _neg(_add(inv_a, inv_g))).approx()
+        d1 = _add(Rational(1), _neg(_add(inv_a, inv_g))).approx()
         return DensityVector(
             head=(d1, inv_a.approx()) + (0.0,) * (K - 2), d_inf=0.0, K=K,
             provenance=prov, tail_ratio=0.0,

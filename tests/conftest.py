@@ -164,12 +164,16 @@ def fraction_surd_product(x, y):
 
 def fraction_inverse_form(pair):
     """The linear form of x -> x*(1/tau) - eta/tau from the exact values
-    1/tau and -eta/tau, each coefficient a Fraction; None without a
-    forward form."""
-    if pair.form is None:
-        return None
+    1/tau and -eta/tau, each coefficient a Fraction."""
     inv = fraction_reciprocal(pair.tau)
     return _linear_form(inv, -(pair.eta * inv))
+
+
+def _literal(text):
+    """An unsigned number literal as a Fraction: ``_parse_unsigned_rational``
+    validates it and raises the parser's errors, ``Fraction`` reads it."""
+    _parse_unsigned_rational(text)
+    return Fraction(text)
 
 
 def fraction_parse_real(text):
@@ -184,8 +188,7 @@ def fraction_parse_real(text):
             raise ValueError(f"dangling sign in {text!r}")
         m = _SQRT_RE.match(term)
         if m:
-            coef = (_parse_unsigned_rational(m.group(1)) if m.group(1)
-                    else Fraction(1))
+            coef = _literal(m.group(1)) if m.group(1) else Fraction(1)
             if m.group(3):
                 if int(m.group(3)) == 0:
                     raise ValueError(f"zero denominator in {text!r}")
@@ -196,7 +199,7 @@ def fraction_parse_real(text):
                     f"radicand in {text!r} must lie in [1, {RADICAND_MAX}]")
             value = surd(0, sgn * coef, radicand)
         else:
-            value = Rational(sgn * _parse_unsigned_rational(term))
+            value = Rational(sgn * _literal(term))
         total = _add(total, value)
     return total
 
@@ -284,8 +287,8 @@ def dij_row(p, i, d_i):
 def first_k_at_reference(pair, x):
     """The first k >= 1 with floor(tau*k + eta) >= x, from a lower
     enclosure of (x - eta)/tau that carries the bits of the quotient's
-    magnitude on top of 64, settled by stepping k up: the generic path
-    of ``BeattyPair.first_k_at``."""
+    magnitude on top of 64, settled by stepping k up: a reference for
+    ``BeattyPair.first_k_at`` that takes no inverse form."""
     q = _div(_add(Rational(Fraction(x)), _neg(pair.eta)), pair.tau)
     mag = max(map(abs, q.enclosure(16)))
     lo, _ = q.enclosure(64 + int(mag).bit_length())

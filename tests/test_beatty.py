@@ -204,7 +204,8 @@ def _kernel_case(draw):
         tau = rational(num, den)
         eta = rational(Fraction(ea) + draw(st.fractions(
             min_value=-1, max_value=1, max_denominator=50)))
-        A, _, E, _, Z, _ = _linear_form(tau, eta)
+        T, H, Z = _linear_form(tau, eta)
+        A, E = T[1], H.get(1, 0)
         kmax = (LANE_BOUND - abs(E)) // A
         ks += [kmax - 1, kmax, kmax + 1, -kmax, -kmax - 1]
         ks += [m * Z, m * Z + 1]  # tau*k + eta is an integer at one of these
@@ -367,7 +368,8 @@ def _membership_boundary_case(draw):
         tau = rational(num, den)
         eta = rational(Fraction(ea) + draw(st.fractions(
             min_value=-1, max_value=1, max_denominator=50)))
-        A, _, E, _, Z, _ = _linear_form(tau, eta)
+        T, H, Z = _linear_form(tau, eta)
+        A, E = T[1], H.get(1, 0)
         xmax = (LANE_BOUND - abs(E)) // Z
         kx = (xmax * Z - E) // A
         pair = BeattyPair(tau, eta)
@@ -461,7 +463,26 @@ def _exact_pair(draw):
     return draw(_exact_tau(d)), draw(_exact_shift(d))
 
 
-@given(case=_exact_pair(),
+@st.composite
+def _radical_pair(draw):
+    """(tau, eta) over zero to three radicands: tau of ``_exact_tau``
+    plus up to two more surd terms, lifted past 1, and eta a sum of
+    ``_exact_shift`` values over up to three radicands, in tau's
+    radicands or not."""
+    ds = draw(st.lists(st.sampled_from([2, 3, 5, 7, 10]), min_size=1,
+                       max_size=3, unique=True))
+    tau = draw(_exact_tau(ds[0]))
+    for d in ds[1:]:
+        tau = tau + surd(0, draw(st.fractions(
+            min_value=-3, max_value=3, max_denominator=40)), d)
+    if compare(tau, 1) < 0:
+        tau = tau + (1 - tau.floor())
+    es = draw(st.lists(st.sampled_from([2, 3, 5, 7, 10, 11]), max_size=3,
+                       unique=True))
+    return tau, sum((draw(_exact_shift(d)) for d in es), rational(0))
+
+
+@given(case=st.one_of(_exact_pair(), _radical_pair()),
        x=st.one_of(st.integers(1, 300), st.integers(1, 10**30)))
 @settings(max_examples=300, deadline=None)
 def test_first_k_at_from_the_inverse_form(case, x):
@@ -480,6 +501,8 @@ def test_first_k_at_from_the_inverse_form(case, x):
     (surd(0, 1, 2), rational(-10**30)),
     (surd(1, 1, 3), surd(Fraction(1, 3), 10**20, 3)),
     (rational(5, 2), surd(0, Fraction(-1, 7), 5)),
+    (parse_real("sqrt(2)+sqrt(3)"), parse_real("0")),
+    (parse_real("1+sqrt(2)"), parse_real("1/3+sqrt(5)")),
 ])
 def test_first_k_at_takes_no_enclosure_on_exact_pairs(tau, eta, monkeypatch):
     pair = BeattyPair(tau, eta)
@@ -527,33 +550,6 @@ def test_float_pair_encloses_the_value(x):
     assert x.approx() == v
 
 
-def test_generic_member_takes_one_reciprocal(monkeypatch):
-    # a pair outside one quadratic field divides by tau once, not per
-    # call; a reciprocal's own recursion counts as part of it
-    calls, depth, recip = [], [0], numerics_mod._reciprocal
-
-    def counted(x):
-        if not depth[0]:
-            calls.append(x)
-        depth[0] += 1
-        try:
-            return recip(x)
-        finally:
-            depth[0] -= 1
-
-    for mod in (beatty_mod, numerics_mod):
-        monkeypatch.setattr(mod, "_reciprocal", counted)
-    for tau, eta in [("sqrt(2)+sqrt(3)", 0), ("1+sqrt(2)", "1/3+sqrt(5)")]:
-        pair = BeattyPair(parse_real(tau), parse_real(str(eta)))
-        assert pair.form is None
-        calls.clear()
-        got = [pair.member(x) for x in range(1, 201)]
-        assert len(calls) <= 1
-        assert pair.first_k_at(10**12) >= 1 and len(calls) <= 1
-        assert got == [reference_member(x, pair.tau, pair.eta) or 0
-                       for x in range(1, 201)]
-
-
 @st.composite
 def _wide_pair(draw):
     """(tau, eta) of ``_exact_pair``, or with tau != 0 of either sign whose
@@ -576,26 +572,36 @@ def test_inverse_form_matches_the_fraction_formula(case):
     assert pair._inverse == fraction_inverse_form(pair)
 
 
+@given(case=_radical_pair())
+@settings(max_examples=200, deadline=None)
+def test_inverse_form_is_the_form_of_the_exact_inverse(case):
+    tau, eta = case
+    T1, H1, Z1 = BeattyPair(tau, eta)._inverse
+    assert (T1, H1, Z1) == _linear_form(1 / tau, -(eta / tau))
+
+
 @pytest.mark.parametrize("tau,etas", [
     ("7/3", ["1/3", "sqrt(3)-5/2"]),
     ("sqrt(2)", ["-4/7", "1/2-3*sqrt(2)"]),
     ("1/2+sqrt(5)/2", ["10", "sqrt(5)/3"]),
+    ("sqrt(2)+sqrt(3)", ["0"]),
+    ("1+sqrt(2)", ["1/3+sqrt(5)"]),
 ])
 def test_one_field_pairs_take_no_reciprocal(tau, etas, monkeypatch):
-    # the inverse form comes from the forward form in integers, so a pair
-    # in one field never divides by tau, not even once
+    # the inverse form comes from the forward form in integers, so no
+    # pair divides by tau, not even once: not in one field, and not
+    # over several radicands either
     calls, recip = [], numerics_mod._reciprocal
 
     def counted(x):
         calls.append(x)
         return recip(x)
 
-    for mod in (beatty_mod, numerics_mod):
-        monkeypatch.setattr(mod, "_reciprocal", counted)
+    for mod in (beatty_mod, numerics_mod):  # wherever a caller finds it
+        monkeypatch.setattr(mod, "_reciprocal", counted, raising=False)
     for eta in etas:
         pair = BeattyPair(parse_real(tau), parse_real(eta))
         calls.clear()
-        assert pair.form is not None and pair._inverse is not None
         got = [pair.member(x) for x in range(1, 101)]
         starts = [pair.first_k_at(x) for x in (1, 50, 10**12)]
         assert calls == []

@@ -14,6 +14,7 @@ from beattydim import (
     ParamTuple,
     classify_region,
     closed_form_d,
+    count_patterns,
     dimension_report,
     dims_coincide,
     hausdorff_dim,
@@ -637,3 +638,22 @@ def test_hausdorff_empty_row():
                              provenance=ClosedForm("R7"))
     with pytest.raises(ValueError, match="no positive fixed point"):
         hausdorff_dim(A, only_inf, p)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an empty shift (f(1) = 1 and trace(A) = 0) is not "
+                   "detected: dimension_report prints positive dimensions "
+                   "without a warning")
+def test_empty_shift_is_reported():
+    # 1 = f(1) is a cycle of length 1, and trace(A) = 0 admits no word on
+    # it, so no word of any length is admissible
+    p = ParamTuple(1, 0, "21/20", 0)
+    A = BinaryMatrix.from_string("011;001;110")
+    counts = [count_patterns(p, A, n).count for n in (1, 2, 10, 100)]
+    if any(counts):
+        pytest.fail(f"the shift is not empty: {counts}")
+    try:
+        rep = dimension_report(p, A)
+    except ValueError:
+        return
+    assert rep.warnings

@@ -12,9 +12,11 @@ errs:
 * relabelling: both dimensions are unchanged under PAPᵀ;
 * inclusion: A ≤ B entrywise gives X_A ⊂ X_B, so dimensions no larger.
 
-Densities, exactly on the closed forms: (α, β+α, γ, δ+γ) drops the
-first constraint and (α, β+1, γ, δ+1) shifts every position by 1, so
-neither changes a limit density or the region that names it.
+Densities: (α, β+α, γ, δ+γ) drops the first constraint and
+(α, β+1, γ, δ+1) shifts every position by 1, so neither changes a limit
+density or the region that names it.  The closed forms agree exactly;
+the scans' head counts in [1, n] agree up to the heads the dropped
+constraint or the window's edges move, a bound that holds at every n.
 (Lind and Marcus, "An Introduction to Symbolic Dynamics and Coding",
 1995, for products of shifts of finite type; Chen et al., "Metamorphic
 Testing: A Review of Challenges and Opportunities", ACM Computing
@@ -30,7 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattydim import (BinaryMatrix, ParamTuple, classify_region,
-                       closed_form_d, hausdorff_dim, minkowski_dim)
+                       closed_form_d, empirical_densities, hausdorff_dim,
+                       minkowski_dim)
 from conftest import REGION_TUPLES
 
 KEYS = sorted(REGION_TUPLES)
@@ -167,3 +170,61 @@ def test_reindexing_keeps_region_and_closed_form(key):
 def test_reindexing_keeps_a_condition_ii_witness():
     assert classify_region(CONDITION_II).id == "R5"
     _assert_same_densities(CONDITION_II)
+
+
+# ---------------------------------------------------------------------------
+# scan re-indexing
+# ---------------------------------------------------------------------------
+
+SCAN_TUPLES = {
+    **REGION_TUPLES,
+    # the cross-field tuples of the scan benchmark: beta outside alpha's
+    # field, gamma in a third one
+    **{f"cross {t[0]} {t[1]}": ParamTuple(*t) for t in [
+        ("sqrt(2)", "sqrt(3)", "sqrt(5)", "0"),
+        ("sqrt(3)", "sqrt(2)", "sqrt(7)", "0"),
+        ("sqrt(2)", "sqrt(5)", "sqrt(7)", "1/2"),
+        ("sqrt(3)", "sqrt(5)", "sqrt(11)", "0"),
+        ("sqrt(2)", "sqrt(7)", "sqrt(3)", "1/3"),
+        ("sqrt(5)", "sqrt(2)", "sqrt(13)", "0"),
+    ]},
+}
+SCAN_N = 10**5
+
+
+def _head_counts(p):
+    """The heads in [1, SCAN_N] per class 1 .. L, then the infinity
+    candidates, from one scan."""
+    d = empirical_densities(p, [(1, SCAN_N)])
+    return [round(v * SCAN_N) for v in (*d.head, d.d_inf)]
+
+
+def _gaps(c, e):
+    """(largest gap in one class, summed gaps) of two ``_head_counts``."""
+    size = max(len(c), len(e))
+    c = c[:-1] + [0] * (size - len(c)) + c[-1:]
+    e = e[:-1] + [0] * (size - len(e)) + e[-1:]
+    gaps = [abs(x - y) for x, y in zip(c, e)]
+    return max(gaps), sum(gaps)
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_TUPLES))
+def test_reindexing_moves_scan_counts_by_edge_terms_only(key):
+    # (α, β+α, γ, δ+γ) drops the first edge (u1, v1), v1 = f(u1), and
+    # nothing else: the one chain through u1 splits, so its head takes a
+    # class j <= c instead of c, and v1 becomes a head of class c - j
+    # (or a class-1 position): at most 2 heads in one class, 3 in all.
+    # (α, β+1, γ, δ+1) moves every chain up by 1, so the window [1, n]
+    # reads [0, n - 1] of p: the position n leaves it, and one position
+    # enters at the bottom: 0 itself, or the head of the one chain
+    # through 0 (f is injective), which left N before.  At most 1 head
+    # in one class, 2 in all.  Both maxima are reached over this set at
+    # n = 2*10^4, 10^5 and 10^6, so neither bound can be tighter.
+    p = SCAN_TUPLES[key]
+    c = _head_counts(p)
+    dropped = ParamTuple(p.alpha, p.beta + p.alpha, p.gamma, p.delta + p.gamma)
+    moved = ParamTuple(p.alpha, p.beta + 1, p.gamma, p.delta + 1)
+    one, total = _gaps(c, _head_counts(dropped))
+    assert one <= 2 and total <= 3
+    one, total = _gaps(c, _head_counts(moved))
+    assert one <= 1 and total <= 2
