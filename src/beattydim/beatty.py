@@ -143,7 +143,7 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     if k0 > count:  # shifted pairs: lane i holds k = k0 + i
         a, g, k0 = a.shifted(k0), g.shifted(k0), 0
     k = np.arange(k0, k0 + count, dtype=np.int64)
-    return a.floor_lanes(k), g.floor_lanes(k)
+    return a.floor_lanes(k, k0 + count), g.floor_lanes(k, k0 + count)
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +160,27 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
 # an integer lies in the enclosure): 10^6-element scans stay affordable.
 #
 # The lane kernels take the same floors and memberships over a numpy
-# array of int64 lanes, in one guarded pass each.  Rational pairs,
-# tau*k + eta = (A*k + E)/Z, use int64 arithmetic where A*k + E (or
-# Z*x - E) cannot overflow.  Every other pair (surds, pairs with two or
-# more radicands) evaluates tau*k + eta, or the quotient (x - eta)/tau,
-# in float64 next to an explicit per-lane bound on its error, and keeps
-# a lane only when the bound settles the floor, or the ceiling and the
-# membership test (the filter-then-exact pattern of Shewchuk's robust
-# predicates).  The floats and their error bounds come from the values'
-# ``_bounds``.  Lanes that fail either guard take the scalar closures,
-# so no result depends on a float rounding decision.  Callers keep the
-# results inside int64.
+# array of int64 lanes, in one guarded pass each (a pair's floor and
+# member arms).  Rational pairs, tau*k + eta = (A*k + E)/Z, use int64
+# arithmetic where A*k + E (or Z*x - E) cannot overflow.  Every other
+# pair (surds, pairs with two or more radicands) evaluates tau*k + eta,
+# or the quotient (x - eta)/tau, in float64 next to an explicit bound on
+# its error, and keeps a lane only when the bound settles the floor, or
+# the ceiling and the membership test (the filter-then-exact pattern of
+# Shewchuk's robust predicates).  The floats and their error bounds come
+# from the values' ``_bounds``; a call that knows a bound on its lanes
+# takes one error bound for all of them while that stays tight, and one
+# per lane otherwise.  ``step_lanes`` runs one pair's member arm and the
+# other's floor arm as one chain step.  Lanes that fail a guard take the
+# scalar closures, so no result depends on a float rounding decision.
+# Callers keep the results inside int64.
 # ---------------------------------------------------------------------------
 
 LANE_BOUND = 1 << 62  # |A*k + E| stays below this on the int64 path
 _U = 2.0 ** -53  # unit roundoff of float64
 _SLACK = 2.0 ** -40  # absolute floor of every float error bound
+_TIGHT = 2.0 ** -20  # largest error bound one call takes for all its lanes
+LEFT_SA = -(1 << 63)  # step_lanes' value of a lane outside S(alpha, beta)
 
 
 def _linear_form(tau: Real, eta: Real):
@@ -231,6 +236,27 @@ def _float_pair(x: Real) -> Optional[tuple[float, float]]:
     return v, gap / (den * vd) * (1 + 2.0 ** -50) + 2.0 ** -1074
 
 
+def _tight(bound: Optional[float], c1: float, c0: float) -> Optional[float]:
+    """bound*c1 + c0, one error bound for every lane of a call whose
+    magnitude is at most bound, if that stays at most _TIGHT; else None,
+    and the call takes its bounds per lane (a few lanes far out would
+    otherwise send every lane to the scalar closures)."""
+    if bound is None:
+        return None
+    err = bound * c1 + c0
+    return err if err <= _TIGHT else None
+
+
+def _affine(v: np.ndarray, a: int, b: int = 0, z: int = 1) -> np.ndarray:
+    """(a*v + b) // z over int64 lanes, leaving out the steps that change
+    nothing (v itself for a = z = 1, b = 0)."""
+    if a != 1:
+        v = a * v
+    if b:
+        v = v + b
+    return v if z == 1 else v // z
+
+
 def _scalar_lanes(out: np.ndarray, bad: np.ndarray, lanes: np.ndarray,
                   fn: Callable[[int], int]) -> np.ndarray:
     for i in np.flatnonzero(bad):
@@ -238,8 +264,11 @@ def _scalar_lanes(out: np.ndarray, bad: np.ndarray, lanes: np.ndarray,
     return out
 
 
-def _all_scalar(fn: Callable[[int], int]) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda v: np.array([fn(x) for x in v.tolist()], dtype=np.int64)
+def _all_scalar(fn: Callable[[int], int]) -> Callable[..., np.ndarray]:
+    """fn over int64 lanes, one scalar call per lane; a lane bound passed
+    to ``floor_lanes`` is not needed here."""
+    return lambda v, bound=None: np.array([fn(x) for x in v.tolist()],
+                                          dtype=np.int64)
 
 
 class BeattyPair:
@@ -353,26 +382,39 @@ class BeattyPair:
         return lambda x: -neg(x)
 
     @cached_property
-    def floor_lanes(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized exact k -> floor(tau*k + eta) over int64 lanes."""
-        scalar = self.floor
+    def _int_form(self) -> Optional[tuple[int, int, int]]:
+        """(A, E, Z) with tau*k + eta = (A*k + E)/Z, for a rational pair
+        whose A, |E| and Z stay below LANE_BOUND; None otherwise."""
         T, H, Z = self.form
-        if not self.radicands:
-            A, E = T[1], H.get(1, 0)
-            if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
-                kmax = (LANE_BOUND - abs(E)) // A
+        if self.radicands:
+            return None
+        A, E = T[1], H.get(1, 0)
+        if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
+            return A, E, Z
+        return None
 
-                def rational(k: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _floor_arm(self):
+        """The guarded pass of ``floor_lanes``: (k, kb) -> (floors, ok)
+        for lanes k, int64 or integer-valued float64, with |k| <= kb on
+        every lane that counts (kb None: no bound known).  The floors are
+        int64 on the exact arm and float64 otherwise, and ok masks the
+        lanes they settle (None: all of them).  None if no float fits."""
+        form = self._int_form
+        if form is not None:
+            A, E, Z = form
+            kmax = (LANE_BOUND - abs(E)) // A
+
+            def rational(k, kb):
+                if kb is None or kb > kmax:
                     ok = np.abs(k) <= kmax
-                    if ok.all():
-                        return (A * k + E) // Z
-                    out = np.where(ok, k, 0)
-                    out = (A * out + E) // Z
-                    return _scalar_lanes(out, ~ok, k, scalar)
+                    if not ok.all():
+                        return _affine(np.where(ok, k, 0), A, E, Z), ok
+                return _affine(k, A, E, Z), None
 
-                return rational
+            return rational
         if self._floats is None:
-            return _all_scalar(scalar)
+            return None
         t, et, e, ee = self._floats
         # |tau*k + eta - fl(fl(t*k) + e)| <= |k|(et + 4u|t|) + ee + 2u|e|,
         # counting the int64 -> float64 rounding of k; doubling covers the
@@ -380,56 +422,69 @@ class BeattyPair:
         c1 = 2.0 * (et + 4.0 * _U * abs(t))
         c0 = 2.0 * (ee + 2.0 * _U * abs(e)) + _SLACK
 
-        def filtered(k: np.ndarray) -> np.ndarray:
-            kf = k.astype(np.float64)
+        def filtered(k, kb):
+            kf = k.astype(np.float64, copy=False)
             with np.errstate(invalid="ignore", over="ignore"):
-                v = kf * t + e
+                v = kf * t
+                if e:
+                    v += e
                 fl = np.floor(v)
-                frac = v - fl
-                err = np.abs(kf) * c1 + c0
-                ok = (frac > err) & (frac < 1.0 - err)
-            if ok.all():
-                return fl.astype(np.int64)
-            out = np.where(ok, fl, 0.0).astype(np.int64)
-            return _scalar_lanes(out, ~ok, k, scalar)
+                err = _tight(kb, c1, c0)
+                if err is None:
+                    err = np.abs(kf) * c1 + c0
+                v -= fl  # the fraction, to lie in (err, 1 - err)
+                v -= 0.5
+                ok = np.abs(v, out=v) < 0.5 - err
+            return fl, ok
 
         return filtered
 
     @cached_property
-    def member_lanes(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized exact x -> the k >= 1 with floor(tau*k + eta) = x, or
-        0 for non-members, over int64 lanes x >= 1.
+    def _member_arm(self):
+        """The guarded pass of ``member_lanes``: (x, top) -> (k, ok) for
+        int64 lanes 1 <= x <= top (top None: no bound known).  k holds
+        each settled member's index and 0 on every other lane, int64 on
+        the exact arm and float64 otherwise, and ok masks the settled
+        lanes (None: all of them).  None if no float arm is sound.
 
         The only candidate is k = ceil((x - eta)/tau), and x is a member
         iff k >= 1 and k < (x + 1 - eta)/tau (see ``member``); one pass
         decides both from the quotient.  Rational pairs do it exactly in
         int64 with the forward form; otherwise the float quotient, its
         error bound and a bound on the error of 1/tau must settle the
-        ceiling and the sign of k - (x + 1 - eta)/tau.  Lanes that fail a
-        guard take the scalar ``member``."""
-        T, H, Z = self.form
-        if not self.radicands:
-            A, E = T[1], H.get(1, 0)
-            if A < LANE_BOUND and abs(E) < LANE_BOUND and Z < LANE_BOUND:
-                xmax = (LANE_BOUND - abs(E)) // Z
+        ceiling and the sign of k - (x + 1 - eta)/tau."""
+        form = self._int_form
+        if form is not None:
+            A, E, Z = form
+            xmax = (LANE_BOUND - abs(E)) // Z
 
-                def rational(x: np.ndarray) -> np.ndarray:
-                    # t = Z*x - E and k = ceil(t/A): x = floor((A*k + E)/Z)
-                    # iff A*k - t < Z.  |t| <= LANE_BOUND and A*k < t + A.
-                    ok = x <= xmax
-                    t = Z * np.where(ok, x, 0) - E
-                    k = -((-t) // A)
-                    out = np.where((k >= 1) & (A * k - t < Z), k, 0)
-                    return out if ok.all() else _scalar_lanes(
-                        out, ~ok, x, self.member)
+            # with E < Z every lane x >= 1 has t > 0, so k >= 1; with
+            # A = 1 (tau = 1) every k has A*k - t = 0
+            positive = E < Z
 
-                return rational
+            def rational(x, top):
+                # t = Z*x - E and k = ceil(t/A): x = floor((A*k + E)/Z)
+                # iff A*k - t < Z.  |t| <= LANE_BOUND and A*k < t + A.
+                ok = None if top is not None and top <= xmax else x <= xmax
+                if ok is not None and ok.all():
+                    ok = None
+                zx = _affine(x if ok is None else np.where(ok, x, 0), Z)
+                k = _affine(zx, 1, A - 1 - E, A)
+                hit = None if A == 1 else _affine(k, A) - zx < Z - E
+                if not positive:
+                    hit = k >= 1 if hit is None else hit & (k >= 1)
+                if ok is not None:
+                    hit = ok if hit is None else hit & ok
+                return k if hit is None else k * hit, ok
+
+            return rational
         if self._floats is None or self._floats[1] > 0.5:
-            return _all_scalar(self.member)
+            return None
         t, et, e, ee = self._floats
         # With N' = fl(x - e) and q' = fl(N'/t), tau >= 1 and et <= 1/2:
         # |(x - eta)/tau - q'| <= ee + 2u(|x| + |e|) + 2|N'|et + 2u|q'|, which
-        # |N'|*c1 + c0 bounds with a factor 2 to spare.
+        # |N'|*c1 + c0 bounds with a factor 2 to spare; so does
+        # (top + |e|)*c1 + c0, as |N'| <= (top + |e|)(1 + u).
         c1 = 4.0 * et + 16.0 * _U
         c0 = 2.0 * ee + 16.0 * _U * abs(e) + _SLACK
         # k = ceil(fl(q' - err)) is the ceiling of (x - eta)/tau once
@@ -438,25 +493,130 @@ class BeattyPair:
         # u/t <= 2u.  Then k - q' lies in [0, 1] and r in (0, 2], so s =
         # fl(fl(k - q') - r) rounds twice by at most 2u each, and
         # |k - (x + 1 - eta)/tau - s| <= err + 2et + 6u < err + c_r: x is a
-        # member iff k >= 1 and s < 0, once |s| clears that margin.
+        # member iff k >= 1 and s < 0, once |s| clears that margin.  As
+        # err >= 16u|N'| >= 8u|q'|, a settled ceiling has |k| < 2^53.
         r = 1.0 / t
         c_r = 2.0 * et + 8.0 * _U + _SLACK
+        # with eta < 1 every lane x >= 1 has (x - eta)/tau > 0, so k >= 1
+        positive = e + ee < 1.0
 
-        def filtered(x: np.ndarray) -> np.ndarray:
+        def filtered(x, top):
             with np.errstate(invalid="ignore", over="ignore"):
-                num = x.astype(np.float64) - e
+                num = x.astype(np.float64)
+                if e:
+                    num -= e
                 q = num / t
-                err = np.abs(num) * c1 + c0
+                err = _tight(None if top is None else top + abs(e), c1, c0)
+                if err is None:
+                    err = np.abs(num) * c1 + c0
                 k = np.ceil(q - err)
                 d = k - q
                 s = d - r
-                ok = ((d >= err) & (np.abs(s) > err + c_r)
-                      & (np.abs(k) < LANE_BOUND))
-                k = np.where(ok & (s < 0) & (k >= 1), k, 0.0)
-            out = k.astype(np.int64)
-            return out if ok.all() else _scalar_lanes(out, ~ok, x, self.member)
+                ok = (d >= err) & (np.abs(s) > err + c_r)
+                hit = ok & (s < 0)
+                if not positive:
+                    hit &= k >= 1
+                return k * hit, ok
 
         return filtered
+
+    @cached_property
+    def floor_lanes(self) -> Callable[..., np.ndarray]:
+        """Vectorized exact k -> floor(tau*k + eta) over int64 lanes; a
+        caller that knows a bound on every |k| may pass it."""
+        arm, scalar = self._floor_arm, self.floor
+        if arm is None:
+            return _all_scalar(scalar)
+
+        def lanes(k: np.ndarray, bound: Optional[int] = None) -> np.ndarray:
+            fl, ok = arm(k, bound)
+            if ok is None or ok.all():
+                return fl.astype(np.int64, copy=False)
+            out = np.where(ok, fl, 0).astype(np.int64, copy=False)
+            return _scalar_lanes(out, ~ok, k, scalar)
+
+        return lanes
+
+    @cached_property
+    def member_lanes(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorized exact x -> the k >= 1 with floor(tau*k + eta) = x, or
+        0 for non-members, over int64 lanes x >= 1, in one guarded pass
+        (``_member_arm``).  Lanes that fail its guard take the scalar
+        ``member``."""
+        arm, scalar = self._member_arm, self.member
+        if arm is None:
+            return _all_scalar(scalar)
+
+        def lanes(x: np.ndarray) -> np.ndarray:
+            k, ok = arm(x, None)
+            out = k.astype(np.int64, copy=False)
+            return out if ok is None or ok.all() else _scalar_lanes(
+                out, ~ok, x, scalar)
+
+        return lanes
+
+    @cached_property
+    def _index_bound(self) -> Callable[[int], float]:
+        """top -> a bound above the index k of every member x <= top, for
+        a pair with a member arm (tau >= 1).
+
+        x = floor(tau*k + eta) <= top gives k < (top + 1 - eta)/tau:
+        exact on the int64 arm's forms, and from the floats of tau and
+        eta, rounded up, otherwise."""
+        if self._int_form is not None:
+            A, E, Z = self._int_form
+            return lambda top: -((E - Z * (top + 1)) // A)
+        t, et, e, ee = self._floats
+        lo, hi = max(1.0, t - et), abs(e) + ee
+        return lambda top: (top + 1 + hi) / lo * (1 + 2.0 ** -50) + 1
+
+
+def step_lanes(a: BeattyPair,
+               g: BeattyPair) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The step kernel of a chain walk, for the pairs a of S(alpha, beta)
+    and g of S(gamma, delta): (y, top) -> g.floor(a.member(y)) on every
+    int64 lane y, or LEFT_SA where a.member(y) = 0 (y left S(alpha,
+    beta)).  Lanes satisfy 1 <= y <= top, and every member x <= top has
+    its index below LANE_BOUND and that index's floor in g inside
+    (-LANE_BOUND, LANE_BOUND) (``chains._lane_guard``).
+
+    One guarded pass: a's member arm, then g's floor arm on every lane (k
+    = 0 outside SA), each exact in int64 on a rational pair and in
+    float64 otherwise, with error bounds taken once per call from top and
+    the index bound of top where those stay tight.  A lane that fails
+    either guard takes the scalar ``member`` and ``floor``.  Without a
+    member or floor arm (a value past the float range), the step is
+    ``member_lanes``, then ``floor_lanes`` on the lanes inside SA."""
+    member, floor = a._member_arm, g._floor_arm
+    if member is None or floor is None:
+        def unfused(y: np.ndarray, top: int) -> np.ndarray:
+            k = a.member_lanes(y)
+            out = np.full(y.size, LEFT_SA, dtype=np.int64)
+            hit = k > 0
+            out[hit] = g.floor_lanes(k[hit])
+            return out
+
+        return unfused
+    exact, bound = g._int_form is not None, a._index_bound
+
+    def step(y: np.ndarray, top: int) -> np.ndarray:
+        k, ok = member(y, top)
+        if exact and k.dtype != np.int64:
+            k = k.astype(np.int64)  # 0 outside SA, |k| < 2^53 inside
+        fl, fine = floor(k, bound(top))
+        hit = k >= 1
+        out = np.where(hit, fl, LEFT_SA).astype(np.int64, copy=False)
+        if fine is not None:
+            fine = fine >= hit  # settled, or outside SA: no floor needed
+            ok = fine if ok is None else ok & fine
+        if ok is not None and not ok.all():
+            bad = np.flatnonzero(~ok)
+            for i, x in zip(bad.tolist(), y[bad].tolist()):
+                k1 = a.member(x)
+                out[i] = g.floor(k1) if k1 else LEFT_SA
+        return out
+
+    return step
 
 
 def floor_fn(tau: RealLike, eta: RealLike) -> Callable[[int], int]:

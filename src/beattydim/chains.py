@@ -31,12 +31,14 @@ the pairs' scalar closures, from a head or resuming a walk at its step
 j; it returns the chain's end (kind, value, last iterate) and collects
 the visible elements on request.  ``_ScanContext.walk_heads`` is a
 refilling lane stream: each round steps every live lane through one
-guarded pass of each lane kernel, and whenever at most CHUNK // 2 lanes
-are live it draws heads from its stream until more are.  The lanes
-drawn in one round form a cohort that shares its step j, so a lane is
-one int64 iterate.  An iterate past the kernel's int64 guard resumes in
-``walk`` at its step, and so do the last FINISH lanes of an exhausted
-stream on pairs whose forms have at most one radicand.
+call of the tuple's step kernel (``beatty.step_lanes``: both halves of
+the rule in one guarded pass, LEFT_SA where a lane left SA), and
+whenever at most CHUNK // 2 lanes are live it draws heads from its
+stream until more are.  The lanes drawn in one round form a cohort
+that shares its step j, so a lane is one int64 iterate.  An iterate
+past the kernel's int64 guard resumes in ``walk`` at its step, and so
+do the last FINISH lanes of an exhausted stream on pairs whose forms
+have at most one radicand.
 
 Chains are strictly monotone.  Let g(k) = floor(gamma*k + delta) -
 floor(alpha*k + beta) and h(k) = (gamma - alpha)*k + delta - beta.  Then
@@ -68,8 +70,9 @@ of CHUNK positions at a time and keeps only class tallies, from which
 ``empirical_densities`` estimates d_i, every measured class in the
 vector's ``head``; its horizon-doubling probe walks each head once to
 twice the horizon and reads the class at the horizon off that walk.
-Membership tables are marked in place from chunked kernel floors, so
-windows of 10^6 are routine.
+Membership tables are marked in place from chunked kernel floors, one
+period of them for a rational tau, whose sequence repeats, so windows
+of 10^6 are routine.
 """
 
 from __future__ import annotations
@@ -85,17 +88,18 @@ from typing import (IO, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from .beatty import LANE_BOUND, BeattyPair, ParamTuple
+from .beatty import LANE_BOUND, LEFT_SA, BeattyPair, ParamTuple, step_lanes
 from .numerics import Rational, _add, _common_bounds, _div, _neg
 
 DEFAULT_K = 40
 CHUNK = 1 << 14  # lanes per table-marking call, positions per head slice
 # An exhausted head stream finishes its last FINISH live lanes in the
 # scalar ``walk``.  On the perfbench scan catalog (2-core Xeon, Python
-# 3.11, numpy 2.4) a vector round over at most 64 lanes costs 38-47 us,
-# and one scalar step (member, then floor) 0.9-1.1 us on rational and
-# one-field surd pairs; so one scalar step of 32 lanes costs no more
-# than one round, but 7-12 us on a pair over two or more radicands.
+# 3.11, numpy 2.4) a vector round over at most 64 lanes (one step-kernel
+# call and its ends) costs 20-35 us, and one scalar step (member, then
+# floor) 0.3-0.8 us on rational and one-field surd pairs; so one scalar
+# step of 32 lanes costs no more than one round, but 4.6-4.8 us on a
+# pair over two or more radicands.
 FINISH = 32
 STABILITY_TOL = 1e-3  # candidate share a doubled horizon may move
 _PERIOD_CAP = 1 << 16  # longest membership period a certificate checks
@@ -343,23 +347,38 @@ def _mark_bitset(pair: BeattyPair, bound: int) -> bytearray:
     exactly its members in [1, bound], in blocks of CHUNK lanes.  A
     first_k past the bound (a large negative shift) is folded into a
     shifted pair, whose lane i holds first_k + i, so lanes stay small
-    whatever the shift."""
+    whatever the shift.
+
+    A rational tau = b/q repeats: k -> k + q adds b to the floor, so the
+    members from the first one, x0, on repeat every b positions (Fraenkel
+    1969).  Its kernel marks the q lanes of one period, [x0, x0 + b), and
+    slice copies that double in length fill the rest of the table."""
     table = bytearray(bound + 1)
     marks = np.frombuffer(table, dtype=np.uint8)  # marks in place
     k0, k1 = pair.first_k, pair.first_k_at(bound + 1)
     if k1 > k0 > bound:
         pair, k0, k1 = pair.shifted(k0), 0, k1 - k0
-    for start in range(k0, k1, CHUNK):
-        lanes = np.arange(start, min(start + CHUNK, k1), dtype=np.int64)
-        marks[pair.floor_lanes(lanes)] = 1
+    tau = pair.tau.value if isinstance(pair.tau, Rational) else None
+    end = k1 if tau is None else min(k1, k0 + tau.denominator)
+    for start in range(k0, end, CHUNK):
+        stop = min(start + CHUNK, end)
+        lanes = np.arange(start, stop, dtype=np.int64)
+        marks[pair.floor_lanes(lanes, stop)] = 1
+    if end < k1:  # [x0, x0 + b) is marked; so is [x0, x0 + span)
+        x0, span = pair.floor(k0), tau.numerator
+        while x0 + span <= bound:
+            size = min(span, bound + 1 - x0 - span)
+            marks[x0 + span:x0 + span + size] = marks[x0:x0 + size]
+            span += size
     return table
 
 
 class _ScanContext:
     """Per-tuple scan state, built once per tuple: the tuple's pairs a
     and g, the membership table of S(gamma, delta) on [1, bound] (and
-    that of S(alpha, beta) on first use), the lane guard of
-    ``walk_heads``, and the certificate threshold Y (None without one).
+    that of S(alpha, beta) on first use), the lane guard and the step
+    kernel of ``walk_heads``, and the certificate threshold Y (None
+    without one).
     A walk stops as proved infinite at an iterate y >= Y above the
     cutoff: every later iterate is larger and in S(alpha, beta)."""
 
@@ -369,6 +388,7 @@ class _ScanContext:
         self.bound = bound
         self.sg = _mark_bitset(self.g, bound)
         self.guard = _lane_guard(p)
+        self.step = step_lanes(self.a, self.g)
         self.Y = _certificate(self.a, self.g)
 
     @cached_property
@@ -425,15 +445,17 @@ class _ScanContext:
                    cutoff: int) -> Union["_HeadWalks", "_HeadTally"]:
         """Follow the chains of a stream of heads (int64 arrays in head
         order, each head outside SG), one step of f per round for every
-        live lane, through the vectorized kernel.  Lanes live in step
-        cohorts (``_Cohorts``): whenever at most CHUNK // 2 lanes are
-        live, the next arrays of the stream join them as one cohort at
-        step 0 until more are, so rounds stay full and a window pays the
-        tail of its longest chains once.  The steps, exits and visibility
-        rules are those of ``walk``.  A lane resumes there at its step j
-        when its iterate passes the lane guard, and so do the last FINISH
-        lanes of an exhausted stream when both pairs' forms have at most
-        one radicand.  A head outside SA ends at step 0, as class 1.
+        live lane, through one call of the step kernel with the round's
+        largest iterate as its bound.  Lanes live in step cohorts
+        (``_Cohorts``): whenever at most CHUNK // 2 lanes are live, the
+        next arrays of the stream join them as one cohort at step 0 until
+        more are, so rounds stay full and a window pays the tail of its
+        longest chains once.  The steps, exits and visibility rules are
+        those of ``walk``; a round ends lanes only where some left SA or
+        N.  A lane resumes in ``walk`` at its step j when its iterate
+        passes the lane guard, and so do the last FINISH lanes of an
+        exhausted stream when both pairs' forms have at most one
+        radicand.  A head outside SA ends at step 0, as class 1.
 
         With cutoff >= 1 the elements <= cutoff are visible, and the
         per-head arrays of the whole stream come back as ``_HeadWalks``.
@@ -447,7 +469,7 @@ class _ScanContext:
         stop = self._stop(cutoff)
         if stop > LANE_BOUND:  # past every lane
             stop = inf
-        member, floor = self.a.member_lanes, self.g.floor_lanes
+        step, guard = self.step, self.guard
         finish = (FINISH if len(self.a.radicands) <= 1
                   and len(self.g.radicands) <= 1 else -1)
 
@@ -484,23 +506,27 @@ class _ScanContext:
                 break
             if not live.y.size:  # a draw that leaves more heads fills lanes
                 break
-            top = live.y.max()
-            if top > self.guard:
-                far = live.y > self.guard
+            top = int(live.y.max())
+            if top > guard:
+                far = live.y > guard
                 resume(live.columns(far))
                 live.end(far, _INFINITE)  # recorded by resume
+                top = guard
             if top >= stop:  # proved infinite
                 live.end(live.y >= stop, _INFINITE)
             if not live.y.size:
                 continue
-            live.y = member(live.y)
-            live.end(live.y == 0, _FINITE)  # left SA at step j: class j + 1
+            y = live.y = step(live.y, top)
+            low = y.min()
+            if low == LEFT_SA:  # left SA at step j: class j + 1
+                live.end(y == LEFT_SA, _FINITE)
             if live.steps.size and live.steps[0] >= horizon:
                 live.end_oldest()  # at the horizon: infinity candidates
             live.steps += 1
-            live.y = floor(live.y)
-            if live.y.size and live.y.min() < 1:
-                live.end(live.y < 1, _RESIDUAL)  # left N at step j
+            if low < 1 and live.y.size:
+                gone = live.y < 1
+                if gone.any():
+                    live.end(gone, _RESIDUAL)  # left N at step j
             live.see()
         return live.result()
 
@@ -559,20 +585,22 @@ class _Cohorts:
 
     def end(self, gone: np.ndarray, code: int) -> None:
         """Remove the lanes in gone, recording each as code at its step."""
-        counts = np.add.reduceat(gone, np.cumsum(self.sizes) - self.sizes,
-                                 dtype=np.int64)
+        # the ufuncs, not their numpy wrappers: a round calls this often
+        starts = np.add.accumulate(self.sizes) - self.sizes
+        counts = np.add.reduceat(gone, starts, dtype=np.int64)
         if code != _INFINITE:
             if self.heads is None:
                 self._widen(int(self.steps[0]))
-                self.tally[int(code == _RESIDUAL), self.steps] += counts
+                self.tally[int(code == _RESIDUAL)][self.steps] += counts
             else:
                 self.cls[self.heads[gone]] = (
                     np.repeat(self.steps + 1, counts) if code == _FINITE
                     else _RESIDUAL)
-        keep = ~gone
-        self.y = self.y[keep]
+        # indices, then take: faster than a boolean index on scattered ends
+        keep = (~gone).nonzero()[0]
+        self.y = self.y.take(keep)
         if self.heads is not None:
-            self.heads = self.heads[keep]
+            self.heads = self.heads.take(keep)
         self.sizes = self.sizes - counts
         if not self.sizes.all():
             some = self.sizes > 0

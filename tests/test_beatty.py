@@ -12,7 +12,8 @@ from beattydim import (
     floor_linear,
     member,
 )
-from beattydim.beatty import LANE_BOUND, BeattyPair, _float_pair, _linear_form
+from beattydim.beatty import (LANE_BOUND, LEFT_SA, BeattyPair, _float_pair,
+                              _linear_form, step_lanes)
 from beattydim import beatty as beatty_mod
 from beattydim import numerics as numerics_mod
 from beattydim.chains import _growth_start, _lane_guard
@@ -417,6 +418,96 @@ def test_member_lanes_all_scalar_past_the_float_filter(scale):
     ref = [member(x, tau, eta) or 0 for x in xs]
     assert ref[4] == 1 and sum(ref) == 1
     assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
+
+
+def _step_reference(p, ys):
+    """Each lane's scalar step: a.member, then g.floor, or LEFT_SA."""
+    a, g = p.pairs
+    return [g.floor(k) if (k := a.member(y)) else LEFT_SA for y in ys]
+
+
+def _assert_step_matches_scalar(p, ys):
+    """The step kernel of p on the lanes ys <= the lane guard, with top
+    the largest lane (bounds taken once per call) and the guard itself
+    (bounds taken per lane where one bound is loose)."""
+    guard = _lane_guard(p)
+    ys = sorted({y for y in ys if 1 <= y <= guard})
+    if not ys:
+        return
+    step = step_lanes(*p.pairs)
+    ref = _step_reference(p, ys)
+    lanes = np.array(ys, dtype=np.int64)
+    assert step(lanes, ys[-1]).tolist() == ref
+    assert step(lanes, guard).tolist() == ref
+
+
+def _guard_lanes(p):
+    """Lanes next to the lane guard: the guard and its neighbours below,
+    and the last member of S(alpha, beta) at or below it with its
+    neighbours."""
+    a = p.pairs[0]
+    guard = _lane_guard(p)
+    k = a.first_k_at(guard + 1) - 1  # the last member index <= guard
+    last = a.floor(k) if k >= 1 else guard
+    return [guard - 2, guard - 1, guard, last - 1, last, last + 1]
+
+
+@st.composite
+def _step_case(draw):
+    """A tuple whose (alpha, beta) comes from ``_membership_boundary_case``
+    (rational, surd, cross-field or two-radicand alpha), with (gamma,
+    delta) rational, in alpha's field, a surd over a drawn radicand, over
+    two radicands, or past the float range; and lanes at alpha's
+    membership boundary.  An integer offset from (alpha, beta) lands
+    gamma*k + delta on an integer wherever alpha*k + beta does, so there
+    only the floor arm's error bound decides."""
+    tau, eta, xs = draw(_membership_boundary_case())
+    kind = draw(st.sampled_from(
+        ["rational", "same-field", "offset", "surd", "multi", "past-float"]))
+    c = ceil_value(tau) + 1  # an integer above tau
+    delta = rational(draw(st.fractions(min_value=-5, max_value=5,
+                                       max_denominator=12)))
+    if kind == "rational":
+        gamma = rational(c) + rational(1, draw(st.integers(2, 9)))
+    elif kind == "same-field":
+        gamma = tau * draw(st.sampled_from([2, 3, Fraction(5, 2)]))
+    elif kind == "offset":
+        gamma = tau + draw(st.integers(1, 3))
+        delta = eta + draw(st.integers(-3, 3))
+    elif kind == "surd":
+        gamma = surd(c, 1, draw(st.sampled_from([2, 3, 5, 7])))
+    elif kind == "multi":
+        gamma = surd(c, 1, 2) + surd(0, 1, 3)
+    else:  # gamma*1 + delta = 5, gamma*2 + delta past the float range
+        gamma = surd(0, 10**400, 2)
+        delta = 5 - gamma
+    return ParamTuple(tau, eta, gamma, delta), xs
+
+
+@given(case=_step_case())
+@settings(max_examples=200, deadline=None)
+def test_step_kernel_matches_scalar_member_then_floor(case):
+    # one guarded pass of a's member arm and g's floor arm per lane, at
+    # alpha's membership boundary (only the member arm's error bound
+    # decides there) and next to the lane guard (floors near 2^62, the
+    # exact arms' int64 limits, and per-lane bounds with top = guard)
+    p, xs = case
+    _assert_step_matches_scalar(p, [*xs, *_guard_lanes(p)])
+
+
+@pytest.mark.parametrize("scale", [10**300, 10**400])
+def test_step_kernel_with_alpha_past_the_float_filter(scale):
+    # alpha = scale*sqrt(2) has no float member arm, so the step takes
+    # member_lanes, then floor_lanes on the lanes inside SA; beta = 5 -
+    # alpha puts the member 5 (k = 1) in the lanes
+    # and gamma = 2*alpha, delta = 7 - gamma its image 7
+    alpha = surd(0, scale, 2)
+    p = ParamTuple(alpha, 5 - alpha, alpha * 2, 7 - alpha * 2)
+    assert p.pairs[0]._member_arm is None
+    ys = [*range(1, 200), *_guard_lanes(p)]
+    assert _lane_guard(p) >= 200
+    assert _step_reference(p, ys)[3:6] == [LEFT_SA, 7, LEFT_SA]
+    _assert_step_matches_scalar(p, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -370,11 +370,22 @@ def test_bitset_matches_beatty_values():
         (surd(0, 1, 2), rational(-10**30)),  # a shifted pair
         (rational(3, 2), rational(10**30)),  # no member
         (surd(0, 1, 2), rational(10**30)),
+        # rational tau = b/q: one period of q lanes, then doubling copies
+        (rational(1), rational(0)),  # integer tau: q = 1, b = 1
+        (rational(5), rational(-3)),  # q = 1, b = 5
+        (rational(701, 3), rational(0)),  # a period longer than the bound
+        (rational(1000, 999), rational(1, 3)),  # fewer members than q
+        (rational(3, 2), rational(-10**30)),  # the shifted pair repeats
     ]
-    for tau, eta in cases:
-        bits = _mark_bitset(BeattyPair(tau, eta), 700)
-        marked = {x for x in range(1, 701) if bits[x]}
-        assert marked == set(beatty_values(tau, eta, 700))
+    # bounds on the period edges of S(7/2, 0): members from x0 = 3 on
+    # repeat every b = 7 positions
+    edges = [(rational(7, 2), rational(0), bound)
+             for x in (3 + 7, 3 + 7 * 100) for bound in (x - 2, x - 1, x)]
+    for tau, eta, bound in [*((t, e, 700) for t, e in cases), *edges]:
+        bits = _mark_bitset(BeattyPair(tau, eta), bound)
+        assert len(bits) == bound + 1
+        marked = {x for x in range(1, bound + 1) if bits[x]}
+        assert marked == set(beatty_values(tau, eta, bound)), (tau, eta, bound)
 
 
 def test_residual_sparsity():
@@ -690,21 +701,21 @@ def test_window_pays_one_straggler_tail(tup, n, monkeypatch):
 
     def counting_init(self, *args):
         init(self, *args)
-        member_a = self.a.member_lanes
+        step = self.step  # one call per round
 
-        def counted(y):
+        def counted(y, top):
             nonlocal rounds, lane_steps
             rounds += 1
             lane_steps += y.size
-            return member_a(y)
+            return step(y, top)
 
-        self.a.member_lanes = counted
+        self.step = counted
 
     monkeypatch.setattr(_ScanContext, "__init__", counting_init)
     p = ParamTuple(*tup)
     empirical_densities(p, [(1, n)])
     H = default_horizon(p, n)
-    assert rounds <= lane_steps // (CHUNK // 2) + 2 * H + 2
+    assert 0 < rounds <= lane_steps // (CHUNK // 2) + 2 * H + 2
 
 
 # ---------------------------------------------------------------------------
