@@ -21,7 +21,8 @@ integer square root per radicand.
 
 from __future__ import annotations
 
-from functools import cached_property
+from contextlib import nullcontext
+from functools import cached_property, partial
 from math import gcd, lcm
 from typing import Callable, Optional
 
@@ -247,6 +248,17 @@ def _tight(bound: Optional[float], c1: float, c0: float) -> Optional[float]:
     return err if err <= _TIGHT else None
 
 
+def _float_context(floats: tuple[float, ...]) -> Callable[[], object]:
+    """The context a float arm runs its numpy passes in.  With every float
+    of the pair below 2^900 and every lane below 2^63, no product, sum or
+    quotient of a pass can overflow or be nan, so nothing needs silencing
+    (np.errstate costs 1-4 us a call); otherwise np.errstate silences
+    both, and a lane that overflows fails the arm's guard."""
+    if all(abs(f) < 2.0 ** 900 for f in floats):
+        return nullcontext
+    return partial(np.errstate, invalid="ignore", over="ignore")
+
+
 def _affine(v: np.ndarray, a: int, b: int = 0, z: int = 1) -> np.ndarray:
     """(a*v + b) // z over int64 lanes, leaving out the steps that change
     nothing (v itself for a = z = 1, b = 0)."""
@@ -416,6 +428,7 @@ class BeattyPair:
         if self._floats is None:
             return None
         t, et, e, ee = self._floats
+        quiet = _float_context(self._floats)
         # |tau*k + eta - fl(fl(t*k) + e)| <= |k|(et + 4u|t|) + ee + 2u|e|,
         # counting the int64 -> float64 rounding of k; doubling covers the
         # rounding of the bound itself.
@@ -424,7 +437,7 @@ class BeattyPair:
 
         def filtered(k, kb):
             kf = k.astype(np.float64, copy=False)
-            with np.errstate(invalid="ignore", over="ignore"):
+            with quiet():
                 v = kf * t
                 if e:
                     v += e
@@ -481,6 +494,7 @@ class BeattyPair:
         if self._floats is None or self._floats[1] > 0.5:
             return None
         t, et, e, ee = self._floats
+        quiet = _float_context(self._floats)
         # With N' = fl(x - e) and q' = fl(N'/t), tau >= 1 and et <= 1/2:
         # |(x - eta)/tau - q'| <= ee + 2u(|x| + |e|) + 2|N'|et + 2u|q'|, which
         # |N'|*c1 + c0 bounds with a factor 2 to spare; so does
@@ -501,7 +515,7 @@ class BeattyPair:
         positive = e + ee < 1.0
 
         def filtered(x, top):
-            with np.errstate(invalid="ignore", over="ignore"):
+            with quiet():
                 num = x.astype(np.float64)
                 if e:
                     num -= e

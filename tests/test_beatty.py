@@ -420,6 +420,28 @@ def test_member_lanes_all_scalar_past_the_float_filter(scale):
     assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
 
 
+@pytest.mark.parametrize("power", [269, 272, 290])
+def test_float_arms_warn_nowhere_at_the_int64_ends(power):
+    # floats below 2^900 (10^269*sqrt(2)) run the arms without
+    # np.errstate; larger ones silence it, and at 10^290 the product of
+    # tau and a lane near 2^63 overflows.  No lane at either end of int64
+    # may raise a RuntimeWarning (an error in this suite), and every lane
+    # an arm settles is exact.
+    scale = 10**power
+    big = surd(0, scale, 2)
+    ends = np.array([-(2**63 - 1), -1, 0, 1, 2**63 - 1], dtype=np.int64)
+    pair = BeattyPair(big, rational(7))
+    fl, ok = pair._floor_arm(ends, None)
+    for k, f, settled in zip(ends.tolist(), fl.tolist(), ok.tolist()):
+        assert not settled or f == floor_linear(big, k, rational(7))
+    # eta above every lane: no lane is a member
+    pair = BeattyPair(surd(0, 1, 2), surd(0, scale, 3))
+    xs = ends[ends > 0]
+    k, ok = pair._member_arm(xs, None)
+    assert not (k * ok).any()
+    assert pair.member_lanes(xs).tolist() == [0] * xs.size
+
+
 def _step_reference(p, ys):
     """Each lane's scalar step: a.member, then g.floor, or LEFT_SA."""
     a, g = p.pairs
