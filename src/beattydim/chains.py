@@ -58,10 +58,12 @@ product form (``oracle.chain_product_count``) needs, so no walk checks.
 ``walk_heads`` is the one head-scan engine.  ``decompose`` passes every
 head at once, the A_1 singletons included (each leaves SA at step 0, so
 it comes back as class 1 with itself visible), and gets per-head arrays
-(class and the visible elements in CSR form); it compresses out the
-chains that left N and stores the rest as chains in columns, with the
-refined counts d_{i,j} (exactly j of the i chain elements inside
-[1,n]) and the residual set.  Its tables cover [1, n] only: a chain
+(class and the visible elements in CSR form).  Where some chain left N
+or stayed outside [1, n] it compresses those out; otherwise it keeps
+the walk's arrays as they are.  It stores the chains in columns with
+the residual set, and the refined counts d_{i,j} (exactly j of the i
+chain elements inside [1,n]) are tallied from the columns on first
+read.  Its tables cover [1, n] only: a chain
 headed above n reaches the window only by down-steps (h(k) < 0, so k <
 k_f of ``_growth_start``), and ``_entry_heads`` climbs it from its
 entry.
@@ -159,16 +161,30 @@ class ChainDecomposition:
     """The chains of [1, n] in columns, in head order: chain c is headed
     at heads[c], has class code classes[c] (1 for A_1, i >= 2 for the
     finite class i, 0 for an infinity candidate) and its elements inside
-    [1, n] are elements[offsets[c]:offsets[c + 1]], in trajectory order."""
+    [1, n] are elements[offsets[c]:offsets[c + 1]], in trajectory order.
+    The records ``chains`` and the tally ``counts`` are computed from
+    these columns on first read."""
 
     n: int
     residual: tuple[int, ...]
-    counts: dict  # (i, j) -> number of finite-class-i heads with j visible
     horizon: int
     heads: np.ndarray
     classes: np.ndarray
     offsets: np.ndarray
     elements: np.ndarray
+
+    @cached_property
+    def counts(self) -> dict:
+        """(i, j) -> number of chains of class i (A_1 as i = 1, the
+        finite classes i >= 2) with j elements inside [1, n], keyed in
+        the order of each key's first chain."""
+        fin = self.classes >= 1
+        keys = (self.classes[fin] * (self.n + 1)
+                + np.diff(self.offsets)[fin])
+        uniq, at, tally = np.unique(keys, return_index=True,
+                                    return_counts=True)
+        return {divmod(int(uniq[u]), self.n + 1): int(tally[u])
+                for u in np.argsort(at)}
 
     @cached_property
     def chains(self) -> tuple[Chain, ...]:
@@ -184,9 +200,11 @@ class ChainDecomposition:
         )
 
     def length_counts(self) -> dict[int, int]:
-        """Visible chain length -> number of chains."""
-        lengths, counts = np.unique(np.diff(self.offsets), return_counts=True)
-        return dict(zip(lengths.tolist(), counts.tolist()))
+        """Visible chain length -> number of chains, in increasing
+        length."""
+        tally = np.bincount(np.diff(self.offsets))
+        lengths = np.flatnonzero(tally)
+        return dict(zip(lengths.tolist(), tally[lengths].tolist()))
 
     def to_csv(self, stream: IO[str]) -> None:
         rows = []
@@ -276,8 +294,9 @@ class DensityVector:
         their exact values; an exact law steps an unreduced numerator and
         denominator (int / int rounds correctly whatever their common
         factors), which skips the gcds of every Fraction product.  Past
-        L the law extends them in floats, and its closed geometric sum
-        starts the suffix sums."""
+        L the law extends them in floats, entry by entry, so d_1 .. d_N
+        are a prefix of any longer read.  The suffix sums are those of
+        ``suffix_sums``."""
         h, r, last = len(self.head), self.tail_ratio, self.head[-1]
         L = max(self.K, h)
         run = [float(v) for v in self.head]
@@ -289,22 +308,31 @@ class DensityVector:
                 run.append(num / den)
         else:
             run += [self.entry_float(i) for i in range(h + 1, L + 1)]
-        d = run[:N]
-        s = 0.0  # sum_{j>N} d_j
-        for v in run[N:]:
-            s += v
         # the law past L: d_L * rho^(i - L), all zeros without one
         rho, dl = ((float(r), run[-1]) if r is not None and L >= 2
                    else (0.0, 0.0))
         # float_power is C pow, as rho ** k is
-        d += (dl * np.float_power(rho, np.arange(1, N - L + 1))).tolist()
+        run += (dl * np.float_power(rho, np.arange(1, N - L + 1))).tolist()
         if dl > 0 and rho >= 1:
             raise ValueError("geometric tail with ratio >= 1 is not summable")
+        return run[:N], self.suffix_sums(run, N)
+
+    def suffix_sums(self, d: list[float], N: int) -> list[float]:
+        """s_1 .. s_N of ``floats(N)``, from d, the entries of a read
+        ``floats(M)`` with M >= max(N, K, len(head)).  The sum past N
+        adds the stored entries d_{N+1} .. d_L in order, then the law's
+        closed geometric sum past max(N, L); s_i adds d_N, ..., d_{i+1}
+        to it, in that order.  So the sums depend on N, not on M."""
+        r, L = self.tail_ratio, max(self.K, len(self.head))
+        s = 0.0  # sum_{j>N} d_j
+        for v in d[N:L]:
+            s += v
+        rho, dl = ((float(r), d[L - 1]) if r is not None and L >= 2
+                   else (0.0, 0.0))
         if dl > 0 and rho > 0:
             s += dl * rho ** (max(N, L) - L + 1) / (1.0 - rho)
         # suffix[i] = s + d[N-1] + ... + d[i+1], added in that order
-        suffix = np.cumsum([s, *d[:0:-1]])[::-1].tolist() if N else []
-        return d, suffix
+        return np.cumsum([s, *d[N - 1:0:-1]])[::-1].tolist() if N else []
 
     def d_inf_float(self) -> float:
         return float(self.d_inf)
@@ -475,18 +503,25 @@ class _ScanContext:
 
         def resume(lanes):
             # each (head index, j, y): y is the step-j iterate, already
-            # seen; walk() takes over from it and sees it again
+            # seen; walk() takes over from it and sees it again.  The
+            # lanes' new elements are seen in one call, each lane's in
+            # trajectory order.
+            seen_lanes: list[int] = []
+            seen: list[int] = []
             for lane, j, y in lanes:
                 rec: Optional[list[int]] = [] if cutoff >= 1 else None
                 kind, val, _ = self.walk(y, horizon, cutoff, rec, j)
                 if rec:
                     rec = rec[1:] if y <= cutoff else rec
-                    live.see(np.full(len(rec), lane),
-                             np.array(rec, dtype=np.int64))
+                    seen += rec
+                    seen_lanes += [lane] * len(rec)
                 if kind == "finite":
                     live.record(lane, val - 1, _FINITE)
                 elif kind == "residual":
                     live.record(lane, val, _RESIDUAL)
+            if seen:
+                live.see(np.array(seen_lanes, dtype=np.int64),
+                         np.array(seen, dtype=np.int64))
 
         batches = iter(heads)
         more = True
@@ -798,30 +833,25 @@ def decompose(p: ParamTuple, n: int, horizon: Optional[int] = None) -> ChainDeco
     free = np.flatnonzero(np.frombuffer(ctx.sg, dtype=np.uint8)[1:] == 0) + 1
     heads = np.concatenate([free, entries])
     w = ctx.walk_heads([heads], horizon, n)
-    vis = np.diff(w.offsets)
+    classes, offsets, elements = w
+    vis = np.diff(offsets)
     # a chain that left N leaves its visible elements to the residual
-    keep = (w.cls != _RESIDUAL) & (vis > 0)
-    classes, lengths = w.cls[keep], vis[keep]
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    elements = w.elements[np.repeat(keep, vis)]
+    keep = (classes != _RESIDUAL) & (vis > 0)
+    if not keep.all():
+        heads, classes = heads[keep], classes[keep]
+        elements = elements[np.repeat(keep, vis)]
+        offsets = np.zeros(classes.size + 1, dtype=np.int64)
+        np.cumsum(vis[keep], out=offsets[1:])
 
     covered = np.zeros(n + 1, dtype=bool)
     covered[elements] = True
     residual = tuple((np.flatnonzero(~covered[1:]) + 1).tolist())
 
-    # (i, j) tallies of the A_1 and finite chains, keyed in head order
-    fin = classes >= 1
-    keys = classes[fin] * (n + 1) + lengths[fin]
-    uniq, at, tally = np.unique(keys, return_index=True, return_counts=True)
-    counts = {divmod(int(uniq[u]), n + 1): int(tally[u]) for u in np.argsort(at)}
-
     return ChainDecomposition(
         n=n,
         residual=residual,
-        counts=counts,
         horizon=horizon,
-        heads=heads[keep],
+        heads=heads,
         classes=classes,
         offsets=offsets,
         elements=elements,

@@ -13,8 +13,9 @@ so no input fails for lack of precision.  A tuple may use at most four
 distinct square-free radicands (``beatty.RADICAND_CAP``).
 
 Exit codes: 0 success, 1 verification check failed, 2 validation error
-(including more than four radicands, and a request that needs more
-memory than is available), 3 numeric failure (non-convergence, unstable
+(including more than four radicands, a ``verify`` window above
+``VERIFY_MAX_N``, and a request that needs more memory than is
+available), 3 numeric failure (non-convergence, unstable
 horizon, a dimension outside the float range, gamma/alpha rounding to 1
 in float64).  Reports are byte-stable for a fixed invocation: keys are
 sorted and floats rounded to 12 significant digits.
@@ -43,6 +44,12 @@ from .oracle import (
 )
 from .regions import (classify_region, closed_form_d, density_payload, digits,
                       region_report)
+
+# The largest verify window.  A verify run holds arrays over [1, n]: its
+# peak RSS grew by 52-102 bytes per position over the interpreter's on
+# the tuples measured (n = 10^5 to 4*10^6, 2 to 16 symbols, shifts down
+# to -n/2), so a window of 10^7 stays near 1 GB, under 2 GiB.
+VERIFY_MAX_N = 10**7
 
 
 def _round12(x: float) -> float:
@@ -206,9 +213,13 @@ def _run_dim(args) -> int:
 
 
 def _run_verify(args) -> int:
+    n = args.n
+    if n > VERIFY_MAX_N:
+        raise ValueError(
+            f"verify --n {n} is above the window bound {VERIFY_MAX_N}: a "
+            f"verify run holds about 100 bytes of memory per position")
     p = _params(args)
     A = BinaryMatrix.from_string(args.matrix)
-    n = args.n
     checks = []
 
     show = functools.cache(digits)  # each distinct count converted once

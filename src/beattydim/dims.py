@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -159,8 +160,12 @@ _ROUNDS_TO_ONE = ("alpha/gamma is below 1 but rounds to 1 in float64, so "
 
 def _rho(p: ParamTuple) -> float:
     """alpha/gamma from the exact quotient: it stays finite (or
-    underflows to 0) where gamma/alpha passes the float range."""
-    return _reciprocal(p.ratio).approx()
+    underflows to 0) where gamma/alpha passes the float range.  Raises
+    FloatingPointError where it rounds to 1."""
+    rho = _reciprocal(p.ratio).approx()
+    if not rho < 1.0:  # a ParamTuple has alpha < gamma exactly
+        raise FloatingPointError(_ROUNDS_TO_ONE)
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +227,20 @@ def _bracketed_sum(blocks, w: np.ndarray, q: float,
     return total, 0.0
 
 
+def _minkowski_terms(d: DensityVector, rho: float, eps: float) -> int:
+    """The Minkowski series' N: from max(K, 8) until its geometric tail
+    bound is at most eps / 2, or N reaches 200,000."""
+    N = max(d.K, 8)
+    while _mink_tail(N, rho) > eps / 2 and N < 200_000:
+        N += max(8, N // 8)
+    return N
+
+
 def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
                   eps: float = 1e-10) -> DimValue:
     """Truncated series with reported bound = geometric tail + float
-    slack + the half-width of the bracket that closed it.
+    slack + the half-width of the bracket that closed it, from one
+    validated ``d.floats(N)`` read (``_dimensions``).
 
     The terms are summed block by block until the Collatz-Wielandt
     bracket of ``log_power_sums`` closes the rest: past l, log|A^l'|
@@ -236,18 +251,18 @@ def minkowski_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     entry, a periodic A, the float floor) every term up to N is summed.
     A nilpotent A, whose |A^l| vanish from some l on, is rejected where
     such a term has weight."""
-    _validate_eps(eps)
-    rho = _rho(p)  # 0 where gamma/alpha passes the float range
-    if not rho < 1.0:  # a ParamTuple has alpha < gamma exactly
-        raise FloatingPointError(_ROUNDS_TO_ONE)
-    N = max(d.K, 8)
-    while _mink_tail(N, rho) > eps / 2 and N < 200_000:
-        N += max(8, N // 8)
+    return _dimensions(A, d, p, eps, mink=True, haus=False)[0]
+
+
+def _minkowski(A: BinaryMatrix, d: DensityVector, rho: float,
+               dv: list[float], suffix: list[float]) -> DimValue:
+    """The Minkowski series of ``minkowski_dim`` over a validated read:
+    d_1 .. d_N and the suffix sums of ``d.floats(N)``; rho is 0 where
+    gamma/alpha passes the float range."""
+    N = len(dv)
     tail = _mink_tail(N, rho)
     logm = math.log(A.m)
     dinf = d.d_inf_float()
-    dv, suffix = d.floats(N)
-    _validate_density(d, dv)
     dv, suffix = np.array(dv), np.array(suffix)
     rp = np.full(N, rho)
     rp[0] = 1.0
@@ -389,18 +404,46 @@ def _transfer_rows(A_np: np.ndarray, rho: float, g: np.ndarray,
 # Hausdorff
 # ---------------------------------------------------------------------------
 
-def _hausdorff_tail(d: DensityVector, N: int) -> float:
-    """Bound sum_{i>N} d_i (i+1) via the geometric tail descriptor."""
+def _hausdorff_tail(d: DensityVector, N: int,
+                    dn: Optional[float] = None) -> float:
+    """Bound sum_{i>N} d_i (i+1) via the geometric tail descriptor; dn
+    is d_{N+1} as a float, read with ``entry_float`` when not given."""
     if d.tail_ratio is None:
         return 0.0  # measured tails are summed in full
     rho = float(d.tail_ratio)
-    dn = d.entry_float(N + 1)
+    if dn is None:
+        dn = d.entry_float(N + 1)
     if rho <= 0.0 or dn <= 0.0:
         return 0.0
     if rho >= 1.0:
         raise InvalidDensity("geometric tail with ratio >= 1 is not summable")
     q = 1.0 - rho
     return dn * ((N + 2) / q + rho / (q * q))
+
+
+def _hausdorff_terms(d: DensityVector, eps: float) -> tuple[int, float]:
+    """The Hausdorff series' N and its tail bound: N grows from max(K,
+    len(head)) until ``_hausdorff_tail`` is at most eps / 2, or N
+    reaches 100,000.  An exact law steps d_{N+1} from probe to probe as
+    an unreduced numerator and denominator, as ``DensityVector.floats``
+    does: int / int rounds to the float that ``entry_float`` reads."""
+    h, r, last = len(d.head), d.tail_ratio, d.head[-1]
+    N = max(d.K, h)
+    if r is None or not float(r) > 0.0:
+        return N, 0.0  # no tail past the head
+    exact = h >= 2 and isinstance(r, Fraction) and isinstance(last, Fraction)
+    if exact:
+        num = last.numerator * r.numerator ** (N + 1 - h)
+        den = last.denominator * r.denominator ** (N + 1 - h)
+    while True:
+        tail = _hausdorff_tail(d, N, num / den if exact else None)
+        if not (tail > eps / 2 and N < 100_000):
+            return N, tail
+        step = max(8, N // 8)
+        N += step
+        if exact:
+            num *= r.numerator ** step
+            den *= r.denominator ** step
 
 
 def _transfer_blocks(A: BinaryMatrix, rho: float, n: int):
@@ -439,19 +482,16 @@ def hausdorff_dim(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
     exponents would be degenerate); the t-solver runs only when
     d_inf > 0, and its certificate enters ``err`` as
     d_inf * residual / ln m.  Requires primitive A when d_inf > 0,
-    irreducible otherwise (the caller surfaces warnings)."""
-    _validate_eps(eps)
-    rho = _rho(p)
-    if not rho < 1.0:  # a ParamTuple has alpha < gamma exactly
-        raise FloatingPointError(_ROUNDS_TO_ONE)
+    irreducible otherwise (the caller surfaces warnings).  The terms
+    come from one validated ``d.floats(N)`` read (``_dimensions``)."""
+    return _dimensions(A, d, p, eps, mink=False, haus=True)[1]
+
+
+def _hausdorff(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
+               rho: float, dv: list[float], tail: float) -> DimValue:
+    """The Hausdorff series of ``hausdorff_dim`` over a validated read
+    d_1 .. d_N, with the tail bound past N."""
     logm = math.log(A.m)
-    N = max(d.K, len(d.head))
-    if d.tail_ratio is not None and float(d.tail_ratio) > 0.0:
-        while _hausdorff_tail(d, N) > eps / 2 and N < 100_000:
-            N += max(8, N // 8)
-    tail = _hausdorff_tail(d, N)
-    dv, _ = d.floats(N)
-    _validate_density(d, dv)
     total, half = dv[0], 0.0
     last = next((i for i in range(len(dv), 1, -1) if dv[i - 1] > 0.0), 0)
     if last:  # w_j = d_{j+1} weighs log T(j+1); d_1 takes no log
@@ -485,6 +525,30 @@ def dims_coincide(A: BinaryMatrix) -> bool:
 # full report
 # ---------------------------------------------------------------------------
 
+def _dimensions(A: BinaryMatrix, d: DensityVector, p: ParamTuple,
+                eps: float, mink: bool,
+                haus: bool) -> tuple[Optional[DimValue], Optional[DimValue]]:
+    """(dim_M or None, dim_H or None), as ``minkowski_dim`` and
+    ``hausdorff_dim`` give them, for the series that mink and haus ask
+    for.  rho and each series' N are computed once, and the vector is
+    read once, by ``d.floats`` at the larger N, and validated once.
+    Each series reads d_1 .. d_N off that read (a prefix of a longer
+    read is bit-identical), and Minkowski's suffix sums are taken for
+    its own N (``DensityVector.suffix_sums``): they start at N."""
+    if not (mink or haus):
+        return None, None
+    _validate_eps(eps)
+    rho = _rho(p)  # 0 where gamma/alpha passes the float range
+    NM = _minkowski_terms(d, rho, eps) if mink else 0
+    NH, tail = _hausdorff_terms(d, eps) if haus else (0, 0.0)
+    dv, suffix = d.floats(max(NM, NH))
+    _validate_density(d, dv)
+    if mink and NM < NH:
+        suffix = d.suffix_sums(dv, NM)
+    return (_minkowski(A, d, rho, dv[:NM], suffix) if mink else None,
+            _hausdorff(A, d, p, rho, dv[:NH], tail) if haus else None)
+
+
 def dimension_report(
     p: ParamTuple,
     A: BinaryMatrix,
@@ -496,7 +560,8 @@ def dimension_report(
     which: str = "both",
 ) -> DimensionReport:
     """Classify, pick the density vector (closed form if available,
-    empirical otherwise or on request), evaluate the dimensions."""
+    empirical otherwise or on request), evaluate the dimensions that
+    ``which`` names, from one read of the vector (``_dimensions``)."""
     region = classify_region(p)
     warnings: list[str] = []
     if mode not in ("closed", "empirical"):
@@ -520,9 +585,9 @@ def dimension_report(
             "Hausdorff value relies on the primitive case"
         )
 
-    dim_m = minkowski_dim(A, d, p, eps=eps) if which in ("both", "minkowski") else None
-    dim_h = hausdorff_dim(A, d, p, eps=eps) if which in (
-        "both", "hausdorff") else None
+    dim_m, dim_h = _dimensions(A, d, p, eps,
+                               mink=which in ("both", "minkowski"),
+                               haus=which in ("both", "hausdorff"))
     return DimensionReport(
         region=region,
         d=d,

@@ -67,14 +67,22 @@ def _path_counts(A: BinaryMatrix, longest: int) -> list[int]:
     return pc
 
 
+def _path_starts(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The tails u[i] of the edges u[i] -> v[i] on [1, n] that no edge
+    enters, in edge order: a table of the heads v read at u, with no
+    sort."""
+    has_in = np.zeros(n + 1, dtype=bool)
+    has_in[v] = True
+    return u[~has_in[u]]
+
+
 def _component_tally(u: np.ndarray, v: np.ndarray,
                      n: int) -> tuple[Counter, Counter, int]:
     """(paths, cycles, isolated) of the graph on [1, n] with edges
     u[i] -> v[i]: paths and cycles map a vertex count to the number of
-    such components.  Every path start (a vertex without an incoming
-    edge) steps once per round along its path, so round L sees the
-    paths of at least L vertices; the vertices no path reaches lie on
-    cycles."""
+    such components.  Every path start (``_path_starts``) steps once
+    per round along its path, so round L sees the paths of at least L
+    vertices; the vertices no path reaches lie on cycles."""
     if max(np.bincount(u, minlength=1).max(),
            np.bincount(v, minlength=1).max()) > 1:
         outs, ins = set(), set()  # report the first edge, in edge order
@@ -90,7 +98,7 @@ def _component_tally(u: np.ndarray, v: np.ndarray,
     unseen = np.zeros(n + 1, dtype=bool)
     unseen[u] = unseen[v] = True
     vertices = int(np.count_nonzero(unseen))
-    cur = np.setdiff1d(u, v, assume_unique=True)  # the path starts
+    cur = _path_starts(u, v, n)
     alive = []  # alive[L - 1] = paths with at least L vertices
     while cur.size:
         alive.append(cur.size)

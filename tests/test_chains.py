@@ -2,6 +2,7 @@ import io
 from fractions import Fraction
 from math import inf, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from beattydim import (
 )
 from beattydim.beatty import LANE_BOUND, BeattyPair, member
 from beattydim.chains import (
+    _INFINITE,
+    _RESIDUAL,
     A1,
     Chain,
     ChainClass,
@@ -187,6 +190,125 @@ def test_partition(key, n):
     dec = decompose(REGION_TUPLES[key], n)
     covered = [x for c in dec.chains for x in c.elements] + list(dec.residual)
     assert sorted(covered) == list(range(1, n + 1))
+
+
+# tuples with residual elements, and whether some chain left N: chains
+# that leave N, then fixed points of f and headless cycles (the last
+# three from the verify benchmark catalog)
+RESIDUAL_TUPLES = [
+    (("3/2", 0, 3, -50), 300, True),
+    ((2, 0, 3, -4), 50, True),
+    (("sqrt(2)", 0, "sqrt(3)", 0), 2000, False),
+    (("sqrt(2)", "1/4", "sqrt(3)", "1/4"), 2000, False),
+    (("sqrt(2)", "sqrt(7)", "sqrt(3)", "1/3"), 130, False),
+]
+COLUMN_CASES = [
+    *(pytest.param(REGION_TUPLES[k], 300, False, id=k)
+      for k in sorted(REGION_TUPLES)),
+    *(pytest.param(ParamTuple(*t), n, left, id=f"residual-{i}")
+      for i, (t, n, left) in enumerate(RESIDUAL_TUPLES)),
+]
+
+
+def eager_counts(dec):
+    """The (i, j) tally that decompose built eagerly before ``counts``
+    was computed on first read: one np.unique over i*(n+1)+j, keyed in
+    the order of each key's first chain."""
+    n, lengths = dec.n, np.diff(dec.offsets)
+    fin = dec.classes >= 1
+    keys = dec.classes[fin] * (n + 1) + lengths[fin]
+    uniq, at, tally = np.unique(keys, return_index=True, return_counts=True)
+    return {divmod(int(uniq[u]), n + 1): int(tally[u]) for u in np.argsort(at)}
+
+
+@pytest.mark.parametrize("p,n,left", COLUMN_CASES)
+def test_lazy_counts_equal_the_eager_tally(p, n, left):
+    dec = decompose(p, n)
+    assert "counts" not in vars(dec)  # computed on first read
+    want = eager_counts(dec)
+    assert list(dec.counts.items()) == list(want.items())
+    assert dec.counts is dec.counts
+
+
+@pytest.mark.parametrize("p,n,left", COLUMN_CASES)
+def test_length_counts_equal_the_sorted_tally(p, n, left):
+    dec = decompose(p, n)
+    lengths, tally = np.unique(np.diff(dec.offsets), return_counts=True)
+    want = dict(zip(lengths.tolist(), tally.tolist()))
+    assert list(dec.length_counts().items()) == list(want.items())
+
+
+def scalar_columns(p, n, horizon):
+    """decompose's columns (heads, classes, offsets, elements) as int64
+    arrays, and the residual, from the scalar reference's chains."""
+    chains, residual, _ = scalar_decompose(p, n, horizon)
+    code = {"A1": lambda c: 1, "finite": lambda c: c.i,
+            "infinity": lambda c: _INFINITE}
+    lengths = [len(c.elements) for c in chains]
+    cols = ([c.head for c in chains],
+            [code[c.cls.tag](c.cls) for c in chains],
+            np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
+            [x for c in chains for x in c.elements])
+    return [np.array(col, dtype=np.int64) for col in cols], residual
+
+
+@pytest.mark.parametrize("p,n,left", COLUMN_CASES)
+def test_decompose_columns_match_scalar_walk(p, n, left, monkeypatch):
+    # the walk's arrays are kept as they are where every chain has an
+    # element in [1, n] and none left N, and compressed otherwise; the
+    # columns are the same either way
+    walk_heads, kept = _ScanContext.walk_heads, []
+
+    def spy(self, *args):
+        w = walk_heads(self, *args)
+        kept.append(bool(((w.cls != _RESIDUAL)
+                          & (np.diff(w.offsets) > 0)).all()))
+        return w
+
+    monkeypatch.setattr(_ScanContext, "walk_heads", spy)
+    dec = decompose(p, n)
+    cols, residual = scalar_columns(p, n, default_horizon(p, n))
+    for name, want in zip(("heads", "classes", "offsets", "elements"), cols):
+        got = getattr(dec, name)
+        assert got.dtype == np.int64, name
+        assert got.tolist() == want.tolist(), name
+    assert (dec.residual, dec.horizon) == (residual, default_horizon(p, n))
+    assert kept == [not left]
+
+
+@pytest.mark.parametrize("tup,n", [
+    # the last FINISH lanes of the stream resume in walk, several of
+    # them with more than one element left in [1, n]
+    pytest.param(("3/2", 0, 3, 0), 300, id="finish"),
+    pytest.param((1, 0, "1+sqrt(3)", "1/3"), 2000, id="finish-surd"),
+    # gamma past the lane bound: the guard is 3, so a lane at 5 passes
+    # it after one step and resumes in walk at step 1
+    pytest.param((2, 0, f"{10**19}*sqrt(2)", f"5-{10**19}*sqrt(2)"), 100,
+                 id="guard"),
+])
+def test_resumed_lanes_see_their_elements_in_trajectory_order(tup, n,
+                                                              monkeypatch):
+    p = ParamTuple(*tup)
+    walk, resumed = _ScanContext.walk, []
+
+    def spy(self, y, horizon, cutoff=0, rec=None, j=0):
+        out = walk(self, y, horizon, cutoff, rec, j)
+        if rec is not None:
+            resumed.append((j, len(rec)))
+        return out
+
+    monkeypatch.setattr(_ScanContext, "walk", spy)
+    dec = decompose(p, n)
+    monkeypatch.undo()
+    if tup[0] == 2:
+        assert _lane_guard(p) == 3 and any(j == 1 for j, _ in resumed)
+    else:
+        assert sum(seen >= 3 for _, seen in resumed) >= 2
+    ctx = _ScanContext(p, n)
+    for c in dec.chains:
+        rec = []
+        ctx.walk(c.head, dec.horizon, n, rec)
+        assert c.elements == tuple(rec), c.head
 
 
 def test_partition_with_anomalies():

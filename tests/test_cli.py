@@ -147,6 +147,37 @@ def test_window_past_the_memory_cap_is_invalid_input(argv):
     assert "Traceback" not in err
 
 
+def test_verify_window_above_the_bound_exits_through_the_bound():
+    # --n is checked against the stated bound before any oracle or
+    # decompose allocates, so under the child's 2 GiB cap n = 10^12
+    # exits 2 with the bound named, not through MemoryError
+    code, out, err, _, _ = run_capped(
+        "verify", "--alpha=2", "--gamma=3", "--matrix=11;10",
+        "--n=1000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: ")
+    assert f"window bound {cli.VERIFY_MAX_N}" in err
+    assert "more memory than is available" not in err
+
+
+def test_verify_window_bound_admits_the_bound(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "VERIFY_MAX_N", 50)
+    argv = ["verify", "--alpha=2", "--gamma=3", "--matrix=11;10"]
+    assert main([*argv, "--n=50"]) == 0
+    assert main([*argv, "--n=51"]) == 2
+    assert "window bound 50" in capsys.readouterr().err
+
+
+def test_verify_memory_per_position_keeps_the_bound_under_2_gib():
+    # peak RSS grows linearly in n; at the measured rate the largest
+    # allowed window fits the 2 GiB cap with room to spare
+    argv = ["verify", "--alpha=2", "--gamma=3", "--matrix=11;10"]
+    small, large = (run_capped(*argv, f"--n={n}") for n in (100, 300_000))
+    assert small[0] == large[0] == 0, large[2]
+    per_position = (large[4] - small[4]) * 1024 / (300_000 - 100)
+    assert per_position * cli.VERIFY_MAX_N < (2 << 30) / 1.5, per_position
+
+
 def test_horizon_does_not_size_the_tallies():
     # the class tallies grow with the longest chain, not with the horizon
     argv = ["densities", "--alpha=2", "--gamma=3", "--mode=empirical",

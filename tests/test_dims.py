@@ -480,6 +480,80 @@ def test_density_floats_match_scalar_loop():
             assert d.floats(N) == reference_floats(d, N), (d, N)
 
 
+def test_shorter_read_is_a_prefix_of_a_longer_one():
+    # a report reads the vector once, at the larger N; each series takes
+    # d_1 .. d_N off that read, and Minkowski's suffix sums start at its
+    # own N, as floats(N) takes them
+    for d in _float_read_cases():
+        L = max(d.K, len(d.head))
+        for N in (1, d.K, d.K + 1, 3 * d.K + 50):
+            dv, suffix = d.floats(N)
+            for M in {max(N, L), max(N, L) + 37, 2 * N + 100}:
+                longer = d.floats(M)[0]
+                assert longer[:N] == dv, (d, N, M)
+                assert d.suffix_sums(longer, N) == suffix, (d, N, M)
+
+
+def test_hausdorff_terms_match_the_probe_loop():
+    # the unreduced numerator and denominator of _hausdorff_terms give
+    # the N and tail bound of one entry_float read per probe
+    cases = _float_read_cases() + [
+        DensityVector((Fraction(1, 2), Fraction(1, 6)), 0, 3,
+                      ClosedForm("R7"), tail_ratio=Fraction(999, 1000)),
+        DensityVector((Fraction(1, 2),), 0, 1, ClosedForm("R7"),
+                      tail_ratio=Fraction(1, 3))]
+    for d in cases:
+        for eps in (1e-4, 1e-10, 1e-15):
+            N = max(d.K, len(d.head))
+            if d.tail_ratio is not None and float(d.tail_ratio) > 0.0:
+                while _hausdorff_tail(d, N) > eps / 2 and N < 100_000:
+                    N += max(8, N // 8)
+            assert dims._hausdorff_terms(d, eps) == (
+                N, _hausdorff_tail(d, N)), (d, eps)
+
+
+# Hausdorff's N passes Minkowski's: two catalog tuples whose vectors
+# end at K, and a slow geometric tail under a fast ratio, whose suffix
+# sums past Minkowski's N are not zero
+LONGER_HAUSDORFF = [
+    (("sqrt(2)", 0, 3, 0), None),
+    (("sqrt(2)", "sqrt(3)", "sqrt(5)", 0), None),
+    ((1, 0, 10, 0), DensityVector((Fraction(2, 5), Fraction(1, 11)), 0, 2,
+                                  ClosedForm("R1"),
+                                  tail_ratio=Fraction(7, 9))),
+]
+
+
+@pytest.mark.parametrize("args,d", LONGER_HAUSDORFF)
+def test_report_reads_the_vector_once(args, d, monkeypatch):
+    # Minkowski reads its terms off a longer read than its own
+    # floats(N), and its suffix sums start at its own N
+    p = ParamTuple(*args)
+    A = BinaryMatrix.from_string("110;011;101")
+    if d is None:
+        d = closed_form_d(p, classify_region(p))
+    rho = _rho(p)
+    NM = dims._minkowski_terms(d, rho, 1e-10)
+    assert NM < dims._hausdorff_terms(d, 1e-10)[0]
+    own = dims._minkowski(A, d, rho, *d.floats(NM))
+    floats, reads = DensityVector.floats, []
+
+    def spy(self, N):
+        reads.append(N)
+        return floats(self, N)
+
+    monkeypatch.setattr(DensityVector, "floats", spy)
+    dim_m, dim_h = dims._dimensions(A, d, p, 1e-10, mink=True, haus=True)
+    assert len(reads) == 1
+    assert dim_m == own and dim_m == minkowski_dim(A, d, p)
+    assert dim_h == hausdorff_dim(A, d, p)
+    if args[0] == "sqrt(2)":
+        reads.clear()
+        rep = dimension_report(p, A)
+        assert len(reads) == 1
+        assert (rep.dim_M, rep.dim_H) == (dim_m, dim_h)
+
+
 def full_minkowski(A, d, p, eps=1e-10):
     """The Minkowski series summed term by term to its full N, with the
     logs of the exact |A^l| of the scalar vector recursion: O(m^2) big

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beattydim import (
@@ -21,7 +21,8 @@ from beattydim import (
     finite_scale_logcount,
 )
 from beattydim.beatty import _edge_lanes
-from beattydim.oracle import NonPathComponent, PatternCount, _component_tally
+from beattydim.oracle import (NonPathComponent, PatternCount,
+                              _component_tally, _path_starts)
 from conftest import REGION_TUPLES, scalar_constraint_edges
 
 
@@ -419,3 +420,17 @@ def test_component_tally_on_arbitrary_graphs(case):
             lane_tally(edges, n)
     else:
         assert lane_tally(edges, n) == want
+
+
+@given(case=_partial_injection())
+@settings(max_examples=200, deadline=None)
+def test_path_starts_match_setdiff(case):
+    # the in-degree table gives the tails no edge enters, in edge order,
+    # as the sorting set difference does on graphs of paths and cycles
+    edges, n = case
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    assume(np.unique(u).size == u.size and np.unique(v).size == v.size)
+    got = _path_starts(u, v, n)
+    assert got.tolist() == np.setdiff1d(u, v, assume_unique=True).tolist()
+    assert sorted(got.tolist()) == np.setdiff1d(u, v).tolist()
