@@ -171,10 +171,12 @@ def _edge_lanes(p: ParamTuple, n: int) -> tuple[np.ndarray, np.ndarray]:
 # Shewchuk's robust predicates).  The floats and their error bounds come
 # from the values' ``_bounds``; a call that knows a bound on its lanes
 # takes one error bound for all of them while that stays tight, and one
-# per lane otherwise.  ``step_lanes`` runs one pair's member arm and the
-# other's floor arm as one chain step.  Lanes that fail a guard take the
-# scalar closures, so no result depends on a float rounding decision.
-# Callers keep the results inside int64.
+# per lane otherwise.  A pair whose values do not fit a float settles no
+# lane.  ``step_lanes`` runs one pair's member arm and the other's floor
+# arm as one chain step.  Each kernel keeps the lanes its pass settles
+# and makes one scalar call for each other lane (``_settled``), so no
+# result depends on a float rounding decision.  Callers keep the results
+# inside int64.
 # ---------------------------------------------------------------------------
 
 LANE_BOUND = 1 << 62  # |A*k + E| stays below this on the int64 path
@@ -269,18 +271,26 @@ def _affine(v: np.ndarray, a: int, b: int = 0, z: int = 1) -> np.ndarray:
     return v if z == 1 else v // z
 
 
-def _scalar_lanes(out: np.ndarray, bad: np.ndarray, lanes: np.ndarray,
-                  fn: Callable[[int], int]) -> np.ndarray:
-    for i in np.flatnonzero(bad):
-        out[i] = fn(int(lanes[i]))
-    return out
+def _unsettled(v: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
+    """The arm of a pair without a sound float pass: it settles no
+    lane."""
+    return np.zeros(v.shape, dtype=np.int64), np.zeros(v.shape, dtype=bool)
 
 
-def _all_scalar(fn: Callable[[int], int]) -> Callable[..., np.ndarray]:
-    """fn over int64 lanes, one scalar call per lane; a lane bound passed
-    to ``floor_lanes`` is not needed here."""
-    return lambda v, bound=None: np.array([fn(x) for x in v.tolist()],
-                                          dtype=np.int64)
+def _settled(arm, scalar: Callable[[int], int]) -> Callable[..., np.ndarray]:
+    """The lane kernel of a guarded pass ``arm``: (v, bound) -> its
+    values on the lanes the pass settles (ok None: all of them), and
+    scalar(v) on each other lane."""
+    def lanes(v: np.ndarray, bound=None) -> np.ndarray:
+        out, ok = arm(v, bound)
+        if ok is None or ok.all():
+            return out.astype(np.int64, copy=False)
+        out = np.where(ok, out, 0).astype(np.int64, copy=False)
+        bad = np.flatnonzero(~ok)
+        out[bad] = [scalar(x) for x in v[bad].tolist()]
+        return out
+
+    return lanes
 
 
 class BeattyPair:
@@ -292,7 +302,8 @@ class BeattyPair:
     computed here.  The rest is built on first use and kept: the
     inverse form (from the linear form, in integers), the floats of tau
     and eta with their error bounds, the scalar closures
-    ``floor`` and ``member`` (x -> its k, or 0), the int64 lane kernels
+    ``floor`` and ``member`` (x -> its k, or 0), a floor arm and a member
+    arm (the guarded passes, never None), the int64 lane kernels
     ``floor_lanes`` and ``member_lanes``, ``first_k``, and the
     ``shifted`` pairs.  Every closure reads a form, so no pair takes an
     exact 1/tau.  The sequences of a tuple take their pairs from
@@ -349,26 +360,10 @@ class BeattyPair:
     def member(self) -> Callable[[int], int]:
         """x -> the k >= 1 with floor(tau*k + eta) = x, or 0, for x >= 1.
 
-        x is a member iff k = ceil((x - eta)/tau) satisfies k >= 1 and
-        floor(tau*k + eta) = x; with at most one radicand the ceiling is
-        one flat integer expression, inlined here (scans call this
-        millions of times), and ``_k_at`` otherwise."""
-        floor, roots = self.floor, self.radicands
-        if len(roots) > 1:
-            k_at = self._k_at
-            return lambda x: k if (k := k_at(x)) >= 1 and floor(k) == x else 0
-        T1, H1, Z1 = self._inverse  # no radicand but the pair's
-        D1 = roots[0] if roots else 0
-        A1, B1 = T1.get(1, 0), T1.get(D1, 0)
-        E1, F1 = H1.get(1, 0), H1.get(D1, 0)
-        sf = _surd_floor_ints
-
-        def fast(x: int) -> int:
-            X, Y = A1 * x + E1, B1 * x + F1
-            k = -((-X) // Z1) if Y == 0 else -sf(-X, -Y, D1, Z1)
-            return k if k >= 1 and floor(k) == x else 0
-
-        return fast
+        The only candidate is k = ceil((x - eta)/tau) (``_k_at``), and x
+        is a member iff k >= 1 and floor(tau*k + eta) = x."""
+        k_at, floor = self._k_at, self.floor
+        return lambda x: k if (k := k_at(x)) >= 1 and floor(k) == x else 0
 
     @cached_property
     def first_k(self) -> int:
@@ -411,7 +406,8 @@ class BeattyPair:
         for lanes k, int64 or integer-valued float64, with |k| <= kb on
         every lane that counts (kb None: no bound known).  The floors are
         int64 on the exact arm and float64 otherwise, and ok masks the
-        lanes they settle (None: all of them).  None if no float fits."""
+        lanes they settle (None: all of them).  A pair whose values do
+        not fit a float settles no lane."""
         form = self._int_form
         if form is not None:
             A, E, Z = form
@@ -426,7 +422,7 @@ class BeattyPair:
 
             return rational
         if self._floats is None:
-            return None
+            return _unsettled
         t, et, e, ee = self._floats
         quiet = _float_context(self._floats)
         # |tau*k + eta - fl(fl(t*k) + e)| <= |k|(et + 4u|t|) + ee + 2u|e|,
@@ -458,7 +454,8 @@ class BeattyPair:
         int64 lanes 1 <= x <= top (top None: no bound known).  k holds
         each settled member's index and 0 on every other lane, int64 on
         the exact arm and float64 otherwise, and ok masks the settled
-        lanes (None: all of them).  None if no float arm is sound.
+        lanes (None: all of them).  A pair whose values do not fit a
+        float, or whose float error on tau exceeds 1/2, settles no lane.
 
         The only candidate is k = ceil((x - eta)/tau), and x is a member
         iff k >= 1 and k < (x + 1 - eta)/tau (see ``member``); one pass
@@ -492,7 +489,7 @@ class BeattyPair:
 
             return rational
         if self._floats is None or self._floats[1] > 0.5:
-            return None
+            return _unsettled
         t, et, e, ee = self._floats
         quiet = _float_context(self._floats)
         # With N' = fl(x - e) and q' = fl(N'/t), tau >= 1 and et <= 1/2:
@@ -538,48 +535,30 @@ class BeattyPair:
     def floor_lanes(self) -> Callable[..., np.ndarray]:
         """Vectorized exact k -> floor(tau*k + eta) over int64 lanes; a
         caller that knows a bound on every |k| may pass it."""
-        arm, scalar = self._floor_arm, self.floor
-        if arm is None:
-            return _all_scalar(scalar)
-
-        def lanes(k: np.ndarray, bound: Optional[int] = None) -> np.ndarray:
-            fl, ok = arm(k, bound)
-            if ok is None or ok.all():
-                return fl.astype(np.int64, copy=False)
-            out = np.where(ok, fl, 0).astype(np.int64, copy=False)
-            return _scalar_lanes(out, ~ok, k, scalar)
-
-        return lanes
+        return _settled(self._floor_arm, self.floor)
 
     @cached_property
-    def member_lanes(self) -> Callable[[np.ndarray], np.ndarray]:
+    def member_lanes(self) -> Callable[..., np.ndarray]:
         """Vectorized exact x -> the k >= 1 with floor(tau*k + eta) = x, or
         0 for non-members, over int64 lanes x >= 1, in one guarded pass
-        (``_member_arm``).  Lanes that fail its guard take the scalar
-        ``member``."""
-        arm, scalar = self._member_arm, self.member
-        if arm is None:
-            return _all_scalar(scalar)
-
-        def lanes(x: np.ndarray) -> np.ndarray:
-            k, ok = arm(x, None)
-            out = k.astype(np.int64, copy=False)
-            return out if ok is None or ok.all() else _scalar_lanes(
-                out, ~ok, x, scalar)
-
-        return lanes
+        (``_member_arm``) and the scalar ``member`` on each lane it does
+        not settle; a caller that knows a bound above every x may pass
+        it."""
+        return _settled(self._member_arm, self.member)
 
     @cached_property
-    def _index_bound(self) -> Callable[[int], float]:
+    def _index_bound(self) -> Callable[[int], Optional[float]]:
         """top -> a bound above the index k of every member x <= top, for
-        a pair with a member arm (tau >= 1).
+        tau >= 1.
 
         x = floor(tau*k + eta) <= top gives k < (top + 1 - eta)/tau:
-        exact on the int64 arm's forms, and from the floats of tau and
-        eta, rounded up, otherwise."""
+        exact on the int64 arm's forms, from the floats of tau and eta,
+        rounded up, otherwise, and None without floats."""
         if self._int_form is not None:
             A, E, Z = self._int_form
             return lambda top: -((E - Z * (top + 1)) // A)
+        if self._floats is None:
+            return lambda top: None
         t, et, e, ee = self._floats
         lo, hi = max(1.0, t - et), abs(e) + ee
         return lambda top: (top + 1 + hi) / lo * (1 + 2.0 ** -50) + 1
@@ -597,40 +576,28 @@ def step_lanes(a: BeattyPair,
     One guarded pass: a's member arm, then g's floor arm on every lane (k
     = 0 outside SA), each exact in int64 on a rational pair and in
     float64 otherwise, with error bounds taken once per call from top and
-    the index bound of top where those stay tight.  A lane that fails
-    either guard takes the scalar ``member`` and ``floor``.  Without a
-    member or floor arm (a value past the float range), the step is
-    ``member_lanes``, then ``floor_lanes`` on the lanes inside SA."""
+    the index bound of top where those stay tight.  A lane that either
+    arm leaves unsettled takes the scalar ``member``, then ``floor``."""
     member, floor = a._member_arm, g._floor_arm
-    if member is None or floor is None:
-        def unfused(y: np.ndarray, top: int) -> np.ndarray:
-            k = a.member_lanes(y)
-            out = np.full(y.size, LEFT_SA, dtype=np.int64)
-            hit = k > 0
-            out[hit] = g.floor_lanes(k[hit])
-            return out
-
-        return unfused
     exact, bound = g._int_form is not None, a._index_bound
 
-    def step(y: np.ndarray, top: int) -> np.ndarray:
+    def step(y: np.ndarray, top: int):
         k, ok = member(y, top)
         if exact and k.dtype != np.int64:
             k = k.astype(np.int64)  # 0 outside SA, |k| < 2^53 inside
         fl, fine = floor(k, bound(top))
         hit = k >= 1
-        out = np.where(hit, fl, LEFT_SA).astype(np.int64, copy=False)
+        out = np.where(hit, fl, LEFT_SA)
         if fine is not None:
             fine = fine >= hit  # settled, or outside SA: no floor needed
             ok = fine if ok is None else ok & fine
-        if ok is not None and not ok.all():
-            bad = np.flatnonzero(~ok)
-            for i, x in zip(bad.tolist(), y[bad].tolist()):
-                k1 = a.member(x)
-                out[i] = g.floor(k1) if k1 else LEFT_SA
-        return out
+        return out, ok
 
-    return step
+    def fallback(y: int) -> int:
+        k = a.member(y)
+        return g.floor(k) if k else LEFT_SA
+
+    return _settled(step, fallback)
 
 
 def floor_fn(tau: RealLike, eta: RealLike) -> Callable[[int], int]:

@@ -32,13 +32,14 @@ j; it returns the chain's end (kind, value, last iterate) and collects
 the visible elements on request.  ``_ScanContext.walk_heads`` is a
 refilling lane stream: each round steps every live lane through one
 call of the tuple's step kernel (``beatty.step_lanes``: both halves of
-the rule in one guarded pass, LEFT_SA where a lane left SA), and
-whenever at most CHUNK // 2 lanes are live it draws heads from its
-stream until more are.  The lanes drawn in one round form a cohort
-that shares its step j, so a lane is one int64 iterate.  An iterate
-past the kernel's int64 guard resumes in ``walk`` at its step, and so
-do the last FINISH lanes of an exhausted stream on pairs whose forms
-have at most one radicand.
+the rule in one guarded pass, LEFT_SA where a lane left SA, and the
+scalar rule on each lane the pass leaves unsettled), and whenever at
+most CHUNK // 2 lanes are live it draws heads from its stream until
+more are.  The lanes drawn in one round form a cohort that shares its
+step j, so a lane is one int64 iterate.  An iterate past the kernel's
+int64 guard resumes in ``walk`` at its step, and so do the last FINISH
+lanes of an exhausted stream on pairs whose forms have at most one
+radicand.
 
 Chains are strictly monotone.  Let g(k) = floor(gamma*k + delta) -
 floor(alpha*k + beta) and h(k) = (gamma - alpha)*k + delta - beta.  Then
@@ -66,7 +67,8 @@ chain elements inside [1,n]) are tallied from the columns on first
 read.  Its tables cover [1, n] only: a chain
 headed above n reaches the window only by down-steps (h(k) < 0, so k <
 k_f of ``_growth_start``), and ``_entry_heads`` climbs it from its
-entry.
+entry, one call of the step kernel with the pairs' roles swapped per
+round.
 ``_window_counts`` streams a window's heads from the tables one slice
 of CHUNK positions at a time and keeps only class tallies, from which
 ``empirical_densities`` estimates d_i, every measured class in the
@@ -99,8 +101,8 @@ CHUNK = 1 << 14  # lanes per table-marking call, positions per head slice
 # scalar ``walk``.  On the perfbench scan catalog (2-core Xeon, Python
 # 3.11, numpy 2.4) a vector round over at most 64 lanes (one step-kernel
 # call and its ends) costs 20-35 us, and one scalar step (member, then
-# floor) 0.3-0.8 us on rational and one-field surd pairs; so one scalar
-# step of 32 lanes costs no more than one round, but 4.6-4.8 us on a
+# floor) 0.3-0.9 us on rational and one-field surd pairs; so one scalar
+# step of 32 lanes costs no more than one round, but 4.4-4.9 us on a
 # pair over two or more radicands.
 FINISH = 32
 STABILITY_TOL = 1e-3  # candidate share a doubled horizon may move
@@ -865,7 +867,10 @@ def _entry_heads(p: ParamTuple, n: int, horizon: int) -> np.ndarray:
     is above n (one block of k), and y <- floor(alpha*g.member(y) + beta)
     climbs it while y is in S(gamma, delta), through down-steps with
     growing k < k_f: every lane stays below max(k_f, floor(alpha*k_f +
-    beta)), which must not pass LANE_BOUND."""
+    beta)), which must not pass LANE_BOUND.  Each round of the climb is
+    one call of the step kernel ``step_lanes(g, a)`` (g's member arm,
+    then a's floor arm), and a lane it marks LEFT_SA (here: y left
+    S(gamma, delta)) is a head."""
     a, g = p.pairs
     lo, hi = max(g.first_k, a.first_k_at(n + 1)), g.first_k_at(n + 1)
     if lo >= hi:
@@ -876,11 +881,12 @@ def _entry_heads(p: ParamTuple, n: int, horizon: int) -> np.ndarray:
             f"chains entering [1, {n}] step down from above the int64 lane "
             f"bound 2^62; shifts this large are not supported")
     y = a.floor_lanes(np.arange(lo, hi, dtype=np.int64))
-    heads = []
+    climb, heads = step_lanes(g, a), []
     for _ in range(horizon):
-        k = g.member_lanes(y)
-        heads.append(y[k == 0])
-        y = a.floor_lanes(k[k > 0])
+        up = climb(y, int(y.max()))
+        head = up == LEFT_SA
+        heads.append(y[head])
+        y = up[~head]
         if not y.size:
             break
     return np.sort(np.concatenate(heads))

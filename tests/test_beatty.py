@@ -407,17 +407,21 @@ def test_member_lanes_at_the_membership_boundary(case):
 @pytest.mark.parametrize("scale", [10**300, 10**400])
 def test_member_lanes_all_scalar_past_the_float_filter(scale):
     # tau = scale*sqrt(2): at 10^300 the float error of tau is above 1/2,
-    # at 10^400 tau does not fit a float, so every lane takes the scalar
-    # member; eta = 5 - tau puts the member 5 (k = 1) in the lanes
+    # at 10^400 tau does not fit a float, so the member arm settles no
+    # lane and every lane takes the scalar member; eta = 5 - tau puts the
+    # member 5 (k = 1) in the lanes
     tau = surd(0, scale, 2)
     eta = surd(5, -scale, 2)
     pair = BeattyPair(tau, eta)
     floats = pair._floats
     assert floats is None if scale > 10**308 else floats[1] > 0.5
     xs = [*range(1, 200), LANE_BOUND - 1, LANE_BOUND, 2**63 - 1]
+    lanes = np.array(xs, dtype=np.int64)
+    _, ok = pair._member_arm(lanes, None)
+    assert not ok.any()
     ref = [member(x, tau, eta) or 0 for x in xs]
     assert ref[4] == 1 and sum(ref) == 1
-    assert pair.member_lanes(np.array(xs, dtype=np.int64)).tolist() == ref
+    assert pair.member_lanes(lanes).tolist() == ref
 
 
 @pytest.mark.parametrize("power", [269, 272, 290])
@@ -519,14 +523,15 @@ def test_step_kernel_matches_scalar_member_then_floor(case):
 
 @pytest.mark.parametrize("scale", [10**300, 10**400])
 def test_step_kernel_with_alpha_past_the_float_filter(scale):
-    # alpha = scale*sqrt(2) has no float member arm, so the step takes
-    # member_lanes, then floor_lanes on the lanes inside SA; beta = 5 -
+    # alpha = scale*sqrt(2) has no sound float member arm: it settles no
+    # lane, so every lane takes the scalar member, then floor; beta = 5 -
     # alpha puts the member 5 (k = 1) in the lanes
     # and gamma = 2*alpha, delta = 7 - gamma its image 7
     alpha = surd(0, scale, 2)
     p = ParamTuple(alpha, 5 - alpha, alpha * 2, 7 - alpha * 2)
-    assert p.pairs[0]._member_arm is None
     ys = [*range(1, 200), *_guard_lanes(p)]
+    _, ok = p.pairs[0]._member_arm(np.array(ys, dtype=np.int64), None)
+    assert not ok.any()
     assert _lane_guard(p) >= 200
     assert _step_reference(p, ys)[3:6] == [LEFT_SA, 7, LEFT_SA]
     _assert_step_matches_scalar(p, ys)

@@ -641,6 +641,12 @@ def test_decompose_matches_scalar_reference(key):
     (("3/2", -50, 3, 0), 300),
     (("3/2", 0, 3, 100000), 300),
     (("sqrt(2)", 0, "2+sqrt(2)", -1000), 500),
+    # chains climbed into [1, 300] from above (134, 75 and 1 entry
+    # heads): through a floor pair over two radicands, a member pair over
+    # two, and a member pair without floats, whose arm settles no lane
+    (("sqrt(2)", "sqrt(3)", "sqrt(5)", -1000), 300),
+    (("sqrt(2)", 0, "sqrt(3)+sqrt(5)", -1000), 300),
+    ((1, 0, f"{10**400}*sqrt(2)", f"150-{4*10**402}*sqrt(2)"), 300),
 ])
 def test_decompose_matches_scalar_reference_on_anomalies(tup, n):
     assert_matches_scalar(ParamTuple(*tup), n)
